@@ -4,7 +4,7 @@ PYTHON ?= python3
 
 .PHONY: install test metrics-smoke faults-smoke serve-smoke watch-smoke \
 	trace-smoke mp-smoke bench bench-paper bench-gate bench-clean \
-	fleet-bench examples clean
+	fleet-bench perfbench examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -58,6 +58,16 @@ fleet-bench:
 # baseline store (exits non-zero on regression); see EXPERIMENTS.md
 bench-gate:
 	PYTHONPATH=src $(PYTHON) -m repro bench-compare
+
+# host-clock benchmark smoke: its self-test, then every workload for 3 s;
+# fails unless every operation reproduced the layouts, oracle counts and
+# stage ns stored in perfbench/expected.json (the last line's "correct")
+perfbench:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload all --seconds 3 | tee /dev/stderr \
+		| tail -n 1 | $(PYTHON) -c 'import json, sys; \
+		sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else \
+		"perfbench: an operation did not reproduce its expected outputs")'
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

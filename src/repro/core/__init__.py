@@ -15,12 +15,11 @@ from repro.core.fgkaslr import FgkaslrEngine, SectionInventory, ShufflePlan
 from repro.core.inmonitor import InMonitorRandomizer, RandomizeMode
 from repro.core.layout_result import LayoutResult
 from repro.core.policy import RandomizationPolicy
-from repro.core.prepared import PreparedImage, image_digest, prepare_image
+from repro.core.prepared import PreparedImage, prepare_image
 from repro.core.relocator import Relocator
 
 __all__ = [
     "FgkaslrEngine",
-    "image_digest",
     "InMonitorRandomizer",
     "LayoutResult",
     "LOADER_STEPS",

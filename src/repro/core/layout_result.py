@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 from repro.kernel import layout as kl
 
+#: a bound beyond every address
+_UNBOUNDED = 1 << 128
+
 
 @dataclass
 class LayoutResult:
@@ -39,12 +42,26 @@ class LayoutResult:
     kallsyms_fixed: bool = True
     #: number of relocation entries applied
     relocs_applied: int = 0
-    _starts: list[int] = field(default_factory=list, repr=False)
+    #: bisect index over ``moved``: link vaddr ``v`` has displacement
+    #: ``_deltas[j]`` where ``_bounds[j] <= v < _bounds[j + 1]``
+    _bounds: list[int] = field(default_factory=list, repr=False)
+    _deltas: list[int] = field(default_factory=list, repr=False)
 
     def finalize(self) -> "LayoutResult":
-        """Sort the move map and build the bisect index."""
+        """Sort the move map and build the bisect index.
+
+        The index alternates each section's span with the unmoved gap
+        after it.  A section ends early where the next one starts, so an
+        address belongs to the last section starting at or before it.
+        """
         self.moved.sort(key=lambda m: m[0])
-        self._starts = [m[0] for m in self.moved]
+        nexts = [m[0] for m in self.moved[1:]] + [_UNBOUNDED]
+        self._bounds = [-_UNBOUNDED]
+        self._deltas = [0]
+        for (start, size, delta), nxt in zip(self.moved, nexts):
+            self._bounds += (start, min(start + size, nxt))
+            self._deltas += (delta, 0)
+        self._bounds.append(_UNBOUNDED)
         return self
 
     def clone(self) -> "LayoutResult":
@@ -74,18 +91,49 @@ class LayoutResult:
         """Intra-image displacement of a link-time address (FGKASLR moves)."""
         if not self.moved:
             return 0
-        if not self._starts:
+        if not self._bounds:
             self.finalize()
-        i = bisect.bisect_right(self._starts, link_vaddr) - 1
-        if i >= 0:
-            start, size, delta = self.moved[i]
-            if start <= link_vaddr < start + size:
-                return delta
-        return 0
+        return self._deltas[bisect.bisect_right(self._bounds, link_vaddr) - 1]
+
+    def site_view(self, memory, link_offset: int, width: int, writable: bool = False):
+        """In-place access to the site at image offset ``link_offset``, for sweeps.
+
+        Returns ``(buf, k, lo, hi)``: every ``width``-byte site at an offset
+        ``off`` with ``lo <= off <= hi`` shares this site's moved-section
+        window (one section, or the unmoved gap after it) and memory chunk,
+        and its word is at ``off + k`` in ``buf`` (see
+        :meth:`GuestMemory.word_view`).  A sweep over a table therefore
+        re-resolves — one bisect — only when a site leaves the span, which
+        in an ascending table (the relocs sidecar's order) is once per
+        section boundary or chunk crossed rather than once per site.  Any
+        order gives the same words.  Returns ``None`` when the word
+        straddles two chunks.
+        """
+        if not self._bounds:
+            self.finalize()
+        bounds = self._bounds
+        vbase = self.link_vbase
+        j = bisect.bisect_right(bounds, vbase + link_offset) - 1
+        shift = self.phys_load + self._deltas[j]
+        view = memory.word_view(link_offset + shift, width, writable)
+        if view is None:
+            return None
+        buf, base, last = view
+        return (
+            buf,
+            shift - base,
+            max(bounds[j] - vbase, base - shift),
+            min(bounds[j + 1] - 1 - vbase, last - shift),
+        )
 
     def final_vaddr(self, link_vaddr: int) -> int:
         """Virtual address after all randomization."""
         return link_vaddr + self.displacement_for(link_vaddr) + self.voffset
+
+    def final_vaddrs(self) -> dict[int, int]:
+        """A fresh memo of :meth:`final_vaddr`: ``memo[v]`` computes each
+        distinct ``v`` once.  Keep it local to one pass over a layout."""
+        return _FinalVaddrs(self)
 
     def final_image_offset(self, link_offset: int) -> int:
         """Image offset after FGKASLR moves (where the byte physically is)."""
@@ -108,3 +156,15 @@ class LayoutResult:
     @property
     def total_entropy_bits(self) -> float:
         return self.entropy_bits_base + self.entropy_bits_fg
+
+
+class _FinalVaddrs(dict):
+    """See :meth:`LayoutResult.final_vaddrs`."""
+
+    def __init__(self, layout: LayoutResult) -> None:
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, link_vaddr: int) -> int:
+        final = self[link_vaddr] = self.layout.final_vaddr(link_vaddr)
+        return final

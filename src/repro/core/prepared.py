@@ -24,11 +24,6 @@ from repro.core.inmonitor import RandomizeMode
 from repro.elf.reader import ElfImage
 
 
-def image_digest(data: bytes) -> str:
-    """Content address of a kernel image: hex SHA-256 of its bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
 @dataclass(frozen=True)
 class PreparedImage:
     """Everything the parse phase derives from one kernel image.
@@ -103,7 +98,7 @@ def prepare_image(
     return PreparedImage(
         elf=elf,
         mode=mode,
-        digest=digest if digest is not None else image_digest(elf.data),
+        digest=digest if digest is not None else elf.digest,
         n_sections=len(elf.sections),
         n_symbols=n_symbols,
         image_mem_bytes=image_mem_bytes,

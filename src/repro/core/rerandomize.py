@@ -19,8 +19,8 @@ from __future__ import annotations
 from repro.core.context import RandoContext
 from repro.core.layout_result import LayoutResult
 from repro.core.policy import RandomizationPolicy
-from repro.core.relocator import _check_kernel_vaddr, _low32_to_vaddr  # shared helpers
-from repro.elf.relocs import RelocationTable, RelocType
+from repro.core.relocator import check_kernel_vaddr, fix_sites, low32_to_vaddr
+from repro.elf.relocs import RelocationTable
 from repro.errors import RandomizationError
 from repro.vm.memory import GuestMemory
 
@@ -55,22 +55,19 @@ class Rerandomizer:
         delta = new - old
         if delta == 0:
             return new
-        for reloc_type, link_offset in relocs.iter_entries():
-            paddr = layout.phys_load + link_offset
-            if reloc_type is RelocType.ABS64:
-                value = memory.read_u64(paddr)
-                _check_kernel_vaddr(value - old, f"rebase ABS64 at +{link_offset:#x}")
-                memory.write_u64(paddr, value + delta)
-            elif reloc_type is RelocType.ABS32:
-                low = memory.read_u32(paddr)
-                _check_kernel_vaddr(
-                    _low32_to_vaddr(low) - old, f"rebase ABS32 at +{link_offset:#x}"
-                )
-                memory.write_u32(paddr, (low + delta) & 0xFFFFFFFF)
-            else:  # INV32
-                memory.write_u32(
-                    paddr, (memory.read_u32(paddr) - delta) & 0xFFFFFFFF
-                )
+
+        def abs64(value: int, off: int) -> int:
+            check_kernel_vaddr(value - old, "rebase ABS64 at +", off)
+            return (value + delta) & 0xFFFF_FFFF_FFFF_FFFF
+
+        def abs32(low: int, off: int) -> int:
+            check_kernel_vaddr(low32_to_vaddr(low) - old, "rebase ABS32 at +", off)
+            return (low + delta) & 0xFFFF_FFFF
+
+        def inv32(stored: int, off: int) -> int:
+            return (stored - delta) & 0xFFFF_FFFF
+
+        fix_sites(memory, layout, relocs, abs64, abs32, inv32)
         ctx.charge(
             ctx.costs.reloc_apply_batch_ns(relocs.entry_count, in_guest=ctx.in_guest),
             ctx.steps.relocate,

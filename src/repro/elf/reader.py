@@ -8,6 +8,7 @@ bzImage linker, the bootstrap loader, and the in-monitor randomizer need.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,6 +138,11 @@ class ElfImage:
 
     def sections_with_prefix(self, prefix: str) -> list[ParsedSection]:
         return [s for s in self._sections if s.name.startswith(prefix)]
+
+    @cached_property
+    def digest(self) -> str:
+        """Hex SHA-256 of the file bytes (hashed once; the bytes never change)."""
+        return hashlib.sha256(self.data).hexdigest()
 
     @cached_property
     def segments(self) -> list[Elf64Phdr]:

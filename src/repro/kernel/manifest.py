@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from repro.elf.relocs import RelocType
 from repro.kernel.config import KernelConfig, KernelVariant
@@ -114,3 +116,44 @@ class BuildManifest:
         if self.has_function(name):
             return self.function(name).link_vaddr
         return self.symbols[name]
+
+    # Derived once per manifest, on first verification (the builder is
+    # done with the manifest by then); nothing here changes per boot.
+
+    @cached_property
+    def symbol_vaddrs(self) -> dict[str, int]:
+        """:meth:`symbol_link_vaddr` of every name, as one dict."""
+        vaddrs = dict(self.symbols)
+        vaddrs.update((f.name, f.link_vaddr) for f in self.functions)
+        return vaddrs
+
+    @cached_property
+    def code_headers(self) -> dict[str, bytes]:
+        """Prologue plus identity tag, as found at each named address."""
+        return {
+            name: FUNCTION_PROLOGUE + function_id_tag(name)
+            for name in self.symbol_vaddrs
+        }
+
+    @cached_property
+    def site_rows(self) -> list[tuple[RelocType, list[tuple[int, int, bool, int]]]]:
+        """The oracle's relocation sites as ``(class, rows)`` per class.
+
+        Each row is ``(link_offset, target link vaddr + addend, in_extable,
+        index into reloc_sites)``, sorted by offset.  Rows hold no object
+        references, so the garbage collector stops scanning them.
+        """
+        vaddrs = self.symbol_vaddrs
+        by_class: dict[RelocType, list] = {t: [] for t in RelocType}
+        for i, s in enumerate(self.reloc_sites):
+            by_class[s.reloc_type].append(
+                (
+                    s.link_offset,
+                    vaddrs[s.target_symbol] + s.target_addend,
+                    s.in_extable,
+                    i,
+                )
+            )
+        for rows in by_class.values():
+            rows.sort(key=itemgetter(0))
+        return list(by_class.items())

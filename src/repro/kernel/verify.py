@@ -32,13 +32,17 @@ from repro.kernel.manifest import (
     ID_TAG_OFFSET,
     ID_TAG_SIZE,
     BuildManifest,
-    function_id_tag,
 )
 from repro.vm.memory import GuestMemory
-from repro.vm.pagetable import PageTableWalker
+from repro.vm.pagetable import PAGE_4K, PageTableWalker
 
 #: cap on per-table entries sampled for deep (id-tag) checks
 _TABLE_SAMPLE = 256
+#: prologue plus identity tag: the bytes read at each function's address
+_HEADER_SIZE = ID_TAG_OFFSET + ID_TAG_SIZE
+_PAGE_MASK = PAGE_4K - 1
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -51,19 +55,6 @@ class VerificationReport:
     kallsyms_checked: int
     kallsyms_stale: bool
     entry_vaddr: int
-
-
-def _expected_site_bytes(
-    manifest: BuildManifest, layout: LayoutResult, site
-) -> tuple[int, bytes]:
-    """(width, expected bytes) for one relocation site after layout."""
-    target_link = manifest.symbol_link_vaddr(site.target_symbol)
-    final = layout.final_vaddr(target_link + site.target_addend)
-    if site.reloc_type is RelocType.ABS64:
-        return 8, struct.pack("<Q", final)
-    if site.reloc_type is RelocType.ABS32:
-        return 4, struct.pack("<I", final & 0xFFFFFFFF)
-    return 4, struct.pack("<I", (-final) & 0xFFFFFFFF)
 
 
 def verify_guest_kernel(
@@ -91,16 +82,29 @@ def _verify_functions(
     walker: PageTableWalker, layout: LayoutResult, manifest: BuildManifest
 ) -> int:
     checked = 0
+    vaddrs = manifest.symbol_vaddrs
+    headers = manifest.code_headers
     names = [f.name for f in manifest.functions]
     names += [n for n in BASE_SYMBOL_NAMES if n in manifest.symbols]
+    memory = walker.memory
+    # final vaddr of a 4 KiB page -> its guest-physical address; exact for
+    # the whole call because nothing writes the page tables meanwhile
+    page_paddrs: dict[int, int] = {}
     for name in names:
-        final = layout.final_vaddr(manifest.symbol_link_vaddr(name))
-        header = walker.read_virt(final, ID_TAG_OFFSET + ID_TAG_SIZE)
-        if header[:ID_TAG_OFFSET] != FUNCTION_PROLOGUE:
-            raise GuestPanic(
-                f"function {name!r}: no prologue at final vaddr {final:#x}"
-            )
-        if header[ID_TAG_OFFSET:] != function_id_tag(name):
+        final = layout.final_vaddr(vaddrs[name])
+        offset = final & _PAGE_MASK
+        if offset + _HEADER_SIZE <= PAGE_4K:
+            paddr = page_paddrs.get(final - offset)
+            if paddr is None:
+                paddr = page_paddrs[final - offset] = walker.translate(final) - offset
+            header = memory.read(paddr + offset, _HEADER_SIZE)
+        else:  # the header crosses into the next page
+            header = walker.read_virt(final, _HEADER_SIZE)
+        if header != headers[name]:
+            if header[:ID_TAG_OFFSET] != FUNCTION_PROLOGUE:
+                raise GuestPanic(
+                    f"function {name!r}: no prologue at final vaddr {final:#x}"
+                )
             raise GuestPanic(
                 f"function {name!r}: identity tag mismatch at {final:#x} "
                 "(layout map lies about where this function landed)"
@@ -112,23 +116,42 @@ def _verify_functions(
 def _verify_reloc_sites(
     memory: GuestMemory, layout: LayoutResult, manifest: BuildManifest
 ) -> int:
+    # The FGKASLR re-sort permutes extable rows; under it those sites are
+    # verified as a set in _verify_extable instead.
+    skip_extable = layout.fine_grained
+    final = layout.final_vaddrs()
     checked = 0
-    for site in manifest.reloc_sites:
-        if site.in_extable and layout.fine_grained:
-            # The FGKASLR re-sort permutes extable rows; these sites are
-            # verified as a set in _verify_extable instead.
-            continue
-        width, expected = _expected_site_bytes(manifest, layout, site)
-        paddr = layout.phys_load + layout.final_image_offset(site.link_offset)
-        actual = memory.read(paddr, width)
-        if actual != expected:
-            raise GuestPanic(
-                f"relocation site image+{site.link_offset:#x} "
-                f"({site.reloc_type}) -> {site.target_symbol}"
-                f"+{site.target_addend:#x}: holds {actual.hex()} expected "
-                f"{expected.hex()}"
-            )
-        checked += 1
+    for reloc_type, rows in manifest.site_rows:
+        word = _U64 if reloc_type is RelocType.ABS64 else _U32
+        width = word.size
+        unpack = word.unpack_from
+        inverse = reloc_type is RelocType.INV32
+        buf, k, lo, hi = None, 0, 0, -1
+        for off, target, in_extable, index in rows:
+            if in_extable and skip_extable:
+                continue
+            if lo <= off <= hi:
+                actual = unpack(buf, off + k)[0]
+            else:
+                view = layout.site_view(memory, off, width)
+                if view is None:  # straddles two chunks
+                    paddr = layout.phys_load + layout.final_image_offset(off)
+                    (actual,) = word.unpack(memory.read(paddr, width))
+                else:
+                    buf, k, lo, hi = view
+                    actual = unpack(buf, off + k)[0]
+            expected = final[target]
+            if width == 4:
+                expected = (-expected if inverse else expected) & 0xFFFFFFFF
+            if actual != expected:
+                site = manifest.reloc_sites[index]
+                raise GuestPanic(
+                    f"relocation site image+{site.link_offset:#x} "
+                    f"({site.reloc_type}) -> {site.target_symbol}"
+                    f"+{site.target_addend:#x}: holds {word.pack(actual).hex()} "
+                    f"expected {word.pack(expected).hex()}"
+                )
+            checked += 1
     return checked
 
 

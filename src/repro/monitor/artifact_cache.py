@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.inmonitor import RandomizeMode
 from repro.core.policy import RandomizationPolicy
-from repro.core.prepared import PreparedImage, image_digest, prepare_image
+from repro.core.prepared import PreparedImage, prepare_image
 from repro.elf.reader import ElfImage
 from repro.telemetry import MetricsRegistry, get_telemetry
 
@@ -72,7 +72,7 @@ def cache_key_for(cfg: "VmConfig") -> "CacheKey":
     plan's ``cache-drop`` kind, so both address the same entry.
     """
     return CacheKey(
-        image_digest=image_digest(cfg.kernel.elf.data),
+        image_digest=cfg.kernel.elf.digest,
         policy=f"{cfg.randomize}:{policy_fingerprint(cfg.policy)}",
         seed_class=cfg.seed_class,
     )
@@ -441,7 +441,7 @@ class BootArtifactCache:
         The randomize mode folds into the policy component: the symbol scan
         and FGKASLR inventory differ by mode, so each mode owns an entry.
         """
-        digest = image_digest(elf.data)
+        digest = elf.digest
         key = CacheKey(
             image_digest=digest,
             policy=f"{mode}:{policy_fingerprint(policy)}",

@@ -16,6 +16,8 @@ from repro.errors import GuestMemoryError
 _CHUNK_SHIFT = 18  # 256 KiB chunks
 _CHUNK_SIZE = 1 << _CHUNK_SHIFT
 _CHUNK_MASK = _CHUNK_SIZE - 1
+#: what a read-only word view of an untouched chunk reads
+_ZERO_CHUNK = bytes(_CHUNK_SIZE)
 
 
 class GuestMemory:
@@ -143,21 +145,43 @@ class GuestMemory:
         """memmove within guest memory (used by the bootstrap loader)."""
         self.write(dst, self.read(src, length))
 
-    # -- batched typed access ------------------------------------------------------
+    # -- in-place word sweeps ---------------------------------------------------
 
-    def reloc_cursor(self) -> "RelocationCursor":
-        """A chunk-caching accessor for dense read-modify-write sweeps.
+    def word_view(self, paddr: int, width: int, writable: bool = False):
+        """The chunk holding the ``width``-byte word at ``paddr``, for sweeps.
 
-        Relocation tables touch hundreds of thousands of sites that are
-        strongly clustered by address; going through :meth:`read`/
-        :meth:`write` pays chunk lookup, slicing, and copying per site.
-        The cursor pins the current chunk and fixes words in place with
-        ``struct.(un)pack_from``, falling back to the slow path only for
-        accesses that straddle a chunk boundary.  Byte semantics are
-        identical; the touched chunks materialize exactly as a write
-        through :meth:`write` would materialize them.
+        Relocation passes touch tens of thousands of words clustered by
+        address; going through :meth:`read`/:meth:`write` pays a chunk
+        lookup, slicing and a copy per word.  This returns
+        ``(buf, base, last)`` instead: every ``width``-byte word at an
+        address ``a`` with ``base <= a <= last`` lies wholly inside both
+        guest memory and ``buf``, at offset ``a - base``, so a sweep looks
+        the chunk up once per run of words in it and uses
+        ``struct.unpack_from``/``pack_into`` directly.
+
+        A writable view materializes the chunk exactly as :meth:`write`
+        would.  A read-only view materializes nothing: it is the private
+        chunk, else the copy-on-write base, else zeros.  Returns ``None``
+        when the word straddles a chunk boundary (use :meth:`read` and
+        :meth:`write`); raises :class:`GuestMemoryError` when it leaves
+        guest memory.
         """
-        return RelocationCursor(self)
+        if paddr < 0 or paddr + width > self.size:
+            self._check(paddr, width)
+        index = paddr >> _CHUNK_SHIFT
+        base = index << _CHUNK_SHIFT
+        last = min(base + _CHUNK_SIZE, self.size) - width
+        if paddr > last:
+            return None
+        chunk = self._chunks.get(index)
+        if chunk is None:
+            chunk = self._base.get(index)
+            if writable:
+                chunk = bytearray(chunk if chunk is not None else _ZERO_CHUNK)
+                self._chunks[index] = chunk
+            elif chunk is None:
+                chunk = _ZERO_CHUNK
+        return chunk, base, last
 
     # -- typed access --------------------------------------------------------------
 
@@ -179,70 +203,3 @@ class GuestMemory:
     def write_u64(self, paddr: int, value: int) -> None:
         self.write(paddr, struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF))
 
-
-class RelocationCursor:
-    """Word access over one pinned chunk (see :meth:`GuestMemory.reloc_cursor`).
-
-    Reads materialize the chunk like a write would: every relocation read
-    is followed by a write to the same site, so the copy-on-write fault is
-    merely taken one access early.
-    """
-
-    __slots__ = ("_mem", "_index", "_chunk")
-
-    def __init__(self, mem: GuestMemory) -> None:
-        self._mem = mem
-        self._index = -1
-        self._chunk: bytearray | None = None
-
-    def _pin(self, paddr: int, length: int) -> int:
-        """Pin the chunk holding [paddr, paddr+length); returns the offset.
-
-        Returns -1 when the access straddles a chunk boundary (caller
-        falls back to the byte-exact slow path).
-        """
-        offset = paddr & _CHUNK_MASK
-        if offset + length > _CHUNK_SIZE:
-            return -1
-        index = paddr >> _CHUNK_SHIFT
-        if index != self._index:
-            mem = self._mem
-            mem._check(paddr, length)
-            chunk = mem._chunks.get(index)
-            if chunk is None:
-                base = mem._base.get(index)
-                chunk = (
-                    bytearray(base) if base is not None else bytearray(_CHUNK_SIZE)
-                )
-                mem._chunks[index] = chunk
-            self._index = index
-            self._chunk = chunk
-        elif paddr < 0 or paddr + length > self._mem.size:
-            self._mem._check(paddr, length)
-        return offset
-
-    def read_u32(self, paddr: int) -> int:
-        offset = self._pin(paddr, 4)
-        if offset < 0:
-            return self._mem.read_u32(paddr)
-        return struct.unpack_from("<I", self._chunk, offset)[0]
-
-    def read_u64(self, paddr: int) -> int:
-        offset = self._pin(paddr, 8)
-        if offset < 0:
-            return self._mem.read_u64(paddr)
-        return struct.unpack_from("<Q", self._chunk, offset)[0]
-
-    def write_u32(self, paddr: int, value: int) -> None:
-        offset = self._pin(paddr, 4)
-        if offset < 0:
-            self._mem.write_u32(paddr, value)
-            return
-        struct.pack_into("<I", self._chunk, offset, value & 0xFFFFFFFF)
-
-    def write_u64(self, paddr: int, value: int) -> None:
-        offset = self._pin(paddr, 8)
-        if offset < 0:
-            self._mem.write_u64(paddr, value)
-            return
-        struct.pack_into("<Q", self._chunk, offset, value & 0xFFFFFFFFFFFFFFFF)

@@ -1,0 +1,206 @@
+"""Per-site reference implementations of the relocation passes and the oracle.
+
+These are the straightforward one-site-at-a-time versions of
+``Relocator.apply``, ``Rerandomizer.rebase`` and the oracle's function
+and relocation-site checks: every site goes through a binary search and
+a copying ``GuestMemory`` read/write.  The library's batched passes must
+agree with them byte for byte and error for error; the differential tests
+(``test_reloc_differential.py``, ``test_kernel_verify.py``) hold them to
+it.
+"""
+
+from __future__ import annotations
+
+import bisect
+import struct
+
+from repro.elf.relocs import RelocType
+from repro.errors import GuestPanic, RandomizationError
+from repro.kernel import layout as kl
+from repro.kernel.build import BASE_SYMBOL_NAMES
+from repro.kernel.manifest import (
+    FUNCTION_PROLOGUE,
+    ID_TAG_OFFSET,
+    ID_TAG_SIZE,
+    function_id_tag,
+)
+from repro.kernel.verify import VerificationReport, _verify_extable, _verify_kallsyms
+
+_KERNEL_WINDOW = 2 * kl.GIB
+_HIGH_BITS = kl.START_KERNEL_MAP & ~0xFFFF_FFFF
+
+
+# -- layout arithmetic ---------------------------------------------------------
+
+
+def displacement(layout, link_vaddr: int) -> int:
+    """Bisect over the sorted section starts, once per address."""
+    moved = sorted(layout.moved, key=lambda m: m[0])
+    i = bisect.bisect_right([m[0] for m in moved], link_vaddr) - 1
+    if i >= 0:
+        start, size, delta = moved[i]
+        if start <= link_vaddr < start + size:
+            return delta
+    return 0
+
+
+def final_vaddr(layout, link_vaddr: int) -> int:
+    return link_vaddr + displacement(layout, link_vaddr) + layout.voffset
+
+
+def site_paddr(layout, link_offset: int) -> int:
+    return (
+        layout.phys_load
+        + link_offset
+        + displacement(layout, layout.link_vbase + link_offset)
+    )
+
+
+# -- relocation ------------------------------------------------------------------
+
+
+def _check_kernel_vaddr(vaddr: int, context: str) -> None:
+    if not kl.START_KERNEL_MAP <= vaddr < kl.START_KERNEL_MAP + _KERNEL_WINDOW:
+        raise RandomizationError(
+            f"{context}: value {vaddr:#x} is not a kernel virtual address"
+        )
+
+
+def relocate(memory, layout, table, ctx) -> int:
+    """``Relocator.apply``, one site at a time."""
+    n = table.entry_count
+    if n == 0:
+        return 0
+    for reloc_type, link_offset in table.iter_entries():
+        paddr = site_paddr(layout, link_offset)
+        if reloc_type is RelocType.ABS64:
+            value = memory.read_u64(paddr)
+            _check_kernel_vaddr(value, f"ABS64 site at image+{link_offset:#x}")
+            memory.write_u64(paddr, final_vaddr(layout, value))
+        elif reloc_type is RelocType.ABS32:
+            vaddr = _HIGH_BITS | memory.read_u32(paddr)
+            _check_kernel_vaddr(vaddr, f"ABS32 site at image+{link_offset:#x}")
+            new = final_vaddr(layout, vaddr)
+            if (new & ~0xFFFF_FFFF) != _HIGH_BITS:
+                raise RandomizationError(
+                    f"ABS32 site at image+{link_offset:#x}: relocated value "
+                    f"{new:#x} no longer fits 32 bits"
+                )
+            memory.write_u32(paddr, new & 0xFFFF_FFFF)
+        else:
+            stored = memory.read_u32(paddr)
+            vaddr = _HIGH_BITS | ((-stored) & 0xFFFF_FFFF)
+            _check_kernel_vaddr(vaddr, f"INV32 site at image+{link_offset:#x}")
+            memory.write_u32(paddr, (-final_vaddr(layout, vaddr)) & 0xFFFF_FFFF)
+    ctx.charge(
+        ctx.costs.reloc_apply_batch_ns(n, in_guest=ctx.in_guest),
+        ctx.steps.relocate,
+        label=f"apply {n} relocations",
+    )
+    if layout.fine_grained:
+        ctx.charge(
+            ctx.costs.reloc_search_batch_ns(n, len(layout.moved)),
+            ctx.steps.relocate,
+            label=f"binary search over {len(layout.moved)} shuffled sections",
+        )
+    layout.relocs_applied += n
+    return n
+
+
+def rebase(policy, memory, layout, relocs, ctx) -> int:
+    """``Rerandomizer.rebase``, one site at a time."""
+    if layout.fine_grained:
+        raise RandomizationError(
+            "in-place rebase is limited to base-KASLR layouts; "
+            "restore a different zygote to re-randomize FGKASLR guests"
+        )
+    old = layout.voffset
+    new = policy.choose_virtual_offset(ctx, layout.mem_bytes)
+    delta = new - old
+    if delta == 0:
+        return new
+    for reloc_type, link_offset in relocs.iter_entries():
+        paddr = layout.phys_load + link_offset
+        if reloc_type is RelocType.ABS64:
+            value = memory.read_u64(paddr)
+            _check_kernel_vaddr(value - old, f"rebase ABS64 at +{link_offset:#x}")
+            memory.write_u64(paddr, value + delta)
+        elif reloc_type is RelocType.ABS32:
+            low = memory.read_u32(paddr)
+            _check_kernel_vaddr(
+                (_HIGH_BITS | low) - old, f"rebase ABS32 at +{link_offset:#x}"
+            )
+            memory.write_u32(paddr, (low + delta) & 0xFFFFFFFF)
+        else:
+            memory.write_u32(paddr, (memory.read_u32(paddr) - delta) & 0xFFFFFFFF)
+    ctx.charge(
+        ctx.costs.reloc_apply_batch_ns(relocs.entry_count, in_guest=ctx.in_guest),
+        ctx.steps.relocate,
+        label=f"rebase {relocs.entry_count} relocations by {delta:#x}",
+    )
+    layout.voffset = new
+    return new
+
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def verify_functions(walker, layout, manifest) -> int:
+    checked = 0
+    names = [f.name for f in manifest.functions]
+    names += [n for n in BASE_SYMBOL_NAMES if n in manifest.symbols]
+    for name in names:
+        final = final_vaddr(layout, manifest.symbol_link_vaddr(name))
+        header = walker.read_virt(final, ID_TAG_OFFSET + ID_TAG_SIZE)
+        if header[:ID_TAG_OFFSET] != FUNCTION_PROLOGUE:
+            raise GuestPanic(
+                f"function {name!r}: no prologue at final vaddr {final:#x}"
+            )
+        if header[ID_TAG_OFFSET:] != function_id_tag(name):
+            raise GuestPanic(
+                f"function {name!r}: identity tag mismatch at {final:#x} "
+                "(layout map lies about where this function landed)"
+            )
+        checked += 1
+    return checked
+
+
+def verify_reloc_sites(memory, layout, manifest) -> int:
+    checked = 0
+    for site in manifest.reloc_sites:
+        if site.in_extable and layout.fine_grained:
+            continue
+        target = manifest.symbol_link_vaddr(site.target_symbol)
+        final = final_vaddr(layout, target + site.target_addend)
+        if site.reloc_type is RelocType.ABS64:
+            width, expected = 8, struct.pack("<Q", final)
+        elif site.reloc_type is RelocType.ABS32:
+            width, expected = 4, struct.pack("<I", final & 0xFFFFFFFF)
+        else:
+            width, expected = 4, struct.pack("<I", (-final) & 0xFFFFFFFF)
+        actual = memory.read(site_paddr(layout, site.link_offset), width)
+        if actual != expected:
+            raise GuestPanic(
+                f"relocation site image+{site.link_offset:#x} "
+                f"({site.reloc_type}) -> {site.target_symbol}"
+                f"+{site.target_addend:#x}: holds {actual.hex()} expected "
+                f"{expected.hex()}"
+            )
+        checked += 1
+    return checked
+
+
+def verify_guest_kernel(memory, walker, layout, manifest) -> VerificationReport:
+    """The oracle with the per-site function and relocation-site checks."""
+    functions_checked = verify_functions(walker, layout, manifest)
+    sites_checked = verify_reloc_sites(memory, layout, manifest)
+    extable_checked = _verify_extable(memory, layout, manifest)
+    kallsyms_checked, stale = _verify_kallsyms(memory, layout, manifest)
+    return VerificationReport(
+        functions_checked=functions_checked,
+        sites_checked=sites_checked,
+        extable_checked=extable_checked,
+        kallsyms_checked=kallsyms_checked,
+        kallsyms_stale=stale,
+        entry_vaddr=layout.entry_vaddr,
+    )

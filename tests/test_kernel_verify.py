@@ -1,15 +1,26 @@
-"""The verification oracle must catch injected randomization bugs."""
+"""The verification oracle must catch injected randomization bugs.
 
-import struct
+Every injected fault must also panic with exactly the message of the
+per-site reference oracle (``reference.verify_guest_kernel``).
+"""
 
 import pytest
 
+import reference
 from repro.core import RandomizeMode
 from repro.errors import GuestPanic
 from repro.kernel import layout as kl
-from repro.kernel.verify import verify_guest_kernel
+from repro.kernel.verify import _verify_functions, verify_guest_kernel
 
 from helpers import randomize_into_memory, walker_for
+
+
+def _panics_like_reference(memory, walker, layout, manifest, match=None):
+    with pytest.raises(GuestPanic, match=match) as got:
+        verify_guest_kernel(memory, walker, layout, manifest)
+    with pytest.raises(GuestPanic) as want:
+        reference.verify_guest_kernel(memory, walker, layout, manifest)
+    assert str(got.value) == str(want.value)
 
 
 def _booted(img, mode, seed=31, lazy=True):
@@ -36,8 +47,9 @@ def test_missed_relocation_detected(tiny_kaslr):
     )
     paddr = layout.phys_load + layout.final_image_offset(site.link_offset)
     memory.write_u64(paddr, memory.read_u64(paddr) - layout.voffset)
-    with pytest.raises(GuestPanic, match="relocation site"):
-        verify_guest_kernel(memory, walker, layout, tiny_kaslr.manifest)
+    _panics_like_reference(
+        memory, walker, layout, tiny_kaslr.manifest, "relocation site"
+    )
 
 
 def test_double_applied_relocation_detected(tiny_kaslr):
@@ -48,8 +60,7 @@ def test_double_applied_relocation_detected(tiny_kaslr):
     )
     paddr = layout.phys_load + layout.final_image_offset(site.link_offset)
     memory.write_u32(paddr, (memory.read_u32(paddr) + layout.voffset) & 0xFFFFFFFF)
-    with pytest.raises(GuestPanic):
-        verify_guest_kernel(memory, walker, layout, tiny_kaslr.manifest)
+    _panics_like_reference(memory, walker, layout, tiny_kaslr.manifest)
 
 
 def test_corrupted_function_body_detected(tiny_fgkaslr):
@@ -57,8 +68,36 @@ def test_corrupted_function_body_detected(tiny_fgkaslr):
     func = tiny_fgkaslr.manifest.functions[7]
     paddr = layout.final_paddr(func.link_vaddr)
     memory.write(paddr + 8, b"\x00" * 8)  # clobber the identity tag
-    with pytest.raises(GuestPanic, match="identity tag"):
-        verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
+    _panics_like_reference(
+        memory, walker, layout, tiny_fgkaslr.manifest, "identity tag"
+    )
+
+
+def test_clobbered_prologue_detected(tiny_fgkaslr):
+    layout, memory, walker = _booted(tiny_fgkaslr, RandomizeMode.FGKASLR)
+    func = tiny_fgkaslr.manifest.functions[3]
+    memory.write(layout.final_paddr(func.link_vaddr), b"\xcc")
+    _panics_like_reference(
+        memory, walker, layout, tiny_fgkaslr.manifest, "no prologue"
+    )
+
+
+def test_header_across_a_page_boundary_read_like_reference(tiny_fgkaslr):
+    """A function 8 bytes before a page end: its header spans two pages."""
+    layout, memory, walker = _booted(tiny_fgkaslr, RandomizeMode.FGKASLR)
+    orig, size, delta = layout.moved[0]
+    header = memory.read(layout.final_paddr(orig), 16)
+    shift = (0xFF8 - layout.final_vaddr(orig)) & 0xFFF
+    layout.moved[0] = (orig, size, delta + shift)
+    layout.finalize()
+    assert layout.final_vaddr(orig) & 0xFFF == 0xFF8
+    memory.write(layout.final_paddr(orig), header)
+    manifest = tiny_fgkaslr.manifest
+    assert _verify_functions(walker, layout, manifest) == reference.verify_functions(
+        walker, layout, manifest
+    )
+    memory.write(layout.final_paddr(orig) + 12, b"\x00")  # in the second page
+    _panics_like_reference(memory, walker, layout, manifest, "identity tag")
 
 
 def test_lying_layout_detected(tiny_fgkaslr):
@@ -68,8 +107,7 @@ def test_lying_layout_detected(tiny_fgkaslr):
     orig, size, delta = layout.moved[0]
     layout.moved[0] = (orig, size, delta + 16)
     layout.finalize()
-    with pytest.raises(GuestPanic):
-        verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
+    _panics_like_reference(memory, walker, layout, tiny_fgkaslr.manifest)
 
 
 def test_unsorted_extable_detected(tiny_fgkaslr):
@@ -80,8 +118,9 @@ def test_unsorted_extable_detected(tiny_fgkaslr):
     second = memory.read(paddr + 16, 16)
     memory.write(paddr, second)
     memory.write(paddr + 16, first)
-    with pytest.raises(GuestPanic, match="sorted|ground"):
-        verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
+    _panics_like_reference(
+        memory, walker, layout, tiny_fgkaslr.manifest, "sorted|ground"
+    )
 
 
 def test_stale_kallsyms_detected_in_eager_mode(tiny_fgkaslr):
@@ -94,8 +133,7 @@ def test_stale_kallsyms_detected_in_eager_mode(tiny_fgkaslr):
     # table sorted but points the symbol somewhere wrong.
     memory.write_u32(paddr + 4, 13)
     assert count > 0
-    with pytest.raises(GuestPanic, match="kallsyms"):
-        verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
+    _panics_like_reference(memory, walker, layout, tiny_fgkaslr.manifest, "kallsyms")
 
 
 def test_wrong_inv32_direction_detected(tiny_kaslr):
@@ -107,8 +145,18 @@ def test_wrong_inv32_direction_detected(tiny_kaslr):
     paddr = layout.phys_load + layout.final_image_offset(site.link_offset)
     # correct value is v; wrong-direction application differs by 2*voffset
     memory.write_u32(paddr, (memory.read_u32(paddr) + 2 * layout.voffset) & 0xFFFFFFFF)
-    with pytest.raises(GuestPanic):
-        verify_guest_kernel(memory, walker, layout, tiny_kaslr.manifest)
+    _panics_like_reference(memory, walker, layout, tiny_kaslr.manifest)
+
+
+def test_verifying_a_cow_clone_materializes_nothing(tiny_fgkaslr):
+    layout, memory, walker = _booted(tiny_fgkaslr, RandomizeMode.FGKASLR)
+    clone = memory.clone_cow()
+    clone_walker = type(walker)(clone, walker.cr3)
+    report = verify_guest_kernel(clone, clone_walker, layout, tiny_fgkaslr.manifest)
+    assert report == reference.verify_guest_kernel(
+        clone, clone_walker, layout, tiny_fgkaslr.manifest
+    )
+    assert clone.private_bytes == 0
 
 
 def test_report_counts(tiny_kaslr):

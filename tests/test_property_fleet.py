@@ -118,7 +118,6 @@ def test_wall_clock_more_workers_never_hurt(durations):
     workers=st.integers(min_value=1, max_value=8),
 )
 def test_faulty_fleet_never_poisons_cache(tiny_fgkaslr, rate, spec_seed, workers):
-    from repro.core.prepared import image_digest
     from repro.faults import FaultPlan
     from repro.monitor.artifact_cache import cache_key_for
 
@@ -138,6 +137,6 @@ def test_faulty_fleet_never_poisons_cache(tiny_fgkaslr, rate, spec_seed, workers
         cold = prepare_image(
             tiny_fgkaslr.elf,
             RandomizeMode.FGKASLR,
-            digest=image_digest(tiny_fgkaslr.elf.data),
+            digest=tiny_fgkaslr.elf.digest,
         )
         assert cached.fingerprint() == cold.fingerprint()
