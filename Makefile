@@ -59,15 +59,21 @@ fleet-bench:
 bench-gate:
 	PYTHONPATH=src $(PYTHON) -m repro bench-compare
 
-# host-clock benchmark smoke: its self-test, then every workload for 3 s;
-# fails unless every operation reproduced the layouts, oracle counts and
-# stage ns stored in perfbench/expected.json (the last line's "correct")
+# host-clock benchmark smoke: its self-test, then every workload for 3 s,
+# untraced and traced; fails unless every operation reproduced the
+# layouts, oracle counts and stage ns stored in perfbench/expected.json
+# and, when traced, entered every layer perfbench/layers.py requires
+# (the last line's "correct")
+PERFBENCH_CORRECT = tail -n 1 | $(PYTHON) -c 'import json, sys; \
+	sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else \
+	"perfbench: an operation did not reproduce its expected outputs")'
+
 perfbench:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload all --seconds 3 | tee /dev/stderr \
-		| tail -n 1 | $(PYTHON) -c 'import json, sys; \
-		sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else \
-		"perfbench: an operation did not reproduce its expected outputs")'
+		| $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload all --seconds 3 --trace 1 \
+		| tee /dev/stderr | $(PERFBENCH_CORRECT)
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

@@ -18,6 +18,10 @@ wraps into a :class:`~repro.errors.BootFailure`); the one non-fatal kind,
 ``cache-drop``, silently removes the boot's artifact-cache entry so the
 stage must re-parse — resilience, not failure.
 
+The plan writes no telemetry: each fired ``(stage, kind)`` lands on the
+boot's timeline, from which :func:`~repro.monitor.vmm.record_boot`
+derives the fault-injection counter on either executor.
+
 With no plan installed the pipeline never touches this module: zero
 charges, zero RNG draws, byte-identical output (the disabled-overhead
 contract the acceptance tests pin).
@@ -178,7 +182,7 @@ class FaultPlan:
         for spec in self.matches(
             stage.name, boot_id=ctx.boot_id, boot_index=ctx.boot_index
         ):
-            self._count(spec, ctx)
+            ctx.clock.timeline.faults.append((spec.stage, spec.kind))
             if spec.kind == "cache-drop":
                 self._drop_cache_entry(ctx)
                 continue
@@ -188,18 +192,6 @@ class FaultPlan:
                 stage=stage.name,
                 kind=spec.kind,
             )
-
-    def _count(self, spec: FaultSpec, ctx: "StageContext") -> None:
-        """One ``repro_fault_injections_total`` tick per fired spec."""
-        registry = getattr(ctx.telemetry, "registry", None)
-        if registry is None:
-            return
-        registry.counter(
-            "repro_fault_injections_total",
-            help="Faults fired by the installed fault plan",
-            stage=spec.stage,
-            kind=spec.kind,
-        ).inc()
 
     def _drop_cache_entry(self, ctx: "StageContext") -> None:
         """The non-fatal kind: this boot's parse entry vanishes."""

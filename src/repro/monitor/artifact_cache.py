@@ -263,6 +263,28 @@ class DiskCacheTier:
         return self.evict("")
 
 
+def record_cache_traffic(
+    registry: MetricsRegistry, hits: int = 0, misses: int = 0, evictions: int = 0
+) -> None:
+    """Tick the cache traffic counters (zero deltas create no series).
+
+    Every cache operation publishes here, and so does the process
+    executor's replay of a worker's :meth:`CacheScope.counts`.
+    """
+    if hits:
+        registry.counter(
+            "repro_cache_hits_total", help="Boot-artifact cache hits"
+        ).inc(hits)
+    if misses:
+        registry.counter(
+            "repro_cache_misses_total", help="Boot-artifact cache misses"
+        ).inc(misses)
+    if evictions:
+        registry.counter(
+            "repro_cache_evictions_total", help="Boot-artifact cache evictions"
+        ).inc(evictions)
+
+
 class BootArtifactCache:
     """Bounded LRU over :class:`PreparedImage` parse products.
 
@@ -312,18 +334,7 @@ class BootArtifactCache:
         registry's own locks are leaf locks; no path leads back here.
         """
         registry = self._metrics()
-        if hits:
-            registry.counter(
-                "repro_cache_hits_total", help="Boot-artifact cache hits"
-            ).inc(hits)
-        if misses:
-            registry.counter(
-                "repro_cache_misses_total", help="Boot-artifact cache misses"
-            ).inc(misses)
-        if evictions:
-            registry.counter(
-                "repro_cache_evictions_total", help="Boot-artifact cache evictions"
-            ).inc(evictions)
+        record_cache_traffic(registry, hits, misses, evictions)
         registry.gauge(
             "repro_cache_entries", help="Boot-artifact cache occupancy"
         ).set(entries)

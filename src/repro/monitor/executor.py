@@ -13,14 +13,15 @@ backends behind one interface:
 * :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
   receive the kernel bytes as zero-copy
   :class:`~repro.monitor.sharedmem.SharedBlob` views, boot against their
-  own monitor instance, and return compact outcome records (report +
-  cache-scope counts + profiler cells) that the parent **replays** into
-  its own telemetry/profiler/trace — the same deferred-materialization
-  trick request tracing uses, stretched across a process boundary.
+  own monitor instance, and return one record per boot: its timeline
+  (in the report, or next to the failure JSON), cache-scope counts and
+  profiler cells.  The parent derives telemetry from that timeline with
+  the :func:`~repro.monitor.vmm.record_boot` the thread path calls.
 
-Both backends produce byte-identical layouts for the same seeds: every
-boot is a pure function of (config, seed, cost model), and the process
-worker rebuilds exactly the state the thread path shares.
+Both backends therefore produce byte-identical layouts and telemetry for
+the same seeds, fault plans included: every boot is a pure function of
+(config, seed, cost model), and the process worker rebuilds exactly the
+state the thread path shares.
 
 Engine model: simulated boots charge a virtual clock, so wall-clock
 speedup cannot be *measured* here — it is modeled.  :func:`gil_bound_ns`
@@ -38,14 +39,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import BootFailure, MonitorError
-from repro.monitor.artifact_cache import BootArtifactCache, CacheScope
+from repro.errors import BootFailure, InjectedFault, MonitorError
+from repro.monitor.artifact_cache import (
+    BootArtifactCache,
+    CacheScope,
+    record_cache_traffic,
+)
 from repro.monitor.config import BootFormat, VmConfig
 from repro.monitor.report import BootReport
 from repro.monitor.sharedmem import SharedArtifactStore, SharedBlob
-from repro.monitor.vmm import boot_identity
+from repro.monitor.vmm import boot_identity, record_boot
 from repro.simtime.trace import BootStep, Timeline
-from repro.telemetry import NS_PER_MS, Telemetry
+from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -112,9 +117,9 @@ class BootExecutor:
 
     ``launch`` is a context manager bracketing one fleet launch (all retry
     waves included); the yielded handle exposes ``submit(boot_cfg, index,
-    attempt, trace)`` returning a future whose ``result()`` is a
-    ``(BootReport, MicroVm)`` pair — or raises the boot's failure — with
-    all telemetry/profiler/cache side effects already applied to the
+    attempt)`` returning a future whose ``result()`` is the boot's
+    :class:`BootReport` — or raises the boot's failure — with all
+    telemetry/profiler/cache side effects already applied to the
     parent's instruments.
     """
 
@@ -166,13 +171,12 @@ class _ThreadLaunch:
         self._vmm = vmm
         self._scope = scope
 
-    def submit(self, boot_cfg: VmConfig, index: int, attempt: int, trace):
+    def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
         return self._pool.submit(
             self._vmm.boot,
             boot_cfg,
             boot_index=index,
             attempt=attempt,
-            trace=trace,
             cache_scope=self._scope,
         )
 
@@ -213,8 +217,8 @@ def _worker_init(spec: _WorkerSpec) -> None:
     relocs = spec.relocs_blob.bytes() if spec.relocs_blob is not None else None
     kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
     cfg = replace(spec.cfg, kernel=kernel)
-    # worker-local telemetry is a write sink only; the parent replays the
-    # report's spans into the real registries, so nothing here is read
+    # worker-local telemetry is a write sink only; the parent derives the
+    # real telemetry from the shipped timeline, so nothing here is read
     telemetry = Telemetry()
     cache = BootArtifactCache(
         max_entries=spec.cache_entries,
@@ -251,8 +255,8 @@ def _export_profiler(profiler: "CostProfiler | None") -> dict | None:
 def _worker_boot(index: int, seed: int, attempt: int) -> dict:
     """One boot inside a worker; returns an outcome-union record.
 
-    Never raises: failures come back as data so the parent can replay
-    their attribution and rethrow a reconstructed
+    Never raises: failures come back as data (with the aborted attempt's
+    timeline) so the parent can record them and rethrow a reconstructed
     :class:`~repro.errors.BootFailure` on its own side of the boundary.
     """
     from repro.telemetry.profiler import CostProfiler
@@ -279,9 +283,12 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
             index=index,
             seed=seed,
         )
+        # boot_vm wraps an injected fault; the pipeline stamped the original
+        stamped = exc.__cause__ if isinstance(exc.__cause__, InjectedFault) else exc
         return {
             "ok": False,
             "failure": failure.to_json(),
+            "timeline": getattr(stamped, "boot_timeline", None),
             "scope": scope.counts(),
             "profiler": _export_profiler(profiler),
         }
@@ -297,8 +304,8 @@ class _ReplayFuture:
     """Wraps a worker future; ``result()`` replays the outcome record.
 
     Replay order matches the thread path: profiler cells and cache-scope
-    counts first, then per-stage telemetry, the monitor counters, and the
-    trace mirror — or the failure counter plus a reconstructed
+    counts first, then :func:`~repro.monitor.vmm.record_boot` over the
+    shipped timeline — and, for a failed attempt, a reconstructed
     :class:`BootFailure` raise.
     """
 
@@ -307,36 +314,37 @@ class _ReplayFuture:
         future,
         *,
         seed: int,
-        attempt: int,
-        trace,
         scope: CacheScope,
         telemetry: Telemetry,
         profiler: "CostProfiler | None",
     ) -> None:
         self._future = future
         self._seed = seed
-        self._attempt = attempt
-        self._trace = trace
         self._scope = scope
         self._telemetry = telemetry
         self._profiler = profiler
 
     def result(self) -> BootReport:
         out = self._future.result()
-        self._scope.absorb(out["scope"])
-        self._replay_cache_counters(out["scope"])
+        counts = out["scope"]
+        self._scope.absorb(counts)
+        record_cache_traffic(
+            self._telemetry.registry,
+            counts["hits"], counts["misses"], counts["evictions"],
+        )
         if self._profiler is not None and out["profiler"] is not None:
             self._profiler.absorb(
                 out["profiler"]["cells"], out["profiler"]["boot_ns"]
             )
         if not out["ok"]:
             failure = out["failure"]
-            self._telemetry.registry.counter(
-                "repro_boot_failures_total",
-                help="Boots aborted by a stage failure",
-                stage=failure["stage"],
-                kind=failure["kind"],
-            ).inc()
+            if out["timeline"] is not None:  # the pipeline ran and aborted
+                record_boot(
+                    self._telemetry,
+                    failure["boot_id"],
+                    out["timeline"],
+                    failure=(failure["stage"], failure["kind"]),
+                )
             raise BootFailure(
                 failure["error"],
                 boot_id=failure["boot_id"],
@@ -347,48 +355,13 @@ class _ReplayFuture:
                 seed=failure["seed"],
             )
         report: BootReport = out["report"]
-        boot_id = boot_identity(report.kernel_name, self._seed)
-        for span in report.timeline.spans:
-            self._telemetry.stage_span(boot_id, span)
-            if self._trace is not None:
-                self._trace.span(
-                    span.name,
-                    "stage",
-                    span.start_ns,
-                    span.end_ns,
-                    attrs={
-                        "category": span.category,
-                        "principal": span.principal,
-                        "attempt": self._attempt,
-                    },
-                )
-        self._telemetry.registry.counter(
-            "repro_monitor_boots_total",
-            help="Boots completed by a monitor",
+        record_boot(
+            self._telemetry,
+            boot_identity(report.kernel_name, self._seed),
+            report.timeline,
             vmm=report.vmm_name,
-        ).inc()
-        self._telemetry.registry.histogram(
-            "repro_boot_duration_ms",
-            help="End-to-end simulated boot duration",
-            scale=NS_PER_MS,
-        ).observe(report.timeline.total_ns)
+        )
         return report
-
-    def _replay_cache_counters(self, counts: dict) -> None:
-        registry = self._telemetry.registry
-        if counts.get("hits"):
-            registry.counter(
-                "repro_cache_hits_total", help="Boot-artifact cache hits"
-            ).inc(counts["hits"])
-        if counts.get("misses"):
-            registry.counter(
-                "repro_cache_misses_total", help="Boot-artifact cache misses"
-            ).inc(counts["misses"])
-        if counts.get("evictions"):
-            registry.counter(
-                "repro_cache_evictions_total",
-                help="Boot-artifact cache evictions",
-            ).inc(counts["evictions"])
 
 
 class ProcessBootExecutor(BootExecutor):
@@ -475,14 +448,12 @@ class _ProcessLaunch:
         self._telemetry = telemetry
         self._profiler = profiler
 
-    def submit(self, boot_cfg: VmConfig, index: int, attempt: int, trace):
+    def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
         assert boot_cfg.seed is not None  # fleet draws seeds up front
         future = self._pool.submit(_worker_boot, index, boot_cfg.seed, attempt)
         return _ReplayFuture(
             future,
             seed=boot_cfg.seed,
-            attempt=attempt,
-            trace=trace,
             scope=self._scope,
             telemetry=self._telemetry,
             profiler=self._profiler,

@@ -15,10 +15,10 @@ fleet-index order — so neither results nor timings depend on which Python
 thread finished first.
 
 Every launch also feeds the telemetry layer (:mod:`repro.telemetry`):
+each attempt's stage records come from its timeline via the executor,
 per-boot wall windows land in the boot-event log (one Chrome-trace track
-per worker), and the fleet counters/histograms
-(``repro_fleet_boots_total``, ``repro_boot_duration_ms``, rate and
-makespan gauges) are what later perf PRs read their evidence from.
+per worker), and the fleet counters and gauges (boots, retries, rate,
+makespan) are what later perf PRs read their evidence from.
 
 This module must not import :mod:`repro.analysis` (which itself imports
 ``repro.monitor``); the shared percentile/latency helpers live in the
@@ -300,7 +300,6 @@ class FleetManager:
         workers: int | None = None,
         telemetry: Telemetry | None = None,
         auditor: "KaslrAuditor | None" = None,
-        tracer=None,
         executor: str = "thread",
     ) -> None:
         if workers is None:
@@ -317,10 +316,6 @@ class FleetManager:
         self.executor = executor
         #: optional KASLR auditor; fed one layout fingerprint per boot
         self.auditor = auditor
-        #: optional :class:`~repro.telemetry.tracing.RequestTracer` scope;
-        #: each fleet index gets a ``boot/<index>`` trace carrying the
-        #: pipeline's stage spans (retries append to the same trace)
-        self.tracer = tracer
         if vmm.artifact_cache is None:
             vmm.artifact_cache = BootArtifactCache()
 
@@ -503,20 +498,7 @@ class FleetManager:
                     break
                 wave_failures: dict[int, BootFailure] = {}
                 futures = [
-                    (
-                        index,
-                        boot_cfg,
-                        pool.submit(
-                            boot_cfg,
-                            index,
-                            attempt,
-                            (
-                                self.tracer.trace(f"boot/{index}")
-                                if self.tracer is not None
-                                else None
-                            ),
-                        ),
-                    )
+                    (index, boot_cfg, pool.submit(boot_cfg, index, attempt))
                     for index, boot_cfg in pending
                 ]
                 for index, boot_cfg, future in futures:

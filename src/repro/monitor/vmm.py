@@ -42,6 +42,7 @@ from repro.monitor.vm_handle import MicroVm
 from repro.pipeline import BootPipeline, StageContext, build_boot_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel, JitterModel
+from repro.simtime.trace import Timeline
 from repro.telemetry import NS_PER_MS, Telemetry, get_telemetry
 from repro.telemetry.profiler import CostProfiler
 from repro.vm.portio import PortIoBus
@@ -57,6 +58,52 @@ def boot_identity(kernel_name: str, seed: int) -> str:
     same ids — and therefore the same exported traces — every time.
     """
     return f"{kernel_name}:{seed:016x}"
+
+
+def record_boot(
+    telemetry: Telemetry,
+    boot_id: str,
+    timeline: Timeline,
+    *,
+    vmm: str | None = None,
+    failure: tuple[str, str] | None = None,
+) -> None:
+    """Derive one boot's telemetry from its finished timeline.
+
+    Stages and fired faults always; then the boot counters for a boot
+    that reached init (``vmm``), or the failure counter for an aborted
+    one (``failure=(stage, kind)``).  Restores pass neither.  Thread
+    boots, the process executor's replay and restores all record here.
+    """
+    for span in timeline.spans:
+        telemetry.stage_span(boot_id, span)
+    registry = telemetry.registry
+    for stage, kind in timeline.faults:
+        registry.counter(
+            "repro_fault_injections_total",
+            help="Faults fired by the installed fault plan",
+            stage=stage,
+            kind=kind,
+        ).inc()
+    if failure is not None:
+        stage, kind = failure
+        registry.counter(
+            "repro_boot_failures_total",
+            help="Boots aborted by a stage failure",
+            stage=stage,
+            kind=kind,
+        ).inc()
+    elif vmm is not None:
+        registry.counter(
+            "repro_monitor_boots_total",
+            help="Boots completed by a monitor",
+            vmm=vmm,
+        ).inc()
+        registry.histogram(
+            "repro_boot_duration_ms",
+            help="End-to-end simulated boot duration",
+            scale=NS_PER_MS,
+        ).observe(timeline.total_ns)
 
 
 @dataclass(frozen=True)
@@ -165,16 +212,13 @@ class Firecracker:
         *,
         boot_index: int = 0,
         attempt: int = 0,
-        trace=None,
         cache_scope=None,
     ) -> BootReport:
         """Run one boot start-to-init; raises on any contract violation.
 
         ``boot_index``/``attempt`` identify the boot to an installed
         fault plan (fleet index targeting, retry redraws); both default
-        to 0 for standalone boots.  ``trace`` is an optional
-        :class:`~repro.telemetry.tracing.TraceContext` the pipeline
-        mirrors its stage spans onto; ``cache_scope`` an optional
+        to 0 for standalone boots.  ``cache_scope`` is an optional
         :class:`~repro.monitor.artifact_cache.CacheScope` the caching
         stage attributes its activity to.
         """
@@ -182,7 +226,6 @@ class Firecracker:
             cfg,
             boot_index=boot_index,
             attempt=attempt,
-            trace=trace,
             cache_scope=cache_scope,
         )
         return report
@@ -197,7 +240,6 @@ class Firecracker:
         *,
         boot_index: int = 0,
         attempt: int = 0,
-        trace=None,
         cache_scope=None,
     ) -> tuple[BootReport, "MicroVm"]:
         """Like :meth:`boot`, but also returns a live guest handle."""
@@ -228,18 +270,22 @@ class Firecracker:
             vmm_name=self.profile.name,
             startup_override_ns=self.profile.startup_ns,
             guest_entry_override_ns=self.profile.guest_entry_ns,
-            telemetry=telemetry,
             boot_id=boot_identity(cfg.kernel.name, seed),
             profiler=self.profiler,
             fault_plan=self.fault_plan,
             boot_index=boot_index,
             attempt=attempt,
-            trace=trace,
         )
         try:
             self.build_pipeline(cfg).run(ctx)
         except Exception as exc:
-            self._count_failure(telemetry, exc)
+            stage = getattr(exc, "boot_stage", None) or "unknown"
+            record_boot(
+                telemetry,
+                ctx.boot_id,
+                clock.timeline,
+                failure=(stage, failure_kind(exc)),
+            )
             if isinstance(exc, InjectedFault):
                 raise BootFailure(
                     str(exc),
@@ -251,17 +297,9 @@ class Firecracker:
                     seed=seed,
                 ) from exc
             raise
-
-        telemetry.registry.counter(
-            "repro_monitor_boots_total",
-            help="Boots completed by a monitor",
-            vmm=self.profile.name,
-        ).inc()
-        telemetry.registry.histogram(
-            "repro_boot_duration_ms",
-            help="End-to-end simulated boot duration",
-            scale=NS_PER_MS,
-        ).observe(clock.now_ns)
+        record_boot(
+            telemetry, ctx.boot_id, clock.timeline, vmm=self.profile.name
+        )
 
         codec = (
             cfg.bzimage.header.codec
@@ -296,20 +334,6 @@ class Firecracker:
         return report, vm
 
     # -- per-boot plumbing -----------------------------------------------------
-
-    @staticmethod
-    def _count_failure(telemetry: Telemetry, exc: Exception) -> None:
-        """One ``repro_boot_failures_total{stage,kind}`` tick per abort.
-
-        Reads the attribution the pipeline stamped onto the exception;
-        organic failures classify by type, injected faults by their kind.
-        """
-        telemetry.registry.counter(
-            "repro_boot_failures_total",
-            help="Boots aborted by a stage failure",
-            stage=getattr(exc, "boot_stage", None) or "unknown",
-            kind=failure_kind(exc),
-        ).inc()
 
     def _boot_costs(self, cfg, seed) -> CostModel:
         """A per-boot :class:`CostModel` with its own seeded jitter stream.

@@ -5,7 +5,7 @@ that runs them: each stage executes against the shared
 :class:`~repro.pipeline.stage.StageContext`, and the pipeline brackets it
 with a begin/end :class:`~repro.simtime.trace.StageSpan` on the boot's
 timeline — charged nanoseconds, executing principal, and cache-hit
-attribution included.
+attribution included.  Nothing else is written per stage.
 
 Builders assemble the stage list per boot flavor (Figure 5/7's columns):
 
@@ -85,31 +85,17 @@ class BootPipeline:
             except Exception as exc:
                 self._attribute_failure(exc, stage, ctx)
                 raise
-            span = StageSpan(
-                name=result.stage,
-                category=result.category,
-                principal=result.principal,
-                start_ns=start_ns,
-                end_ns=ctx.clock.now_ns,
-                cache_hit=result.cache_hit,
-                detail=result.detail,
-            )
-            ctx.clock.timeline.add_span(span)
-            if ctx.telemetry is not None:
-                ctx.telemetry.stage_span(ctx.boot_id, span)
-            if ctx.trace is not None:
-                ctx.trace.span(
-                    result.stage,
-                    "stage",
-                    start_ns,
-                    ctx.clock.now_ns,
-                    attrs={
-                        "category": result.category,
-                        "principal": result.principal,
-                        "attempt": ctx.attempt,
-                    },
+            ctx.clock.timeline.add_span(
+                StageSpan(
+                    name=result.stage,
+                    category=result.category,
+                    principal=result.principal,
+                    start_ns=start_ns,
+                    end_ns=ctx.clock.now_ns,
+                    cache_hit=result.cache_hit,
+                    detail=result.detail,
                 )
-            ctx.results.append(result)
+            )
 
     @staticmethod
     def _attribute_failure(
@@ -118,17 +104,20 @@ class BootPipeline:
         """Stamp failure attribution without changing the exception type.
 
         Existing callers keep catching the original typed error; the
-        containment layer reads ``boot_stage``/``boot_id`` off it.  The
+        containment layer reads ``boot_stage``/``boot_id`` off it, and a
+        process worker ships ``boot_timeline`` to the parent.  The
         profiler gains a zero-ns ``aborted.<stage>`` frame so an aborted
         boot is visible in folded stacks while the exact-attribution
         invariant (attributed ns == clock ns) is preserved.
         """
-        if getattr(exc, "boot_stage", None) is None:
-            try:
+        try:
+            if getattr(exc, "boot_stage", None) is None:
                 exc.boot_stage = stage.name
                 exc.boot_id = ctx.boot_id
-            except AttributeError:  # pragma: no cover - slotted exception
-                pass
+            # outside the guard: an InjectedFault arrives with its stage set
+            exc.boot_timeline = ctx.clock.timeline
+        except AttributeError:  # pragma: no cover - slotted exception
+            pass
         profiler = ctx.profiler
         if profiler is not None:
             with profiler.stage_frame(stage.name, stage.principal):

@@ -11,13 +11,14 @@ A stage reads its inputs from the context and publishes its products back
 onto it (loaded image, layout, page-table walker, verification report, a
 restored VM).  Composition, not inheritance: boot flavors differ only in
 which stages the builder assembles, so a monitor variant substitutes a
-stage instead of overriding a private method.
+stage instead of overriding a private method.  The span is the only
+record a run writes; telemetry is derived from the finished timeline.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.simtime.clock import SimClock
@@ -40,9 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.monitor.config import VmConfig
     from repro.monitor.vm_handle import MicroVm
     from repro.snapshot.checkpoint import Snapshot
-    from repro.telemetry.events import TelemetrySink
     from repro.telemetry.profiler import CostProfiler
-    from repro.telemetry.tracing import TraceContext
     from repro.vm.memory import GuestMemory
     from repro.vm.pagetable import PageTableWalker
     from repro.vm.portio import PortIoBus
@@ -135,9 +134,8 @@ class StageContext:
     #: snapshot-restore inputs
     snapshot: "Snapshot | None" = None
     policy: "RandomizationPolicy | None" = None
-    #: observability: the sink fed one event per completed stage, and the
-    #: boot identity those events carry (``<kernel>:<seed hex>``)
-    telemetry: "TelemetrySink | None" = None
+    #: the boot identity fault draws and failure attribution key on
+    #: (``<kernel>:<seed hex>``, or a restore id)
     boot_id: str = ""
     #: cost-attribution profiler; the pipeline brackets the run (and each
     #: stage) in its context frames so every charge lands attributed
@@ -148,10 +146,6 @@ class StageContext:
     fault_plan: "FaultPlan | None" = None
     boot_index: int = 0
     attempt: int = 0
-    #: request-scoped tracing: when set, the pipeline mirrors each stage
-    #: onto this causal trace so fleet boots (and backend samples) carry
-    #: the same span trees the serve engine's requests do
-    trace: "TraceContext | None" = None
 
     # -- populated by stages ---------------------------------------------------
     memory: "GuestMemory | None" = None
@@ -169,4 +163,3 @@ class StageContext:
     pt_tables_bytes: int = 0
     verification: "VerificationReport | None" = None
     vm: "MicroVm | None" = None
-    results: list[StageResult] = field(default_factory=list)

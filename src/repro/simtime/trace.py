@@ -139,12 +139,14 @@ class Timeline:
     """An append-only sequence of :class:`TraceEvent` for one boot.
 
     Alongside the fine-grained events, a timeline records the
-    :class:`StageSpan` windows of the boot pipeline that produced them, so
-    reports can present both views over one source of truth.
+    :class:`StageSpan` windows of the boot pipeline that produced them and
+    the ``(stage, kind)`` of every fault the installed plan fired, so
+    reports and telemetry derive every view from one record.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
     spans: list[StageSpan] = field(default_factory=list)
+    faults: list[tuple[str, str]] = field(default_factory=list)
 
     def append(self, event: TraceEvent) -> None:
         if self.events and event.start_ns < self.events[-1].end_ns:

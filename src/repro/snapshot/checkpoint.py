@@ -27,6 +27,7 @@ from repro.errors import BootFailure, InjectedFault, MonitorError
 from repro.faults.plan import FaultPlan
 from repro.kernel.image import KernelImage
 from repro.monitor.vm_handle import MicroVm
+from repro.monitor.vmm import record_boot
 from repro.pipeline import StageContext, build_restore_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel
@@ -167,7 +168,6 @@ class SnapshotManager:
             rng=random.Random(seed),
             snapshot=snapshot,
             policy=self.policy,
-            telemetry=telemetry,
             boot_id=boot_id,
             profiler=self.profiler,
             fault_plan=self.fault_plan,
@@ -189,6 +189,10 @@ class SnapshotManager:
                 index=boot_index,
                 seed=seed,
             ) from exc
+        finally:
+            # a restore records only its stages, aborted or not: no boot
+            # counters, no failure counter
+            record_boot(telemetry, boot_id, clock.timeline)
         with snapshot._lock:
             snapshot._restores += 1
         telemetry.registry.counter(

@@ -11,9 +11,9 @@ One :class:`Telemetry` object bundles the two stores —
   monotonically sequenced per-stage records —
 
 and implements the :class:`~repro.telemetry.events.TelemetrySink`
-protocol the boot pipeline and fleet manager feed.  Exporters
-(:mod:`repro.telemetry.export`) read both through one frozen
-:class:`~repro.telemetry.export.TelemetrySnapshot`.
+protocol that :func:`repro.monitor.vmm.record_boot` and the fleet
+manager feed.  Exporters (:mod:`repro.telemetry.export`) read both
+through one frozen :class:`~repro.telemetry.export.TelemetrySnapshot`.
 
 Scoping: a process-wide default instance backs every instrumented layer
 that was not handed an explicit registry/telemetry, so ad-hoc scripts
@@ -86,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Telemetry:
     """Registry + event log behind one :class:`TelemetrySink` facade.
 
-    The sink methods translate pipeline/fleet callbacks into both
+    The sink methods translate stage and fleet callbacks into both
     stores: a structured event in the log, and the corresponding
     counters/histograms in the registry (metric names follow the
     ``repro_<subsystem>_<name>_<unit>`` convention).
@@ -164,15 +164,6 @@ class Telemetry:
                 help="Pipeline stages that missed a cache",
                 stage=span.name,
             ).inc()
-        recorder = self.timeseries
-        if recorder is not None and recorder.include_stage_spans:
-            # stage spans run on boot-local clocks; only a recorder that
-            # opted in mixes them onto its window axis (single-boot use)
-            end_ns = span.start_ns + span.charged_ns
-            self.emitter.count(end_ns, "stage_runs")
-            self.emitter.observe(
-                end_ns, f"stage_{span.name}_ms", span.charged_ns / NS_PER_MS
-            )
 
     def boot_window(
         self,

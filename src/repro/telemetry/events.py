@@ -9,12 +9,13 @@ and wall-clock window).  Records are JSONL-serializable so a fleet's
 history can be shipped to any external trace store.
 
 The :class:`TelemetrySink` protocol is what the instrumented layers
-call: :class:`~repro.pipeline.pipeline.BootPipeline` reports every
-completed :class:`~repro.simtime.trace.StageSpan` alongside its existing
-timeline emission, and :class:`~repro.monitor.fleet.FleetManager`
-reports each boot's scheduled wall window after admission.  The default
-implementation is :class:`repro.telemetry.Telemetry`, which also turns
-the same calls into registry metrics.
+call: :func:`~repro.monitor.vmm.record_boot` reports every completed
+:class:`~repro.simtime.trace.StageSpan` of a finished boot or restore
+timeline (the pipeline itself only writes the timeline), and
+:class:`~repro.monitor.fleet.FleetManager` reports each boot's scheduled
+wall window after admission.  The default implementation is
+:class:`repro.telemetry.Telemetry`, which also turns the same calls into
+registry metrics.
 
 Sequence numbers are assigned under a lock, so they are monotonic and
 dense; under concurrent fleet workers the *interleaving* of boots in the
@@ -180,7 +181,7 @@ class TelemetrySink(Protocol):
     """What instrumented layers call; implemented by ``Telemetry``."""
 
     def stage_span(self, boot_id: str, span: "StageSpan") -> None:
-        """One pipeline stage completed (called by ``BootPipeline.run``)."""
+        """One pipeline stage completed (called by ``record_boot``)."""
         ...
 
     def boot_window(

@@ -11,21 +11,23 @@ fixed-width windows and aggregates three series kinds per window:
   (``observe``).
 
 Time discipline: every sample carries its simulated timestamp, so the
-recorder works for all three clock shapes in the tree — a boot's private
-:class:`~repro.simtime.clock.SimClock`, the fleet's
-:class:`~repro.simtime.fleetclock.FleetWallClock` wall windows, and the
-serve engine's event-loop ``now``.  ``advance(t_ns)`` closes every
-window strictly before ``t``; ``close(horizon_ns)`` closes through the
-horizon at end of run.  Closed windows **tile**: indices are contiguous
-from window 0, and gap windows are materialized as empty frames, so
+recorder works for both wall-time axes in the tree — the fleet's
+:class:`~repro.simtime.fleetclock.FleetWallClock` windows and the serve
+engine's event-loop ``now``.  ``advance(t_ns)`` closes every window
+strictly before ``t``; ``close(horizon_ns)`` closes through the horizon
+at end of run.  Closed windows **tile**: indices are contiguous from
+window 0, and gap windows close as empty frames, so
 ``frame[i].end_ns == frame[i+1].start_ns`` always (the hypothesis
 property test pins this).
 
 Bounded memory: at most ``capacity`` closed frames are retained ring-
-buffer style.  Eviction is *accounted*, never silent: ``dropped_windows``
-counts evicted frames and their counter deltas accumulate into the
-``evicted`` totals, preserving the conservation law the property test
-pins — ``sum(retained deltas) + evicted == cumulative total`` per series.
+buffer style, and each frame is evicted as it closes.  Eviction is
+*accounted*, never silent: ``dropped_windows`` counts evicted frames and
+their counter deltas accumulate into the ``evicted`` totals, preserving
+the conservation law the property test pins — ``sum(retained deltas) +
+evicted == cumulative total`` per series.  With no ``on_window``
+listener, a run of empty gap windows that would leave the ring anyway is
+only counted, so closing a gap costs O(``capacity``), not O(gap).
 
 Determinism: JSON export (:meth:`TimeSeriesRecorder.to_json_dict`) is a
 pure function of the sample stream — sorted series names, fixed float
@@ -126,12 +128,7 @@ class WindowFrame:
 class TimeSeriesRecorder:
     """Sim-time windowed aggregation with a ring-buffer frame cap."""
 
-    def __init__(
-        self,
-        window_ns: int,
-        capacity: int = 256,
-        include_stage_spans: bool = False,
-    ) -> None:
+    def __init__(self, window_ns: int, capacity: int = 256) -> None:
         window_ns = int(window_ns)
         if window_ns < 1:
             raise ValueError(f"window must be >= 1 ns: {window_ns}")
@@ -139,10 +136,6 @@ class TimeSeriesRecorder:
             raise ValueError(f"frame capacity must be >= 1: {capacity}")
         self.window_ns = window_ns
         self.capacity = capacity
-        #: when True, ``Telemetry.stage_span`` feeds per-stage series
-        #: (boot-local times; off by default because fleet/serve series
-        #: are wall-time and the two must not share one axis)
-        self.include_stage_spans = include_stage_spans
         self._lock = threading.Lock()
         self._open: dict[int, _Accum] = {}
         self._frames: list[WindowFrame] = []
@@ -236,10 +229,20 @@ class TimeSeriesRecorder:
         with self._lock:
             while self._next_index <= last_index:
                 index = self._next_index
+                if not self._listeners and index not in self._open:
+                    # empty windows up to the next open one (open windows
+                    # never precede ``_next_index``): all but the last
+                    # ``capacity`` would be evicted unseen, so count them
+                    gap_end = min(self._open, default=last_index + 1)
+                    unseen = min(gap_end, last_index + 1) - index - self.capacity
+                    if unseen > 0:
+                        self._next_index += unseen
+                        self._closed += unseen
+                        self._dropped += unseen
+                        continue
                 self._next_index += 1
                 accum = self._open.pop(index, None) or _Accum()
-                closing.append(self._freeze(index, accum))
-            for frame in closing:
+                frame = self._freeze(index, accum)
                 self._frames.append(frame)
                 self._closed += 1
                 if len(self._frames) > self.capacity:
@@ -249,6 +252,8 @@ class TimeSeriesRecorder:
                         self._evicted[name] = (
                             self._evicted.get(name, 0) + entry["delta"]
                         )
+                if self._listeners:
+                    closing.append(frame)
         # listeners run outside the lock, in window-index order
         for frame in closing:
             for listener in self._listeners:

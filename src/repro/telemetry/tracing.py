@@ -3,13 +3,15 @@
 The flight recorder (:mod:`repro.telemetry.timeseries`) explains tails
 with windowed aggregates — it can fire a p99 alert but cannot say
 *which* requests were slow or *where* their nanoseconds went.  This
-module is the per-request substrate underneath: every serve request,
-backend production sample, and fleet boot gets a :class:`TraceContext`
-(one causal span tree), and the layers it flows through append
-:class:`Span` records — arrive → queue → dispatch → execute → respond
-for requests, one span per pipeline stage for sampled productions and
-fleet boots, provision spans child-linked to the request that triggered
-scale-up.
+module is the per-request substrate underneath: every serve request and
+backend production sample gets a :class:`TraceContext` (one causal span
+tree), and the layers it flows through append :class:`Span` records —
+arrive → queue → dispatch → execute → respond for requests, one span per
+pipeline stage for sampled productions (copied from the production's
+finished timeline, never written by the pipeline), provision spans
+child-linked to the request that triggered scale-up.  Fleet boots carry
+no trace: their stage records live in the boot-event log, nested inside
+each boot's wall window by the Chrome exporter.
 
 Determinism is the load-bearing property:
 
@@ -26,14 +28,14 @@ Determinism is the load-bearing property:
   runs stay byte-identical (the disabled-path contract shared with the
   recorder, auditor, and profiler).
 
-Thread safety: fleet boots append spans from worker threads; the store
-lock covers trace creation and the per-trace span list.  Span *ids*
+Thread safety: the store lock covers trace creation and the per-trace
+span list, so traces may be built from several threads.  Span *ids*
 never depend on cross-trace interleaving because each trace numbers its
 own spans.
 
 Cost model: the direct API (``trace()`` / ``open()`` / ``span()``) is
-meant for layers that are expensive anyway — pipeline boots, backend
-production sampling.  Hot loops (the serve engine processes hundreds of
+meant for layers that are expensive anyway — backend production
+sampling.  Hot loops (the serve engine processes hundreds of
 thousands of events per wall second) instead record compact per-request
 records and register a *deferred builder* via :meth:`RequestTracer.defer`;
 the builder replays those records through the direct API on the first

@@ -1,12 +1,15 @@
-"""Per-site reference implementations of the relocation passes and the oracle.
+"""Straightforward reference implementations the library must agree with.
 
-These are the straightforward one-site-at-a-time versions of
-``Relocator.apply``, ``Rerandomizer.rebase`` and the oracle's function
-and relocation-site checks: every site goes through a binary search and
-a copying ``GuestMemory`` read/write.  The library's batched passes must
-agree with them byte for byte and error for error; the differential tests
-(``test_reloc_differential.py``, ``test_kernel_verify.py``) hold them to
-it.
+The per-site versions of ``Relocator.apply``, ``Rerandomizer.rebase`` and
+the oracle's function and relocation-site checks: every site goes through
+a binary search and a copying ``GuestMemory`` read/write.  The library's
+batched passes must agree with them byte for byte and error for error;
+the differential tests (``test_reloc_differential.py``,
+``test_kernel_verify.py``) hold them to it.
+
+:class:`ReferenceRecorder` is the flight recorder that freezes every
+closed window into one list before evicting; ``test_property_timeseries``
+holds the evict-as-it-closes recorder to it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.kernel.manifest import (
     function_id_tag,
 )
 from repro.kernel.verify import VerificationReport, _verify_extable, _verify_kallsyms
+from repro.telemetry.timeseries import TimeSeriesRecorder, _Accum
 
 _KERNEL_WINDOW = 2 * kl.GIB
 _HIGH_BITS = kl.START_KERNEL_MAP & ~0xFFFF_FFFF
@@ -204,3 +208,32 @@ def verify_guest_kernel(memory, walker, layout, manifest) -> VerificationReport:
         kallsyms_stale=stale,
         entry_vaddr=layout.entry_vaddr,
     )
+
+
+# -- flight recorder -------------------------------------------------------------
+
+
+class ReferenceRecorder(TimeSeriesRecorder):
+    """Closes windows one frame at a time, gaps included, then evicts."""
+
+    def _close_through(self, last_index: int) -> None:
+        closing = []
+        with self._lock:
+            while self._next_index <= last_index:
+                index = self._next_index
+                self._next_index += 1
+                accum = self._open.pop(index, None) or _Accum()
+                closing.append(self._freeze(index, accum))
+            for frame in closing:
+                self._frames.append(frame)
+                self._closed += 1
+                if len(self._frames) > self.capacity:
+                    evicted = self._frames.pop(0)
+                    self._dropped += 1
+                    for name, entry in evicted.counters.items():
+                        self._evicted[name] = (
+                            self._evicted.get(name, 0) + entry["delta"]
+                        )
+        for frame in closing:
+            for listener in self._listeners:
+                listener(frame)

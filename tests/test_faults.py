@@ -20,6 +20,7 @@ from repro.faults import FATAL_KINDS, FAULT_KINDS, FaultPlan, FaultSpec
 from repro.host import HostStorage
 from repro.monitor import Firecracker, VmConfig
 from repro.simtime import CostModel
+from repro.snapshot import SnapshotManager
 from repro.telemetry import Telemetry
 from repro.telemetry.profiler import CostProfiler
 
@@ -168,6 +169,30 @@ def test_aborted_stage_appears_in_profile(tiny_kaslr):
         vmm.boot(_cfg(tiny_kaslr))
     folded = profiler.render("folded")
     assert "aborted.page_tables" in folded
+
+
+def test_restore_aborted_at_rebase_records_its_completed_stage(tiny_kaslr):
+    """A restore records only its stages, the ones before an abort too."""
+    telemetry = Telemetry()
+    _report, vm = _vmm(None).boot_vm(_cfg(tiny_kaslr))
+    manager = SnapshotManager(
+        CostModel(scale=1),
+        telemetry=telemetry,
+        fault_plan=FaultPlan.parse(["stage=rebase,kind=stage-timeout"]),
+    )
+    snapshot = manager.capture(vm)
+    with pytest.raises(BootFailure, match="at rebase"):
+        manager.restore_rebased(snapshot, seed=5)
+    snap = telemetry.snapshot()
+    assert [(e.kind, e.name) for e in snap.events] == [
+        ("stage", "snapshot_restore")
+    ]
+    assert telemetry.registry.counter(
+        "repro_fault_injections_total", stage="rebase", kind="stage-timeout"
+    ).value == 1
+    names = {m.name for m in snap.metrics}
+    assert "repro_boot_failures_total" not in names
+    assert "repro_snapshot_restores_total" not in names
 
 
 def test_organic_failures_keep_their_type_but_gain_attribution(tiny_kaslr):

@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from repro.core import RandomizeMode
+from repro.faults import FaultPlan
 from repro.host import HostStorage
 from repro.monitor import BootArtifactCache, Firecracker, FleetManager, VmConfig
 from repro.simtime import CostModel
@@ -28,8 +29,24 @@ FLEET_VMS = 4
 FLEET_WORKERS = 2
 FLEET_SEED = 11
 
+#: the faulty golden workload: 10 VMs on 2 workers whose seeded plan
+#: fails 15 of 23 attempts (11 reloc-fail, 4 stage-timeout) with 2 retries
+FAULTY_VMS = 10
+FAULTY_SEED = 7
+FAULTY_PLAN = (
+    "stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9",
+    "stage=randomize_load,kind=stage-timeout,rate=0.2,seed=4",
+)
 
-def _seeded_fleet(kernel) -> tuple[Telemetry, object]:
+
+def _seeded_fleet(
+    kernel,
+    *,
+    count: int = FLEET_VMS,
+    fleet_seed: int = FLEET_SEED,
+    faults: tuple[str, ...] = (),
+    retries: int = 1,
+) -> tuple[Telemetry, object]:
     """The golden workload: a seeded 4-VM fleet on 2 workers, jitter-free."""
     telemetry = Telemetry()
     vmm = Firecracker(
@@ -37,10 +54,13 @@ def _seeded_fleet(kernel) -> tuple[Telemetry, object]:
         CostModel(scale=1),
         artifact_cache=BootArtifactCache(registry=telemetry.registry),
         telemetry=telemetry,
+        fault_plan=FaultPlan.parse(faults) if faults else None,
     )
     manager = FleetManager(vmm, workers=FLEET_WORKERS, telemetry=telemetry)
     cfg = VmConfig(kernel=kernel, randomize=RandomizeMode.FGKASLR)
-    report = manager.launch(cfg, FLEET_VMS, fleet_seed=FLEET_SEED)
+    report = manager.launch(
+        cfg, count, fleet_seed=fleet_seed, retries=retries
+    )
     return telemetry, report
 
 
@@ -51,6 +71,21 @@ def test_prometheus_matches_golden_file(tiny_fgkaslr):
     telemetry, _ = _seeded_fleet(tiny_fgkaslr)
     text = to_prometheus(telemetry.snapshot())
     golden = (GOLDEN / "fleet4_prometheus.txt").read_text()
+    assert text == golden
+
+
+def test_faulty_fleet_prometheus_matches_golden_file(tiny_fgkaslr):
+    """Failed attempts keep their stage, fault and failure metrics."""
+    telemetry, report = _seeded_fleet(
+        tiny_fgkaslr,
+        count=FAULTY_VMS,
+        fleet_seed=FAULTY_SEED,
+        faults=FAULTY_PLAN,
+        retries=2,
+    )
+    assert (report.retries, len(report.failures)) == (13, 2)
+    text = to_prometheus(telemetry.snapshot())
+    golden = (GOLDEN / "fleet10_faults_prometheus.txt").read_text()
     assert text == golden
 
 
