@@ -10,7 +10,13 @@ large-page ITLB walked over each workload's hot functions at their *final*
 """
 
 from repro.lebench.cache import ICache, Itlb
-from repro.lebench.runner import LeBenchResult, TestResult, run_lebench
+from repro.lebench.runner import (
+    LeBenchResult,
+    TestResult,
+    alias_period,
+    layout_key,
+    run_lebench,
+)
 from repro.lebench.workloads import LEBENCH_TESTS, LeBenchTest
 
 __all__ = [
@@ -20,5 +26,7 @@ __all__ = [
     "LeBenchResult",
     "LeBenchTest",
     "TestResult",
+    "alias_period",
+    "layout_key",
     "run_lebench",
 ]

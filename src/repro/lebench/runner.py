@@ -7,10 +7,18 @@ FGKASLR layout scatters the path across the whole text region and pays
 i-cache and large-page-ITLB misses every iteration.  Per-iteration time is
 ``base + icache_misses*miss_ns + itlb_misses*walk_ns``, measured at steady
 state.
+
+Both cache models alias: the i-cache picks a set by ``line % n_sets`` and
+the ITLB compares ``vaddr // page_bytes``, so shifting a whole layout by
+a multiple of both periods changes no hit or miss.  :func:`layout_key`
+names that equivalence class; every KASLR offset is a multiple of 2 MiB,
+so all base-KASLR layouts of one kernel share a key (the Figure 11
+"base KASLR is performance-neutral" property).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.layout_result import LayoutResult
@@ -55,16 +63,42 @@ class LeBenchResult:
         return sum(ratios.values()) / len(ratios)
 
 
+def _caches(kernel: KernelImage) -> tuple[ICache, Itlb]:
+    """Fresh i-cache and ITLB models for a run against ``kernel``."""
+    # The build is 1/scale of a paper-size kernel, so the ITLB page size is
+    # scaled down with it to preserve the pages-touched geometry.
+    itlb = Itlb(page_bytes=max(4096, (2 * 1024 * 1024) // kernel.scale))
+    return ICache(), itlb
+
+
+def alias_period(kernel: KernelImage) -> int:
+    """Bytes a whole layout can shift by without changing any result.
+
+    A shift by a multiple of both cache periods maps every i-cache set
+    and ITLB page onto another one uniformly, so it keeps every hit and
+    miss.  The periods come from the geometry :func:`_run_test` builds,
+    so a geometry change cannot silently break :func:`layout_key`.
+    """
+    icache, itlb = _caches(kernel)
+    return math.lcm(icache.line_bytes * icache.n_sets, itlb.page_bytes)
+
+
+def layout_key(kernel: KernelImage, layout: LayoutResult) -> tuple:
+    """Equal keys guarantee equal :func:`run_lebench` results on ``kernel``.
+
+    The runner sees a layout only through ``final_vaddr``: the move map
+    and the offset, which matters only modulo :func:`alias_period`.
+    """
+    return (layout.voffset % alias_period(kernel), tuple(layout.moved))
+
+
 def _run_test(
     test: LeBenchTest, kernel: KernelImage, layout: LayoutResult
 ) -> TestResult:
     functions = kernel.manifest.functions
     start = test.hot_set_start(len(functions))
     hot = functions[start : start + test.hot_functions]
-    icache = ICache()
-    # The build is 1/scale of a paper-size kernel, so the ITLB page size is
-    # scaled down with it to preserve the pages-touched geometry.
-    itlb = Itlb(page_bytes=max(4096, (2 * 1024 * 1024) // kernel.scale))
+    icache, itlb = _caches(kernel)
     # Warm up to steady state, then measure.
     for _ in range(_WARM_ITERS):
         _walk(test, hot, layout, icache, itlb)

@@ -16,8 +16,9 @@ strategy:
   ``1/pool_size`` (the zygote's single layout, re-served);
 * **duplicate detections** — boots whose digest was already live;
 * **empirical entropy bits** — Shannon entropy of the observed layout
-  distribution, via :func:`repro.security.entropy.empirical_entropy_bits`
-  (a fleet of clones reads ~0 bits regardless of per-boot KASLR);
+  distribution (a fleet of clones reads ~0 bits regardless of per-boot
+  KASLR), computed from a histogram of digest counts so each record
+  costs the number of distinct counts, not the number of boots so far;
 * **address-validity lifetime** — per digest, how long a leaked address
   would have stayed correct: from the digest's first appearance to the
   last instant an instance carrying it was observed alive (the
@@ -32,9 +33,10 @@ runs and a run without an auditor is bit-for-bit unchanged.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
+
 from repro.core.layout_result import LayoutResult
-from repro.security.entropy import empirical_entropy_bits
 
 __all__ = ["KaslrAuditor", "layout_digest"]
 
@@ -60,7 +62,7 @@ def layout_digest(layout: LayoutResult) -> str:
 class _StrategyAudit:
     """Per-strategy accounting (one production strategy's layouts)."""
 
-    __slots__ = ("boots", "duplicates", "digests", "counts")
+    __slots__ = ("boots", "duplicates", "digests", "counts", "by_count")
 
     def __init__(self) -> None:
         self.boots = 0
@@ -69,6 +71,35 @@ class _StrategyAudit:
         self.digests: dict[str, list[int]] = {}
         #: digest -> boots observed with it (the entropy sample weights)
         self.counts: dict[str, int] = {}
+        #: boot count -> digests observed exactly that many times
+        self.by_count: dict[int, int] = {}
+
+    def add(self, digest: str) -> None:
+        """One more boot carried ``digest``: O(1) on both tallies."""
+        before = self.counts.get(digest, 0)
+        self.counts[digest] = before + 1
+        by_count = self.by_count
+        if before:
+            if by_count[before] == 1:
+                del by_count[before]
+            else:
+                by_count[before] -= 1
+        by_count[before + 1] = by_count.get(before + 1, 0) + 1
+
+    def entropy_bits(self) -> float:
+        """Shannon entropy (bits) of the observed layout distribution.
+
+        One term per distinct count in :attr:`by_count`: one for an
+        all-distinct fleet, at most the sample-table size under serve's
+        cyclic replay, never more than ``sqrt(2 * boots)``.  Nothing is
+        carried between records, so every prefix is summed afresh and a
+        dyadic distribution (each ``p`` a power of two) reads exactly.
+        """
+        entropy = 0.0
+        for count, digests in self.by_count.items():
+            p = count / self.boots
+            entropy -= digests * (p * math.log2(p))
+        return entropy
 
 
 class KaslrAuditor:
@@ -78,6 +109,8 @@ class KaslrAuditor:
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._strategies: dict[str, _StrategyAudit] = {}
+        #: (metric name, strategy) -> instrument, resolved on first use
+        self._instruments: dict[tuple[str, str], object] = {}
 
     # -- feeding ---------------------------------------------------------------
 
@@ -112,12 +145,10 @@ class KaslrAuditor:
                 span[1] = max(span[1], t)
             else:
                 audit.digests[digest] = [t, t]
-            audit.counts[digest] = audit.counts.get(digest, 0) + 1
+            audit.add(digest)
             distinct = len(audit.digests)
             boots = audit.boots
-            entropy = empirical_entropy_bits(
-                d for d, n in audit.counts.items() for _ in range(n)
-            )
+            entropy = audit.entropy_bits()
         self._export(strategy, boots, distinct, entropy, duplicate)
         return digest
 
@@ -145,28 +176,48 @@ class KaslrAuditor:
     ) -> None:
         if self.telemetry is None:
             return
-        registry = self.telemetry.registry
-        registry.counter(
+        self._metric(
+            "counter",
             "repro_audit_boots_total",
-            help="Boots fingerprinted by the KASLR auditor",
-            strategy=strategy,
+            "Boots fingerprinted by the KASLR auditor",
+            strategy,
         ).inc()
         if duplicate:
-            registry.counter(
+            self._metric(
+                "counter",
                 "repro_audit_duplicate_layouts_total",
-                help="Boots that came up with an already-live layout",
-                strategy=strategy,
+                "Boots that came up with an already-live layout",
+                strategy,
             ).inc()
-        registry.gauge(
+        self._metric(
+            "gauge",
             "repro_audit_distinct_layout_fraction",
-            help="Distinct layout digests / boots (1.0 = fully diverse)",
-            strategy=strategy,
+            "Distinct layout digests / boots (1.0 = fully diverse)",
+            strategy,
         ).set(round(distinct / boots, 6))
-        registry.gauge(
+        self._metric(
+            "gauge",
             "repro_audit_entropy_bits",
-            help="Shannon entropy of the observed layout distribution",
-            strategy=strategy,
+            "Shannon entropy of the observed layout distribution",
+            strategy,
         ).set(round(entropy, 4))
+
+    def _metric(self, kind: str, name: str, help_text: str, strategy: str):
+        """The strategy's instrument ``name``, resolved on first use.
+
+        Lazy, so the duplicate counter still appears only once a
+        duplicate does; cached, so the registry validates and sorts the
+        labels once per strategy instead of once per record.  Two threads
+        racing here both get the registry's one instrument.
+        """
+        key = (name, strategy)
+        metric = self._instruments.get(key)
+        if metric is None:
+            factory = getattr(self.telemetry.registry, kind)
+            metric = self._instruments[key] = factory(
+                name, help=help_text, strategy=strategy
+            )
+        return metric
 
     # -- reading ---------------------------------------------------------------
 
@@ -191,13 +242,7 @@ class KaslrAuditor:
                         len(audit.digests) / audit.boots, 6
                     ),
                     "duplicates": audit.duplicates,
-                    "entropy_bits": round(
-                        empirical_entropy_bits(
-                            d for d, n in audit.counts.items()
-                            for _ in range(n)
-                        ),
-                        4,
-                    ),
+                    "entropy_bits": round(audit.entropy_bits(), 4),
                     "lifetime_ms": {
                         "mean": round(
                             sum(lifetimes_ns)

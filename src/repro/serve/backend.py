@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import BootFailure, MonitorError
 from repro.security.audit import layout_digest
-from repro.workloads.functions import FunctionSpec, invoke_ns
+from repro.workloads.functions import FunctionSpec
 from repro.workloads.platform import ServerlessPlatform
 
 __all__ = ["ProductionSample", "SampledBackend"]
@@ -162,11 +162,7 @@ class SampledBackend:
             measured.append(
                 ProductionSample(
                     startup_ns=int(round(produced.startup_ms * 1e6)),
-                    invoke_ns=int(
-                        round(
-                            invoke_ns(produced.vm.kernel, produced.vm.layout, spec)
-                        )
-                    ),
+                    invoke_ns=int(round(platform.invoke_ns(produced.vm, spec))),
                     layout_offset=produced.layout_offset,
                     degraded=produced.degraded,
                     layout_digest=layout_digest(produced.vm.layout),

@@ -187,6 +187,8 @@ class ServeEngine:
         #: present the event loop only fills compact records — the span
         #: trees materialize lazily (see :meth:`_build_traces`)
         self.tracer = tracer
+        #: (metric name, *extra labels) -> instrument, resolved on first use
+        self._instruments: dict[tuple, object] = {}
 
     # -- internal helpers ------------------------------------------------------
 
@@ -194,12 +196,26 @@ class ServeEngine:
         heapq.heappush(self._events, (when_ns, int(kind), self._seq, payload))
         self._seq += 1
 
+    def _instrument(self, kind: str, name: str, help_text: str, **extra: str):
+        """The ``kind`` instrument for ``name`` and these labels.
+
+        Resolved through the registry on first use only (never before, so
+        no zero-valued series appears), then reused: the registry checks
+        and sorts the labels once, not on every event.
+        """
+        key = (name, *extra.items())
+        metric = self._instruments.get(key)
+        if metric is None:
+            factory = getattr(self.telemetry.registry, kind)
+            metric = self._instruments[key] = factory(
+                name, help=help_text, **self.labels, **extra
+            )
+        return metric
+
     def _count(self, name: str, help_text: str, amount: int = 1, **extra: str) -> None:
         if self.telemetry is None or amount == 0:
             return
-        self.telemetry.registry.counter(
-            name, help=help_text, **self.labels, **extra
-        ).inc(amount)
+        self._instrument("counter", name, help_text, **extra).inc(amount)
 
     def _span(
         self,
@@ -789,10 +805,10 @@ class ServeEngine:
     def _observe_latency(self, latency_ns: int) -> None:
         if self.telemetry is None:
             return
-        self.telemetry.registry.histogram(
+        self._instrument(
+            "histogram",
             "repro_serve_latency_ns",
-            help="End-to-end request latency (arrival to completion)",
-            **self.labels,
+            "End-to-end request latency (arrival to completion)",
         ).observe(latency_ns)
 
     def _export_gauges(self, max_queue_depth: int) -> None:

@@ -30,6 +30,13 @@ class FunctionSpec:
     def kernel_call_count(self) -> int:
         return sum(count for _name, count in self.syscall_mix)
 
+    def invoke_ns(self, per_test_ns: dict[str, float]) -> float:
+        """Simulated time for one invocation, given :func:`lebench_ns`."""
+        kernel_ns = sum(
+            per_test_ns[name] * count for name, count in self.syscall_mix
+        )
+        return kernel_ns + self.user_ns
+
 
 #: a small catalog spanning the usual serverless shapes
 FUNCTIONS: dict[str, FunctionSpec] = {
@@ -77,22 +84,13 @@ for _spec in FUNCTIONS.values():
     for _test, _count in _spec.syscall_mix:
         assert _test in _VALID_TESTS, f"{_spec.name} uses unknown test {_test}"
 
-#: per-(kernel id, layout id) memo of LEBench per-test timings
-_LEBENCH_CACHE: dict[tuple[int, int], dict[str, float]] = {}
-
-
-def _per_test_ns(kernel: KernelImage, layout: LayoutResult) -> dict[str, float]:
-    key = (id(kernel), id(layout))
-    if key not in _LEBENCH_CACHE:
-        result = run_lebench(kernel, layout)
-        _LEBENCH_CACHE[key] = {r.name: r.ns_per_iter for r in result.results}
-    return _LEBENCH_CACHE[key]
+def lebench_ns(kernel: KernelImage, layout: LayoutResult) -> dict[str, float]:
+    """Per-test LEBench ns per call on this layout: one suite run."""
+    return {r.name: r.ns_per_iter for r in run_lebench(kernel, layout).results}
 
 
 def invoke_ns(
     kernel: KernelImage, layout: LayoutResult, spec: FunctionSpec
 ) -> float:
     """Simulated time for one invocation of ``spec`` on this layout."""
-    per_test = _per_test_ns(kernel, layout)
-    kernel_ns = sum(per_test[name] * count for name, count in spec.syscall_mix)
-    return kernel_ns + spec.user_ns
+    return spec.invoke_ns(lebench_ns(kernel, layout))

@@ -16,6 +16,12 @@ Production is fault-plan aware — when a warm restore dies on an
 injected fault, the platform degrades that instance to a cold boot
 rather than failing the pool, mirroring how real control planes fall
 back when a snapshot is unusable.
+
+Invocation latency comes from :meth:`ServerlessPlatform.invoke_ns`,
+which runs LEBench once per cache-equivalent layout
+(:func:`~repro.lebench.runner.layout_key`) and keeps the result for the
+platform's lifetime: every base-KASLR layout of a kernel shares one run,
+and restore clones and rebases share their zygote's.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from statistics import mean
 from typing import Callable
 
 from repro.errors import BootFailure, MonitorError
+from repro.kernel.image import KernelImage
+from repro.lebench.runner import layout_key
 from repro.monitor.config import VmConfig
 from repro.monitor.vm_handle import MicroVm
 from repro.monitor.vmm import Firecracker
 from repro.snapshot.checkpoint import SnapshotManager
-from repro.workloads.functions import FunctionSpec, invoke_ns
+from repro.workloads.functions import FunctionSpec, lebench_ns
 
 
 class InstanceStrategy(enum.Enum):
@@ -90,6 +98,13 @@ class ServerlessPlatform:
     setup_ms: float = 0.0
     #: warm productions that degraded to cold boots (fault fallback)
     degraded_count: int = 0
+    #: (kernel id, layout key) -> (kernel, per-test LEBench ns); holding
+    #: the kernel keeps its id from being reused under a live key.  Owned
+    #: by the platform, not the process, so each serve call prices its
+    #: own layouts.
+    _lebench: dict[tuple, tuple[KernelImage, dict[str, float]]] = field(
+        default_factory=dict, repr=False
+    )
 
     def setup(self) -> None:
         """Prepare the platform (boot + snapshot the zygote if needed)."""
@@ -168,10 +183,23 @@ class ServerlessPlatform:
         produced = self.produce(seed)
         return produced.vm, produced.startup_ms
 
+    def invoke_ns(self, vm: MicroVm, spec: FunctionSpec) -> float:
+        """Simulated time for one invocation of ``spec`` on ``vm``.
+
+        LEBench runs once per cache-equivalent layout of each kernel;
+        every later instance in the same class reuses that run.
+        """
+        kernel = vm.kernel
+        key = (id(kernel), layout_key(kernel, vm.layout))
+        entry = self._lebench.get(key)
+        if entry is None:
+            entry = self._lebench[key] = (kernel, lebench_ns(kernel, vm.layout))
+        return spec.invoke_ns(entry[1])
+
     def handle(self, spec: FunctionSpec, seed: int) -> InvocationRecord:
         """Serve one invocation on a fresh instance."""
         vm, startup_ms = self._instance(seed)
-        invoke_ms = invoke_ns(vm.kernel, vm.layout, spec) / 1e6
+        invoke_ms = self.invoke_ns(vm, spec) / 1e6
         record = InvocationRecord(
             function=spec.name,
             startup_ms=startup_ms,

@@ -10,6 +10,11 @@ the differential tests (``test_reloc_differential.py``,
 :class:`ReferenceRecorder` is the flight recorder that freezes every
 closed window into one list before evicting; ``test_property_timeseries``
 holds the evict-as-it-closes recorder to it.
+
+:func:`audit_entropy_bits` is the KASLR auditor's entropy as it once
+computed it on every record: the plug-in estimate over a stream that
+repeats each digest once per boot.  ``test_audit`` holds the histogram
+form to it after every record.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.kernel.manifest import (
     function_id_tag,
 )
 from repro.kernel.verify import VerificationReport, _verify_extable, _verify_kallsyms
+from repro.security.entropy import empirical_entropy_bits
 from repro.telemetry.timeseries import TimeSeriesRecorder, _Accum
 
 _KERNEL_WINDOW = 2 * kl.GIB
@@ -237,3 +243,11 @@ class ReferenceRecorder(TimeSeriesRecorder):
         for frame in closing:
             for listener in self._listeners:
                 listener(frame)
+
+
+# -- KASLR auditor ---------------------------------------------------------------
+
+
+def audit_entropy_bits(counts: dict[str, int]) -> float:
+    """Entropy of ``digest -> boots``, one sample per boot: O(boots)."""
+    return empirical_entropy_bits(d for d, n in counts.items() for _ in range(n))

@@ -9,13 +9,20 @@ lifetime accounting, and the byte stability of the JSON report.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.layout_result import LayoutResult
 from repro.security import KaslrAuditor, layout_digest
 from repro.telemetry import Telemetry
+
+from reference import audit_entropy_bits
 
 MS = 1_000_000  # ns
 
@@ -108,3 +115,97 @@ def test_json_report_is_byte_stable():
     doc = json.loads(run())
     assert doc["schema_version"] == 1
     assert doc["strategies"]["cold-boot"]["distinct_layouts"] == 2
+
+
+# -- exactness against the per-boot reference ----------------------------------
+
+#: counts 32, 16, 8, 4, 2, 1, 1: entropy exactly 1.96875, exported 1.9688
+_DYADIC = "a" * 32 + "b" * 16 + "c" * 8 + "d" * 4 + "e" * 2 + "fg"
+
+#: serve replays its sample table cyclically; restore tables repeat digests
+_cyclic = st.builds(
+    lambda table, n: [table[i % len(table)] for i in range(n)],
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=10),
+    st.integers(1, 300),
+)
+#: most boots on a few layouts, a long tail of rare ones
+_skewed = st.lists(
+    st.sampled_from("abc") | st.sampled_from("abcdefghijklmnop"),
+    min_size=1,
+    max_size=300,
+)
+_distinct = st.integers(1, 300).map(lambda n: [f"d{i}" for i in range(n)])
+_dyadic = st.permutations(list(_DYADIC)).map(list)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=st.one_of(_cyclic, _skewed, _distinct, _dyadic))
+# an order in which a running sum of c*log2(c) exports 1.9687
+@example(stream=list("baaaagcabbfcbaaababbaaadaaabdaacaeabadaaabaebabccacabbabcabdaaac"))
+def test_entropy_matches_reference_after_every_record(stream):
+    """The O(1) histogram form exports what the O(boots) sum did, exactly.
+
+    No golden pins the ``repro_audit_*`` gauges, so this is their guard.
+    """
+    telemetry = Telemetry()
+    auditor = KaslrAuditor(telemetry=telemetry)
+    registry = telemetry.registry
+    counts: dict[str, int] = {}
+    for i, digest in enumerate(stream):
+        auditor.record(f"boot:{i}", strategy="serve", t_ns=i, digest=digest)
+        counts[digest] = counts.get(digest, 0) + 1
+        entropy = round(audit_entropy_bits(counts), 4)
+        fraction = round(len(counts) / (i + 1), 6)
+        gauge = registry.gauge("repro_audit_entropy_bits", strategy="serve")
+        assert gauge.value == entropy
+        gauge = registry.gauge("repro_audit_distinct_layout_fraction", strategy="serve")
+        assert gauge.value == fraction
+        doc = auditor.to_json_dict()["strategies"]["serve"]
+        assert doc["entropy_bits"] == entropy
+        assert doc["distinct_fraction"] == fraction
+        assert doc["boots"] == i + 1
+        assert doc["distinct_layouts"] == len(counts)
+    if sorted(stream) == sorted(_DYADIC):
+        assert auditor.to_json_dict()["strategies"]["serve"]["entropy_bits"] == 1.9688
+
+
+def test_duplicate_counter_appears_with_the_first_duplicate():
+    telemetry = Telemetry()
+    auditor = KaslrAuditor(telemetry=telemetry)
+    for i, digest in enumerate("abcb"):
+        auditor.record(f"boot:{i}", strategy="cold-boot", t_ns=i, digest=digest)
+        names = {f.name for f in telemetry.registry.collect()}
+        assert ("repro_audit_duplicate_layouts_total" in names) == (i == 3)
+
+
+# -- cost per record ------------------------------------------------------------
+
+
+def test_audited_serve_cost_tracks_its_length():
+    """4x the simulated seconds of an audited serve costs at most 4x the CPU.
+
+    When every record re-summed one sample per boot so far, the 40 s run
+    cost ~7x the 10 s one on a 2-vCPU Xeon; with O(1) records the ratio
+    stays below the request ratio.  Min of 3 process-CPU readings.
+    """
+    from repro.artifacts import get_kernel
+    from repro.cli import main
+    from repro.kernel import KernelVariant
+
+    get_kernel("aws", KernelVariant.KASLR, scale=16)  # build outside the timing
+
+    def cpu_s(duration: int) -> float:
+        argv = [
+            "serve", "--strategy", "restore", "--rate", "150", "--audit",
+            "--duration", str(duration),
+        ]
+        readings = []
+        for _ in range(3):
+            start = time.process_time()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            readings.append(time.process_time() - start)
+        return min(readings)
+
+    short_s, long_s = cpu_s(10), cpu_s(40)
+    assert long_s <= 4 * short_s, f"{short_s:.2f} s -> {long_s:.2f} s"

@@ -77,6 +77,53 @@ def test_engine_feeds_recorder_and_totals_reconcile():
     assert observed == result.served
 
 
+
+def test_engine_registry_counters_reconcile_per_label():
+    """Each labeled serve instrument matches its ``ServeResult`` field.
+
+    The engine resolves an instrument once per (name, labels) and reuses
+    it; a cache keyed on the name alone would fold ``reason=rejected``
+    into ``reason=deadline`` and ``cold=true`` into ``cold=false``.
+    """
+    backend = SampledBackend(
+        samples=tuple(
+            ProductionSample(
+                startup_ns=40 * MS, invoke_ns=20 * MS, layout_offset=0x1000 * (i + 1)
+            )
+            for i in range(4)
+        )
+    )
+    config = ServeConfig(
+        policy=AutoscalePolicy(min_ready=1, max_ready=2),
+        provisioners=1,
+        queue_cap=4,
+        deadline_ns=60 * MS,
+    )
+    telemetry = Telemetry()
+    labels = {"strategy": "restore", "mix": "poisson"}
+    result = ServeEngine(backend, config, telemetry=telemetry, labels=labels).run(
+        ArrivalSpec(rate_per_s=100.0, duration_s=2.0, seed=3)
+    )
+    warm = result.served - result.cold_starts
+    assert result.rejected and result.deadline_missed and result.cold_starts and warm
+    points = {
+        (family.name, point.labels): point
+        for family in telemetry.registry.collect()
+        for point in family.points
+    }
+
+    def point(name, **extra):
+        return points[(name, tuple(sorted({**labels, **extra}.items())))]
+
+    assert point("repro_serve_served_total", cold="true").value == result.cold_starts
+    assert point("repro_serve_served_total", cold="false").value == warm
+    assert point("repro_serve_failed_total", reason="rejected").value == result.rejected
+    assert (
+        point("repro_serve_failed_total", reason="deadline").value
+        == result.deadline_missed
+    )
+    assert point("repro_serve_latency_ns").count == result.served
+
 def test_recorder_does_not_change_the_result():
     plain = ServeEngine(_backend(), ServeConfig()).run(_spec())
     recorded = ServeEngine(

@@ -139,3 +139,54 @@ def test_produce_degrades_warm_failures_to_cold(fc, tiny_kaslr):
     assert platform.degraded_count == len(degraded)
     # the fallback charges a full cold boot: visibly slower than a restore
     assert min(p.startup_ms for p in degraded) > max(p.startup_ms for p in warm)
+
+
+def test_handle_prices_each_instance_on_its_own_layout():
+    """Every handled invocation is timed on the layout it actually ran on.
+
+    A memo keyed on ``id(layout)`` of layouts it did not keep alive once
+    handed some fresh FGKASLR instances the timings of a collected one.
+    The loop keeps only each layout's address map, never the layout
+    object, so a freed id stays free for reuse as it would in production.
+    """
+    from repro.artifacts import get_kernel
+    from repro.host import HostStorage
+    from repro.kernel import AWS, KernelVariant
+    from repro.lebench import run_lebench
+    from repro.monitor import Firecracker
+    from repro.simtime import CostModel
+
+    kernel = get_kernel(AWS, KernelVariant.FGKASLR, scale=64)
+    platform = ServerlessPlatform(
+        Firecracker(HostStorage(), CostModel(scale=64)),
+        lambda seed: VmConfig(
+            kernel=kernel, randomize=RandomizeMode.FGKASLR, seed=seed
+        ),
+    )
+    address_maps = []
+    produce = platform.produce
+
+    def capture(seed, **kwargs):
+        produced = produce(seed, **kwargs)
+        layout = produced.vm.layout
+        address_maps.append((layout.voffset, list(layout.moved)))
+        return produced
+
+    platform.produce = capture
+    spec = FUNCTIONS["json-transform"]
+    for seed in range(1000, 1040):
+        platform.handle(spec, seed=seed)
+    assert len(address_maps) == len(platform.records) == 40
+
+    def fresh_invoke_ms(voffset, moved):
+        layout = LayoutResult(voffset=voffset, moved=moved).finalize()
+        per_test = {r.name: r.ns_per_iter for r in run_lebench(kernel, layout).results}
+        kernel_ns = sum(per_test[name] * count for name, count in spec.syscall_mix)
+        return (kernel_ns + spec.user_ns) / 1e6
+
+    stale = [
+        i
+        for i, (record, address_map) in enumerate(zip(platform.records, address_maps))
+        if record.invoke_ms != fresh_invoke_ms(*address_map)
+    ]
+    assert stale == []
