@@ -606,7 +606,11 @@ def _cmd_serve(args) -> int:
         else None
     )
     telemetry = Telemetry(tracer=tracer)
-    flight = want_recorder or args.audit
+    # lifecycle events (one ``serve:<cell>`` track per cell) are recorded
+    # only for flights whose event log leaves the process
+    lifecycle = (want_recorder or args.audit) and bool(
+        args.trace_export or args.events_out
+    )
     auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
     window_ns = int(round(args.window_ms * 1e6))
     slo_ms = (
@@ -655,7 +659,7 @@ def _cmd_serve(args) -> int:
                 labels={"strategy": strategy.value, "mix": args.arrivals},
                 recorder=recorder,
                 auditor=auditor,
-                track=f"serve:{cell}" if flight else None,
+                track=f"serve:{cell}" if lifecycle else None,
                 tracer=tracer.scoped(cell) if tracer is not None else None,
             )
             result = engine.run(
@@ -756,10 +760,9 @@ def _cell_tail(tracer: RequestTracer, cell: str, top: int = _TAIL_TOP_K) -> dict
     re-checks every critical path (segments must sum *exactly* to the
     request latency) before anything is aggregated.
     """
+    prefix = f"{cell}/req/"
     paths = request_paths(
-        ctx
-        for ctx in tracer.traces()
-        if ctx.key.startswith(f"{cell}/req/")
+        ctx for ctx in tracer.traces() if ctx.key.startswith(prefix)
     )
     att = tail_attribution(paths)
     if att is None:
@@ -897,7 +900,6 @@ def _cmd_watch(args) -> int:
         labels={"strategy": strategy.value, "mix": args.arrivals},
         recorder=recorder,
         auditor=auditor,
-        track=f"serve:{cell}",
         tracer=tracer.scoped(cell),
     )
     engine.run(

@@ -61,6 +61,15 @@ class ProductionSample:
     #: the stage spans of its originating pipeline
     source: str = ""
 
+    def __post_init__(self) -> None:
+        # a negative duration would replay as requests served before
+        # they arrived, and as spans that end before they start
+        if self.startup_ns < 0 or self.invoke_ns < 0:
+            raise MonitorError(
+                f"production sample needs non-negative durations: "
+                f"startup_ns={self.startup_ns}, invoke_ns={self.invoke_ns}"
+            )
+
 
 @dataclass(frozen=True)
 class SampledBackend:
@@ -136,29 +145,33 @@ class SampledBackend:
             if tracer is not None:
                 ctx = tracer.trace(f"sample/{i}")
                 source = ctx.trace_id
-                root = ctx.open(
-                    "produce",
-                    "sample",
-                    spans[0].start_ns if spans else 0,
-                    attrs={"index": i, "degraded": produced.degraded},
-                )
-                for span in spans:
-                    ctx.span(
-                        span.name,
-                        "stage",
-                        span.start_ns,
-                        span.end_ns,
-                        parent=root.span_id,
-                        attrs={
-                            "category": span.category,
-                            "principal": span.principal,
-                            "charged_ns": span.charged_ns,
+                # one tree: the production root (row 0), then one stage
+                # span per timeline entry, each a child of row 0
+                ctx.commit([
+                    (
+                        "produce",
+                        "sample",
+                        spans[0].start_ns if spans else 0,
+                        spans[-1].end_ns if spans else 0,
+                        None,
+                        {
+                            "index": i,
+                            "degraded": produced.degraded,
+                            "startup_ms": produced.startup_ms,
                         },
-                    )
-                root.close(
-                    spans[-1].end_ns if spans else 0,
-                    startup_ms=produced.startup_ms,
-                )
+                    ),
+                    *(
+                        (
+                            span.name, "stage", span.start_ns, span.end_ns, 0,
+                            {
+                                "category": span.category,
+                                "principal": span.principal,
+                                "charged_ns": span.charged_ns,
+                            },
+                        )
+                        for span in spans
+                    ),
+                ])
             measured.append(
                 ProductionSample(
                     startup_ns=int(round(produced.startup_ms * 1e6)),

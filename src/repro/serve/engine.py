@@ -46,7 +46,7 @@ from repro.serve.pool import AutoscalePolicy, PoolStats, WarmInstance, WarmPool
 from repro.simtime.fleetclock import FleetWallClock
 from repro.telemetry import Telemetry
 from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedEmitter
-from repro.telemetry.tracing import RequestTracer, TraceContext, derive_span_id
+from repro.telemetry.tracing import RequestTracer, TraceContext
 
 __all__ = ["EventKind", "ServeConfig", "ServeEngine", "ServeResult"]
 
@@ -136,12 +136,12 @@ class ServeResult:
 # ``BENCH_trace_overhead`` series pins this), so instead of minting span
 # objects inline the loop appends plain lists holding ints and refs to
 # already-immutable objects, and a deferred builder
-# (:meth:`ServeEngine._build_traces`) replays them into real span trees
-# on the first tracer read.  A request that dispatches gets one served
-# record (layout below); rejected and deadline-failed requests get small
-# tuples; provisions get ``[instance_id, BootWindow, sample, span_id]``
-# (span_id filled by the builder) and prewarms ``[instance_id, sample,
-# span_id]``.
+# (:meth:`ServeEngine._build_traces`) turns them into one bulk commit per
+# trace on the first tracer read.  A request that dispatches gets one
+# served record (layout below); rejected and deadline-failed requests get
+# small tuples; provisions get ``[instance_id, BootWindow, sample,
+# span_id]`` (span_id filled by the builder) and prewarms
+# ``[instance_id, sample, span_id]``.
 R_INDEX = 0  # request index
 R_ARRIVAL = 1  # admission time (ns)
 R_DISPATCH = 2  # lease time (ns)
@@ -150,7 +150,8 @@ R_INST = 4  # the leased WarmInstance
 R_SAMPLE = 5  # the ProductionSample replayed by the invocation
 R_PROV = 6  # provision/prewarm record that built the instance, or None
 R_PROV_ARRIVE = 7  # provision records triggered at admission (list|None)
-R_LEN = 8  # provisions triggered by our dispatch are appended past here
+R_TRACE = 8  # trace id already derived for the exemplar, or None
+R_LEN = 9  # provisions triggered by our dispatch are appended past here
 
 
 class ServeEngine:
@@ -178,9 +179,10 @@ class ServeEngine:
         self._emit = WindowedEmitter(recorder)
         #: optional KASLR auditor fed one record per provisioned instance
         self.auditor = auditor
-        #: Chrome-trace track for lifecycle spans; spans only materialize
-        #: when both a telemetry sink and a track name are configured, so
-        #: plain engine runs stay event-free
+        #: Chrome-trace track for lifecycle events; events are recorded
+        #: only when both a telemetry sink and a track name are
+        #: configured, so plain engine runs stay event-free (the CLI
+        #: names a track only when it exports the event log)
         self.track = track
         #: optional request tracer (usually a per-cell scoped view); when
         #: absent the run is byte-identical to an untraced one, and when
@@ -193,7 +195,7 @@ class ServeEngine:
     # -- internal helpers ------------------------------------------------------
 
     def _push(self, when_ns: int, kind: EventKind, payload: int) -> None:
-        heapq.heappush(self._events, (when_ns, int(kind), self._seq, payload))
+        heapq.heappush(self._events, (when_ns, kind, self._seq, payload))
         self._seq += 1
 
     def _instrument(self, kind: str, name: str, help_text: str, **extra: str):
@@ -226,8 +228,9 @@ class ServeEngine:
         worker: int | None = None,
         detail: str = "",
     ) -> None:
-        if self.telemetry is None or self.track is None:
-            return
+        """Record one lifecycle event; callers check ``self._lifecycle``
+        first, so nothing (not even the detail string) is built for a
+        run that records none."""
         self.telemetry.serve_span(
             self.track,
             name=name,
@@ -286,13 +289,14 @@ class ServeEngine:
             self._production_index += 1
             window = self._provisioners.schedule_at(now_ns, sample.startup_ns)
             self._emit.count(now_ns, "serve_provision_started")
-            self._span(
-                "provision",
-                start_ns=window.start_ns,
-                duration_ns=window.end_ns - window.start_ns,
-                worker=window.worker,
-                detail=f"instance={instance_id} failed={sample.failed}",
-            )
+            if self._lifecycle:
+                self._span(
+                    "provision",
+                    start_ns=window.start_ns,
+                    duration_ns=window.end_ns - window.start_ns,
+                    worker=window.worker,
+                    detail=f"instance={instance_id} failed={sample.failed}",
+                )
             if self.tracer is not None:
                 prov = [instance_id, window, sample, ""]
                 self._prov_of[instance_id] = prov
@@ -334,7 +338,7 @@ class ServeEngine:
                 rec = [
                     req, self._arrival_of[req], now_ns, 0, inst, sample,
                     self._prov_of.get(inst.instance_id),
-                    self._prov_arrive_of.pop(req, None),
+                    self._prov_arrive_of.pop(req, None), None,
                 ]
                 self._records.append(rec)
             else:
@@ -353,7 +357,9 @@ class ServeEngine:
     # -- deferred trace materialization ----------------------------------------
 
     @staticmethod
-    def _prov_attrs(prov: list) -> dict:
+    def _prov_row(prov: list, parent: int | None = 0) -> tuple:
+        """A provision record as a commit row: a child of the request
+        root, or (``parent=None``) a root of the pool trace."""
         instance_id, window, sample, _ = prov
         attrs = {
             "instance": instance_id,
@@ -362,7 +368,10 @@ class ServeEngine:
         }
         if sample.source:
             attrs["source"] = sample.source
-        return attrs
+        return (
+            "provision", "provision", window.start_ns, window.end_ns, parent,
+            attrs,
+        )
 
     @staticmethod
     def _build_traces(
@@ -372,48 +381,23 @@ class ServeEngine:
         records: list,
         failed_recs: list,
     ) -> None:
-        """Replay one run's compact records into real span trees.
+        """Turn one run's compact records into span trees, one commit each.
 
         Runs off the hot path (first tracer read; see
-        :meth:`RequestTracer.defer`).  Must reproduce *exactly* the
-        spans — same per-trace seq order, same trace creation order —
-        that eager construction would mint; the byte-identical golden
-        (``tests/golden/serve_traces.json``) pins this.
+        :meth:`RequestTracer.defer`).  The pool trace comes first, then
+        one trace per request in arrival (= index) order; within a
+        request trace the spans keep the order the run created them in:
+        root, queue, admission-time provisions, execute, dispatch-time
+        provisions, respond.  The byte-identical golden
+        (``tests/golden/serve_traces.json``) and the differential test
+        against the open/close reference (``tests/reference.py``) pin
+        this.
         """
-        # Pass 1: provision/prewarm span ids, computed arithmetically
-        # from each record's future seq so an execute span can link to
-        # the provision that built its instance even when that
-        # provision lives in a trace built later (FIFO queues let an
-        # *earlier* request lease an instance a *later* one triggered).
-        for seq, entry in enumerate(pool_records):
-            if entry[0] != "evict":
-                entry[1][-1] = derive_span_id(pool_ctx.trace_id, seq)
-        by_index: dict[int, object] = {rec[R_INDEX]: rec for rec in records}
-        for failed in failed_recs:
-            by_index[failed[1]] = failed
-        order = sorted(by_index)
-        for index in order:
-            rec = by_index[index]
-            if isinstance(rec, tuple):  # rejected / deadline
-                arrive = rec[4] if rec[0] == "deadline" else None
-                dispatch = ()
-            else:
-                arrive = rec[R_PROV_ARRIVE]
-                dispatch = rec[R_LEN:]
-            if not arrive and not dispatch:
-                continue
-            trace_id = tracer.trace_id_for(f"req/{index}")
-            seq = 2  # after the root (0) and queue (1) spans
-            for prov in arrive or ():
-                prov[-1] = derive_span_id(trace_id, seq)
-                seq += 1
-            if dispatch:
-                seq += 1  # the execute span sits between the phases
-                for prov in dispatch:
-                    prov[-1] = derive_span_id(trace_id, seq)
-                    seq += 1
+        prov_row = ServeEngine._prov_row
 
-        # Pass 2: the pool trace, spans in event order.
+        # The pool trace: prewarms, unowned refills and evictions, in
+        # event order, all roots.
+        rows = []
         for entry in pool_records:
             kind = entry[0]
             if kind == "prewarm":
@@ -421,62 +405,63 @@ class ServeEngine:
                 attrs = {"instance": instance_id}
                 if sample.source:
                     attrs["source"] = sample.source
-                pool_ctx.span("prewarm", "prewarm", 0, 0, attrs=attrs)
+                rows.append(("prewarm", "prewarm", 0, 0, None, attrs))
             elif kind == "provision":
-                prov = entry[1]
-                window = prov[1]
-                pool_ctx.span(
-                    "provision", "provision",
-                    window.start_ns, window.end_ns,
-                    attrs=ServeEngine._prov_attrs(prov),
-                )
+                rows.append(prov_row(entry[1], None))
             else:
-                pool_ctx.span(
-                    "evict", "evict", entry[2], entry[2],
-                    attrs={"instance": entry[1]},
-                )
+                rows.append((
+                    "evict", "evict", entry[2], entry[2], None,
+                    {"instance": entry[1]},
+                ))
+        for entry, span in zip(pool_records, pool_ctx.commit(rows)):
+            if entry[0] != "evict":
+                entry[1][-1] = span.span_id
 
-        # Pass 3: request traces in arrival (= index) order, spans in
-        # the order an eager implementation would create them.
-        for index in order:
+        by_index: dict[int, object] = {rec[R_INDEX]: rec for rec in records}
+        for failed in failed_recs:
+            by_index[failed[1]] = failed
+        # (execute attrs, record of the provision that built the
+        # instance).  FIFO leasing can hand a request an instance that a
+        # *later* request's trace provisioned (and the other way round),
+        # so the links resolve once every tree is committed.
+        links: list[tuple[dict, list]] = []
+        # one stage breakdown dict per sample, shared read-only by the
+        # execute spans that replay it
+        stage_ns_of: dict[int, dict] = {}
+        for index in sorted(by_index):
             rec = by_index[index]
-            ctx = tracer.trace(f"req/{index}")
-            if isinstance(rec, tuple) and rec[0] == "rejected":
-                ctx.span(
-                    "request", "request", rec[2], rec[2],
-                    attrs={"index": index, "status": "rejected"},
-                )
+            if rec.__class__ is tuple:  # rejected / deadline
+                if rec[0] == "rejected":
+                    tracer.trace(f"req/{index}").commit((
+                        (
+                            "request", "request", rec[2], rec[2], None,
+                            {"index": index, "status": "rejected"},
+                        ),
+                    ))
+                    continue
+                _, _, arrival_ns, failed_ns, arrive = rec
+                arrive = arrive or ()
+                rows = [
+                    (
+                        "request", "request", arrival_ns, failed_ns, None,
+                        {"index": index, "status": "deadline"},
+                    ),
+                    ("queue", "queue", arrival_ns, failed_ns, 0, {}),
+                ]
+                for prov in arrive:
+                    rows.append(prov_row(prov))
+                spans = tracer.trace(f"req/{index}").commit(rows)
+                for prov, span in zip(arrive, spans[2:]):
+                    prov[-1] = span.span_id
                 continue
-            arrival_ns = rec[2] if isinstance(rec, tuple) else rec[R_ARRIVAL]
-            root = ctx.open(
-                "request", "request", arrival_ns, attrs={"index": index}
-            )
-            queue = ctx.open(
-                "queue", "queue", arrival_ns, parent=root.span_id
-            )
-            if isinstance(rec, tuple):  # deadline
-                _, _, _, failed_ns, arrive = rec
-                for prov in arrive or ():
-                    window = prov[1]
-                    ctx.span(
-                        "provision", "provision",
-                        window.start_ns, window.end_ns,
-                        parent=root.span_id,
-                        attrs=ServeEngine._prov_attrs(prov),
-                    )
-                queue.close(failed_ns)
-                root.close(failed_ns, status="deadline")
-                continue
-            for prov in rec[R_PROV_ARRIVE] or ():
-                window = prov[1]
-                ctx.span(
-                    "provision", "provision",
-                    window.start_ns, window.end_ns,
-                    parent=root.span_id, attrs=ServeEngine._prov_attrs(prov),
-                )
+
+            arrival_ns = rec[R_ARRIVAL]
+            dispatch_ns = rec[R_DISPATCH]
+            done_ns = rec[R_DONE]
+            arrive = rec[R_PROV_ARRIVE] or ()
+            dispatch = rec[R_LEN:]
             inst = rec[R_INST]
             sample = rec[R_SAMPLE]
-            queue.close(rec[R_DISPATCH])
             attrs = {
                 "instance": inst.instance_id,
                 "cold": inst.ready_ns > arrival_ns,
@@ -484,32 +469,40 @@ class ServeEngine:
                 "degraded": inst.degraded,
             }
             if rec[R_PROV] is not None:
-                attrs["provision_span"] = rec[R_PROV][-1]
+                links.append((attrs, rec[R_PROV]))
             if sample.source:
                 attrs["source"] = sample.source
             if sample.stage_ns:
-                attrs["stage_ns"] = dict(sample.stage_ns)
-            execute = ctx.open(
-                "execute", "execute", rec[R_DISPATCH],
-                parent=root.span_id, attrs=attrs,
-            )
-            for prov in rec[R_LEN:]:
-                window = prov[1]
-                ctx.span(
-                    "provision", "provision",
-                    window.start_ns, window.end_ns,
-                    parent=root.span_id, attrs=ServeEngine._prov_attrs(prov),
-                )
-            execute.close(rec[R_DONE])
-            ctx.span(
-                "respond", "respond", rec[R_DONE], rec[R_DONE],
-                parent=root.span_id,
-            )
-            root.close(
-                rec[R_DONE],
-                status="served",
-                latency_ns=rec[R_DONE] - arrival_ns,
-            )
+                stage_ns = stage_ns_of.get(id(sample))
+                if stage_ns is None:
+                    stage_ns = stage_ns_of[id(sample)] = dict(sample.stage_ns)
+                attrs["stage_ns"] = stage_ns
+            rows = [
+                (
+                    "request", "request", arrival_ns, done_ns, None,
+                    {
+                        "index": index,
+                        "status": "served",
+                        "latency_ns": done_ns - arrival_ns,
+                    },
+                ),
+                ("queue", "queue", arrival_ns, dispatch_ns, 0, {}),
+            ]
+            for prov in arrive:
+                rows.append(prov_row(prov))
+            rows.append(("execute", "execute", dispatch_ns, done_ns, 0, attrs))
+            for prov in dispatch:
+                rows.append(prov_row(prov))
+            rows.append(("respond", "respond", done_ns, done_ns, 0, {}))
+            spans = tracer.trace(f"req/{index}", rec[R_TRACE]).commit(rows)
+            if arrive or dispatch:
+                for prov, span in zip(arrive, spans[2:]):
+                    prov[-1] = span.span_id
+                for prov, span in zip(dispatch, spans[3 + len(arrive):]):
+                    prov[-1] = span.span_id
+
+        for attrs, prov in links:
+            attrs["provision_span"] = prov[-1]
 
     # -- the run ---------------------------------------------------------------
 
@@ -518,7 +511,7 @@ class ServeEngine:
         cfg = self.config
         self._pool = WarmPool(policy=cfg.policy)
         self._provisioners = FleetWallClock(cfg.provisioners)
-        self._events: list[tuple[int, int, int, int]] = []
+        self._events: list[tuple[int, EventKind, int, int]] = []
         self._seq = 0
         self._queue: deque[int] = deque()
         self._resolved: set[int] = set()
@@ -532,6 +525,8 @@ class ServeEngine:
         self._breaker_tripped = False
         self._idle_at = 0
         self._idle_armed = False
+        #: lifecycle events go to the event log (see ``track``)
+        self._lifecycle = self.telemetry is not None and self.track is not None
         #: served-request records, in dispatch order (see R_* layout)
         self._records: list[list] = []
         #: rejected/deadline records, in resolution order
@@ -572,11 +567,12 @@ class ServeEngine:
                 if self._consecutive_failures >= cfg.max_provision_failures:
                     self._breaker_tripped = True
                     self._emit.count(0, "serve_breaker_trips")
-                    self._span(
-                        "breaker",
-                        start_ns=0,
-                        detail=f"failures={self._consecutive_failures}",
-                    )
+                    if self._lifecycle:
+                        self._span(
+                            "breaker",
+                            start_ns=0,
+                            detail=f"failures={self._consecutive_failures}",
+                        )
             else:
                 self._consecutive_failures = 0
                 self._instance_sample[instance_id] = sample
@@ -592,9 +588,10 @@ class ServeEngine:
                     degraded=sample.degraded,
                 )
                 self._emit.count(0, "serve_prewarmed")
-                self._span(
-                    "prewarm", start_ns=0, detail=f"instance={instance_id}"
-                )
+                if self._lifecycle:
+                    self._span(
+                        "prewarm", start_ns=0, detail=f"instance={instance_id}"
+                    )
                 self._audit_record(instance_id, sample, 0)
 
         for idx, when in enumerate(arrivals):
@@ -602,7 +599,6 @@ class ServeEngine:
 
         while self._events:
             now_ns, kind, _seq, payload = heapq.heappop(self._events)
-            kind = EventKind(kind)
             if self.recorder is not None and (
                 kind is not EventKind.DEADLINE or payload not in self._resolved
             ):
@@ -651,11 +647,12 @@ class ServeEngine:
                     if self._consecutive_failures >= cfg.max_provision_failures:
                         self._breaker_tripped = True
                         self._emit.count(now_ns, "serve_breaker_trips")
-                        self._span(
-                            "breaker",
-                            start_ns=now_ns,
-                            detail=f"failures={self._consecutive_failures}",
-                        )
+                        if self._lifecycle:
+                            self._span(
+                                "breaker",
+                                start_ns=now_ns,
+                                detail=f"failures={self._consecutive_failures}",
+                            )
                     else:
                         self._provision(now_ns)
                     continue
@@ -695,14 +692,24 @@ class ServeEngine:
                     cold=str(cold).lower(),
                 )
                 self._observe_latency(now_ns - arrival)
-                self._span(
-                    "lease",
-                    start_ns=lease_ns,
-                    duration_ns=now_ns - lease_ns,
-                    detail=f"req={req} cold={str(cold).lower()}",
-                )
+                if self._lifecycle:
+                    self._span(
+                        "lease",
+                        start_ns=lease_ns,
+                        duration_ns=now_ns - lease_ns,
+                        detail=f"req={req} cold={str(cold).lower()}",
+                    )
+                exemplar = None
                 if rec is not None:
                     rec[R_DONE] = now_ns
+                    if self.recorder is not None:
+                        # ids are pure functions of (seed, key): one
+                        # sha256 stamps the exemplar without
+                        # materializing the trace, and the builder
+                        # reuses it
+                        exemplar = rec[R_TRACE] = self.tracer.trace_id_for(
+                            f"req/{req}"
+                        )
                 self._emit.count(now_ns, "serve_served")
                 if cold:
                     self._emit.count(now_ns, "serve_cold_starts")
@@ -710,13 +717,7 @@ class ServeEngine:
                     now_ns,
                     "serve_latency_ms",
                     (now_ns - arrival) / 1e6,
-                    # ids are pure functions of (seed, key): one sha256
-                    # stamps the exemplar without materializing the trace
-                    exemplar=(
-                        self.tracer.trace_id_for(f"req/{req}")
-                        if rec is not None and self.recorder is not None
-                        else None
-                    ),
+                    exemplar=exemplar,
                 )
                 self._audit_touch(payload, now_ns)
                 self._provision(now_ns)
@@ -752,11 +753,12 @@ class ServeEngine:
                     retired = self._pool.scale_to_floor(now_ns)
                     self._emit.count(now_ns, "serve_evicted", len(retired))
                     for inst in retired:
-                        self._span(
-                            "evict",
-                            start_ns=now_ns,
-                            detail=f"instance={inst.instance_id}",
-                        )
+                        if self._lifecycle:
+                            self._span(
+                                "evict",
+                                start_ns=now_ns,
+                                detail=f"instance={inst.instance_id}",
+                            )
                         if self._pool_ctx is not None:
                             self._pool_records.append(
                                 ("evict", inst.instance_id, now_ns)

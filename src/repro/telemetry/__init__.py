@@ -72,7 +72,6 @@ from repro.telemetry.timeseries import (
     WindowedEmitter,
 )
 from repro.telemetry.tracing import (
-    OpenSpan,
     RequestTracer,
     Span,
     TraceContext,
@@ -276,7 +275,6 @@ __all__ = [
     "MetricPoint",
     "MetricsRegistry",
     "NS_PER_MS",
-    "OpenSpan",
     "RequestTracer",
     "ScopedRegistry",
     "Segment",

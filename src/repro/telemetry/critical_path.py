@@ -51,7 +51,7 @@ SEG_QUEUED = "queued"
 SEG_EXECUTE = "execute"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One blocking-chain segment: a kind and its exact charge."""
 
@@ -59,7 +59,7 @@ class Segment:
     ns: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalPath:
     """One served request's blocking chain, conservation-checked."""
 
@@ -71,14 +71,21 @@ class CriticalPath:
     segments: tuple[Segment, ...]
 
     def check(self) -> "CriticalPath":
-        """Conservation: segment ns must sum *exactly* to the latency."""
-        total = sum(seg.ns for seg in self.segments)
+        """Conservation: segment ns must sum *exactly* to the latency,
+        and no segment may be negative (one pass over the segments)."""
+        total = 0
+        negative = False
+        for seg in self.segments:
+            ns = seg.ns
+            total += ns
+            if ns < 0:
+                negative = True
         if total != self.latency_ns:
             raise MonitorError(
                 f"critical path of {self.trace_id} does not conserve: "
                 f"segments sum to {total} ns != latency {self.latency_ns} ns"
             )
-        if any(seg.ns < 0 for seg in self.segments):
+        if negative:
             raise MonitorError(
                 f"critical path of {self.trace_id} has a negative segment"
             )
@@ -105,14 +112,20 @@ def critical_path(spans: Iterable[Span]) -> CriticalPath | None:
     a ``queue`` child, and (for served requests) an ``execute`` child
     carrying ``ready_ns`` and the sample's ``stage_ns`` breakdown.
     Rejected and deadline-failed requests have no end-to-end latency to
-    attribute and return ``None``.
+    attribute and return ``None``.  One scan finds the first span of
+    each of the two kinds.
     """
-    spans = list(spans)
-    root = next((s for s in spans if s.kind == "request"), None)
-    if root is None or root.attrs.get("status") != "served":
+    root = execute = None
+    for span in spans:
+        kind = span.kind
+        if kind == "request":
+            if root is None:
+                root = span
+        elif kind == "execute" and execute is None:
+            execute = span
+    if root is None or execute is None:
         return None
-    execute = next((s for s in spans if s.kind == "execute"), None)
-    if execute is None:
+    if root.attrs.get("status") != "served":
         return None
 
     arrival = root.start_ns

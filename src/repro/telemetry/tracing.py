@@ -33,20 +33,23 @@ span list, so traces may be built from several threads.  Span *ids*
 never depend on cross-trace interleaving because each trace numbers its
 own spans.
 
-Cost model: the direct API (``trace()`` / ``open()`` / ``span()``) is
-meant for layers that are expensive anyway — backend production
-sampling.  Hot loops (the serve engine processes hundreds of
-thousands of events per wall second) instead record compact per-request
-records and register a *deferred builder* via :meth:`RequestTracer.defer`;
-the builder replays those records through the direct API on the first
-read (``get``/``traces``/``trace``/...), so the simulation pays a few
-appends per request and the span trees materialize off the hot path.
-Because ids are pure functions of ``(seed, key, seq)``, eager and
-deferred construction produce byte-identical JSON — the golden test
-would catch any drift.  Draining is cooperative: the first reader runs
-the pending builders; readers racing a drain on another thread may see
-a partially built store (the repo's phases are sequential, so this does
-not arise in practice).
+Cost model: a finished tree enters its trace in one bulk
+:meth:`TraceContext.commit` — rows in creation order, each parent given
+as a row offset — which derives every span id once and takes the store
+lock once per trace; :meth:`TraceContext.span` is the one-row form.
+Backend production sampling commits each sample's stage timeline that
+way.  Hot loops (the serve engine processes hundreds of thousands of
+events per wall second) instead record compact per-request records and
+register a *deferred builder* via :meth:`RequestTracer.defer`; the
+builder turns those records into one commit per trace on the first read
+(``get``/``traces``/``trace``/...), so the simulation pays a few appends
+per request and the span trees materialize off the hot path.  Because
+ids are pure functions of ``(seed, key, seq)``, the deferred trees are
+byte-identical to ones built while the run went on — the golden test and
+the builder's differential test would catch any drift.  Draining is
+cooperative: the first reader runs the pending builders; readers racing
+a drain on another thread may see a partially built store (the repo's
+phases are sequential, so this does not arise in practice).
 """
 
 from __future__ import annotations
@@ -54,10 +57,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
-    "OpenSpan",
     "RequestTracer",
     "Span",
     "TraceContext",
@@ -78,24 +80,19 @@ def derive_trace_id(seed: int, key: str) -> str:
 
 
 def derive_span_id(trace_id: str, index: int) -> str:
-    """The deterministic span id for creation index ``index``.
-
-    Public because deferred builders (see :meth:`RequestTracer.defer`)
-    pre-compute child span ids arithmetically before any span object
-    exists — e.g. the serve engine resolves which provision span an
-    execute span links to without materializing either.
-    """
+    """The deterministic span id for creation index ``index``."""
     return hashlib.sha256(f"{trace_id}:{index}".encode()).hexdigest()[
         :_SPAN_ID_HEX
     ]
 
 
-_span_id = derive_span_id
+class Span(NamedTuple):
+    """One completed node of a trace's causal tree.
 
-
-@dataclass(frozen=True)
-class Span:
-    """One completed node of a trace's causal tree."""
+    A slotted, frozen record.  :meth:`TraceContext.commit` is the only
+    place the library mints spans, and it rejects a window that ends
+    before it starts.
+    """
 
     trace_id: str
     span_id: str
@@ -110,20 +107,14 @@ class Span:
     start_ns: int
     end_ns: int
     #: JSON-serializable annotations (instance ids, stage breakdowns, ...)
-    attrs: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.end_ns < self.start_ns:
-            raise ValueError(
-                f"span {self.name!r} ends before it starts: "
-                f"{self.end_ns} < {self.start_ns}"
-            )
+    attrs: dict
 
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
 
     def to_json(self) -> dict:
+        attrs = self.attrs
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -132,103 +123,59 @@ class Span:
             "kind": self.kind,
             "start_ns": self.start_ns,
             "end_ns": self.end_ns,
-            "attrs": {k: self.attrs[k] for k in sorted(self.attrs)},
+            "attrs": {k: attrs[k] for k in sorted(attrs)},
         }
 
 
-class OpenSpan:
-    """An in-flight span; :meth:`close` freezes it onto the trace."""
-
-    __slots__ = ("_ctx", "span_id", "parent_id", "seq", "name", "kind",
-                 "start_ns", "_attrs", "_closed")
-
-    def __init__(
-        self,
-        ctx: "TraceContext",
-        *,
-        span_id: str,
-        parent_id: str | None,
-        seq: int,
-        name: str,
-        kind: str,
-        start_ns: int,
-        attrs: dict | None,
-    ) -> None:
-        self._ctx = ctx
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.seq = seq
-        self.name = name
-        self.kind = kind
-        self.start_ns = start_ns
-        self._attrs = dict(attrs or {})
-        self._closed = False
-
-    def close(self, end_ns: int, **attrs) -> Span:
-        """Complete the span at ``end_ns``; extra attrs merge in."""
-        if self._closed:
-            raise ValueError(f"span {self.name!r} closed twice")
-        self._closed = True
-        merged = dict(self._attrs)
-        merged.update(attrs)
-        span = Span(
-            trace_id=self._ctx.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            seq=self.seq,
-            name=self.name,
-            kind=self.kind,
-            start_ns=self.start_ns,
-            end_ns=int(end_ns),
-            attrs=merged,
-        )
-        self._ctx._commit(span)
-        return span
+#: builds a :class:`Span` from its field tuple without the keyword-aware
+#: constructor (commit mints tens of thousands per serve call)
+_record = tuple.__new__
 
 
 class TraceContext:
     """One causal span tree; span ids derive from (trace id, order)."""
 
-    __slots__ = ("key", "trace_id", "_lock", "_spans", "_next")
+    __slots__ = ("key", "trace_id", "_lock", "_spans")
 
     def __init__(self, key: str, trace_id: str, lock: threading.Lock) -> None:
         self.key = key
         self.trace_id = trace_id
         self._lock = lock
-        self._spans: list[Span] = []
-        self._next = 0
+        #: committed spans in seq order; replaced (never mutated) per
+        #: commit, so readers take it without the lock
+        self._spans: tuple[Span, ...] = ()
 
-    def _allocate(self) -> tuple[str, int]:
+    def commit(self, rows) -> tuple[Span, ...]:
+        """Append a finished tree (or subtree) in one step.
+
+        ``rows`` are ``(name, kind, start_ns, end_ns, parent, attrs)``
+        in creation order, windows in integer ns.  ``parent`` is the
+        offset of the parent's row in ``rows``, ``None`` for a root, or
+        the id of an already committed span.  ``attrs`` (a dict or
+        ``None``) becomes the span's own annotation dict.  All rows
+        commit or (on an invalid window) none do; returns the new spans.
+        """
+        trace_id = self.trace_id
+        spans: list[Span] = []
         with self._lock:
-            seq = self._next
-            self._next += 1
-        return _span_id(self.trace_id, seq), seq
-
-    def _commit(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-
-    def open(
-        self,
-        name: str,
-        kind: str,
-        start_ns: int,
-        *,
-        parent: str | None = None,
-        attrs: dict | None = None,
-    ) -> OpenSpan:
-        """Start a span whose end is not yet known."""
-        span_id, seq = self._allocate()
-        return OpenSpan(
-            self,
-            span_id=span_id,
-            parent_id=parent,
-            seq=seq,
-            name=name,
-            kind=kind,
-            start_ns=int(start_ns),
-            attrs=attrs,
-        )
+            seq = len(self._spans)
+            for name, kind, start_ns, end_ns, parent, attrs in rows:
+                if end_ns < start_ns:
+                    raise ValueError(
+                        f"span {name!r} ends before it starts: "
+                        f"{end_ns} < {start_ns}"
+                    )
+                if parent.__class__ is int:
+                    parent = spans[parent].span_id
+                spans.append(_record(Span, (
+                    trace_id, derive_span_id(trace_id, seq), parent, seq,
+                    name, kind, start_ns, end_ns,
+                    {} if attrs is None else attrs,
+                )))
+                seq += 1
+            new = tuple(spans)
+            self._spans += new
+        return new
 
     def span(
         self,
@@ -240,19 +187,17 @@ class TraceContext:
         parent: str | None = None,
         attrs: dict | None = None,
     ) -> Span:
-        """Record an already-completed span (window fully known)."""
-        return self.open(
-            name, kind, start_ns, parent=parent, attrs=attrs
-        ).close(end_ns)
+        """Record one completed span (window fully known)."""
+        row = (name, kind, int(start_ns), int(end_ns), parent, dict(attrs or {}))
+        return self.commit((row,))[0]
 
     def spans(self) -> tuple[Span, ...]:
         """Committed spans in canonical (creation ``seq``) order."""
-        with self._lock:
-            return tuple(sorted(self._spans, key=lambda s: s.seq))
+        return self._spans
 
     def root(self) -> Span | None:
         """The first committed parentless span, if any."""
-        for span in self.spans():
+        for span in self._spans:
             if span.parent_id is None:
                 return span
         return None
@@ -260,7 +205,7 @@ class TraceContext:
     def to_json(self) -> dict:
         return {
             "key": self.key,
-            "spans": [span.to_json() for span in self.spans()],
+            "spans": [span.to_json() for span in self._spans],
         }
 
 
@@ -308,17 +253,19 @@ class RequestTracer:
         """The id ``trace(key)`` would mint, without creating the trace.
 
         Hot paths use this to stamp exemplars (one sha256, no store
-        traffic) while the trace itself stays deferred.
+        traffic) while the trace itself stays deferred; the deferred
+        builder hands the id back to :meth:`trace` instead of hashing
+        again.
         """
         return derive_trace_id(self.seed, self._full_key(key))
 
     def defer(self, builder) -> None:
         """Queue ``builder()`` to run before the next store read.
 
-        Builders replay compactly-recorded work through the direct API;
-        they run in registration order, so trace creation order (and
-        with it Chrome-trace track assignment) matches what eager
-        construction would have produced.
+        Builders turn compactly-recorded work into one bulk commit per
+        trace; they run in registration order, so trace creation order
+        (and with it Chrome-trace track assignment) follows the order
+        the runs happened in.
         """
         with self._store.lock:
             self._store.pending.append(builder)
@@ -339,15 +286,20 @@ class RequestTracer:
                 with store.lock:
                     store.draining = False
 
-    def trace(self, key: str) -> TraceContext:
-        """The trace for ``key`` (created on first use, then shared)."""
+    def trace(self, key: str, trace_id: str | None = None) -> TraceContext:
+        """The trace for ``key`` (created on first use, then shared).
+
+        ``trace_id`` is the id :meth:`trace_id_for` already returned for
+        ``key``; passing it back spares the hash.
+        """
         self._drain()
         full = self._full_key(key)
         store = self._store
         with store.lock:
             ctx = store.by_key.get(full)
             if ctx is None:
-                trace_id = derive_trace_id(self.seed, full)
+                if trace_id is None:
+                    trace_id = derive_trace_id(self.seed, full)
                 ctx = TraceContext(full, trace_id, store.lock)
                 store.by_key[full] = ctx
                 store.by_id[trace_id] = ctx

@@ -15,6 +15,12 @@ holds the evict-as-it-closes recorder to it.
 computed it on every record: the plug-in estimate over a stream that
 repeats each digest once per boot.  ``test_audit`` holds the histogram
 form to it after every record.
+
+:func:`build_serve_traces` is the serve engine's trace builder as it once
+replayed a run's compact records: span by span through open/close
+spans, with every provision span id derived ahead of time.
+``test_tracing`` holds the one-commit-per-trace builder to it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -34,7 +40,19 @@ from repro.kernel.manifest import (
 )
 from repro.kernel.verify import VerificationReport, _verify_extable, _verify_kallsyms
 from repro.security.entropy import empirical_entropy_bits
+from repro.serve.engine import (
+    R_ARRIVAL,
+    R_DISPATCH,
+    R_DONE,
+    R_INDEX,
+    R_INST,
+    R_LEN,
+    R_PROV,
+    R_PROV_ARRIVE,
+    R_SAMPLE,
+)
 from repro.telemetry.timeseries import TimeSeriesRecorder, _Accum
+from repro.telemetry.tracing import derive_span_id
 
 _KERNEL_WINDOW = 2 * kl.GIB
 _HIGH_BITS = kl.START_KERNEL_MAP & ~0xFFFF_FFFF
@@ -251,3 +269,177 @@ class ReferenceRecorder(TimeSeriesRecorder):
 def audit_entropy_bits(counts: dict[str, int]) -> float:
     """Entropy of ``digest -> boots``, one sample per boot: O(boots)."""
     return empirical_entropy_bits(d for d, n in counts.items() for _ in range(n))
+
+
+# -- serve trace builder ----------------------------------------------------------
+
+
+class _Tree:
+    """Open/close spans over one trace: a seq per span at open time, the
+    finished rows committed in seq order by :meth:`commit`."""
+
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.rows: list = []
+
+    def open(self, name, kind, start_ns, *, parent=None, attrs=None):
+        span = _OpenSpan(self, len(self.rows), name, kind, start_ns, parent, attrs)
+        self.rows.append(None)
+        return span
+
+    def span(self, name, kind, start_ns, end_ns, *, parent=None, attrs=None):
+        return self.open(name, kind, start_ns, parent=parent, attrs=attrs).close(
+            end_ns
+        )
+
+    def commit(self) -> None:
+        assert None not in self.rows, "a span was never closed"
+        self.ctx.commit(self.rows)
+
+
+class _OpenSpan:
+    def __init__(self, tree, seq, name, kind, start_ns, parent, attrs) -> None:
+        self.tree = tree
+        self.seq = seq
+        self.span_id = derive_span_id(tree.ctx.trace_id, seq)
+        self.head = (name, kind, start_ns)
+        self.parent = parent
+        self.attrs = dict(attrs or {})
+
+    def close(self, end_ns, **attrs):
+        if self.tree.rows[self.seq] is not None:
+            raise ValueError(f"span {self.head[0]!r} closed twice")
+        merged = dict(self.attrs)
+        merged.update(attrs)
+        self.tree.rows[self.seq] = (*self.head, end_ns, self.parent, merged)
+        return self
+
+
+def _prov_attrs(prov: list) -> dict:
+    instance_id, window, sample, _ = prov
+    attrs = {
+        "instance": instance_id,
+        "worker": window.worker,
+        "failed": sample.failed,
+    }
+    if sample.source:
+        attrs["source"] = sample.source
+    return attrs
+
+
+def build_serve_traces(tracer, pool_ctx, pool_records, records, failed_recs) -> None:
+    """Replay one engine run's compact records (same arguments as
+    ``ServeEngine._build_traces``) span by span."""
+    # Pass 1: provision/prewarm span ids, computed arithmetically from
+    # each record's future seq so an execute span can link to the
+    # provision that built its instance even when that provision lives
+    # in a trace built later.
+    for seq, entry in enumerate(pool_records):
+        if entry[0] != "evict":
+            entry[1][-1] = derive_span_id(pool_ctx.trace_id, seq)
+    by_index = {rec[R_INDEX]: rec for rec in records}
+    for failed in failed_recs:
+        by_index[failed[1]] = failed
+    order = sorted(by_index)
+    for index in order:
+        rec = by_index[index]
+        if isinstance(rec, tuple):  # rejected / deadline
+            arrive = rec[4] if rec[0] == "deadline" else None
+            dispatch = ()
+        else:
+            arrive = rec[R_PROV_ARRIVE]
+            dispatch = rec[R_LEN:]
+        if not arrive and not dispatch:
+            continue
+        trace_id = tracer.trace_id_for(f"req/{index}")
+        seq = 2  # after the root (0) and queue (1) spans
+        for prov in arrive or ():
+            prov[-1] = derive_span_id(trace_id, seq)
+            seq += 1
+        if dispatch:
+            seq += 1  # the execute span sits between the phases
+            for prov in dispatch:
+                prov[-1] = derive_span_id(trace_id, seq)
+                seq += 1
+
+    # Pass 2: the pool trace, spans in event order.
+    pool = _Tree(pool_ctx)
+    for entry in pool_records:
+        kind = entry[0]
+        if kind == "prewarm":
+            instance_id, sample, _ = entry[1]
+            attrs = {"instance": instance_id}
+            if sample.source:
+                attrs["source"] = sample.source
+            pool.span("prewarm", "prewarm", 0, 0, attrs=attrs)
+        elif kind == "provision":
+            window = entry[1][1]
+            pool.span(
+                "provision", "provision", window.start_ns, window.end_ns,
+                attrs=_prov_attrs(entry[1]),
+            )
+        else:
+            pool.span("evict", "evict", entry[2], entry[2], attrs={"instance": entry[1]})
+    pool.commit()
+
+    # Pass 3: request traces in arrival (= index) order, spans in the
+    # order the run created them.
+    for index in order:
+        rec = by_index[index]
+        ctx = _Tree(tracer.trace(f"req/{index}"))
+        if isinstance(rec, tuple) and rec[0] == "rejected":
+            ctx.span(
+                "request", "request", rec[2], rec[2],
+                attrs={"index": index, "status": "rejected"},
+            )
+            ctx.commit()
+            continue
+        arrival_ns = rec[2] if isinstance(rec, tuple) else rec[R_ARRIVAL]
+        root = ctx.open("request", "request", arrival_ns, attrs={"index": index})
+        queue = ctx.open("queue", "queue", arrival_ns, parent=root.span_id)
+        if isinstance(rec, tuple):  # deadline
+            _, _, _, failed_ns, arrive = rec
+            for prov in arrive or ():
+                window = prov[1]
+                ctx.span(
+                    "provision", "provision", window.start_ns, window.end_ns,
+                    parent=root.span_id, attrs=_prov_attrs(prov),
+                )
+            queue.close(failed_ns)
+            root.close(failed_ns, status="deadline")
+            ctx.commit()
+            continue
+        for prov in rec[R_PROV_ARRIVE] or ():
+            window = prov[1]
+            ctx.span(
+                "provision", "provision", window.start_ns, window.end_ns,
+                parent=root.span_id, attrs=_prov_attrs(prov),
+            )
+        inst = rec[R_INST]
+        sample = rec[R_SAMPLE]
+        queue.close(rec[R_DISPATCH])
+        attrs = {
+            "instance": inst.instance_id,
+            "cold": inst.ready_ns > arrival_ns,
+            "ready_ns": inst.ready_ns,
+            "degraded": inst.degraded,
+        }
+        if rec[R_PROV] is not None:
+            attrs["provision_span"] = rec[R_PROV][-1]
+        if sample.source:
+            attrs["source"] = sample.source
+        if sample.stage_ns:
+            attrs["stage_ns"] = dict(sample.stage_ns)
+        execute = ctx.open(
+            "execute", "execute", rec[R_DISPATCH], parent=root.span_id, attrs=attrs
+        )
+        for prov in rec[R_LEN:]:
+            window = prov[1]
+            ctx.span(
+                "provision", "provision", window.start_ns, window.end_ns,
+                parent=root.span_id, attrs=_prov_attrs(prov),
+            )
+        execute.close(rec[R_DONE])
+        ctx.span("respond", "respond", rec[R_DONE], rec[R_DONE], parent=root.span_id)
+        root.close(rec[R_DONE], status="served", latency_ns=rec[R_DONE] - arrival_ns)
+        ctx.commit()

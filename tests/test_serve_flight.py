@@ -11,11 +11,20 @@ that feed them:
   disabled-path contract);
 * ``Telemetry.scoped`` isolates counters between strategies sharing one
   registry, while the event log stays shared;
-* the fleet manager audits every boot.
+* the fleet manager audits every boot;
+* ``repro serve`` records lifecycle events exactly when it exports the
+  event log (``--events-out`` or ``--trace-export``), and every track an
+  exporter reads is still there.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from collections import Counter
+
+from repro.cli import main as cli_main
 from repro.core import RandomizeMode
 from repro.monitor import Firecracker, FleetManager, VmConfig
 from repro.host import HostStorage
@@ -298,3 +307,67 @@ def test_fleet_launch_feeds_auditor(tiny_fgkaslr):
     doc = auditor.to_json_dict()["strategies"]["fgkaslr"]
     assert doc["boots"] == len(report.boots) == 8
     assert doc["distinct_layouts"] == report.unique_layouts
+
+
+# -- the event log through the CLI ---------------------------------------------
+
+#: serve lifecycle events per ``serve:<cell>`` track of :func:`_serve_cli`'s
+#: flight, pinned from the engine that recorded them on every audited run
+SERVE_TRACK_EVENTS = {
+    "serve:cold-boot@60": 224,
+    "serve:restore-rebase@60": 220,
+    "serve:restore@60": 220,
+}
+#: request-trace tracks of the same flight with ``--trace-requests``: 327
+#: requests, 3 pool traces and 2 production samples per strategy
+REQUEST_TRACKS = 336
+REQUEST_TRACK_SPANS = 1673
+
+
+def _serve_cli(tmp_path, *extra: str) -> str:
+    """One audited tiny-kernel serve of every strategy at one rate."""
+    argv = [
+        "serve", "--kernel", "tiny", "--scale", "1", "--jitter", "0",
+        "--strategy", "all", "--rate", "60", "--duration", "2",
+        "--samples", "2", "--seed", "5", "--json",
+        "--audit", "--audit-out", str(tmp_path / "audit.json"), *extra,
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    return (tmp_path / "audit.json").read_text()
+
+
+def test_events_out_writes_one_serve_track_per_cell(tmp_path):
+    events_path = tmp_path / "events.jsonl"
+    audit = _serve_cli(tmp_path, "--events-out", str(events_path))
+    events = [json.loads(line) for line in events_path.read_text().splitlines()]
+    tracks = Counter(e["boot_id"] for e in events if e["kind"] == "serve")
+    assert tracks == SERVE_TRACK_EVENTS
+    # the track also keys the auditor's records: recording lifecycle
+    # events must not move a byte of the audit
+    assert _serve_cli(tmp_path) == audit
+
+
+def test_chrome_export_carries_serve_and_request_tracks(tmp_path):
+    trace_path = tmp_path / "trace.json"
+    _serve_cli(
+        tmp_path, "--trace-requests",
+        "--trace-export", "chrome", "--trace-out", str(trace_path),
+    )
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    names = {
+        e["tid"]: e["args"]["name"]
+        for e in events
+        if e["ph"] == "M" and e["name"] == "thread_name"
+    }
+    per_tid = Counter(e["tid"] for e in events if e["ph"] != "M")
+    serve = {
+        names[tid]: n
+        for tid, n in per_tid.items()
+        if SERVE_TID_BASE <= tid < REQUEST_TID_BASE
+    }
+    assert serve == SERVE_TRACK_EVENTS
+    requests = [tid for tid in names if tid >= REQUEST_TID_BASE]
+    assert all(names[tid].startswith("trace ") for tid in requests)
+    assert len(requests) == REQUEST_TRACKS
+    assert sum(per_tid[tid] for tid in requests) == REQUEST_TRACK_SPANS

@@ -171,6 +171,19 @@ def test_slow_provisioning_misses_deadlines():
 # -- typed transition errors ---------------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["startup_ns", "invoke_ns"])
+def test_sample_rejects_negative_durations(field):
+    # a negative invocation once replayed as requests served before they
+    # arrived (20 of 22 latencies negative at 20 req/s for 1 s), and
+    # ServeResult.check() passed it
+    with pytest.raises(MonitorError, match="non-negative"):
+        ProductionSample(
+            **{"startup_ns": 2_000_000, "invoke_ns": 1_000_000, field: -1_000_000},
+            layout_offset=0,
+        )
+    assert ProductionSample(startup_ns=0, invoke_ns=0, layout_offset=0)
+
+
 def test_registry_rejects_double_lease():
     reg = LeaseRegistry()
     reg.register(1)
