@@ -15,8 +15,10 @@ stage boundaries: before each stage runs, the pipeline asks the installed
 plan whether any spec fires for ``(stage name, boot)``.  Fatal kinds
 raise a typed :class:`~repro.errors.InjectedFault` (which the monitor
 wraps into a :class:`~repro.errors.BootFailure`); the one non-fatal kind,
-``cache-drop``, silently removes the boot's artifact-cache entry so the
-stage must re-parse — resilience, not failure.
+``cache-drop``, forces a cache miss on the boot it fires on, so that
+boot's caching stage re-parses — resilience, not failure.  It marks only
+its own boot's context and never touches the shared cache, so no other
+boot's lookup changes and concurrent fleets stay deterministic.
 
 The plan writes no telemetry: each fired ``(stage, kind)`` lands on the
 boot's timeline, from which :func:`~repro.monitor.vmm.record_boot`
@@ -43,8 +45,9 @@ FAULT_KINDS: dict[str, str] = {
     "corrupt-elf": "the stage reads corrupted ELF bytes and aborts (fatal)",
     "reloc-fail": "a relocation cannot be applied to the chosen layout (fatal)",
     "entropy-exhausted": "the host entropy pool refuses the draw (fatal)",
-    "cache-drop": "the boot-artifact cache entry vanishes before the stage "
-                  "runs, forcing a re-parse (non-fatal)",
+    "cache-drop": "this boot's artifact-cache lookup misses at "
+                  "prepare_image, forcing a re-parse; other boots still "
+                  "hit (non-fatal)",
     "stage-timeout": "the stage exceeds its watchdog deadline and the boot "
                      "is killed (fatal)",
 }
@@ -77,6 +80,16 @@ class FaultSpec:
             )
         if not self.stage:
             raise FaultPlanError("fault spec needs a stage name")
+        if self.kind == "cache-drop":
+            # lazy: the pipeline's stages import modules that import this one
+            from repro.pipeline.stages import ArtifactCacheStage
+
+            if self.stage != ArtifactCacheStage.name:
+                raise FaultPlanError(
+                    f"cache-drop fires only at {ArtifactCacheStage.name}, the "
+                    f"stage that consults the artifact cache, got stage "
+                    f"{self.stage!r}"
+                )
         if not 0.0 <= self.rate <= 1.0:
             raise FaultPlanError(
                 f"fault rate must be in [0, 1], got {self.rate}"
@@ -175,16 +188,17 @@ class FaultPlan:
         """Fire matching specs at one stage boundary.
 
         Called by :meth:`BootPipeline._run_stages` before the stage body.
-        Non-fatal kinds mutate shared state (cache-drop); fatal kinds
-        raise :class:`InjectedFault`, which the pipeline attributes and
-        the monitor wraps into a :class:`BootFailure`.
+        The non-fatal kind (cache-drop) marks this boot's context for a
+        forced cache miss; fatal kinds raise :class:`InjectedFault`,
+        which the pipeline attributes and the monitor wraps into a
+        :class:`BootFailure`.
         """
         for spec in self.matches(
             stage.name, boot_id=ctx.boot_id, boot_index=ctx.boot_index
         ):
             ctx.clock.timeline.faults.append((spec.stage, spec.kind))
             if spec.kind == "cache-drop":
-                self._drop_cache_entry(ctx)
+                ctx.cache_miss_forced = True
                 continue
             raise InjectedFault(
                 f"injected {spec.kind} at {stage.name} "
@@ -192,14 +206,6 @@ class FaultPlan:
                 stage=stage.name,
                 kind=spec.kind,
             )
-
-    def _drop_cache_entry(self, ctx: "StageContext") -> None:
-        """The non-fatal kind: this boot's parse entry vanishes."""
-        if ctx.artifact_cache is None or ctx.cfg is None:
-            return
-        from repro.monitor.artifact_cache import cache_key_for
-
-        ctx.artifact_cache.drop(cache_key_for(ctx.cfg))
 
     def describe(self) -> str:
         return "; ".join(spec.describe() for spec in self.specs)

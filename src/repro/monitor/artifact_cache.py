@@ -66,11 +66,7 @@ def policy_fingerprint(policy: RandomizationPolicy) -> str:
 
 
 def cache_key_for(cfg: "VmConfig") -> "CacheKey":
-    """The cache key a boot of ``cfg`` probes (one shared definition).
-
-    Used by the pipeline's :class:`ArtifactCacheStage` and by the fault
-    plan's ``cache-drop`` kind, so both address the same entry.
-    """
+    """The cache key a boot of ``cfg`` probes in :class:`ArtifactCacheStage`."""
     return CacheKey(
         image_digest=cfg.kernel.elf.digest,
         policy=f"{cfg.randomize}:{policy_fingerprint(cfg.policy)}",
@@ -342,19 +338,26 @@ class BootArtifactCache:
     # -- raw access ----------------------------------------------------------
 
     def lookup(
-        self, key: CacheKey, scope: CacheScope | None = None
+        self,
+        key: CacheKey,
+        scope: CacheScope | None = None,
+        *,
+        force_miss: bool = False,
     ) -> PreparedImage | None:
         """Probe memory then disk; counts a hit or miss, refreshes LRU order.
 
         A disk-tier hit promotes the entry into memory and counts as a
         hit (plus ``disk_hits``), never a miss — the parse was avoided.
+        ``force_miss`` (a ``cache-drop`` fault on the calling boot) skips
+        both tiers and counts a miss without touching any entry, so other
+        callers' lookups are unaffected.
         """
         disk_hit = False
         with self._lock:
-            prepared = self._entries.get(key)
+            prepared = None if force_miss else self._entries.get(key)
             if prepared is not None:
                 self._entries.move_to_end(key)
-            elif self.disk is not None:
+            elif self.disk is not None and not force_miss:
                 prepared = self.disk.load(key)
                 if prepared is not None:
                     disk_hit = True
@@ -414,19 +417,6 @@ class BootArtifactCache:
             self._parses += 1
         if scope is not None:
             scope.note(parses=1)
-
-    def drop(self, key: CacheKey) -> bool:
-        """Remove one entry (fault injection's ``cache-drop`` kind).
-
-        Not an eviction: the LRU bound did not force it, so only the
-        occupancy gauge moves.  Drops from memory only — the disk tier is
-        managed explicitly via the ``repro cache`` CLI.  Returns whether
-        the entry existed in memory.
-        """
-        with self._lock:
-            existed = self._entries.pop(key, None) is not None
-            self._record(entries=len(self._entries))
-        return existed
 
     def clear(self) -> None:
         with self._lock:

@@ -146,6 +146,9 @@ class StageContext:
     fault_plan: "FaultPlan | None" = None
     boot_index: int = 0
     attempt: int = 0
+    #: set by a fired ``cache-drop`` fault: this boot's caching stage
+    #: skips both cache tiers, counts a miss and re-parses
+    cache_miss_forced: bool = False
 
     # -- populated by stages ---------------------------------------------------
     memory: "GuestMemory | None" = None

@@ -128,8 +128,9 @@ class ArtifactCacheStage(Stage):
 
     When the monitor holds a :class:`BootArtifactCache`, a hit replaces the
     inner stage's full parse with a constant probe; a miss runs the inner
-    stage and inserts its product.  Without a cache the wrapper is
-    transparent.  The emitted span carries the hit/miss attribution.
+    stage and inserts its product.  A ``cache-drop`` fault on this boot
+    forces the miss.  Without a cache the wrapper is transparent.  The
+    emitted span carries the hit/miss attribution.
     """
 
     name = "prepare_image"
@@ -148,7 +149,9 @@ class ArtifactCacheStage(Stage):
         cfg = ctx.cfg
         key = cache_key_for(cfg)
         digest = key.image_digest
-        prepared = cache.lookup(key, scope=ctx.cache_scope)
+        prepared = cache.lookup(
+            key, scope=ctx.cache_scope, force_miss=ctx.cache_miss_forced
+        )
         if prepared is not None:
             ctx.prepared = prepared
             ctx.prepared_from_cache = True

@@ -21,6 +21,12 @@ replayed a run's compact records: span by span through open/close
 spans, with every provision span id derived ahead of time.
 ``test_tracing`` holds the one-commit-per-trace builder to it byte for
 byte.
+
+:func:`lz4_decompress` is the LZ4 block decoder as it once decoded every
+sequence: an unconditional literal slice, ``struct.unpack_from`` for the
+offset, ``len(out)`` for the output size and a byte-by-byte overlapping
+copy.  ``test_compress_lz4`` holds the one-pass decoder to it byte for
+byte and error for error.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from __future__ import annotations
 import bisect
 import struct
 
+from repro.compress.lz4c import MIN_MATCH
 from repro.elf.relocs import RelocType
-from repro.errors import GuestPanic, RandomizationError
+from repro.errors import CompressionError, GuestPanic, RandomizationError
 from repro.kernel import layout as kl
 from repro.kernel.build import BASE_SYMBOL_NAMES
 from repro.kernel.manifest import (
@@ -443,3 +450,58 @@ def build_serve_traces(tracer, pool_ctx, pool_records, records, failed_recs) -> 
         ctx.span("respond", "respond", rec[R_DONE], rec[R_DONE], parent=root.span_id)
         root.close(rec[R_DONE], status="served", latency_ns=rec[R_DONE] - arrival_ns)
         ctx.commit()
+
+
+# -- LZ4 block decoder ------------------------------------------------------------
+
+
+def lz4_decompress(data: bytes) -> bytes:
+    out = bytearray()
+    pos = 0
+    n = len(data)
+    if n == 0:
+        raise CompressionError("empty LZ4 block")
+    while pos < n:
+        token = data[pos]
+        pos += 1
+        lit_len = token >> 4
+        if lit_len == 15:
+            lit_len, pos = _lz4_read_length(data, pos, lit_len)
+        if pos + lit_len > n:
+            raise CompressionError("LZ4 literal run exceeds input")
+        out += data[pos : pos + lit_len]
+        pos += lit_len
+        if pos == n:
+            break  # last sequence: literals only
+        if pos + 2 > n:
+            raise CompressionError("LZ4 block truncated in match offset")
+        offset = struct.unpack_from("<H", data, pos)[0]
+        pos += 2
+        if offset == 0 or offset > len(out):
+            raise CompressionError(
+                f"LZ4 match offset {offset} invalid at output size {len(out)}"
+            )
+        match_len = token & 0xF
+        if match_len == 15:
+            match_len, pos = _lz4_read_length(data, pos, match_len)
+        match_len += MIN_MATCH
+        start = len(out) - offset
+        if offset >= match_len:
+            out += out[start : start + match_len]
+        else:
+            # Overlapping copy replicates the window byte by byte.
+            for i in range(match_len):
+                out.append(out[start + i])
+    return bytes(out)
+
+
+def _lz4_read_length(data: bytes, pos: int, base: int) -> tuple[int, int]:
+    length = base
+    while True:
+        if pos >= len(data):
+            raise CompressionError("LZ4 length extension truncated")
+        byte = data[pos]
+        pos += 1
+        length += byte
+        if byte != 255:
+            return length, pos

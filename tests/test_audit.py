@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import time
+from statistics import median
 
 import pytest
 from hypothesis import example, given, settings
@@ -186,7 +187,9 @@ def test_audited_serve_cost_tracks_its_length():
 
     When every record re-summed one sample per boot so far, the 40 s run
     cost ~7x the 10 s one on a 2-vCPU Xeon; with O(1) records the ratio
-    stays below the request ratio.  Min of 3 process-CPU readings.
+    stays below the request ratio.  The two lengths alternate over 5
+    pairs, swapping which runs first, so a host slowdown lands on both
+    arms; the gate is the median of the per-pair process-CPU ratios.
     """
     from repro.artifacts import get_kernel
     from repro.cli import main
@@ -199,13 +202,18 @@ def test_audited_serve_cost_tracks_its_length():
             "serve", "--strategy", "restore", "--rate", "150", "--audit",
             "--duration", str(duration),
         ]
-        readings = []
-        for _ in range(3):
-            start = time.process_time()
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0
-            readings.append(time.process_time() - start)
-        return min(readings)
+        start = time.process_time()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return time.process_time() - start
 
-    short_s, long_s = cpu_s(10), cpu_s(40)
-    assert long_s <= 4 * short_s, f"{short_s:.2f} s -> {long_s:.2f} s"
+    ratios = []
+    for pair in range(5):
+        if pair % 2:
+            long_s = cpu_s(40)
+            short_s = cpu_s(10)
+        else:
+            short_s = cpu_s(10)
+            long_s = cpu_s(40)
+        ratios.append(long_s / short_s)
+    assert median(ratios) <= 4, f"per-pair CPU ratios {[round(r, 2) for r in ratios]}"

@@ -1,9 +1,11 @@
 """LZ4 block-format specifics: token layout, overlap copies, corruption."""
 
+import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from reference import lz4_decompress as reference_decompress
 
 from repro.compress.lz4c import Lz4Codec
 from repro.errors import CompressionError
@@ -100,3 +102,76 @@ def test_roundtrip_random(payload):
 def test_roundtrip_patterned(chunks):
     payload = b"".join(chunks)
     assert codec.decompress(codec.compress(payload)) == payload
+
+
+# -- the decoder against the sequence-at-a-time reference ------------------------
+
+
+def _outcome(decode, data: bytes):
+    """The decoded bytes, or the exception's type and message."""
+    try:
+        return decode(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_decodes_like_reference(data: bytes) -> None:
+    assert _outcome(codec.decompress, data) == _outcome(reference_decompress, data)
+
+
+#: runs of a 1-3 byte unit: overlapping matches at offsets 1-3, with match
+#: lengths that cross the 15 and 15 + 255 extension boundaries
+_runs = st.builds(
+    lambda unit, count: unit * count,
+    st.binary(min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=700),
+)
+_payloads = st.one_of(
+    st.binary(max_size=4096),
+    st.lists(st.one_of(_runs, st.binary(max_size=300)), max_size=8).map(b"".join),
+)
+#: 270 literals: a literal-length extension of exactly 255
+_INCOMPRESSIBLE_270 = random.Random(0).randbytes(270)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads)
+# a match-length extension byte of 255 at offsets 1, 2 and 3
+@example(b"a" * 280)
+@example(b"ab" * 140 + b"c")
+@example(b"abc" * 94 + b"d")
+@example(_INCOMPRESSIBLE_270)
+def test_decoder_matches_reference_on_compressor_output(payload):
+    block = codec.compress(payload)
+    assert codec.decompress(block) == payload
+    _assert_decodes_like_reference(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=48))
+@example(b"")
+@example(b"\x05")  # a trailing literal-free token ends the block
+@example(b"\x10A\x01\x00")  # a block may end right after a match
+@example(b"\x1fA\x01\x00\x05")  # ... and its length extension
+def test_decoder_matches_reference_on_arbitrary_bytes(data):
+    _assert_decodes_like_reference(data)
+
+
+@st.composite
+def _corrupted_blocks(draw) -> bytes:
+    block = bytearray(codec.compress(draw(_payloads)))
+    kind = draw(st.sampled_from(("flip", "truncate", "insert")))
+    if kind == "flip":
+        i = draw(st.integers(0, len(block) - 1))
+        block[i] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "truncate":
+        del block[draw(st.integers(0, len(block) - 1)) :]
+    else:
+        block.insert(draw(st.integers(0, len(block))), draw(st.integers(0, 255)))
+    return bytes(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corrupted_blocks())
+def test_decoder_matches_reference_on_corrupted_blocks(data):
+    _assert_decodes_like_reference(data)

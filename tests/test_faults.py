@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -62,6 +63,8 @@ def test_spec_parse_defaults():
         ("stage=linux_boot,kind=corrupt-elf,bogus=1", "unknown fault spec keys"),
         ("stage=linux_boot,kind=corrupt-elf,rate=abc", "bad fault spec"),
         ("just-words", "key=value"),
+        ("stage=linux_boot,kind=cache-drop", "cache-drop fires only at prepare_image"),
+        ("stage=randomize_load,kind=cache-drop,boot=1", "consults the artifact cache"),
     ],
 )
 def test_spec_parse_rejects(text, match):
@@ -235,9 +238,51 @@ def test_cache_drop_is_nonfatal_and_forces_reparse(tiny_kaslr):
     report = vmm.boot(cfg)
     assert report.total_ms > 0
     after = cache.stats()
-    # the primed entry was dropped, the boot re-parsed and re-inserted
+    # the boot skipped the primed entry, re-parsed and re-inserted it
     assert after.misses == primed.misses + 1
+    assert after.parses == primed.parses + 1
     assert after.entries == 1
+    assert report.timeline.faults == [("prepare_image", "cache-drop")]
+
+
+def test_cache_drop_skips_the_disk_tier(tiny_kaslr, tmp_path):
+    from repro.monitor import BootArtifactCache
+
+    warm = BootArtifactCache(disk_path=tmp_path)
+    warm.get_or_parse(tiny_kaslr.elf, RandomizeMode.KASLR, _cfg(tiny_kaslr).policy)
+    # a fresh memory tier over the same directory: only the disk holds it
+    cache = BootArtifactCache(disk_path=tmp_path)
+    plan = FaultPlan.parse(["stage=prepare_image,kind=cache-drop"])
+    _vmm(plan, artifact_cache=cache).boot(_cfg(tiny_kaslr))
+    stats = cache.stats()
+    assert (stats.hits, stats.disk_hits, stats.misses, stats.parses) == (0, 0, 1, 1)
+
+
+def test_rate_based_cache_drop_is_deterministic_on_many_workers(tiny_fgkaslr):
+    """A cache-drop forces a miss on its own boot only, so a seeded fleet
+    on four worker threads reports the same thing on every run: one miss
+    per fired fault, and every other boot hits the warmed entry."""
+    from repro.monitor import FleetManager
+
+    spec = "stage=prepare_image,kind=cache-drop,rate=0.3,seed=5"
+    cfg = VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.FGKASLR)
+    reports = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the worker threads finely
+    try:
+        for _ in range(8):
+            vmm = _vmm(FaultPlan.parse([spec]))
+            report = FleetManager(vmm, workers=4).launch(
+                cfg, 16, fleet_seed=3, retries=0
+            )
+            fired = sum(len(boot.report.timeline.faults) for boot in report.boots)
+            assert 0 < fired < 16
+            assert report.cache.misses == report.cache.parses == fired
+            assert report.cache.hits == 16 - fired
+            reports.add(json.dumps(report.to_json(), sort_keys=True))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(reports) == 1
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -416,24 +416,30 @@ def test_fleet_rejects_negative_retries(tiny_fgkaslr):
 
 def test_cache_gauge_tracks_occupancy_under_concurrency(tiny_kaslr, tiny_fgkaslr):
     """The occupancy gauge is published under the cache lock: it must equal
-    stats().entries after any storm of concurrent inserts and drops."""
-    from repro.monitor.artifact_cache import cache_key_for
+    stats().entries after any storm of concurrent inserts, LRU evictions
+    and clears."""
     from repro.telemetry import MetricsRegistry
 
     registry = MetricsRegistry()
-    cache = BootArtifactCache(max_entries=4, registry=registry)
+    # every thread cycles four keys through two LRU slots, so nearly
+    # every lookup misses and every insert evicts
+    cache = BootArtifactCache(max_entries=2, registry=registry)
     cfgs = [
         VmConfig(kernel=k, randomize=m)
         for k in (tiny_kaslr, tiny_fgkaslr)
         for m in (RandomizeMode.KASLR, RandomizeMode.FGKASLR)
     ]
 
-    def churn(cfg):
-        for _ in range(25):
+    def churn(offset):
+        for i in range(25):
+            cfg = cfgs[(offset + i) % len(cfgs)]
             cache.get_or_parse(cfg.kernel.elf, cfg.randomize, cfg.policy)
-            cache.drop(cache_key_for(cfg))
+            if i % 10 == 9:
+                cache.clear()
 
     with ThreadPoolExecutor(max_workers=8) as executor:
-        list(executor.map(churn, cfgs * 2))
+        list(executor.map(churn, range(8)))
+    stats = cache.stats()
+    assert stats.evictions > 0
     gauge = registry.gauge("repro_cache_entries", help="")
-    assert gauge.value == cache.stats().entries
+    assert gauge.value == stats.entries

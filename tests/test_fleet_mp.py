@@ -120,9 +120,7 @@ def test_process_backend_conserves_profiler_attribution(tiny_fgkaslr):
     assert thread.to_json()["boots"] == process.to_json()["boots"]
 
 
-#: (fault specs, fleet size, workers, retries).  Rate-based cache-drop on
-#: more than one worker stays out: a drop races the other workers' lookups
-#: on the shared cache, so even two thread runs can disagree.
+#: (fault specs, fleet size, workers, retries)
 REPLAY_CASES = {
     "fault-free": ((), 4, 2, 1),
     "faulty": (
@@ -133,6 +131,9 @@ REPLAY_CASES = {
         10, 2, 2,
     ),
     "cache-drop": (("stage=prepare_image,kind=cache-drop,boot=3",), 6, 1, 1),
+    "cache-drop-rate": (
+        ("stage=prepare_image,kind=cache-drop,rate=0.4,seed=5",), 8, 2, 1,
+    ),
 }
 
 
