@@ -2,9 +2,8 @@
 
 PYTHON ?= python3
 
-.PHONY: install test metrics-smoke faults-smoke serve-smoke watch-smoke \
-	trace-smoke mp-smoke bench bench-paper bench-gate bench-clean \
-	fleet-bench perfbench examples clean
+.PHONY: install test bench bench-paper bench-gate bench-clean fleet-bench \
+	perfbench examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,36 +11,6 @@ install:
 # mirrors the tier-1 verify command in ROADMAP.md
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-
-# boot + small fleet, export prometheus/chrome/json telemetry, validate
-metrics-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.metrics_smoke
-
-# jitter-free fault matrix through the CLI: containment, retries,
-# byte-identical determinism, zero-overhead-when-disabled
-faults-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.faults_smoke
-
-# serve control plane through the CLI: request conservation, byte-identical
-# reruns, arrival-mix volume parity, warm-vs-cold p99, fault degradation
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.serve_smoke
-
-# flight recorder through the CLI: byte-identical reruns, window tiling,
-# counter conservation, SLO alert firing, entropy-audit coverage
-watch-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.watch_smoke
-
-# request tracing through the CLI: deterministic ids, exact critical-path
-# conservation, alert-exemplar-to-span-tree linkage
-trace-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.trace_smoke
-
-# multiprocess boot engine through the CLI: thread/process byte-identical
-# reports, deterministic replay, persistent cache tier reused across
-# invocations (second run parses zero times)
-mp-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.mp_smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,22 +1,12 @@
 """Run aggregation and text rendering for the benchmark harness."""
 
 from repro.analysis.report import render_bars, render_table
-from repro.analysis.stats import (
-    BootSeries,
-    StageLatency,
-    Stats,
-    latency_summary,
-    percentile,
-    run_boots,
-)
+from repro.analysis.stats import BootSeries, Stats, run_boots
 from repro.analysis.timeline_render import render_step_ranking, render_timeline
 
 __all__ = [
     "BootSeries",
-    "StageLatency",
     "Stats",
-    "latency_summary",
-    "percentile",
     "render_bars",
     "render_step_ranking",
     "render_table",

@@ -15,14 +15,6 @@ from repro.monitor.report import BootReport
 from repro.monitor.vmm import Firecracker
 from repro.simtime.trace import BootCategory
 
-# Shared summary helpers live in the dependency-free telemetry layer;
-# re-exported here so analysis callers keep one import site.
-from repro.telemetry.stats import (  # noqa: F401  (re-export)
-    StageLatency,
-    latency_summary,
-    percentile,
-)
-
 WARMUP_BOOTS = 5
 
 

@@ -39,6 +39,10 @@ address-validity lifetimes per strategy, to ``--audit-out``).  ``serve``
 and ``watch`` evaluate alert rules at every window close
 (``--slo-p99-ms``, ``--cold-budget``, ``--alert-for``).
 
+``serve``, ``watch`` and ``trace`` are three views of one seeded serve
+flight (a fresh monitor and sampled backend per strategy, one engine per
+rate); they differ only in what they record and print.
+
 Request-scoped tracing rides on top: ``serve --trace-requests`` attaches
 per-cell p99 tail attribution (critical-path segments, slowest-request
 exemplars) to the SLO report; flight-recorder histograms and firing
@@ -57,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis import render_table, run_boots
@@ -70,6 +75,16 @@ from repro.kernel import PRESETS, KernelVariant
 from repro.monitor import BootFormat, BootProtocol, Firecracker, Qemu, VmConfig
 from repro.pipeline import PIPELINE_FLAVORS
 from repro.security.audit import KaslrAuditor
+from repro.serve import (
+    ArrivalSpec,
+    AutoscalePolicy,
+    SampledBackend,
+    ServeConfig,
+    ServeEngine,
+    ServeResult,
+    SloReport,
+    StrategySlo,
+)
 from repro.simtime import CostModel, JitterModel
 from repro.telemetry import (
     AlertManager,
@@ -86,6 +101,7 @@ from repro.telemetry import (
     to_prometheus,
 )
 from repro.telemetry.profiler import CostProfiler
+from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
 
 _MODE_VARIANT = {
     RandomizeMode.NONE: KernelVariant.NOKASLR,
@@ -129,15 +145,8 @@ def _make_profiler(args) -> CostProfiler | None:
 
 def _emit_profile(args, profiler: CostProfiler | None) -> None:
     """Honor ``--profile {folded,json,table}`` and ``--profile-out``."""
-    if profiler is None:
-        return
-    content = profiler.render(args.profile)
-    out = getattr(args, "profile_out", "-")
-    if out == "-":
-        sys.stdout.write(content)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+    if profiler is not None:
+        _write_text(args.profile_out, profiler.render(args.profile))
 
 
 def _write_text(path: str, content: str) -> None:
@@ -159,14 +168,12 @@ def _make_recorder(args) -> TimeSeriesRecorder | None:
     return TimeSeriesRecorder(window_ns=int(round(args.window_ms * 1e6)))
 
 
-def _emit_flight(args, recorder, auditor) -> None:
+def _emit_flight(args, timeseries: dict | None, auditor) -> None:
     """Honor ``--timeseries-out`` and ``--audit``/``--audit-out``."""
-    if recorder is not None and getattr(args, "timeseries_out", None):
-        _write_text(args.timeseries_out, _dump_json(recorder.to_json_dict()))
+    if timeseries is not None and args.timeseries_out:
+        _write_text(args.timeseries_out, _dump_json(timeseries))
     if auditor is not None:
-        _write_text(
-            getattr(args, "audit_out", "-"), _dump_json(auditor.to_json_dict())
-        )
+        _write_text(args.audit_out, _dump_json(auditor.to_json_dict()))
 
 
 def _render_export(telemetry: Telemetry, fmt: str) -> str:
@@ -175,10 +182,8 @@ def _render_export(telemetry: Telemetry, fmt: str) -> str:
     if fmt == "prometheus":
         return to_prometheus(snapshot)
     if fmt == "chrome":
-        obj = to_chrome_trace(snapshot)
-    else:
-        obj = to_json_dump(snapshot)
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return _dump_json(to_chrome_trace(snapshot))
+    return _dump_json(to_json_dump(snapshot))
 
 
 def _emit_telemetry(args, telemetry: Telemetry) -> None:
@@ -188,12 +193,7 @@ def _emit_telemetry(args, telemetry: Telemetry) -> None:
         sys.stdout.write(to_prometheus(telemetry.snapshot()))
     fmt = getattr(args, "trace_export", None)
     if fmt:
-        content = _render_export(telemetry, fmt)
-        if args.trace_out == "-":
-            sys.stdout.write(content)
-        else:
-            with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(content)
+        _write_text(args.trace_out, _render_export(telemetry, fmt))
     events_out = getattr(args, "events_out", None)
     if events_out:
         if events_out == "-":
@@ -310,9 +310,10 @@ def _cmd_boot(args) -> int:
 def _run_fleet(args):
     """Launch one seeded fleet.
 
-    Returns ``(report, telemetry, profiler, recorder, auditor)``; the
-    recorder and auditor are ``None`` unless ``--timeseries-out`` /
-    ``--audit`` asked for them (zero overhead otherwise).
+    Returns ``(report, telemetry, profiler, timeseries, auditor)``; the
+    flight-recorder document and the auditor are ``None`` unless
+    ``--timeseries-out`` / ``--audit`` asked for them (zero overhead
+    otherwise).
     """
     from repro.monitor import BootArtifactCache, FleetManager, default_workers
 
@@ -348,19 +349,21 @@ def _run_fleet(args):
         warm=not args.cold,
         retries=getattr(args, "retries", 1),
     )
+    timeseries = None
     if recorder is not None:
         # the frame sequence tiles the fleet's whole wall-clock span
         recorder.close(int(round(report.makespan_ms * 1e6)))
-    return report, telemetry, profiler, recorder, auditor
+        timeseries = recorder.to_json_dict()
+    return report, telemetry, profiler, timeseries, auditor
 
 
 def _cmd_fleet(args) -> int:
-    report, telemetry, profiler, recorder, auditor = _run_fleet(args)
+    report, telemetry, profiler, timeseries, auditor = _run_fleet(args)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         _emit_telemetry(args, telemetry)
         _emit_profile(args, profiler)
-        _emit_flight(args, recorder, auditor)
+        _emit_flight(args, timeseries, auditor)
         return 0
     print(report.summary())
     for failure in report.failures:
@@ -389,15 +392,15 @@ def _cmd_fleet(args) -> int:
     )
     _emit_telemetry(args, telemetry)
     _emit_profile(args, profiler)
-    _emit_flight(args, recorder, auditor)
+    _emit_flight(args, timeseries, auditor)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     """Run one seeded fleet and print its Prometheus metrics text."""
-    _report, telemetry, _profiler, recorder, auditor = _run_fleet(args)
+    _report, telemetry, _profiler, timeseries, auditor = _run_fleet(args)
     sys.stdout.write(to_prometheus(telemetry.snapshot()))
-    _emit_flight(args, recorder, auditor)
+    _emit_flight(args, timeseries, auditor)
     return 0
 
 
@@ -405,9 +408,9 @@ def _cmd_profile(args) -> int:
     """Run a seeded fleet under the profiler and print the attribution."""
     args.profile = args.fmt  # reuse the boot/fleet profiler plumbing
     args.profile_out = args.out
-    _report, _telemetry, profiler, recorder, auditor = _run_fleet(args)
+    _report, _telemetry, profiler, timeseries, auditor = _run_fleet(args)
     _emit_profile(args, profiler)
-    _emit_flight(args, recorder, auditor)
+    _emit_flight(args, timeseries, auditor)
     return 0
 
 
@@ -556,145 +559,179 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Play open-loop traffic against warm pools; print the SLO report."""
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-        SloReport,
-        StrategySlo,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
+@dataclass
+class _Cell:
+    """One (strategy, rate) cell of a serve flight and what it recorded."""
 
-    strategies = (
-        list(InstanceStrategy)
-        if args.strategy == "all"
-        else [InstanceStrategy(args.strategy)]
-    )
-    rates = args.rate or [40.0]
+    strategy: str
+    spec: ArrivalSpec
+    recorder: TimeSeriesRecorder | None = None
+    alerts: AlertManager | None = None
+    result: ServeResult | None = None
+
+    @property
+    def rate(self) -> float:
+        return self.spec.rate_per_s
+
+    @property
+    def name(self) -> str:
+        return f"{self.strategy}@{self.rate:g}"
+
+
+def _fly(
+    args,
+    telemetry: Telemetry,
+    rates: Sequence[float],
+    *,
+    recording: bool = False,
+    auditor: KaslrAuditor | None = None,
+    lifecycle: bool = False,
+) -> list[_Cell] | None:
+    """Fly one seeded serve flight: the one run behind serve/watch/trace.
+
+    Each strategy gets a fresh monitor, one :class:`ServerlessPlatform`
+    and one sampled backend; each rate then runs one engine over that
+    backend.  Requests are traced when ``telemetry`` carries a tracer,
+    ``recording`` gives every cell a flight recorder with the serve alert
+    rules attached, ``auditor`` fingerprints every instance, and
+    ``lifecycle`` logs one ``serve:<cell>`` event track per cell.
+
+    Every input is checked before the first boot: a bad one prints its
+    reason and returns None.
+    """
     if args.function not in FUNCTIONS:
         print(
             f"unknown function {args.function!r}; "
             f"known: {', '.join(sorted(FUNCTIONS))}",
             file=sys.stderr,
         )
-        return 2
-    spec = FUNCTIONS[args.function]
+        return None
+    strategies = (
+        list(InstanceStrategy)
+        if args.strategy == "all"
+        else [InstanceStrategy(args.strategy)]
+    )
+    try:
+        config = ServeConfig(
+            policy=AutoscalePolicy(
+                min_ready=args.pool_min,
+                max_ready=args.pool_max,
+                scale_up_depth=args.scale_up_depth,
+                idle_ns=int(round(args.idle_ms * 1e6)),
+            ),
+            provisioners=args.provisioners,
+            queue_cap=args.queue_cap,
+            deadline_ns=int(round(args.deadline_ms * 1e6)),
+        )
+        specs = [
+            ArrivalSpec(
+                rate_per_s=rate,
+                duration_s=args.duration,
+                mix=args.arrivals,
+                seed=args.seed,
+            )
+            for rate in rates
+        ]
+        cells = [_Cell(s.value, spec) for s in strategies for spec in specs]
+        if recording:
+            rules = _serve_alert_rules(args)
+            for cell in cells:
+                cell.recorder = TimeSeriesRecorder(
+                    window_ns=int(round(args.window_ms * 1e6))
+                )
+                cell.alerts = AlertManager(
+                    rules, telemetry=telemetry, track=f"alerts:{cell.name}"
+                ).attach(cell.recorder)
+        # from_platform rejects this too, but with the MonitorError a
+        # refused production raises mid-flight, after boots have run
+        if args.samples < 1:
+            raise ValueError(f"need at least one sample, got {args.samples}")
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return None
+    tracer = telemetry.tracer
     mode = RandomizeMode(args.mode)
-    policy = AutoscalePolicy(
-        min_ready=args.pool_min,
-        max_ready=args.pool_max,
-        scale_up_depth=args.scale_up_depth,
-        idle_ns=int(round(args.idle_ms * 1e6)),
-    )
-    config = ServeConfig(
-        policy=policy,
-        provisioners=args.provisioners,
-        queue_cap=args.queue_cap,
-        deadline_ns=int(round(args.deadline_ms * 1e6)),
-    )
-    want_recorder = getattr(args, "timeseries_out", None) is not None
-    # the tracer rides along whenever a flight recorder runs (so firing
-    # alerts carry exemplar trace ids) or --trace-requests asked for the
-    # SLO tail section; plain runs stay tracer-free and byte-identical
-    tracer = (
-        RequestTracer(args.seed)
-        if want_recorder or args.trace_requests
-        else None
-    )
-    telemetry = Telemetry(tracer=tracer)
-    # lifecycle events (one ``serve:<cell>`` track per cell) are recorded
-    # only for flights whose event log leaves the process
-    lifecycle = (want_recorder or args.audit) and bool(
-        args.trace_export or args.events_out
-    )
-    auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
-    window_ns = int(round(args.window_ms * 1e6))
-    slo_ms = (
-        args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
-    )
-    rows = []
-    cells = []
+    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
     for strategy in strategies:
         # a fresh monitor per strategy: independent cost-jitter streams,
         # so strategies stay comparable and byte-stable in any order.
         # Each strategy writes metrics through its own scope, so counters
         # never bleed between strategies sharing this process.
         scope = telemetry.scoped(strategy=strategy.value)
-        vmm = _make_vmm(args, telemetry=scope)
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
         platform = ServerlessPlatform(
-            vmm,
-            lambda seed, k=kernel, m=mode: VmConfig(
-                kernel=k, randomize=m, seed=seed
-            ),
+            _make_vmm(args, telemetry=scope),
+            lambda seed: VmConfig(kernel=kernel, randomize=mode, seed=seed),
             strategy=strategy,
         )
         backend = SampledBackend.from_platform(
             platform,
-            spec,
+            FUNCTIONS[args.function],
             n_samples=args.samples,
             seed=args.seed,
             tracer=(
                 tracer.scoped(strategy.value) if tracer is not None else None
             ),
         )
-        for rate in rates:
-            cell = f"{strategy.value}@{rate:g}"
-            recorder = alerts = None
-            if want_recorder:
-                recorder = TimeSeriesRecorder(window_ns=window_ns)
-                alerts = AlertManager(
-                    _serve_alert_rules(args, slo_ms),
-                    telemetry=telemetry,
-                    track=f"alerts:{cell}",
-                ).attach(recorder)
-            engine = ServeEngine(
+        for cell in cells:
+            if cell.strategy != strategy.value:
+                continue
+            cell.result = ServeEngine(
                 backend,
                 config,
                 telemetry=scope,
-                labels={"strategy": strategy.value, "mix": args.arrivals},
-                recorder=recorder,
+                labels={"strategy": cell.strategy, "mix": args.arrivals},
+                recorder=cell.recorder,
                 auditor=auditor,
-                track=f"serve:{cell}" if lifecycle else None,
-                tracer=tracer.scoped(cell) if tracer is not None else None,
-            )
-            result = engine.run(
-                ArrivalSpec(
-                    rate_per_s=rate,
-                    duration_s=args.duration,
-                    mix=args.arrivals,
-                    seed=args.seed,
-                )
-            )
-            tail = (
-                _cell_tail(tracer, cell)
-                if tracer is not None and args.trace_requests
-                else None
-            )
-            rows.append(
-                StrategySlo.from_result(
-                    result,
-                    strategy=strategy.value,
-                    mix=args.arrivals,
-                    rate_per_s=rate,
-                    duration_s=args.duration,
-                    tail=tail,
-                )
-            )
-            if recorder is not None:
-                cells.append(
-                    {
-                        "strategy": strategy.value,
-                        "mix": args.arrivals,
-                        "rate_per_s": rate,
-                        "timeseries": recorder.to_json_dict(),
-                        "alerts": alerts.to_json_dict(),
-                    }
-                )
+                track=f"serve:{cell.name}" if lifecycle else None,
+                tracer=tracer.scoped(cell.name) if tracer is not None else None,
+            ).run(cell.spec)
+    return cells
+
+
+def _flight_doc(args, cells: list[_Cell]) -> dict:
+    """The per-cell flight-recorder document (windows and alerts)."""
+    return {
+        "schema_version": 1,
+        "window_ms": round(args.window_ms, 6),
+        "cells": [
+            {
+                "strategy": cell.strategy,
+                "mix": args.arrivals,
+                "rate_per_s": cell.rate,
+                "timeseries": cell.recorder.to_json_dict(),
+                "alerts": cell.alerts.to_json_dict(),
+            }
+            for cell in cells
+        ],
+    }
+
+
+def _cmd_serve(args) -> int:
+    """Play open-loop traffic against warm pools; print the SLO report."""
+    recording = args.timeseries_out is not None
+    # the tracer rides along whenever a flight recorder runs (so firing
+    # alerts carry exemplar trace ids) or --trace-requests asked for the
+    # SLO tail section; plain runs stay tracer-free and byte-identical
+    tracer = (
+        RequestTracer(args.seed)
+        if recording or args.trace_requests
+        else None
+    )
+    telemetry = Telemetry(tracer=tracer)
+    auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
+    cells = _fly(
+        args,
+        telemetry,
+        args.rate or [40.0],
+        recording=recording,
+        auditor=auditor,
+        # lifecycle events are recorded only for flights whose event log
+        # leaves the process
+        lifecycle=(recording or args.audit)
+        and bool(args.trace_export or args.events_out),
+    )
+    if cells is None:
+        return 2
     report = SloReport(
         seed=args.seed,
         function=args.function,
@@ -706,46 +743,58 @@ def _cmd_serve(args) -> int:
         queue_cap=args.queue_cap,
         deadline_ms=args.deadline_ms,
         samples_per_strategy=args.samples,
-        rows=tuple(rows),
+        rows=tuple(
+            StrategySlo.from_result(
+                cell.result,
+                strategy=cell.strategy,
+                mix=args.arrivals,
+                rate_per_s=cell.rate,
+                duration_s=args.duration,
+                tail=(
+                    _cell_tail(tracer, cell.name)
+                    if args.trace_requests
+                    else None
+                ),
+            )
+            for cell in cells
+        ),
     )
     if args.json:
         sys.stdout.write(report.to_json())
-        _emit_telemetry(args, telemetry)
-        _emit_serve_flight(args, cells, auditor)
-        return 0
-    print(
-        render_table(
-            ["strategy", "rate/s", "served", "failed", "cold%",
-             "p50 ms", "p99 ms", "peak q", "busy"],
-            [
+    else:
+        print(
+            render_table(
+                ["strategy", "rate/s", "served", "failed", "cold%",
+                 "p50 ms", "p99 ms", "peak q", "busy"],
                 [
-                    r.strategy,
-                    f"{r.rate_per_s:g}",
-                    r.served,
-                    r.rejected + r.deadline_missed,
-                    f"{r.cold_frac * 100:.1f}",
-                    f"{r.p50_ms:.3f}",
-                    f"{r.p99_ms:.3f}",
-                    r.max_queue_depth,
-                    f"{r.provisioner_busy:.2f}",
-                ]
-                for r in report.rows
-            ],
-            title=f"{args.function} under {args.arrivals} arrivals "
-            f"({args.duration:g}s, pool {args.pool_min}..{args.pool_max})",
+                    [
+                        r.strategy,
+                        f"{r.rate_per_s:g}",
+                        r.served,
+                        r.rejected + r.deadline_missed,
+                        f"{r.cold_frac * 100:.1f}",
+                        f"{r.p50_ms:.3f}",
+                        f"{r.p99_ms:.3f}",
+                        r.max_queue_depth,
+                        f"{r.provisioner_busy:.2f}",
+                    ]
+                    for r in report.rows
+                ],
+                title=f"{args.function} under {args.arrivals} arrivals "
+                f"({args.duration:g}s, pool {args.pool_min}..{args.pool_max})",
+            )
         )
-    )
-    for r in report.rows:
-        if r.tail is not None:
-            print(f"  {r.strategy}@{r.rate_per_s:g}: {_format_tail(r.tail)}")
-            for s in r.tail["slowest"]:
-                print(
-                    f"    {s['trace_id']}  req {s['request']}  "
-                    f"{s['latency_ms']:.3f} ms  "
-                    f"{'cold' if s['cold'] else 'warm'}"
-                )
+        for r in report.rows:
+            if r.tail is not None:
+                print(f"  {r.strategy}@{r.rate_per_s:g}: {_format_tail(r.tail)}")
+                for s in r.tail["slowest"]:
+                    print(
+                        f"    {s['trace_id']}  req {s['request']}  "
+                        f"{s['latency_ms']:.3f} ms  "
+                        f"{'cold' if s['cold'] else 'warm'}"
+                    )
     _emit_telemetry(args, telemetry)
-    _emit_serve_flight(args, cells, auditor)
+    _emit_flight(args, _flight_doc(args, cells) if recording else None, auditor)
     return 0
 
 
@@ -753,17 +802,22 @@ def _cmd_serve(args) -> int:
 _TAIL_TOP_K = 3
 
 
-def _cell_tail(tracer: RequestTracer, cell: str, top: int = _TAIL_TOP_K) -> dict | None:
-    """One cell's tail attribution + slowest exemplars, JSON-shaped.
+def _cell_paths(tracer: RequestTracer, cell: str) -> list:
+    """Critical paths of one cell's requests.
 
     Conservation is enforced on the way through: ``request_paths``
     re-checks every critical path (segments must sum *exactly* to the
     request latency) before anything is aggregated.
     """
     prefix = f"{cell}/req/"
-    paths = request_paths(
+    return request_paths(
         ctx for ctx in tracer.traces() if ctx.key.startswith(prefix)
     )
+
+
+def _cell_tail(tracer: RequestTracer, cell: str, top: int = _TAIL_TOP_K) -> dict | None:
+    """One cell's tail attribution + slowest exemplars, JSON-shaped."""
+    paths = _cell_paths(tracer, cell)
     att = tail_attribution(paths)
     if att is None:
         return None
@@ -794,8 +848,9 @@ def _format_tail(tail: dict) -> str:
     )
 
 
-def _serve_alert_rules(args, slo_ms: float) -> tuple:
+def _serve_alert_rules(args) -> tuple:
     """The default serve alert set: latency threshold + cold-start burn."""
+    slo_ms = args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
     return (
         AlertRule(
             "p99-above-slo",
@@ -816,119 +871,22 @@ def _serve_alert_rules(args, slo_ms: float) -> tuple:
     )
 
 
-def _emit_serve_flight(args, cells: list, auditor) -> None:
-    """Write the per-cell flight-recorder document and the audit report."""
-    if getattr(args, "timeseries_out", None):
-        doc = {
-            "schema_version": 1,
-            "window_ms": round(args.window_ms, 6),
-            "cells": cells,
-        }
-        _write_text(args.timeseries_out, _dump_json(doc))
-    if auditor is not None:
-        _write_text(args.audit_out, _dump_json(auditor.to_json_dict()))
-
-
 def _cmd_watch(args) -> int:
     """Flight-recorder view of one serve cell: window table + alerts."""
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
-
-    if args.function not in FUNCTIONS:
-        print(
-            f"unknown function {args.function!r}; "
-            f"known: {', '.join(sorted(FUNCTIONS))}",
-            file=sys.stderr,
-        )
-        return 2
-    spec = FUNCTIONS[args.function]
-    strategy = InstanceStrategy(args.strategy)
-    mode = RandomizeMode(args.mode)
-    tracer = RequestTracer(args.seed)
-    telemetry = Telemetry(tracer=tracer)
-    scope = telemetry.scoped(strategy=strategy.value)
-    vmm = _make_vmm(args, telemetry=scope)
-    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-    platform = ServerlessPlatform(
-        vmm,
-        lambda seed, k=kernel, m=mode: VmConfig(
-            kernel=k, randomize=m, seed=seed
-        ),
-        strategy=strategy,
-    )
-    backend = SampledBackend.from_platform(
-        platform,
-        spec,
-        n_samples=args.samples,
-        seed=args.seed,
-        tracer=tracer.scoped(strategy.value),
-    )
-    config = ServeConfig(
-        policy=AutoscalePolicy(
-            min_ready=args.pool_min,
-            max_ready=args.pool_max,
-            scale_up_depth=args.scale_up_depth,
-            idle_ns=int(round(args.idle_ms * 1e6)),
-        ),
-        provisioners=args.provisioners,
-        queue_cap=args.queue_cap,
-        deadline_ns=int(round(args.deadline_ms * 1e6)),
-    )
-    cell = f"{strategy.value}@{args.rate:g}"
-    recorder = TimeSeriesRecorder(
-        window_ns=int(round(args.window_ms * 1e6))
-    )
-    slo_ms = (
-        args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
-    )
-    alerts = AlertManager(
-        _serve_alert_rules(args, slo_ms),
-        telemetry=telemetry,
-        track=f"alerts:{cell}",
-    ).attach(recorder)
+    telemetry = Telemetry(tracer=RequestTracer(args.seed))
     auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
-    engine = ServeEngine(
-        backend,
-        config,
-        telemetry=scope,
-        labels={"strategy": strategy.value, "mix": args.arrivals},
-        recorder=recorder,
-        auditor=auditor,
-        tracer=tracer.scoped(cell),
+    cells = _fly(
+        args, telemetry, [args.rate], recording=True, auditor=auditor
     )
-    engine.run(
-        ArrivalSpec(
-            rate_per_s=args.rate,
-            duration_s=args.duration,
-            mix=args.arrivals,
-            seed=args.seed,
-        )
-    )
-    transitions = alerts.to_json_dict()["transitions"]
+    if cells is None:
+        return 2
     if args.json:
-        doc = {
-            "schema_version": 1,
-            "window_ms": round(args.window_ms, 6),
-            "cells": [
-                {
-                    "strategy": strategy.value,
-                    "mix": args.arrivals,
-                    "rate_per_s": args.rate,
-                    "timeseries": recorder.to_json_dict(),
-                    "alerts": alerts.to_json_dict(),
-                }
-            ],
-        }
+        doc = _flight_doc(args, cells)
         if auditor is not None:
             doc["audit"] = auditor.to_json_dict()
         sys.stdout.write(_dump_json(doc))
         return 0
+    (cell,) = cells
 
     def cnt(frame, series: str) -> int:
         return int(frame.value(series, "delta") or 0)
@@ -948,12 +906,13 @@ def _cmd_watch(args) -> int:
                     f"{frame.value('serve_latency_ms', 'p99') or 0:.3f}",
                     int(frame.value("serve_queue_depth", "max") or 0),
                 ]
-                for frame in recorder.windows()
+                for frame in cell.recorder.windows()
             ],
-            title=f"{cell} under {args.arrivals} arrivals "
+            title=f"{cell.name} under {args.arrivals} arrivals "
             f"(window {args.window_ms:g} ms)",
         )
     )
+    transitions = cell.alerts.to_json_dict()["transitions"]
     if transitions:
         for t in transitions:
             value = "-" if t["value"] is None else f"{t['value']:g}"
@@ -989,101 +948,10 @@ def _cmd_trace(args) -> int:
     a *separate* ``repro serve``/``repro watch`` invocation — rerun the
     same flight shape here and ``--trace-id`` lands on the same tree.
     """
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
-
-    strategies = (
-        list(InstanceStrategy)
-        if args.strategy == "all"
-        else [InstanceStrategy(args.strategy)]
-    )
-    rates = args.rate or [40.0]
-    if args.function not in FUNCTIONS:
-        print(
-            f"unknown function {args.function!r}; "
-            f"known: {', '.join(sorted(FUNCTIONS))}",
-            file=sys.stderr,
-        )
-        return 2
-    spec = FUNCTIONS[args.function]
-    mode = RandomizeMode(args.mode)
-    config = ServeConfig(
-        policy=AutoscalePolicy(
-            min_ready=args.pool_min,
-            max_ready=args.pool_max,
-            scale_up_depth=args.scale_up_depth,
-            idle_ns=int(round(args.idle_ms * 1e6)),
-        ),
-        provisioners=args.provisioners,
-        queue_cap=args.queue_cap,
-        deadline_ns=int(round(args.deadline_ms * 1e6)),
-    )
     tracer = RequestTracer(args.seed)
-    telemetry = Telemetry(tracer=tracer)
-    cells = []
-    for strategy in strategies:
-        scope = telemetry.scoped(strategy=strategy.value)
-        vmm = _make_vmm(args, telemetry=scope)
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-        platform = ServerlessPlatform(
-            vmm,
-            lambda seed, k=kernel, m=mode: VmConfig(
-                kernel=k, randomize=m, seed=seed
-            ),
-            strategy=strategy,
-        )
-        backend = SampledBackend.from_platform(
-            platform,
-            spec,
-            n_samples=args.samples,
-            seed=args.seed,
-            tracer=tracer.scoped(strategy.value),
-        )
-        for rate in rates:
-            cell = f"{strategy.value}@{rate:g}"
-            engine = ServeEngine(
-                backend,
-                config,
-                telemetry=scope,
-                labels={"strategy": strategy.value, "mix": args.arrivals},
-                tracer=tracer.scoped(cell),
-            )
-            result = engine.run(
-                ArrivalSpec(
-                    rate_per_s=rate,
-                    duration_s=args.duration,
-                    mix=args.arrivals,
-                    seed=args.seed,
-                )
-            )
-            paths = request_paths(
-                ctx
-                for ctx in tracer.traces()
-                if ctx.key.startswith(f"{cell}/req/")
-            )
-            att = tail_attribution(paths)
-            top = slowest(paths, args.top)
-            cells.append(
-                {
-                    "strategy": strategy.value,
-                    "mix": args.arrivals,
-                    "rate_per_s": rate,
-                    "arrivals": result.arrivals,
-                    "served": result.served,
-                    "tail": att.to_json() if att is not None else None,
-                    "slowest": [p.to_json() for p in top],
-                    "traces": {
-                        p.trace_id: tracer.get(p.trace_id).to_json()
-                        for p in top
-                    },
-                }
-            )
+    cells = _fly(args, Telemetry(tracer=tracer), args.rate or [40.0])
+    if cells is None:
+        return 2
     if args.trace_id:
         ctx = tracer.get(args.trace_id)
         if ctx is None:
@@ -1101,6 +969,25 @@ def _cmd_trace(args) -> int:
         else:
             _print_trace_tree(ctx)
         return 0
+    docs = []
+    for cell in cells:
+        paths = _cell_paths(tracer, cell.name)
+        att = tail_attribution(paths)
+        top = slowest(paths, args.top)
+        docs.append(
+            {
+                "strategy": cell.strategy,
+                "mix": args.arrivals,
+                "rate_per_s": cell.rate,
+                "arrivals": cell.result.arrivals,
+                "served": cell.result.served,
+                "tail": att.to_json() if att is not None else None,
+                "slowest": [p.to_json() for p in top],
+                "traces": {
+                    p.trace_id: tracer.get(p.trace_id).to_json() for p in top
+                },
+            }
+        )
     if args.json:
         doc = {
             "schema_version": 1,
@@ -1109,11 +996,11 @@ def _cmd_trace(args) -> int:
             "mix": args.arrivals,
             "duration_s": args.duration,
             "samples_per_strategy": args.samples,
-            "cells": cells,
+            "cells": docs,
         }
         sys.stdout.write(_dump_json(doc))
         return 0
-    for info in cells:
+    for info in docs:
         label = f"{info['strategy']}@{info['rate_per_s']:g}"
         if info["tail"] is None:
             print(f"{label}: nothing served")
@@ -1206,10 +1093,11 @@ def _add_alert_flags(parser: argparse.ArgumentParser) -> None:
                              "before the alert fires (default 1)")
 
 
-def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+def _add_image_flags(parser: argparse.ArgumentParser, mode: str) -> None:
+    """The kernel image and guest shape of ``boot`` and the fleet commands."""
     parser.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
     parser.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                        default="fgkaslr")
+                        default=mode)
     parser.add_argument("--format", choices=["vmlinux", "bzimage"],
                         default="vmlinux")
     parser.add_argument("--codec", default="lz4")
@@ -1218,6 +1106,10 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", choices=[p.value for p in BootProtocol],
                         default="linux64")
     parser.add_argument("--mem", type=int, default=256, help="guest MiB")
+
+
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    _add_image_flags(parser, mode="fgkaslr")
     parser.add_argument("--count", "--vms", dest="count", type=int, default=64,
                         help="fleet size")
     parser.add_argument("--workers", type=int, default=None,
@@ -1241,6 +1133,56 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     _add_recorder_flags(parser, window_ms=50.0)
     parser.add_argument("--retries", type=int, default=1,
                         help="retry budget per failed boot (default 1)")
+
+
+def _add_flight_flags(
+    parser: argparse.ArgumentParser, one_cell: bool = False
+) -> None:
+    """The flags that shape a serve flight, shared by serve/watch/trace.
+
+    ``one_cell`` (``watch``) flies a single cell: one ``--rate`` and one
+    ``--strategy``, never ``all``.
+    """
+    parser.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
+    parser.add_argument("--mode", choices=[m.value for m in RandomizeMode],
+                        default="kaslr")
+    parser.add_argument("--function", default="api-echo",
+                        help="workload function (see repro.workloads.FUNCTIONS)")
+    parser.add_argument("--arrivals",
+                        choices=["poisson", "bursty", "diurnal"],
+                        default="poisson", help="open-loop traffic shape")
+    parser.add_argument("--rate", type=float, metavar="PER_S",
+                        action="store" if one_cell else "append",
+                        default=40.0 if one_cell else None,
+                        help="offered load in requests/s "
+                             + ("(default 40)" if one_cell
+                                else "(repeatable; default 40)"))
+    parser.add_argument("--duration", type=float, default=10.0,
+                        help="simulated seconds of traffic (default 10)")
+    parser.add_argument("--strategy",
+                        choices=["cold-boot", "restore", "restore-rebase"]
+                        + ([] if one_cell else ["all"]),
+                        default="restore" if one_cell else "all",
+                        help="instance production strategy"
+                             + (" (default restore)" if one_cell else ""))
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed for traffic and production sampling")
+    parser.add_argument("--samples", type=int, default=8,
+                        help="real productions measured per strategy")
+    parser.add_argument("--pool-min", type=int, default=2,
+                        help="warm-pool floor (prewarmed instances)")
+    parser.add_argument("--pool-max", type=int, default=16,
+                        help="warm-pool ceiling (autoscale cap)")
+    parser.add_argument("--scale-up-depth", type=int, default=2,
+                        help="queue depth that triggers scale-up")
+    parser.add_argument("--idle-ms", type=float, default=2000.0,
+                        help="idle time before scale-down to the floor")
+    parser.add_argument("--provisioners", type=int, default=4,
+                        help="parallel instance-production slots")
+    parser.add_argument("--queue-cap", type=int, default=64,
+                        help="admission queue bound (beyond it: rejected)")
+    parser.add_argument("--deadline-ms", type=float, default=30000.0,
+                        help="queued-request timeout")
 
 
 def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
@@ -1293,16 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     boot = sub.add_parser("boot", parents=[common],
                           help="boot one microVM and print the breakdown")
-    boot.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    boot.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                      default="kaslr")
-    boot.add_argument("--format", choices=["vmlinux", "bzimage"], default="vmlinux")
-    boot.add_argument("--codec", default="lz4")
-    boot.add_argument("--optimized", action="store_true",
-                      help="compression-none-optimized bzImage layout")
-    boot.add_argument("--protocol", choices=[p.value for p in BootProtocol],
-                      default="linux64")
-    boot.add_argument("--mem", type=int, default=256, help="guest MiB")
+    _add_image_flags(boot, mode="kaslr")
     boot.add_argument("--seed", type=int, default=1)
     boot.add_argument("--boots", type=int, default=1, help="measure N boots")
     boot.add_argument("--cold", action="store_true", help="drop caches first")
@@ -1409,41 +1342,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serverless control plane: open-loop traffic against warm "
              "pools; prints the SLO report",
     )
-    serve.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    serve.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    serve.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    serve.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    serve.add_argument("--rate", type=float, action="append", metavar="PER_S",
-                       help="offered load in requests/s (repeatable; "
-                            "default 40)")
-    serve.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    serve.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase",
-                                "all"],
-                       default="all", help="instance production strategy")
-    serve.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    serve.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    serve.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    serve.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    serve.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    serve.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    serve.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    serve.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    serve.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_flight_flags(serve)
     serve.add_argument("--json", action="store_true",
                        help="emit the SLO report as canonical JSON")
     serve.add_argument("--trace-requests", action="store_true",
@@ -1460,41 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a seeded serve flight and resolve request span "
              "trees, critical paths, and tail attribution",
     )
-    trace.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    trace.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    trace.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    trace.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    trace.add_argument("--rate", type=float, action="append", metavar="PER_S",
-                       help="offered load in requests/s (repeatable; "
-                            "default 40)")
-    trace.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    trace.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase",
-                                "all"],
-                       default="all", help="instance production strategy")
-    trace.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    trace.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    trace.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    trace.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    trace.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    trace.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    trace.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    trace.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    trace.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_flight_flags(trace)
     trace.add_argument("--trace-id", default=None, metavar="ID",
                        help="resolve one trace id (e.g. an alert exemplar) "
                             "and print its span tree")
@@ -1510,40 +1375,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flight recorder for one serve cell: per-window counters, "
              "alert transitions, and the live KASLR entropy audit",
     )
-    watch.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    watch.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    watch.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    watch.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    watch.add_argument("--rate", type=float, default=40.0, metavar="PER_S",
-                       help="offered load in requests/s (default 40)")
-    watch.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    watch.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase"],
-                       default="restore",
-                       help="instance production strategy (default restore)")
-    watch.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    watch.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    watch.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    watch.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    watch.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    watch.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    watch.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    watch.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    watch.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_flight_flags(watch, one_cell=True)
     watch.add_argument("--window-ms", type=float, default=1000.0,
                        help="flight-recorder window width (default 1000)")
     watch.add_argument("--audit", action="store_true",

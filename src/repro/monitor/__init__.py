@@ -21,7 +21,7 @@ from repro.monitor.executor import (
     default_workers,
     make_boot_executor,
 )
-from repro.monitor.fleet import FleetBoot, FleetManager, FleetReport, StageLatency
+from repro.monitor.fleet import FleetBoot, FleetManager, FleetReport
 from repro.monitor.leases import InstanceLease, LeaseRegistry
 from repro.monitor.report import BootReport
 from repro.monitor.sharedmem import SharedArtifactStore, SharedBlob
@@ -49,7 +49,6 @@ __all__ = [
     "Qemu",
     "SharedArtifactStore",
     "SharedBlob",
-    "StageLatency",
     "ThreadBootExecutor",
     "VmConfig",
     "default_workers",

@@ -41,7 +41,7 @@ from repro.monitor.vmm import Firecracker, boot_identity
 from repro.simtime.fleetclock import FleetWallClock
 from repro.simtime.trace import BootStep
 from repro.telemetry import Telemetry, get_telemetry
-from repro.telemetry.stats import StageLatency, latency_summary, percentile
+from repro.telemetry.stats import StageLatency, latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.security.audit import KaslrAuditor
@@ -51,8 +51,6 @@ __all__ = [
     "FleetBoot",
     "FleetManager",
     "FleetReport",
-    "StageLatency",
-    "percentile",
 ]
 
 #: per-boot stage buckets over the fine-grained trace steps; "total" is

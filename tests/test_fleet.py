@@ -16,9 +16,9 @@ from repro.monitor import (
     FleetManager,
     VmConfig,
 )
-from repro.monitor.fleet import percentile
 from repro.simtime import CostModel, FleetWallClock, JitterModel
 from repro.snapshot.zygote import ZygotePolicy, ZygotePool
+from repro.telemetry.stats import percentile
 
 
 def _manager(kernel, workers: int, sigma: float = 0.0) -> FleetManager:
