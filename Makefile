@@ -32,17 +32,19 @@ bench-gate:
 # untraced and traced; fails unless every operation reproduced the
 # layouts, oracle counts and stage ns stored in perfbench/expected.json
 # and, when traced, entered every layer perfbench/layers.py requires
-# (the last line's "correct")
-PERFBENCH_CORRECT = tail -n 1 | $(PYTHON) -c 'import json, sys; \
-	sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else \
+# (the last line's "correct").  The check echoes each line to its own
+# stderr as it reads it: `tee /dev/stderr` would reopen a redirected log
+# and truncate it, so `make perfbench > log 2>&1` kept only the last pass
+PERFBENCH_CORRECT = $(PYTHON) -c 'import json, sys; \
+	lines = [sys.stderr.write(line) and line for line in sys.stdin]; \
+	sys.exit(0 if json.loads(lines[-1])["correct"] is True else \
 	"perfbench: an operation did not reproduce its expected outputs")'
 
 perfbench:
 	$(PYTHON) perfbench/selftest.py
-	$(PYTHON) perfbench/run.py --workload all --seconds 3 | tee /dev/stderr \
-		| $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload all --seconds 3 | $(PERFBENCH_CORRECT)
 	$(PYTHON) perfbench/run.py --workload all --seconds 3 --trace 1 \
-		| tee /dev/stderr | $(PERFBENCH_CORRECT)
+		| $(PERFBENCH_CORRECT)
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

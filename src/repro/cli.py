@@ -612,6 +612,12 @@ def _fly(
         else [InstanceStrategy(args.strategy)]
     )
     try:
+        # Rerandomizer.rebase refuses other layouts, but only mid-flight
+        if InstanceStrategy.RESTORE_REBASE in strategies and args.mode != "kaslr":
+            raise ValueError(
+                "restore-rebase rebases base-KASLR layouts only; "
+                f"--mode {args.mode} supports --strategy cold-boot or restore"
+            )
         config = ServeConfig(
             policy=AutoscalePolicy(
                 min_ready=args.pool_min,

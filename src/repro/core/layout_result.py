@@ -44,7 +44,7 @@ class LayoutResult:
     relocs_applied: int = 0
     #: bisect index over ``moved``: link vaddr ``v`` has displacement
     #: ``_deltas[j]`` where ``_bounds[j] <= v < _bounds[j + 1]``
-    _bounds: list[int] = field(default_factory=list, repr=False)
+    _bounds: tuple[int, ...] = field(default=(), repr=False)
     _deltas: list[int] = field(default_factory=list, repr=False)
 
     def finalize(self) -> "LayoutResult":
@@ -56,12 +56,13 @@ class LayoutResult:
         """
         self.moved.sort(key=lambda m: m[0])
         nexts = [m[0] for m in self.moved[1:]] + [_UNBOUNDED]
-        self._bounds = [-_UNBOUNDED]
+        bounds = [-_UNBOUNDED]
         self._deltas = [0]
         for (start, size, delta), nxt in zip(self.moved, nexts):
-            self._bounds += (start, min(start + size, nxt))
+            bounds += (start, min(start + size, nxt))
             self._deltas += (delta, 0)
-        self._bounds.append(_UNBOUNDED)
+        bounds.append(_UNBOUNDED)
+        self._bounds = tuple(bounds)
         return self
 
     def clone(self) -> "LayoutResult":
@@ -95,45 +96,22 @@ class LayoutResult:
             self.finalize()
         return self._deltas[bisect.bisect_right(self._bounds, link_vaddr) - 1]
 
-    def site_view(self, memory, link_offset: int, width: int, writable: bool = False):
-        """In-place access to the site at image offset ``link_offset``, for sweeps.
+    def windows(self) -> tuple[tuple[int, ...], list[int]]:
+        """``(bounds, deltas)``: the window layout and this boot's moves.
 
-        Returns ``(buf, k, lo, hi)``: every ``width``-byte site at an offset
-        ``off`` with ``lo <= off <= hi`` shares this site's moved-section
-        window (one section, or the unmoved gap after it) and memory chunk,
-        and its word is at ``off + k`` in ``buf`` (see
-        :meth:`GuestMemory.word_view`).  A sweep over a table therefore
-        re-resolves — one bisect — only when a site leaves the span, which
-        in an ascending table (the relocs sidecar's order) is once per
-        section boundary or chunk crossed rather than once per site.  Any
-        order gives the same words.  Returns ``None`` when the word
-        straddles two chunks.
+        Window ``j`` holds the link vaddrs ``v`` with ``bounds[j] <= v <
+        bounds[j + 1]`` — one moved section, or the unmoved gap after
+        one — and moves them by ``deltas[j]``.  Every FGKASLR boot of an
+        image has the same bounds; only the deltas differ.  A layout
+        without moves has the one window of every address.
         """
         if not self._bounds:
             self.finalize()
-        bounds = self._bounds
-        vbase = self.link_vbase
-        j = bisect.bisect_right(bounds, vbase + link_offset) - 1
-        shift = self.phys_load + self._deltas[j]
-        view = memory.word_view(link_offset + shift, width, writable)
-        if view is None:
-            return None
-        buf, base, last = view
-        return (
-            buf,
-            shift - base,
-            max(bounds[j] - vbase, base - shift),
-            min(bounds[j + 1] - 1 - vbase, last - shift),
-        )
+        return self._bounds, self._deltas
 
     def final_vaddr(self, link_vaddr: int) -> int:
         """Virtual address after all randomization."""
         return link_vaddr + self.displacement_for(link_vaddr) + self.voffset
-
-    def final_vaddrs(self) -> dict[int, int]:
-        """A fresh memo of :meth:`final_vaddr`: ``memo[v]`` computes each
-        distinct ``v`` once.  Keep it local to one pass over a layout."""
-        return _FinalVaddrs(self)
 
     def final_image_offset(self, link_offset: int) -> int:
         """Image offset after FGKASLR moves (where the byte physically is)."""
@@ -156,15 +134,3 @@ class LayoutResult:
     @property
     def total_entropy_bits(self) -> float:
         return self.entropy_bits_base + self.entropy_bits_fg
-
-
-class _FinalVaddrs(dict):
-    """See :meth:`LayoutResult.final_vaddrs`."""
-
-    def __init__(self, layout: LayoutResult) -> None:
-        super().__init__()
-        self.layout = layout
-
-    def __missing__(self, link_vaddr: int) -> int:
-        final = self[link_vaddr] = self.layout.final_vaddr(link_vaddr)
-        return final

@@ -37,6 +37,7 @@ from repro.kernel.config import KernelConfig, KernelVariant
 from repro.kernel.constants_note import KernelConstants
 from repro.kernel.image import KernelImage
 from repro.kernel.manifest import (
+    BASE_SYMBOL_NAMES,
     FUNCTION_PROLOGUE,
     ID_TAG_OFFSET,
     ID_TAG_SIZE,
@@ -63,14 +64,6 @@ _CLASS_MIX = (
     (RelocType.ABS32, 0.45),
     (RelocType.INV32, 0.10),
 )
-
-#: symbols that always exist in base .text (never moved by FGKASLR)
-BASE_SYMBOL_NAMES = (
-    ["startup_64", "secondary_startup_64", "early_idt_handler", "__switch_to_asm"]
-    + [f"ex_fixup_{i}" for i in range(8)]
-    + ["memcpy_orig", "memset_orig", "copy_user_generic", "entry_SYSCALL_64"]
-)
-
 
 @dataclass
 class _Slot:

@@ -11,6 +11,7 @@ relocs sidecar, like their real counterparts.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -27,6 +28,13 @@ FUNCTION_PROLOGUE = b"\x55\x48\x89\xe5\x0f\x1f\x40\x00"
 
 #: byte offset of the identity tag within a function body
 ID_TAG_OFFSET = len(FUNCTION_PROLOGUE)
+
+#: symbols that always exist in base .text (never moved by FGKASLR)
+BASE_SYMBOL_NAMES = (
+    ["startup_64", "secondary_startup_64", "early_idt_handler", "__switch_to_asm"]
+    + [f"ex_fixup_{i}" for i in range(8)]
+    + ["memcpy_orig", "memset_orig", "copy_user_generic", "entry_SYSCALL_64"]
+)
 
 
 def function_id_tag(name: str) -> bytes:
@@ -117,43 +125,92 @@ class BuildManifest:
             return self.function(name).link_vaddr
         return self.symbols[name]
 
-    # Derived once per manifest, on first verification (the builder is
-    # done with the manifest by then); nothing here changes per boot.
-
     @cached_property
-    def symbol_vaddrs(self) -> dict[str, int]:
-        """:meth:`symbol_link_vaddr` of every name, as one dict."""
-        vaddrs = dict(self.symbols)
-        vaddrs.update((f.name, f.link_vaddr) for f in self.functions)
-        return vaddrs
+    def oracle_rows(self) -> "OracleRows":
+        """What the verification oracle reads, derived on first use.
 
-    @cached_property
-    def code_headers(self) -> dict[str, bytes]:
-        """Prologue plus identity tag, as found at each named address."""
-        return {
-            name: FUNCTION_PROLOGUE + function_id_tag(name)
-            for name in self.symbol_vaddrs
-        }
-
-    @cached_property
-    def site_rows(self) -> list[tuple[RelocType, list[tuple[int, int, bool, int]]]]:
-        """The oracle's relocation sites as ``(class, rows)`` per class.
-
-        Each row is ``(link_offset, target link vaddr + addend, in_extable,
-        index into reloc_sites)``, sorted by offset.  Rows hold no object
-        references, so the garbage collector stops scanning them.
+        The builder is done with the manifest by then; nothing here
+        changes per boot.
         """
-        vaddrs = self.symbol_vaddrs
+        return OracleRows.of(self)
+
+
+@dataclass(frozen=True)
+class SiteRows:
+    """One relocation class's sites, sorted by link offset, as flat arrays.
+
+    Arrays hold no object references, so the garbage collector does not
+    scan them, and they pickle (a fleet worker may receive the manifest).
+    """
+
+    reloc_type: RelocType
+    #: link offset of each site
+    offsets: array
+    #: index of each site's target in :attr:`OracleRows.targets`
+    targets: array
+    #: 1 where the site lies in ``__ex_table``
+    in_extable: bytes
+    #: index of each site in :attr:`BuildManifest.reloc_sites`
+    index: array
+
+
+@dataclass(frozen=True)
+class OracleRows:
+    """A manifest's relocation sites and named addresses, as the oracle reads them."""
+
+    #: each distinct target link vaddr (+ addend), ascending
+    targets: array
+    #: one entry per class, in :class:`RelocType` order
+    classes: tuple[SiteRows, ...]
+    #: the names whose code headers the oracle reads, in check order
+    names: tuple[str, ...]
+    #: link vaddr of each name
+    vaddrs: array
+    #: prologue plus identity tag expected at each name's address
+    headers: tuple[bytes, ...]
+    #: digest of everything above: equal manifests share oracle plans
+    key: bytes = field(repr=False)
+
+    @classmethod
+    def of(cls, manifest: "BuildManifest") -> "OracleRows":
+        vaddrs = dict(manifest.symbols)
+        vaddrs.update((f.name, f.link_vaddr) for f in manifest.functions)
+        names = [f.name for f in manifest.functions]
+        names += [n for n in BASE_SYMBOL_NAMES if n in manifest.symbols]
         by_class: dict[RelocType, list] = {t: [] for t in RelocType}
-        for i, s in enumerate(self.reloc_sites):
-            by_class[s.reloc_type].append(
-                (
-                    s.link_offset,
-                    vaddrs[s.target_symbol] + s.target_addend,
-                    s.in_extable,
-                    i,
+        for i, s in enumerate(manifest.reloc_sites):
+            target = vaddrs[s.target_symbol] + s.target_addend
+            by_class[s.reloc_type].append((s.link_offset, target, s.in_extable, i))
+        targets = sorted({row[1] for rows in by_class.values() for row in rows})
+        slot = {t: k for k, t in enumerate(targets)}
+        classes = []
+        for reloc_type, rows in by_class.items():
+            rows.sort(key=itemgetter(0))
+            classes.append(
+                SiteRows(
+                    reloc_type=reloc_type,
+                    offsets=array("I", [r[0] for r in rows]),
+                    targets=array(
+                        "H" if len(targets) <= 0x10000 else "I",
+                        [slot[r[1]] for r in rows],
+                    ),
+                    in_extable=bytes(r[2] for r in rows),
+                    index=array("I", [r[3] for r in rows]),
                 )
             )
-        for rows in by_class.values():
-            rows.sort(key=itemgetter(0))
-        return list(by_class.items())
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(array("Q", targets))
+        for rows in classes:
+            for part in (rows.offsets, rows.targets, rows.in_extable):
+                digest.update(len(part).to_bytes(4, "little"))
+                digest.update(part)
+        digest.update(array("Q", [vaddrs[n] for n in names]))
+        digest.update("\0".join(names).encode())
+        return cls(
+            targets=array("Q", targets),
+            classes=tuple(classes),
+            names=tuple(names),
+            vaddrs=array("Q", [vaddrs[n] for n in names]),
+            headers=tuple(FUNCTION_PROLOGUE + function_id_tag(n) for n in names),
+            key=digest.digest(),
+        )

@@ -19,28 +19,31 @@ the simulation's kernel panic.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
+from operator import add
 
+from repro.core import siteplan
 from repro.core.layout_result import LayoutResult
 from repro.elf.relocs import RelocType
 from repro.errors import GuestPanic
 from repro.kernel import layout as kl
 from repro.kernel import tables
-from repro.kernel.build import BASE_SYMBOL_NAMES
 from repro.kernel.manifest import (
     FUNCTION_PROLOGUE,
     ID_TAG_OFFSET,
     ID_TAG_SIZE,
     BuildManifest,
+    OracleRows,
 )
-from repro.vm.memory import GuestMemory
-from repro.vm.pagetable import PAGE_4K, PageTableWalker
+from repro.vm.memory import CHUNK_SHIFT, GuestMemory
+from repro.vm.pagetable import PageTableWalker
 
 #: cap on per-table entries sampled for deep (id-tag) checks
 _TABLE_SAMPLE = 256
 #: prologue plus identity tag: the bytes read at each function's address
 _HEADER_SIZE = ID_TAG_OFFSET + ID_TAG_SIZE
-_PAGE_MASK = PAGE_4K - 1
+_MASK32 = 0xFFFF_FFFF
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
@@ -78,29 +81,116 @@ def verify_guest_kernel(
     )
 
 
+@dataclass(frozen=True)
+class _ClassPlan:
+    """One relocation class's checked sites as :mod:`~repro.core.siteplan` runs."""
+
+    #: target index of each checked site, in offset order
+    targets: array
+    #: window, first site offset and pad-byte reader of each run
+    windows: array
+    starts: array
+    readers: tuple[struct.Struct, ...]
+
+
+@dataclass(frozen=True)
+class OraclePlan:
+    """A manifest's oracle rows under one window layout."""
+
+    #: window of each distinct target, and of each named address
+    target_windows: array
+    name_windows: array
+    classes: tuple[_ClassPlan, ...]
+
+
+def oracle_plan(manifest: BuildManifest, layout: LayoutResult) -> OraclePlan:
+    """The manifest's :class:`OraclePlan` for ``layout``'s windows.
+
+    Derived once per manifest content and window layout.  Under FGKASLR
+    the extable sites are left out: the re-sort permutes their rows, and
+    :func:`_verify_extable` checks them as a set instead.
+    """
+    rows = manifest.oracle_rows
+    bounds, _ = layout.windows()
+    vbase = layout.link_vbase
+    return siteplan.shared(
+        ("oracle", rows.key, vbase, bounds),
+        lambda: _derive_plan(rows, bounds, vbase),
+    )
+
+
+def _derive_plan(
+    rows: OracleRows, bounds: tuple[int, ...], vbase: int
+) -> OraclePlan:
+    skip_extable = len(bounds) > 2  # more than one window: FGKASLR
+    readers: dict[str, struct.Struct] = {}  # one per distinct format
+    classes = []
+    for cls in rows.classes:
+        keep = [
+            i for i, ext in enumerate(cls.in_extable) if not (ext and skip_extable)
+        ]
+        offsets = [cls.offsets[i] for i in keep]
+        width, code = (8, "Q") if cls.reloc_type is RelocType.ABS64 else (4, "I")
+        ends, windows = siteplan.split_runs(offsets, width, bounds, vbase)
+        starts = array("I")
+        run_readers = []
+        a = 0
+        for b in ends:
+            fmt, at = ["<"], offsets[a]
+            for off in offsets[a:b]:
+                if off > at:
+                    fmt.append(f"{off - at}x")
+                fmt.append(code)
+                at = off + width
+            fmt = "".join(fmt)
+            reader = readers.get(fmt)
+            if reader is None:
+                reader = readers[fmt] = struct.Struct(fmt)
+            starts.append(offsets[a])
+            run_readers.append(reader)
+            a = b
+        targets = array(cls.targets.typecode, [cls.targets[i] for i in keep])
+        classes.append(_ClassPlan(targets, windows, starts, tuple(run_readers)))
+    return OraclePlan(
+        target_windows=siteplan.window_indices(rows.targets, bounds),
+        name_windows=siteplan.window_indices(rows.vaddrs, bounds),
+        classes=tuple(classes),
+    )
+
+
+def _final_shifts(layout: LayoutResult) -> list[int]:
+    """Final vaddr minus link vaddr, per window of ``layout``."""
+    _, deltas = layout.windows()
+    return [d + layout.voffset for d in deltas]
+
+
 def _verify_functions(
     walker: PageTableWalker, layout: LayoutResult, manifest: BuildManifest
 ) -> int:
-    checked = 0
-    vaddrs = manifest.symbol_vaddrs
-    headers = manifest.code_headers
-    names = [f.name for f in manifest.functions]
-    names += [n for n in BASE_SYMBOL_NAMES if n in manifest.symbols]
+    rows = manifest.oracle_rows
+    windows = oracle_plan(manifest, layout).name_windows
+    finals = map(add, rows.vaddrs, map(_final_shifts(layout).__getitem__, windows))
     memory = walker.memory
-    # final vaddr of a 4 KiB page -> its guest-physical address; exact for
-    # the whole call because nothing writes the page tables meanwhile
-    page_paddrs: dict[int, int] = {}
-    for name in names:
-        final = layout.final_vaddr(vaddrs[name])
-        offset = final & _PAGE_MASK
-        if offset + _HEADER_SIZE <= PAGE_4K:
-            paddr = page_paddrs.get(final - offset)
-            if paddr is None:
-                paddr = page_paddrs[final - offset] = walker.translate(final) - offset
-            header = memory.read(paddr + offset, _HEADER_SIZE)
-        else:  # the header crosses into the next page
+    # the mapped page of the last header: [vlo, vhi) maps to vlo + to_phys;
+    # exact for the whole call because nothing writes the tables meanwhile
+    vlo = vhi = to_phys = 0
+    buf, base, last = b"", 0, -1  # the memory chunk of the last header
+    for name, final, expected in zip(rows.names, finals, rows.headers):
+        if not vlo <= final < vhi:
+            paddr, size = walker.leaf(final)
+            vlo = final - (final & (size - 1))
+            vhi, to_phys = vlo + size, paddr - vlo
+        if final + _HEADER_SIZE <= vhi:
+            paddr = final + to_phys
+            if not base <= paddr <= last:
+                view = memory.word_view(paddr, _HEADER_SIZE)
+                if view is None:  # straddles two chunks
+                    view = memory.read(paddr, _HEADER_SIZE), paddr, paddr
+                buf, base, last = view
+            header = buf[paddr - base : paddr - base + _HEADER_SIZE]
+        else:  # the header crosses into the next mapped page
             header = walker.read_virt(final, _HEADER_SIZE)
-        if header != headers[name]:
+        if header != expected:
             if header[:ID_TAG_OFFSET] != FUNCTION_PROLOGUE:
                 raise GuestPanic(
                     f"function {name!r}: no prologue at final vaddr {final:#x}"
@@ -109,40 +199,82 @@ def _verify_functions(
                 f"function {name!r}: identity tag mismatch at {final:#x} "
                 "(layout map lies about where this function landed)"
             )
-        checked += 1
-    return checked
+    return len(rows.names)
 
 
 def _verify_reloc_sites(
     memory: GuestMemory, layout: LayoutResult, manifest: BuildManifest
 ) -> int:
+    """Compare every checked site with its expected word, one read per run.
+
+    Each run's words come out of one read-only word view (or, for a run
+    straddling two chunks, one copying read) with one ``unpack_from``;
+    the expected words come from each target's window, this boot's
+    deltas and its voffset.  On any mismatch, or a run outside guest
+    memory, :func:`_sweep_sites` checks site by site and raises for the
+    first bad one.
+    """
+    rows = manifest.oracle_rows
+    plan = oracle_plan(manifest, layout)
+    _, deltas = layout.windows()
+    shifts = _final_shifts(layout)
+    finals = list(map(add, rows.targets, map(shifts.__getitem__, plan.target_windows)))
+    phys = layout.phys_load
+    size = memory.size
+    chunks: dict[int, tuple] = {}  # chunk index -> (read-only buf, base, end)
+    checked = 0
+    for cls, cplan in zip(rows.classes, plan.classes):
+        if cls.reloc_type is RelocType.ABS32:
+            words = [f & _MASK32 for f in finals]
+        elif cls.reloc_type is RelocType.INV32:
+            words = [-f & _MASK32 for f in finals]
+        else:
+            words = finals
+        expected = list(map(words.__getitem__, cplan.targets))
+        actual: list[int] = []
+        for j, start, reader in zip(cplan.windows, cplan.starts, cplan.readers):
+            lo = start + phys + deltas[j]
+            hi = lo + reader.size
+            view = chunks.get(lo >> CHUNK_SHIFT)
+            if view is None or hi > view[2]:
+                if lo < 0 or hi > size:
+                    return _sweep_sites(memory, layout, manifest)
+                view = memory.word_view(lo, hi - lo)
+                if view is None:  # straddles two chunks
+                    actual += reader.unpack(memory.read(lo, hi - lo))
+                    continue
+                buf, base, last = view
+                view = chunks[lo >> CHUNK_SHIFT] = (buf, base, last + hi - lo)
+            actual += reader.unpack_from(view[0], lo - view[1])
+        if actual != expected:
+            return _sweep_sites(memory, layout, manifest)
+        checked += len(expected)
+    return checked
+
+
+def _sweep_sites(
+    memory: GuestMemory, layout: LayoutResult, manifest: BuildManifest
+) -> int:
+    """The site check one site at a time, in class then offset order."""
     # The FGKASLR re-sort permutes extable rows; under it those sites are
     # verified as a set in _verify_extable instead.
+    rows = manifest.oracle_rows
     skip_extable = layout.fine_grained
-    final = layout.final_vaddrs()
     checked = 0
-    for reloc_type, rows in manifest.site_rows:
-        word = _U64 if reloc_type is RelocType.ABS64 else _U32
-        width = word.size
-        unpack = word.unpack_from
-        inverse = reloc_type is RelocType.INV32
-        buf, k, lo, hi = None, 0, 0, -1
-        for off, target, in_extable, index in rows:
+    for cls in rows.classes:
+        word = _U64 if cls.reloc_type is RelocType.ABS64 else _U32
+        for off, t, in_extable, index in zip(
+            cls.offsets, cls.targets, cls.in_extable, cls.index
+        ):
             if in_extable and skip_extable:
                 continue
-            if lo <= off <= hi:
-                actual = unpack(buf, off + k)[0]
-            else:
-                view = layout.site_view(memory, off, width)
-                if view is None:  # straddles two chunks
-                    paddr = layout.phys_load + layout.final_image_offset(off)
-                    (actual,) = word.unpack(memory.read(paddr, width))
-                else:
-                    buf, k, lo, hi = view
-                    actual = unpack(buf, off + k)[0]
-            expected = final[target]
-            if width == 4:
-                expected = (-expected if inverse else expected) & 0xFFFFFFFF
+            paddr = layout.phys_load + layout.final_image_offset(off)
+            (actual,) = word.unpack(memory.read(paddr, word.size))
+            expected = layout.final_vaddr(rows.targets[t])
+            if cls.reloc_type is RelocType.ABS32:
+                expected &= _MASK32
+            elif cls.reloc_type is RelocType.INV32:
+                expected = -expected & _MASK32
             if actual != expected:
                 site = manifest.reloc_sites[index]
                 raise GuestPanic(

@@ -31,10 +31,14 @@ from dataclasses import dataclass, replace
 
 from typing import TYPE_CHECKING
 
+from repro.core.fgkaslr import FgkaslrEngine
 from repro.core.inmonitor import RandomizeMode
+from repro.core.layout_result import LayoutResult
+from repro.core.relocator import relocation_plan
 from repro.errors import BootFailure, InjectedFault, MonitorError, failure_kind
 from repro.host.entropy import HostEntropyPool
 from repro.host.storage import HostStorage
+from repro.kernel.verify import oracle_plan
 from repro.monitor.artifact_cache import BootArtifactCache
 from repro.monitor.config import BootFormat, VmConfig
 from repro.monitor.report import BootReport
@@ -187,6 +191,8 @@ class Firecracker:
         Warms the host page cache, and — when this monitor carries a
         :class:`BootArtifactCache` — primes the parse entry the caching
         stage will probe, so the first measured boot is already a hit.
+        Then derives the site plans every boot of this kernel walks, so
+        that fleet workers forked after the warm-up inherit them.
         """
         self.register_kernel(cfg)
         self.storage.warm(cfg.kernel_file_name())
@@ -205,6 +211,7 @@ class Firecracker:
                 cfg.policy,
                 seed_class=cfg.seed_class,
             )
+        _derive_site_plans(cfg)
 
     def boot(
         self,
@@ -355,3 +362,15 @@ class Qemu(Firecracker):
     """The same machinery under QEMU-like monitor constants (Section 2.2)."""
 
     profile = QEMU_PROFILE
+
+
+def _derive_site_plans(cfg: VmConfig) -> None:
+    """The oracle's site plan for ``cfg``'s window layout and, under
+    FGKASLR, the relocator's (see :mod:`repro.core.siteplan`)."""
+    windows = LayoutResult()
+    if cfg.randomize is RandomizeMode.FGKASLR:
+        inventory = FgkaslrEngine.inventory(cfg.kernel.elf)
+        windows.moved = [(vaddr, size, 0) for _, vaddr, size in inventory.ordered]
+        if windows.moved and cfg.kernel.reloc_table is not None:
+            relocation_plan(cfg.kernel.reloc_table, windows.finalize())
+    oracle_plan(cfg.kernel.manifest, windows.finalize())

@@ -13,8 +13,9 @@ import struct
 
 from repro.errors import GuestMemoryError
 
-_CHUNK_SHIFT = 18  # 256 KiB chunks
-_CHUNK_SIZE = 1 << _CHUNK_SHIFT
+#: memory is held in chunks of ``1 << CHUNK_SHIFT`` bytes (256 KiB)
+CHUNK_SHIFT = 18
+_CHUNK_SIZE = 1 << CHUNK_SHIFT
 _CHUNK_MASK = _CHUNK_SIZE - 1
 #: what a read-only word view of an untouched chunk reads
 _ZERO_CHUNK = bytes(_CHUNK_SIZE)
@@ -79,7 +80,7 @@ class GuestMemory:
             chunk = self._chunks.get(index)
             if chunk is None:
                 chunk = self._base[index]
-            base = index << _CHUNK_SHIFT
+            base = index << CHUNK_SHIFT
             for offset in range(0, _CHUNK_SIZE, page_size):
                 yield base + offset, bytes(chunk[offset : offset + page_size])
 
@@ -91,7 +92,7 @@ class GuestMemory:
         pos = 0
         while pos < length:
             addr = paddr + pos
-            index = addr >> _CHUNK_SHIFT
+            index = addr >> CHUNK_SHIFT
             offset = addr & _CHUNK_MASK
             run = min(length - pos, _CHUNK_SIZE - offset)
             chunk = self._chunks.get(index)
@@ -109,7 +110,7 @@ class GuestMemory:
         pos = 0
         while pos < length:
             addr = paddr + pos
-            index = addr >> _CHUNK_SHIFT
+            index = addr >> CHUNK_SHIFT
             offset = addr & _CHUNK_MASK
             run = min(length - pos, _CHUNK_SIZE - offset)
             chunk = self._chunks.get(index)
@@ -128,7 +129,7 @@ class GuestMemory:
             pos = 0
             while pos < length:
                 addr = paddr + pos
-                index = addr >> _CHUNK_SHIFT
+                index = addr >> CHUNK_SHIFT
                 offset = addr & _CHUNK_MASK
                 run = min(length - pos, _CHUNK_SIZE - offset)
                 chunk = self._chunks.get(index)
@@ -168,8 +169,8 @@ class GuestMemory:
         """
         if paddr < 0 or paddr + width > self.size:
             self._check(paddr, width)
-        index = paddr >> _CHUNK_SHIFT
-        base = index << _CHUNK_SHIFT
+        index = paddr >> CHUNK_SHIFT
+        base = index << CHUNK_SHIFT
         last = min(base + _CHUNK_SIZE, self.size) - width
         if paddr > last:
             return None

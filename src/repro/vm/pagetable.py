@@ -145,7 +145,14 @@ class PageTableWalker:
         self.memory = memory
         self.cr3 = cr3
 
-    def translate(self, vaddr: int) -> int:
+    def leaf(self, vaddr: int) -> tuple[int, int]:
+        """``(paddr, size)`` of the mapped page holding ``vaddr``.
+
+        The page is a 1 GiB, 2 MiB or 4 KiB leaf; ``paddr`` is its
+        guest-physical base, so the page maps the ``size`` bytes from
+        ``vaddr - vaddr % size`` to ``paddr``.  Raises
+        :class:`TranslationFault` at the first non-present entry.
+        """
         v = _canonical(vaddr)
         pml4_entry = self.memory.read_u64(self.cr3 + ((v >> 39) & 0x1FF) * 8)
         if not pml4_entry & _PTE_PRESENT:
@@ -155,18 +162,22 @@ class PageTableWalker:
         if not pdpt_entry & _PTE_PRESENT:
             raise TranslationFault(f"PDPTE not present for {vaddr:#x}")
         if pdpt_entry & _PTE_PS:
-            return (pdpt_entry & _ADDR_MASK & ~(PAGE_1G - 1)) | (v & (PAGE_1G - 1))
+            return pdpt_entry & _ADDR_MASK & ~(PAGE_1G - 1), PAGE_1G
         pd = pdpt_entry & _ADDR_MASK
         pd_entry = self.memory.read_u64(pd + ((v >> 21) & 0x1FF) * 8)
         if not pd_entry & _PTE_PRESENT:
             raise TranslationFault(f"PDE not present for {vaddr:#x}")
         if pd_entry & _PTE_PS:
-            return (pd_entry & _ADDR_MASK & ~(PAGE_2M - 1)) | (v & (PAGE_2M - 1))
+            return pd_entry & _ADDR_MASK & ~(PAGE_2M - 1), PAGE_2M
         pt = pd_entry & _ADDR_MASK
         pt_entry = self.memory.read_u64(pt + ((v >> 12) & 0x1FF) * 8)
         if not pt_entry & _PTE_PRESENT:
             raise TranslationFault(f"PTE not present for {vaddr:#x}")
-        return (pt_entry & _ADDR_MASK) | (v & (PAGE_4K - 1))
+        return pt_entry & _ADDR_MASK, PAGE_4K
+
+    def translate(self, vaddr: int) -> int:
+        paddr, size = self.leaf(vaddr)
+        return paddr | (vaddr & (size - 1))
 
     def read_virt(self, vaddr: int, length: int) -> bytes:
         """Read guest-virtual memory, page-crossing aware."""

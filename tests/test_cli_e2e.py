@@ -47,6 +47,11 @@ TINY = ["--kernel", "tiny", "--scale", "1", "--jitter", "0"]
 
 # -- bad serve-family numbers --------------------------------------------------
 
+_NO_REBASE = (
+    "restore-rebase rebases base-KASLR layouts only; "
+    "--mode {} supports --strategy cold-boot or restore"
+)
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -63,6 +68,13 @@ TINY = ["--kernel", "tiny", "--scale", "1", "--jitter", "0"]
         ("serve --deadline-ms -1", "deadline must be positive: -1000000"),
         ("watch --window-ms 0", "window must be >= 1 ns: 0"),
         ("watch --provisioners 0", "need >= 1 provisioner: 0"),
+        ("serve --mode none --strategy restore-rebase", _NO_REBASE.format("none")),
+        ("serve --mode fgkaslr", _NO_REBASE.format("fgkaslr")),
+        (
+            "watch --mode fgkaslr --strategy restore-rebase",
+            _NO_REBASE.format("fgkaslr"),
+        ),
+        ("trace --mode none", _NO_REBASE.format("none")),
     ],
 )
 def test_bad_flight_numbers_exit_2_before_any_boot(monkeypatch, argv, message):

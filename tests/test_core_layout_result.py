@@ -3,11 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 import reference
-from repro.core import LayoutResult
+from repro.core import LayoutResult, siteplan
 from repro.kernel import layout as kl
-from repro.vm import GuestMemory
 
 V = kl.LINK_VBASE
+P = kl.PHYS_LOAD_ADDR
 
 
 def _layout(voffset=0x2000000, moved=None):
@@ -95,25 +95,32 @@ def test_displacement_matches_bisect_reference(moved, addrs):
 @settings(max_examples=200, deadline=None)
 @given(
     moved=_moves,
-    offsets=st.lists(st.integers(0, 0x5000), min_size=1, max_size=40),
+    offsets=st.lists(st.integers(0, 0x5000) | st.integers(0, 0x30000), max_size=40),
     width=st.sampled_from([4, 8]),
 )
-def test_site_view_span_shares_window_and_chunk(moved, offsets, width):
-    """Every offset of a returned span resolves to the word the view gives."""
+def test_plan_runs_share_window_and_block(moved, offsets, width):
+    """Runs cover the sites in order; each run's sites share one window
+    and one 64 KiB block and ascend without overlapping, so under an
+    unmoved window a run at a chunk-aligned load address shares a chunk
+    unless its last word crosses out of the block."""
     layout = _layout(moved=list(moved))
-    memory = GuestMemory(64 << 20)
+    bounds, deltas = layout.windows()
+    ends, windows = siteplan.split_runs(offsets, width, bounds, V)
+    assert len(ends) == len(windows)
+    assert list(ends) == sorted(set(ends))
+    assert (ends[-1] if ends else 0) == len(offsets)
     chunk = 1 << 18
-    for base in (kl.PHYS_LOAD_ADDR - chunk, kl.PHYS_LOAD_ADDR):
-        memory.write(base, b"\x01")  # distinct chunks, so identity means something
-    for off in offsets:
-        view = layout.site_view(memory, off, width)
-        if view is None:
-            paddr = reference.site_paddr(layout, off)
-            assert paddr % chunk + width > chunk  # only a straddling word
-            continue
-        buf, k, lo, hi = view
-        assert lo <= off <= hi
-        for probe in {lo, off, hi}:
-            paddr = reference.site_paddr(layout, probe)
-            assert buf is memory.word_view(paddr, width)[0]
-            assert probe + k == paddr % chunk
+    a = 0
+    for b, j in zip(ends, windows):
+        run = offsets[a:b]
+        assert run
+        for off in run:
+            assert bounds[j] <= V + off < bounds[j + 1]
+            assert deltas[j] == reference.displacement(layout, V + off)
+            assert off >> siteplan.RUN_SHIFT == run[0] >> siteplan.RUN_SHIFT
+        assert all(nxt >= prev + width for prev, nxt in zip(run, run[1:]))
+        last = run[-1] + width - 1
+        in_block = last >> siteplan.RUN_SHIFT == run[0] >> siteplan.RUN_SHIFT
+        if deltas[j] == 0 and in_block:
+            assert (P + run[0]) // chunk == (P + last) // chunk
+        a = b

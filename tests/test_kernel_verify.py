@@ -8,11 +8,14 @@ import pytest
 
 import reference
 from repro.core import RandomizeMode
-from repro.errors import GuestPanic
+from repro.errors import GuestMemoryError, GuestPanic, TranslationFault
 from repro.kernel import layout as kl
 from repro.kernel.verify import _verify_functions, verify_guest_kernel
+from repro.monitor.addrspace import build_kernel_address_space
+from repro.vm import GuestMemory, PageTableWalker
+from repro.vm.pagetable import PAGE_1G, PAGE_2M, PAGE_4K, PageTableBuilder
 
-from helpers import randomize_into_memory, walker_for
+from helpers import MIB, randomize_into_memory, walker_for
 
 
 def _panics_like_reference(memory, walker, layout, manifest, match=None):
@@ -165,3 +168,129 @@ def test_report_counts(tiny_kaslr):
     assert report.sites_checked == len(tiny_kaslr.manifest.reloc_sites)
     assert report.extable_checked == tiny_kaslr.manifest.n_extable
     assert report.entry_vaddr == kl.LINK_VBASE + layout.voffset
+
+
+# -- the header walk, once per mapped page -------------------------------------
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (GuestPanic, GuestMemoryError, TranslationFault) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _functions_like_reference(memory, walker, layout, manifest):
+    got = _outcome(lambda: _verify_functions(walker, layout, manifest))
+    want = _outcome(lambda: reference.verify_functions(walker, layout, manifest))
+    assert got == want
+    return got
+
+
+def _remap(memory, layout, loaded, page, place, move=True):
+    """Fresh tables mapping the kernel window with ``page``-sized leaves.
+
+    Virtual page ``i`` of the window maps to physical ``place(i)``.  With
+    ``move`` the image's bytes follow their pages — each page's image
+    bytes and the 16 after them, so a header read on across the page's
+    end still finds its bytes — and the image the layout points at is
+    zeroed.  Returns the walker.
+    """
+    vbase = kl.LINK_VBASE + layout.voffset
+    levels = {PAGE_1G: (39, 30), PAGE_2M: (39, 30, 21)}.get(page, (39, 30, 21, 12))
+    builder = PageTableBuilder(memory, memory.size - 64 * MIB)
+    image = memory.read(layout.phys_load, loaded.mem_bytes + 16)
+    for i in range(-(-loaded.mem_bytes // page)):
+        v = (vbase + i * page) & 0xFFFF_FFFF_FFFF
+        table = builder.pml4
+        for shift in levels[:-1]:
+            table = builder._get_or_create(table, (v >> shift) & 0x1FF)
+        large = 0x80 if page != PAGE_4K else 0  # the PS bit
+        entry = table + ((v >> levels[-1]) & 0x1FF) * 8
+        memory.write_u64(entry, place(i) | large | 0x3)
+        if move:
+            memory.write(place(i), image[i * page : (i + 1) * page + 16])
+    if move:
+        memory.fill(layout.phys_load, loaded.mem_bytes, 0)
+    return PageTableWalker(memory, builder.pml4)
+
+
+@pytest.mark.parametrize("mode", [RandomizeMode.KASLR, RandomizeMode.FGKASLR])
+def test_functions_read_once_per_2m_page_like_reference(tiny_fgkaslr, mode):
+    layout, memory, walker = _booted(tiny_fgkaslr, mode)
+    got = _functions_like_reference(memory, walker, layout, tiny_fgkaslr.manifest)
+    assert got == ("ok", len(tiny_fgkaslr.manifest.functions) + 16)
+
+
+@pytest.mark.parametrize("order", ["spread", "reversed"])
+def test_functions_through_scattered_4k_pages_like_reference(tiny_fgkaslr, order):
+    """Neighbouring virtual pages map to non-adjacent physical pages."""
+    layout, loaded, memory, _ = randomize_into_memory(
+        tiny_fgkaslr, RandomizeMode.FGKASLR, seed=31
+    )
+    n = -(-loaded.mem_bytes // PAGE_4K)
+    slot = (lambda i: 2 * i) if order == "spread" else (lambda i: 2 * (n - i))
+    walker = _remap(
+        memory, layout, loaded, PAGE_4K, lambda i: 64 * MIB + slot(i) * PAGE_4K
+    )
+    got = _functions_like_reference(memory, walker, layout, tiny_fgkaslr.manifest)
+    assert got[0] == "ok"
+
+
+def test_functions_through_a_1g_page_like_reference(tiny_fgkaslr):
+    layout, loaded, small, _ = randomize_into_memory(
+        tiny_fgkaslr, RandomizeMode.FGKASLR, seed=31
+    )
+    memory = GuestMemory(2 * PAGE_1G, base=small.freeze())
+    offset = (kl.LINK_VBASE + layout.voffset) % PAGE_1G
+    walker = _remap(memory, layout, loaded, PAGE_1G, lambda i: PAGE_1G, move=False)
+    memory.write(PAGE_1G + offset, memory.read(layout.phys_load, loaded.mem_bytes))
+    memory.fill(layout.phys_load, loaded.mem_bytes, 0)
+    got = _functions_like_reference(memory, walker, layout, tiny_fgkaslr.manifest)
+    assert got[0] == "ok"
+
+
+def test_header_across_a_2m_page_like_reference(tiny_fgkaslr):
+    """A function 8 bytes before a 2 MiB boundary, both pages mapped."""
+    layout, loaded, memory, _ = randomize_into_memory(
+        tiny_fgkaslr, RandomizeMode.FGKASLR, seed=31
+    )
+    orig, size, delta = layout.moved[0]
+    header = memory.read(layout.final_paddr(orig), 16)
+    shift = (PAGE_2M - 8 - layout.final_vaddr(orig)) % PAGE_2M
+    layout.moved[0] = (orig, size, delta + shift)
+    layout.finalize()
+    assert layout.final_vaddr(orig) % PAGE_2M == PAGE_2M - 8
+    memory.write(layout.final_paddr(orig), header)
+    builder = build_kernel_address_space(memory, layout, 2 * PAGE_2M)
+    walker = PageTableWalker(memory, builder.pml4)
+    manifest = tiny_fgkaslr.manifest
+    assert _functions_like_reference(memory, walker, layout, manifest)[0] == "ok"
+    memory.write(layout.final_paddr(orig) + 12, b"\x00")  # in the second page
+    kind, message = _functions_like_reference(memory, walker, layout, manifest)
+    assert kind == "GuestPanic" and "identity tag" in message
+
+
+@pytest.mark.parametrize("move", [True, False])
+def test_a_2m_page_mapped_away_from_the_layout_reads_like_reference(tiny_fgkaslr, move):
+    """The tables, not the layout, say where a header's bytes are."""
+    layout, loaded, memory, _ = randomize_into_memory(
+        tiny_fgkaslr, RandomizeMode.FGKASLR, seed=31
+    )
+    walker = _remap(memory, layout, loaded, PAGE_2M, lambda i: 96 * MIB, move=move)
+    kind, _ = _functions_like_reference(memory, walker, layout, tiny_fgkaslr.manifest)
+    assert kind == ("ok" if move else "GuestPanic")
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_non_present_entry_faults_like_reference(tiny_fgkaslr, level):
+    """Clear the kernel window's PML4, PDPT or PD entry."""
+    layout, memory, walker = _booted(tiny_fgkaslr, RandomizeMode.FGKASLR)
+    v = (kl.LINK_VBASE + layout.voffset) & 0xFFFF_FFFF_FFFF
+    table = walker.cr3
+    for shift in (39, 30, 21)[:level]:
+        table = memory.read_u64(table + ((v >> shift) & 0x1FF) * 8) & 0xF_FFFF_FFFF_F000
+    memory.write_u64(table + ((v >> (39 - 9 * level)) & 0x1FF) * 8, 0)
+    manifest = tiny_fgkaslr.manifest
+    kind, message = _functions_like_reference(memory, walker, layout, manifest)
+    assert kind == "TranslationFault" and "not present" in message

@@ -369,3 +369,239 @@ def test_oracle_site_outside_memory_raises_like_reference():
     )
     kind, _ = _compare_oracles(GuestMemory(MEM), layout, manifest)
     assert kind == "GuestMemoryError"
+
+
+# -- site plans ------------------------------------------------------------------
+
+
+def test_one_plan_serves_layouts_that_share_windows(tiny_fgkaslr, monkeypatch):
+    """Three FGKASLR boots and a KASLR boot of one kernel, in one process.
+
+    The FGKASLR layouts share their window bounds and differ in deltas
+    and voffset, so they share plans; a plan that kept any boot's data
+    would relocate, rebase or verify a later boot wrongly.
+    """
+    from repro.core import inmonitor
+    from repro.kernel.verify import verify_guest_kernel
+
+    from helpers import walker_for
+
+    class PerSite(Relocator):
+        def apply(self, table, ctx):
+            return reference.relocate(self.memory, self.layout, table, ctx)
+
+    boots = [(RandomizeMode.FGKASLR, s) for s in (11, 12, 13)]
+    boots.append((RandomizeMode.KASLR, 14))
+    seen = []
+    for mode, seed in boots:
+        with monkeypatch.context() as m:
+            m.setattr(inmonitor, "Relocator", PerSite)
+            want = randomize_into_memory(tiny_fgkaslr, mode, seed=seed)
+        layout, loaded, memory, clock = randomize_into_memory(
+            tiny_fgkaslr, mode, seed=seed
+        )
+        assert layout == want[0] and clock.now_ns == want[3].now_ns
+        assert _contents(memory) == _contents(want[2])
+        walker = walker_for(memory, layout, loaded)
+        manifest = tiny_fgkaslr.manifest
+        report = verify_guest_kernel(memory, walker, layout, manifest)
+        assert report == reference.verify_guest_kernel(memory, walker, layout, manifest)
+        assert report.sites_checked > 0
+        mem_new, mem_ref = memory.clone_cow(), memory.clone_cow()
+        lay_new, lay_ref = layout.clone(), layout.clone()
+        table, policy = tiny_fgkaslr.reloc_table, RandomizationPolicy()
+        got = _outcome(
+            lambda: Rerandomizer(policy).rebase(mem_new, lay_new, table, _ctx(seed))
+        )
+        want_rebase = _outcome(
+            lambda: reference.rebase(policy, mem_ref, lay_ref, table, _ctx(seed))
+        )
+        assert got == want_rebase
+        assert _contents(mem_new) == _contents(mem_ref)
+        seen.append(layout)
+    fg = seen[:3]
+    assert len({lay.windows()[0] for lay in fg}) == 1
+    assert len({tuple(lay.windows()[1]) for lay in fg}) == 3
+    assert len({lay.voffset for lay in fg}) == 3
+    assert not seen[3].fine_grained
+
+
+@SETTINGS
+@given(data=st.data(), n_moves=st.integers(1, 4))
+def test_plans_carry_no_per_boot_data(data, n_moves):
+    """One table and one manifest under layouts sharing window bounds."""
+    span = IMAGE // 2 // n_moves
+    slots = data.draw(
+        st.lists(st.integers(0, IMAGE // 2 // _SLOT - 1), unique=True, max_size=40)
+    )
+    symbols = {f"sym{i}": V + i * 0x40 for i in range(16)}
+    sites = [
+        RelocSiteInfo(
+            reloc_type=data.draw(st.sampled_from(list(RelocType))),
+            link_offset=_slot_offset(slot),
+            target_symbol=data.draw(st.sampled_from(sorted(symbols))),
+            target_addend=data.draw(st.integers(0, 0x3F)),
+        )
+        for slot in slots
+    ]
+    manifest = _manifest(sites, symbols)
+    table = _table(data)
+    for _ in range(3):
+        # sections of the first half move, intact, into the second half
+        layout = _layout(
+            data.draw(st.integers(0, 511)) * 2 * kl.MIB,
+            [
+                (k * span, span // 2, IMAGE // 2 + 16 * nudge)
+                for k, nudge in enumerate(
+                    data.draw(st.integers(0, span // 32)) for _ in range(n_moves)
+                )
+            ],
+        )
+        bad = data.draw(st.sampled_from([None, *range(len(sites))]))
+        memory = GuestMemory(MEM)
+        for i, site in enumerate(sites):
+            word = _expected_word(layout, manifest, site)
+            if i == bad:
+                word = bytes([word[0] ^ 1]) + word[1:]
+            memory.write(reference.site_paddr(layout, site.link_offset), word)
+        kind, _ = _compare_oracles(memory.clone_cow(), layout, manifest)
+        assert kind == ("ok" if bad is None else "GuestPanic")
+
+        values = _stored_values(data, layout, table.entry_count)
+        base = _memory_with(layout, table, values, reference.site_paddr)
+        mem_new, mem_ref = base.clone_cow(), base.clone_cow()
+        lay_new, lay_ref = layout.clone(), layout.clone()
+        got = _outcome(lambda: Relocator(mem_new, lay_new).apply(table, _ctx()))
+        want = _outcome(lambda: reference.relocate(mem_ref, lay_ref, table, _ctx()))
+        assert got == want
+        assert _contents(mem_new) == _contents(mem_ref)
+
+
+def _moved_across_a_chunk(n_sites: int, shift: int = 0):
+    """A layout moving one section so it straddles the second chunk
+    boundary (with ``shift=CHUNK``, the end of guest memory), and
+    ``n_sites`` 8-byte sites in it."""
+    start, size = 0x1000, 0x400
+    delta = 2 * CHUNK - P % CHUNK - start - size // 2 + shift
+    layout = _layout(0x200000, [(start, size, delta)])
+    return layout, [start + 16 * i for i in range(n_sites)]
+
+
+@pytest.mark.parametrize("shift", [0, CHUNK])
+def test_a_run_across_a_chunk_relocates_like_reference(shift):
+    layout, offsets = _moved_across_a_chunk(40, shift)
+    table = RelocationTable(abs64=offsets, abs32=[o + 8 for o in offsets])
+    values = [V + 0x40 * i for i in range(table.entry_count)]
+    base = _memory_with(layout, table, values, reference.site_paddr)
+    mem_new, mem_ref = base.clone_cow(), base.clone_cow()
+    got = _outcome(lambda: Relocator(mem_new, layout.clone()).apply(table, _ctx()))
+    want = _outcome(lambda: reference.relocate(mem_ref, layout.clone(), table, _ctx()))
+    assert got == want
+    assert got[0] == ("ok" if shift == 0 else "GuestMemoryError")
+    assert _contents(mem_new) == _contents(mem_ref)
+
+
+@pytest.mark.parametrize("shift", [0, CHUNK])
+def test_a_run_across_a_chunk_verifies_like_reference(shift):
+    layout, offsets = _moved_across_a_chunk(40, shift)
+    manifest = _manifest(
+        [RelocSiteInfo(RelocType.ABS64, off, "sym", 8) for off in offsets],
+        {"sym": V + 0x100},
+    )
+    memory = GuestMemory(MEM)
+    for site in manifest.reloc_sites:
+        paddr = reference.site_paddr(layout, site.link_offset)
+        if paddr + 8 <= MEM:
+            memory.write(paddr, _expected_word(layout, manifest, site))
+    kind, _ = _compare_oracles(memory, layout, manifest)
+    assert kind == ("ok" if shift == 0 else "GuestMemoryError")
+
+
+@SETTINGS
+@given(data=st.data(), voffset=st.integers(0, 511), n_moves=st.integers(0, 4))
+def test_oracle_reports_the_first_of_several_bad_sites(data, voffset, n_moves):
+    """The first bad site in (class, offset) order, as the reference
+    reports that site when it is the only bad one."""
+    span = IMAGE // 2 // max(n_moves, 1)
+    layout = _layout(
+        voffset * 2 * kl.MIB,
+        [(k * span, span // 2, IMAGE // 2) for k in range(n_moves)],
+    )
+    slots = data.draw(
+        st.lists(
+            st.integers(0, IMAGE // 2 // _SLOT - 1),
+            unique=True,
+            min_size=2,
+            max_size=60,
+        )
+    )
+    symbols = {f"sym{i}": V + i * 0x40 for i in range(16)}
+    sites = [
+        RelocSiteInfo(
+            reloc_type=data.draw(st.sampled_from(list(RelocType))),
+            link_offset=_slot_offset(slot),
+            target_symbol=data.draw(st.sampled_from(sorted(symbols))),
+            target_addend=data.draw(st.integers(0, 0x3F)),
+        )
+        for slot in slots
+    ]
+    manifest = _manifest(sites, symbols)
+    bad = data.draw(st.sets(st.sampled_from(range(len(sites))), min_size=2))
+
+    def memory_with(bad_sites):
+        memory = GuestMemory(MEM)
+        for i, site in enumerate(sites):
+            word = _expected_word(layout, manifest, site)
+            if i in bad_sites:
+                word = bytes([word[0] ^ 1]) + word[1:]
+            memory.write(reference.site_paddr(layout, site.link_offset), word)
+        return memory
+
+    classes = list(RelocType)
+    first = min(
+        bad, key=lambda i: (classes.index(sites[i].reloc_type), sites[i].link_offset)
+    )
+    got = _outcome(lambda: _verify_reloc_sites(memory_with(bad), layout, manifest))
+    alone = memory_with({first})
+    want = _outcome(lambda: reference.verify_reloc_sites(alone, layout, manifest))
+    assert got == want
+    assert got[0] == "GuestPanic"
+
+
+@pytest.mark.parametrize("variant, mode", [
+    (KernelVariant.KASLR, RandomizeMode.KASLR),
+    (KernelVariant.FGKASLR, RandomizeMode.FGKASLR),
+])
+def test_a_table_parsed_per_boot_leaves_no_plan(variant, mode, monkeypatch):
+    """A bzImage boot's relocation table dies with the boot."""
+    import gc
+    import weakref
+
+    from repro.artifacts import get_bzimage, get_kernel
+    from repro.core import siteplan
+    from repro.host import HostStorage
+    from repro.monitor import BootFormat, Firecracker, VmConfig
+
+    kernel = get_kernel(TINY, variant, scale=1, seed=3)
+    cfg = VmConfig(
+        kernel=kernel,
+        boot_format=BootFormat.BZIMAGE,
+        bzimage=get_bzimage(TINY, variant, "lz4", scale=1, seed=3),
+        randomize=mode,
+    )
+    parsed = []
+    decode = RelocationTable.decode.__func__
+
+    def tracked(cls, blob):
+        table = decode(cls, blob)
+        parsed.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(RelocationTable, "decode", classmethod(tracked))
+    monkeypatch.setattr(siteplan, "_plans", {})
+    Firecracker(HostStorage()).boot(cfg)
+    gc.collect()
+    assert parsed and all(ref() is None for ref in parsed)
+    # one window needs no plan; the FGKASLR plan is keyed by content
+    derived = [k for k in siteplan._plans if k[0] == "relocs"]
+    assert len(derived) == (mode is RandomizeMode.FGKASLR)
