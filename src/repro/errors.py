@@ -68,6 +68,14 @@ class MonitorError(ReproError):
     """The virtual machine monitor could not complete an operation."""
 
 
+class WorkerPoolBroken(MonitorError):
+    """A process executor's worker died, so its pool can run no more boots.
+
+    Ends the whole fleet launch: it is not one boot's failure, and the
+    fleet's retries would need the pool that is gone.
+    """
+
+
 class GuestPanic(ReproError):
     """The simulated guest kernel failed its post-boot self-verification.
 

@@ -411,6 +411,23 @@ class BootArtifactCache:
         if self.disk is not None:
             self.disk.store(key, prepared)
 
+    def peek(self, key: CacheKey) -> PreparedImage | None:
+        """The memory tier's entry for ``key``, without counting or reordering."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def seed(self, key: CacheKey, prepared: PreparedImage) -> None:
+        """Place an entry in the memory tier only: no disk write, no counts.
+
+        A forked fleet worker seeds its fresh cache with the entry its
+        parent's warm-up holds (see :meth:`peek`).
+        """
+        with self._lock:
+            self._entries[key] = prepared
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
     def note_parse(self, scope: CacheScope | None = None) -> None:
         """Count one cold parse the cache could not serve."""
         with self._lock:

@@ -11,17 +11,29 @@ backends behind one interface:
   (hoisted above the retry waves, so retries reuse workers instead of
   churning pools) running ``vmm.boot`` in-process;
 * :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
-  receive the kernel bytes as zero-copy
-  :class:`~repro.monitor.sharedmem.SharedBlob` views, boot against their
-  own monitor instance, and return one record per boot: its timeline
-  (in the report, or next to the failure JSON), cache-scope counts and
-  profiler cells.  The parent derives telemetry from that timeline with
-  the :func:`~repro.monitor.vmm.record_boot` the thread path calls.
+  boot against their own monitor instance and return one record per
+  boot: its timeline (in the report, or next to the failure JSON),
+  cache-scope counts and profiler cells.  The parent derives telemetry
+  from that timeline with the :func:`~repro.monitor.vmm.record_boot` the
+  thread path calls.
+
+A process worker pays for its boot substrate once per launch, and under
+``fork`` it does not pay for the read-only part at all: it inherits the
+parent's warmed kernel image (parsed ELF, decoded relocation table), the
+parse product the warm-up cached and the site plans
+(:mod:`repro.core.siteplan`), and builds only the per-launch objects that
+carry locks or counts (host storage, artifact cache, telemetry,
+profiler).  Under ``spawn`` nothing is inherited: the worker rebuilds the
+kernel from zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views
+and re-warms from the disk tier.  The start method (the platform's
+default, or ``REPRO_MP_START``) picks the path.
 
 Both backends therefore produce byte-identical layouts and telemetry for
 the same seeds, fault plans included: every boot is a pure function of
-(config, seed, cost model), and the process worker rebuilds exactly the
-state the thread path shares.
+(config, seed, cost model), and a process worker holds exactly the state
+the thread path shares, inherited or rebuilt.  A worker that dies breaks
+its pool; the launch then ends in
+:class:`~repro.errors.WorkerPoolBroken`.
 
 Engine model: simulated boots charge a virtual clock, so wall-clock
 speedup cannot be *measured* here — it is modeled.  :func:`gil_bound_ns`
@@ -33,16 +45,20 @@ work, while the process engine schedules it across workers.  The
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import BootFailure, InjectedFault, MonitorError
+from repro.errors import BootFailure, InjectedFault, MonitorError, WorkerPoolBroken
 from repro.monitor.artifact_cache import (
     BootArtifactCache,
+    CacheKey,
     CacheScope,
+    cache_key_for,
     record_cache_traffic,
 )
 from repro.monitor.config import BootFormat, VmConfig
@@ -53,6 +69,7 @@ from repro.simtime.trace import BootStep, Timeline
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.prepared import PreparedImage
     from repro.faults.plan import FaultPlan
     from repro.monitor.vmm import Firecracker
     from repro.simtime.costs import CostModel
@@ -186,11 +203,16 @@ class _ThreadLaunch:
 
 @dataclass
 class _WorkerSpec:
-    """Everything a worker process needs to rebuild the boot substrate.
+    """Everything a worker process needs to build its boot substrate.
 
-    The kernel bytes travel as :class:`SharedBlob` views (segment name +
-    digest, never the payload); ``cfg`` carries a byte-stripped
-    :class:`~repro.kernel.image.KernelImage` the worker re-hydrates.
+    With ``inherit`` set (the ``fork`` start method, which never pickles
+    a pool initializer's arguments), ``cfg`` is the parent's live config,
+    whose :class:`~repro.kernel.image.KernelImage` already holds its
+    parsed ELF and relocation table, and ``prepared`` is the parse the
+    parent's warm-up cached for the launch's key (``None`` without a
+    warm-up).  Otherwise the spec is pickled: ``cfg`` carries a
+    byte-stripped kernel the worker re-hydrates from the
+    :class:`SharedBlob` views (segment name + digest, never the payload).
     """
 
     cfg: VmConfig
@@ -203,6 +225,8 @@ class _WorkerSpec:
     warm: bool
     cache_entries: int
     disk_path: str | None
+    inherit: bool
+    prepared: "tuple[CacheKey, PreparedImage] | None"
 
 
 #: per-worker-process boot substrate, built once by the pool initializer
@@ -213,10 +237,17 @@ def _worker_init(spec: _WorkerSpec) -> None:
     from repro.host.storage import HostStorage
     from repro.monitor.vmm import Firecracker, Qemu
 
-    vmlinux = spec.kernel_blob.bytes()
-    relocs = spec.relocs_blob.bytes() if spec.relocs_blob is not None else None
-    kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
-    cfg = replace(spec.cfg, kernel=kernel)
+    if spec.inherit:
+        # the inherited objects outlive every boot: frozen, the collector
+        # never walks them, so its first pass does not write to (and so
+        # copy) every page the worker shares with the parent
+        gc.freeze()
+        cfg = spec.cfg
+    else:
+        vmlinux = spec.kernel_blob.bytes()
+        relocs = spec.relocs_blob.bytes() if spec.relocs_blob is not None else None
+        kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
+        cfg = replace(spec.cfg, kernel=kernel)
     # worker-local telemetry is a write sink only; the parent derives the
     # real telemetry from the shipped timeline, so nothing here is read
     telemetry = Telemetry()
@@ -225,6 +256,8 @@ def _worker_init(spec: _WorkerSpec) -> None:
         registry=telemetry.registry,
         disk_path=spec.disk_path,
     )
+    if spec.prepared is not None:
+        cache.seed(*spec.prepared)
     monitor_cls = Qemu if spec.monitor == "qemu" else Firecracker
     vmm = monitor_cls(
         HostStorage(),
@@ -235,7 +268,9 @@ def _worker_init(spec: _WorkerSpec) -> None:
     )
     if spec.warm:
         # mirror the parent's warm-up so worker boots see the same cached
-        # page-cache/artifact state the thread backend's boots do
+        # page-cache/artifact state the thread backend's boots do; with an
+        # inherited substrate the parse is a seeded hit and the plans are
+        # already derived
         vmm.warm_caches(cfg)
     _WORKER.clear()
     _WORKER.update(cfg=cfg, vmm=vmm, want_profiler=spec.want_profiler)
@@ -325,7 +360,8 @@ class _ReplayFuture:
         self._profiler = profiler
 
     def result(self) -> BootReport:
-        out = self._future.result()
+        with _pool_boundary():
+            out = self._future.result()
         counts = out["scope"]
         self._scope.absorb(counts)
         record_cache_traffic(
@@ -393,12 +429,22 @@ class ProcessBootExecutor(BootExecutor):
             methods = multiprocessing.get_all_start_methods()
             start = "fork" if "fork" in methods else "spawn"
         mp_ctx = multiprocessing.get_context(start)
+        inherit = start == "fork"
         cache = vmm.artifact_cache
+        prepared = None
+        if inherit and warm and cache is not None:
+            key = cache_key_for(cfg)
+            entry = cache.peek(key)
+            prepared = (key, entry) if entry is not None else None
         with SharedArtifactStore() as store:
             spec = _WorkerSpec(
                 cfg=replace(
                     cfg,
-                    kernel=replace(cfg.kernel, vmlinux=b"", relocs=None),
+                    kernel=(
+                        cfg.kernel
+                        if inherit
+                        else replace(cfg.kernel, vmlinux=b"", relocs=None)
+                    ),
                     seed=None,
                 ),
                 kernel_blob=store.put(cfg.kernel.vmlinux),
@@ -422,6 +468,8 @@ class ProcessBootExecutor(BootExecutor):
                     if cache is not None and cache.disk is not None
                     else None
                 ),
+                inherit=inherit,
+                prepared=prepared,
             )
             pool = ProcessPoolExecutor(
                 max_workers=workers,
@@ -433,6 +481,22 @@ class ProcessBootExecutor(BootExecutor):
                 yield _ProcessLaunch(pool, scope, telemetry, profiler)
             finally:
                 pool.shutdown(wait=True)
+
+
+@contextmanager
+def _pool_boundary() -> Iterator[None]:
+    """Raise a broken worker pool as :class:`WorkerPoolBroken`.
+
+    A worker that dies (or whose initializer raises) breaks the whole
+    pool: every pending future and every later submit fails.  That is the
+    launch's failure, not one boot's, so the fleet does not contain it.
+    """
+    try:
+        yield
+    except BrokenProcessPool as exc:
+        raise WorkerPoolBroken(
+            f"a boot worker process died and broke the pool: {exc}"
+        ) from exc
 
 
 class _ProcessLaunch:
@@ -450,7 +514,8 @@ class _ProcessLaunch:
 
     def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
         assert boot_cfg.seed is not None  # fleet draws seeds up front
-        future = self._pool.submit(_worker_boot, index, boot_cfg.seed, attempt)
+        with _pool_boundary():
+            future = self._pool.submit(_worker_boot, index, boot_cfg.seed, attempt)
         return _ReplayFuture(
             future,
             seed=boot_cfg.seed,

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.errors import BootFailure, MonitorError
+from repro.errors import BootFailure, MonitorError, WorkerPoolBroken
 from repro.monitor.artifact_cache import BootArtifactCache, CacheScope, CacheStats
 from repro.monitor.config import VmConfig
 from repro.monitor.executor import default_workers, gil_bound_ns, make_boot_executor
@@ -348,7 +348,9 @@ class FleetManager:
         dedicated ``random.Random`` stream in fleet-index order, so the
         outcome is deterministic regardless of thread scheduling); boots
         that exhaust the budget land in ``FleetReport.failures`` and the
-        fleet completes with the survivors.
+        fleet completes with the survivors.  A process worker that dies
+        takes its pool with it, and the launch raises
+        :class:`~repro.errors.WorkerPoolBroken`.
         """
         if count < 1:
             raise MonitorError(f"fleet needs at least one VM, got {count}")
@@ -502,6 +504,8 @@ class FleetManager:
                 for index, boot_cfg, future in futures:
                     try:
                         reports[index] = future.result()
+                    except WorkerPoolBroken:
+                        raise  # the launch's failure: no pool left to retry on
                     except Exception as exc:  # contained, never fatal
                         wave_failures[index] = BootFailure.from_exception(
                             exc,

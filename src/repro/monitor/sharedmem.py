@@ -17,28 +17,34 @@ corrupt boot.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 from repro.errors import MonitorError
 
 __all__ = ["SharedArtifactStore", "SharedBlob"]
 
 
-def _unregister(name: str) -> None:
-    """Detach a segment from this process's resource tracker.
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Open segment ``name`` without taking over its creator's cleanup.
 
-    Attaching by name registers the segment with the tracker on some
-    CPython versions, which would double-unlink (and warn) when both the
-    parent and a worker exit.  Only the owning store unlinks; everyone
-    else unregisters after closing.
+    Before Python 3.13 every attach registers the segment with this
+    process's resource tracker.  A tracker already running here is the
+    creator's (in the creator, or in one of its multiprocessing workers
+    under any start method) and already holds the name: unregistering
+    would drop the creator's entry, and the creator's unlink would then
+    fail inside the tracker with a ``KeyError`` traceback.  So only an
+    attach that started a tracker of its own unregisters, or that
+    tracker would unlink the segment when this process exits.
     """
-    try:  # pragma: no cover - tracker behaviour varies by version
-        from multiprocessing import resource_tracker
-
+    if sys.version_info >= (3, 13):  # pragma: no cover - version specific
+        return shared_memory.SharedMemory(name=name, track=False)
+    own = getattr(resource_tracker._resource_tracker, "_fd", None) is None
+    segment = shared_memory.SharedMemory(name=name)
+    if own:
         resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
+    return segment
 
 
 @dataclass
@@ -68,7 +74,7 @@ class SharedBlob:
         if self._cached is not None:
             return self._cached
         try:
-            segment = shared_memory.SharedMemory(name=self.name)
+            segment = _attach(self.name)
         except FileNotFoundError as exc:
             raise MonitorError(
                 f"shared artifact segment {self.name!r} is gone "
@@ -78,7 +84,6 @@ class SharedBlob:
             data = bytes(segment.buf[: self.size])
         finally:
             segment.close()
-            _unregister(self.name)
         digest = hashlib.sha256(data).hexdigest()
         if digest != self.sha256:
             raise MonitorError(

@@ -3,27 +3,36 @@
 The process backend must be an *implementation detail*: byte-identical
 layouts, exactly-conserved profiler attribution, and identical fault
 decisions versus the thread backend, with only the engine model allowed
-to differ.  The disk tier must round-trip across cache instances and
+to differ.  Its workers inherit the parent's warmed substrate under
+``fork`` and rebuild it under ``spawn``; a dead worker ends the launch in
+a typed error.  The disk tier must round-trip across cache instances and
 degrade any corruption to a miss, never a wrong parse.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.artifacts import get_bzimage
 from repro.core import RandomizeMode
 from repro.core.policy import RandomizationPolicy
-from repro.errors import MonitorError
+from repro.errors import MonitorError, WorkerPoolBroken
 from repro.faults import FaultPlan
 from repro.host import HostStorage
 from repro.kernel import TINY, KernelVariant
+from repro.monitor import executor
 from repro.monitor.artifact_cache import cache_key_for
 from repro.monitor import (
     BootArtifactCache,
@@ -233,6 +242,164 @@ def test_worker_defaults_clamp_to_host_cores(tiny_fgkaslr):
     assert FleetManager(vmm).workers == default_workers(8)
 
 
+# -- the worker substrate: inherited under fork, rebuilt under spawn -----------
+
+_real_worker_init = executor._worker_init
+_real_worker_boot = executor._worker_boot
+#: what this worker process's init built, read back by :func:`_worker_state`
+_BUILT: dict = {}
+
+
+def _counting_worker_init(spec) -> None:
+    """The real worker init, counting ELF parses, disk-tier loads and plans."""
+    from repro.core import siteplan
+    from repro.elf.reader import ElfImage
+
+    counted = (
+        (ElfImage, "__init__", "elf_parses"),
+        (DiskCacheTier, "load", "disk_loads"),
+        (siteplan, "split_runs", "plan_derivations"),
+    )
+    real = {key: getattr(owner, name) for owner, name, key in counted}
+    _BUILT.update(dict.fromkeys(real, 0))
+
+    def counting(key):
+        def call(*args, **kwargs):
+            _BUILT[key] += 1
+            return real[key](*args, **kwargs)
+
+        return call
+
+    for owner, name, key in counted:
+        setattr(owner, name, counting(key))
+    try:
+        _real_worker_init(spec)
+    finally:
+        for owner, name, key in counted:
+            setattr(owner, name, real[key])
+
+
+def _worker_state() -> dict:
+    vmm, cfg = executor._WORKER["vmm"], executor._WORKER["cfg"]
+    return {
+        **_BUILT,
+        "page_cached": vmm.storage.is_cached(cfg.kernel_file_name()),
+        "memory_entries": vmm.artifact_cache.stats().entries,
+    }
+
+
+def _start_method(monkeypatch, start: str) -> None:
+    if start not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start} start method on this platform")
+    monkeypatch.setenv(executor.MP_START_ENV, start)
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
+    tiny_fgkaslr, tmp_path, monkeypatch, start, warm
+):
+    """Counts, not host time, show which path a worker's init took.
+
+    The parent is warm either way; only the launch's ``warm`` decides
+    whether a worker starts with the kernel page-cached and the parse in
+    its memory tier.
+    """
+    _start_method(monkeypatch, start)
+    monkeypatch.setattr(executor, "_worker_init", _counting_worker_init)
+    vmm = Firecracker(
+        HostStorage(),
+        CostModel(scale=1),
+        artifact_cache=BootArtifactCache(disk_path=tmp_path),
+        telemetry=Telemetry(),
+    )
+    cfg = _cfg(tiny_fgkaslr)
+    vmm.warm_caches(cfg)
+    with ProcessBootExecutor().launch(
+        vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
+        telemetry=vmm.telemetry, profiler=None, warm=warm,
+    ) as launch:
+        state = launch._pool.submit(_worker_state).result()
+    rebuilt = start == "spawn" and warm
+    assert state["elf_parses"] == int(rebuilt)
+    assert state["disk_loads"] == int(rebuilt)
+    assert (state["plan_derivations"] > 0) == rebuilt
+    assert state["page_cached"] == warm
+    assert state["memory_entries"] == int(warm)
+
+
+def _crash_index_1(index: int, seed: int, attempt: int) -> dict:
+    if index == 1 and attempt == 0:
+        os._exit(3)
+    return _real_worker_boot(index, seed, attempt)
+
+
+def _src_path() -> str:
+    """``PYTHONPATH`` for a subprocess that imports this checkout's package."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
+def _shm_entries() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - no POSIX shm directory
+        return set()
+
+
+def test_dead_worker_ends_launch_in_typed_error(tiny_fgkaslr, monkeypatch):
+    """A worker that dies mid-launch breaks the pool: a typed error, no leak."""
+    _start_method(monkeypatch, "fork")
+    monkeypatch.setattr(executor, "_worker_boot", _crash_index_1)
+    before = _shm_entries()
+    with pytest.raises(WorkerPoolBroken, match="died") as info:
+        _launch(tiny_fgkaslr, "process", count=6, retries=2)
+    assert isinstance(info.value, MonitorError)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert _shm_entries() <= before
+
+
+_SPAWN_LAUNCH = """
+from repro.artifacts import get_kernel
+from repro.core import RandomizeMode
+from repro.host import HostStorage
+from repro.kernel import TINY, KernelVariant
+from repro.monitor import Firecracker, FleetManager, VmConfig
+from repro.simtime import CostModel
+
+kernel = get_kernel(TINY, KernelVariant.FGKASLR, scale=1, seed=3)
+manager = FleetManager(
+    Firecracker(HostStorage(), CostModel(scale=1)), workers=2, executor="process"
+)
+report = manager.launch(
+    VmConfig(kernel=kernel, randomize=RandomizeMode.FGKASLR), 4, fleet_seed=7
+)
+print(len(report.boots), len(report.failures))
+"""
+
+
+def test_spawn_launch_leaves_no_tracker_traceback_or_segment():
+    """Workers attach without dropping the parent's tracker registration."""
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no spawn start method on this platform")
+    before = _shm_entries()
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_LAUNCH],
+        env={
+            **os.environ,
+            "PYTHONPATH": _src_path(),
+            executor.MP_START_ENV: "spawn",
+        },
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "0"]
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert _shm_entries() <= before
+
+
 # -- shared-memory transport ---------------------------------------------------
 
 
@@ -259,6 +426,34 @@ def test_shared_blob_empty_payload_inlines():
         blob = store.put(b"")
         assert blob.name == ""
         assert blob.bytes() == b""
+
+
+def test_shared_blob_attach_from_unrelated_process_leaves_segment():
+    """A process with its own tracker attaches without adopting the segment.
+
+    Its tracker would otherwise unlink the creator's segment (and warn
+    of a leak) when that process exits.
+    """
+    import pickle
+
+    with SharedArtifactStore() as store:
+        blob = store.put(b"vmlinux bytes")
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import pickle, sys; "
+                "sys.stdout.write(pickle.loads(bytes.fromhex(sys.argv[1]))"
+                ".bytes().decode())",
+                pickle.dumps(blob).hex(),
+            ],
+            env={**os.environ, "PYTHONPATH": _src_path()},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "vmlinux bytes"), proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
+        assert pickle.loads(pickle.dumps(blob)).bytes() == b"vmlinux bytes"
 
 
 # -- persistent disk tier ------------------------------------------------------

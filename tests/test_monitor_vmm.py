@@ -1,10 +1,15 @@
 """Firecracker monitor: full boots, protocols, failure modes."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.artifacts import get_kernel
 from repro.bzimage import build_bzimage
-from repro.core import RandomizeMode
+from repro.core import RandomizeMode, siteplan
+from repro.core.fgkaslr import FgkaslrEngine
 from repro.errors import MonitorError
+from repro.kernel import TINY, KernelVariant
 from repro.monitor import BootFormat, BootProtocol, Firecracker, VmConfig
 from repro.simtime import BootCategory
 from repro.vm.portio import MILESTONE_INIT_RUN, MILESTONE_KERNEL_ENTRY
@@ -137,3 +142,39 @@ def test_report_breakdown_sums_to_total(fc, tiny_kaslr):
 def test_summary_mentions_kernel(fc, tiny_kaslr):
     report = _boot(fc, tiny_kaslr, randomize=RandomizeMode.KASLR)
     assert "tiny-kaslr" in report.summary()
+
+
+def test_repeat_warm_up_derives_no_site_plan(fc, tiny_fgkaslr, monkeypatch):
+    """FGKASLR plans derive once per kernel content, and boots never notice."""
+    monkeypatch.setattr(siteplan, "_plans", {})
+    derived = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args: derived.append(name) or real(*args)
+        )
+
+    counted(siteplan, "split_runs")
+    counted(FgkaslrEngine, "inventory")
+    cfg = VmConfig(kernel=tiny_fgkaslr, seed=17, randomize=RandomizeMode.FGKASLR)
+    fc.warm_caches(cfg)
+    assert "split_runs" in derived and "inventory" in derived
+    first = fc.boot(cfg)
+    derived.clear()
+    fc.warm_caches(cfg)
+    # a copy of the image has the same content, so it shares the derivation
+    fc.warm_caches(replace(cfg, kernel=replace(tiny_fgkaslr)))
+    assert derived == []
+    again = fc.boot(cfg)
+    assert [(s.name, s.charged_ns) for s in again.timeline.spans] == [
+        (s.name, s.charged_ns) for s in first.timeline.spans
+    ]
+    # another mode has plans of its own; a rebuild with other bytes derives again
+    fc.warm_caches(replace(cfg, randomize=RandomizeMode.KASLR))
+    assert "split_runs" in derived
+    derived.clear()
+    rebuilt = get_kernel(TINY, KernelVariant.FGKASLR, scale=1, seed=4)
+    assert rebuilt.vmlinux != tiny_fgkaslr.vmlinux
+    fc.warm_caches(replace(cfg, kernel=rebuilt))
+    assert "split_runs" in derived and "inventory" in derived
