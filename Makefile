@@ -2,8 +2,8 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-paper bench-gate bench-clean fleet-bench \
-	perfbench examples clean
+.PHONY: install test bench bench-paper bench-gate bench-smoke bench-clean \
+	fleet-bench perfbench examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -27,6 +27,12 @@ fleet-bench:
 # baseline store (exits non-zero on regression); see EXPERIMENTS.md
 bench-gate:
 	PYTHONPATH=src $(PYTHON) -m repro bench-compare
+
+# the CI bench-smoke gate, run exactly as CI runs it: 3 jitter-free boots
+# per series, then a strict comparison against the committed baselines
+bench-smoke:
+	REPRO_BOOTS=3 REPRO_JITTER=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m repro bench-compare --strict
 
 # host-clock benchmark smoke: its self-test, then every workload for 3 s,
 # untraced and traced; fails unless every operation reproduced the

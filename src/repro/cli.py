@@ -110,18 +110,13 @@ _MODE_VARIANT = {
 }
 
 
-def _make_vmm(
-    args,
-    telemetry: Telemetry | None = None,
-    profiler: CostProfiler | None = None,
-) -> Firecracker:
+def _make_vmm(args, telemetry: Telemetry | None = None) -> Firecracker:
     costs = CostModel(scale=args.scale, jitter=JitterModel(sigma=args.jitter))
     cls = Qemu if getattr(args, "qemu", False) else Firecracker
     return cls(
         HostStorage(),
         costs,
         telemetry=telemetry,
-        profiler=profiler,
         fault_plan=_make_fault_plan(args),
     )
 
@@ -139,14 +134,14 @@ def _make_fault_plan(args) -> FaultPlan | None:
 
 
 def _make_profiler(args) -> CostProfiler | None:
-    """A profiler when ``--profile`` asked for one, else None (no overhead)."""
+    """A cost profiler when ``--profile`` asked for one, else None."""
     return CostProfiler() if getattr(args, "profile", None) else None
 
 
-def _emit_profile(args, profiler: CostProfiler | None) -> None:
+def _emit_profile(args, telemetry: Telemetry) -> None:
     """Honor ``--profile {folded,json,table}`` and ``--profile-out``."""
-    if profiler is not None:
-        _write_text(args.profile_out, profiler.render(args.profile))
+    if telemetry.profiler is not None:
+        _write_text(args.profile_out, telemetry.profiler.render(args.profile))
 
 
 def _write_text(path: str, content: str) -> None:
@@ -232,9 +227,8 @@ def _build_cfg(args) -> VmConfig:
 
 
 def _cmd_boot(args) -> int:
-    telemetry = Telemetry()
-    profiler = _make_profiler(args)
-    vmm = _make_vmm(args, telemetry=telemetry, profiler=profiler)
+    telemetry = Telemetry(profiler=_make_profiler(args))
+    vmm = _make_vmm(args, telemetry=telemetry)
     cfg = _build_cfg(args)
     if args.boots > 1 and (args.json or args.trace):
         print("--json/--trace report a single boot; drop --boots", file=sys.stderr)
@@ -254,7 +248,7 @@ def _cmd_boot(args) -> int:
             )
         )
         _emit_telemetry(args, telemetry)
-        _emit_profile(args, profiler)
+        _emit_profile(args, telemetry)
         return 0
     if not args.cold:
         vmm.warm_caches(cfg)
@@ -273,12 +267,12 @@ def _cmd_boot(args) -> int:
                 file=sys.stderr,
             )
         _emit_telemetry(args, telemetry)
-        _emit_profile(args, profiler)
+        _emit_profile(args, telemetry)
         return 1
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         _emit_telemetry(args, telemetry)
-        _emit_profile(args, profiler)
+        _emit_profile(args, telemetry)
         return 0
     print(report.summary())
     if args.trace:
@@ -303,14 +297,15 @@ def _cmd_boot(args) -> int:
     print(f"  verified {report.verification.functions_checked} functions / "
           f"{report.verification.sites_checked} relocation sites")
     _emit_telemetry(args, telemetry)
-    _emit_profile(args, profiler)
+    _emit_profile(args, telemetry)
     return 0
 
 
 def _run_fleet(args):
     """Launch one seeded fleet.
 
-    Returns ``(report, telemetry, profiler, timeseries, auditor)``; the
+    Returns ``(report, telemetry, timeseries, auditor)``; the telemetry
+    carries the cost profile ``--profile`` asks for, and the
     flight-recorder document and the auditor are ``None`` unless
     ``--timeseries-out`` / ``--audit`` asked for them (zero overhead
     otherwise).
@@ -318,14 +313,13 @@ def _run_fleet(args):
     from repro.monitor import BootArtifactCache, FleetManager, default_workers
 
     recorder = _make_recorder(args)
-    telemetry = Telemetry(timeseries=recorder)
+    telemetry = Telemetry(timeseries=recorder, profiler=_make_profiler(args))
     auditor = (
         KaslrAuditor(telemetry=telemetry)
         if getattr(args, "audit", False)
         else None
     )
-    profiler = _make_profiler(args)
-    vmm = _make_vmm(args, telemetry=telemetry, profiler=profiler)
+    vmm = _make_vmm(args, telemetry=telemetry)
     vmm.artifact_cache = BootArtifactCache(
         max_entries=args.cache_entries,
         registry=telemetry.registry,
@@ -354,15 +348,15 @@ def _run_fleet(args):
         # the frame sequence tiles the fleet's whole wall-clock span
         recorder.close(int(round(report.makespan_ms * 1e6)))
         timeseries = recorder.to_json_dict()
-    return report, telemetry, profiler, timeseries, auditor
+    return report, telemetry, timeseries, auditor
 
 
 def _cmd_fleet(args) -> int:
-    report, telemetry, profiler, timeseries, auditor = _run_fleet(args)
+    report, telemetry, timeseries, auditor = _run_fleet(args)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         _emit_telemetry(args, telemetry)
-        _emit_profile(args, profiler)
+        _emit_profile(args, telemetry)
         _emit_flight(args, timeseries, auditor)
         return 0
     print(report.summary())
@@ -391,14 +385,14 @@ def _cmd_fleet(args) -> int:
         f"  {report.unique_layouts} distinct layouts across {report.n_vms} VMs"
     )
     _emit_telemetry(args, telemetry)
-    _emit_profile(args, profiler)
+    _emit_profile(args, telemetry)
     _emit_flight(args, timeseries, auditor)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     """Run one seeded fleet and print its Prometheus metrics text."""
-    _report, telemetry, _profiler, timeseries, auditor = _run_fleet(args)
+    _report, telemetry, timeseries, auditor = _run_fleet(args)
     sys.stdout.write(to_prometheus(telemetry.snapshot()))
     _emit_flight(args, timeseries, auditor)
     return 0
@@ -408,8 +402,8 @@ def _cmd_profile(args) -> int:
     """Run a seeded fleet under the profiler and print the attribution."""
     args.profile = args.fmt  # reuse the boot/fleet profiler plumbing
     args.profile_out = args.out
-    _report, _telemetry, profiler, timeseries, auditor = _run_fleet(args)
-    _emit_profile(args, profiler)
+    _report, telemetry, timeseries, auditor = _run_fleet(args)
+    _emit_profile(args, telemetry)
     _emit_flight(args, timeseries, auditor)
     return 0
 

@@ -12,20 +12,20 @@ backends behind one interface:
   churning pools) running ``vmm.boot`` in-process;
 * :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
   boot against their own monitor instance and return one record per
-  boot: its timeline (in the report, or next to the failure JSON),
-  cache-scope counts and profiler cells.  The parent derives telemetry
-  from that timeline with the :func:`~repro.monitor.vmm.record_boot` the
-  thread path calls.
+  boot: its timeline (in the report, or next to the failure JSON) and
+  cache-scope counts.  The parent derives telemetry and the cost
+  profile from that timeline with the
+  :func:`~repro.monitor.vmm.record_boot` the thread path calls.
 
 A process worker pays for its boot substrate once per launch, and under
 ``fork`` it does not pay for the read-only part at all: it inherits the
 parent's warmed kernel image (parsed ELF, decoded relocation table), the
 parse product the warm-up cached and the site plans
 (:mod:`repro.core.siteplan`), and builds only the per-launch objects that
-carry locks or counts (host storage, artifact cache, telemetry,
-profiler).  Under ``spawn`` nothing is inherited: the worker rebuilds the
-kernel from zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views
-and re-warms from the disk tier.  The start method (the platform's
+carry locks or counts (host storage, artifact cache, telemetry).  Under
+``spawn`` nothing is inherited: the worker rebuilds the kernel from
+zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views and
+re-warms from the disk tier.  The start method (the platform's
 default, or ``REPRO_MP_START``) picks the path.
 
 Both backends therefore produce byte-identical layouts and telemetry for
@@ -73,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.monitor.vmm import Firecracker
     from repro.simtime.costs import CostModel
-    from repro.telemetry.profiler import CostProfiler
 
 __all__ = [
     "BootExecutor",
@@ -136,8 +135,8 @@ class BootExecutor:
     waves included); the yielded handle exposes ``submit(boot_cfg, index,
     attempt)`` returning a future whose ``result()`` is the boot's
     :class:`BootReport` — or raises the boot's failure — with all
-    telemetry/profiler/cache side effects already applied to the
-    parent's instruments.
+    telemetry/cache side effects already applied to the parent's
+    instruments.
     """
 
     name = "abstract"
@@ -151,7 +150,6 @@ class BootExecutor:
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry,
-        profiler: "CostProfiler | None",
         warm: bool,
     ) -> Iterator[object]:
         raise NotImplementedError
@@ -172,7 +170,6 @@ class ThreadBootExecutor(BootExecutor):
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry,
-        profiler: "CostProfiler | None",
         warm: bool,
     ) -> Iterator["_ThreadLaunch"]:
         pool = ThreadPoolExecutor(max_workers=workers)
@@ -221,7 +218,6 @@ class _WorkerSpec:
     monitor: str
     costs: "CostModel"
     fault_plan: "FaultPlan | None"
-    want_profiler: bool
     warm: bool
     cache_entries: int
     disk_path: str | None
@@ -273,18 +269,7 @@ def _worker_init(spec: _WorkerSpec) -> None:
         # already derived
         vmm.warm_caches(cfg)
     _WORKER.clear()
-    _WORKER.update(cfg=cfg, vmm=vmm, want_profiler=spec.want_profiler)
-
-
-def _export_profiler(profiler: "CostProfiler | None") -> dict | None:
-    if profiler is None:
-        return None
-    cells = [
-        ((key.boot_id, key.stage, key.principal, key.kind), ns, count)
-        for key, ns, count in profiler.cells()
-    ]
-    boot_ns = {boot: profiler.total_ns(boot) for boot in profiler.boot_ids()}
-    return {"cells": cells, "boot_ns": boot_ns}
+    _WORKER.update(cfg=cfg, vmm=vmm)
 
 
 def _worker_boot(index: int, seed: int, attempt: int) -> dict:
@@ -294,14 +279,9 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
     timeline) so the parent can record them and rethrow a reconstructed
     :class:`~repro.errors.BootFailure` on its own side of the boundary.
     """
-    from repro.telemetry.profiler import CostProfiler
-
     cfg: VmConfig = _WORKER["cfg"]
     vmm = _WORKER["vmm"]
     scope = CacheScope()
-    profiler = CostProfiler() if _WORKER["want_profiler"] else None
-    # pool workers run one task at a time, so per-task reassignment is safe
-    vmm.profiler = profiler
     boot_cfg = replace(cfg, seed=seed)
     try:
         report = vmm.boot(
@@ -325,23 +305,17 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
             "failure": failure.to_json(),
             "timeline": getattr(stamped, "boot_timeline", None),
             "scope": scope.counts(),
-            "profiler": _export_profiler(profiler),
         }
-    return {
-        "ok": True,
-        "report": report,
-        "scope": scope.counts(),
-        "profiler": _export_profiler(profiler),
-    }
+    return {"ok": True, "report": report, "scope": scope.counts()}
 
 
 class _ReplayFuture:
     """Wraps a worker future; ``result()`` replays the outcome record.
 
-    Replay order matches the thread path: profiler cells and cache-scope
-    counts first, then :func:`~repro.monitor.vmm.record_boot` over the
-    shipped timeline — and, for a failed attempt, a reconstructed
-    :class:`BootFailure` raise.
+    Replay order matches the thread path: cache-scope counts first, then
+    :func:`~repro.monitor.vmm.record_boot` over the shipped timeline —
+    and, for a failed attempt, a reconstructed :class:`BootFailure`
+    raise.
     """
 
     def __init__(
@@ -351,13 +325,11 @@ class _ReplayFuture:
         seed: int,
         scope: CacheScope,
         telemetry: Telemetry,
-        profiler: "CostProfiler | None",
     ) -> None:
         self._future = future
         self._seed = seed
         self._scope = scope
         self._telemetry = telemetry
-        self._profiler = profiler
 
     def result(self) -> BootReport:
         with _pool_boundary():
@@ -368,10 +340,6 @@ class _ReplayFuture:
             self._telemetry.registry,
             counts["hits"], counts["misses"], counts["evictions"],
         )
-        if self._profiler is not None and out["profiler"] is not None:
-            self._profiler.absorb(
-                out["profiler"]["cells"], out["profiler"]["boot_ns"]
-            )
         if not out["ok"]:
             failure = out["failure"]
             if out["timeline"] is not None:  # the pipeline ran and aborted
@@ -414,7 +382,6 @@ class ProcessBootExecutor(BootExecutor):
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry,
-        profiler: "CostProfiler | None",
         warm: bool,
     ) -> Iterator["_ProcessLaunch"]:
         import multiprocessing
@@ -454,13 +421,8 @@ class ProcessBootExecutor(BootExecutor):
                     else None
                 ),
                 monitor=vmm.profile.name,
-                costs=replace(
-                    vmm.costs,
-                    decompress_mib_s=dict(vmm.costs.decompress_mib_s),
-                    profiler=None,
-                ),
+                costs=vmm.costs,
                 fault_plan=vmm.fault_plan,
-                want_profiler=profiler is not None,
                 warm=warm,
                 cache_entries=cache.max_entries if cache is not None else 64,
                 disk_path=(
@@ -478,7 +440,7 @@ class ProcessBootExecutor(BootExecutor):
                 initargs=(spec,),
             )
             try:
-                yield _ProcessLaunch(pool, scope, telemetry, profiler)
+                yield _ProcessLaunch(pool, scope, telemetry)
             finally:
                 pool.shutdown(wait=True)
 
@@ -505,12 +467,10 @@ class _ProcessLaunch:
         pool: ProcessPoolExecutor,
         scope: CacheScope,
         telemetry: Telemetry,
-        profiler: "CostProfiler | None",
     ) -> None:
         self._pool = pool
         self._scope = scope
         self._telemetry = telemetry
-        self._profiler = profiler
 
     def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
         assert boot_cfg.seed is not None  # fleet draws seeds up front
@@ -521,7 +481,6 @@ class _ProcessLaunch:
             seed=boot_cfg.seed,
             scope=self._scope,
             telemetry=self._telemetry,
-            profiler=self._profiler,
         )
 
 

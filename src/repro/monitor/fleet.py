@@ -490,7 +490,6 @@ class FleetManager:
             workers=self.workers,
             scope=scope,
             telemetry=telemetry,
-            profiler=self.vmm.profiler,
             warm=warm,
         ) as pool:
             for attempt in range(retries + 1):

@@ -50,7 +50,6 @@ from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel, JitterModel
 from repro.simtime.trace import Timeline
 from repro.telemetry import NS_PER_MS, Telemetry, get_telemetry
-from repro.telemetry.profiler import CostProfiler
 from repro.vm.portio import PortIoBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,8 +79,11 @@ def record_boot(
     Stages and fired faults always; then the boot counters for a boot
     that reached init (``vmm``), or the failure counter for an aborted
     one (``failure=(stage, kind)``).  Restores pass neither.  Thread
-    boots, the process executor's replay and restores all record here.
+    boots, the process executor's replay and restores all record here,
+    and so all reach the telemetry's cost profile, when it has one.
     """
+    if telemetry.profiler is not None:
+        telemetry.profiler.add(boot_id, timeline)
     for span in timeline.spans:
         telemetry.stage_span(boot_id, span)
     registry = telemetry.registry
@@ -152,13 +154,11 @@ class Firecracker:
         entropy: HostEntropyPool | None = None,
         artifact_cache: BootArtifactCache | None = None,
         telemetry: Telemetry | None = None,
-        profiler: "CostProfiler | None" = None,
         fault_plan: "FaultPlan | None" = None,
     ) -> None:
         self.storage = storage
         self.costs = costs if costs is not None else CostModel()
         self.telemetry = telemetry
-        self.profiler = profiler
         self.fault_plan = fault_plan
         if entropy is None:
             registry = telemetry.registry if telemetry is not None else None
@@ -266,7 +266,6 @@ class Firecracker:
 
         telemetry = self.telemetry if self.telemetry is not None else get_telemetry()
         clock = SimClock()
-        clock.profiler = self.profiler
         ctx = StageContext(
             clock=clock,
             costs=costs,
@@ -281,7 +280,6 @@ class Firecracker:
             startup_override_ns=self.profile.startup_ns,
             guest_entry_override_ns=self.profile.guest_entry_ns,
             boot_id=boot_identity(cfg.kernel.name, seed),
-            profiler=self.profiler,
             fault_plan=self.fault_plan,
             boot_index=boot_index,
             attempt=attempt,
@@ -357,7 +355,6 @@ class Firecracker:
             self.costs,
             jitter=JitterModel(sigma=self.costs.jitter.sigma, seed=jseed),
             decompress_mib_s=dict(self.costs.decompress_mib_s),
-            profiler=self.profiler,
         )
 
 

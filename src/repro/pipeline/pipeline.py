@@ -5,7 +5,9 @@ that runs them: each stage executes against the shared
 :class:`~repro.pipeline.stage.StageContext`, and the pipeline brackets it
 with a begin/end :class:`~repro.simtime.trace.StageSpan` on the boot's
 timeline — charged nanoseconds, executing principal, and cache-hit
-attribution included.  Nothing else is written per stage.
+attribution included.  Nothing else is written per stage: telemetry and
+the cost profile are derived from the finished timeline
+(:func:`repro.monitor.vmm.record_boot`).
 
 Builders assemble the stage list per boot flavor (Figure 5/7's columns):
 
@@ -21,7 +23,6 @@ is a build-time error because the flavor has no loader stages to compose.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,28 +61,12 @@ class BootPipeline:
 
     def run(self, ctx: StageContext) -> StageContext:
         """Execute every stage in order, spanning each on the timeline."""
-        profiler = ctx.profiler
-        boot_frame = (
-            profiler.boot_frame(ctx.boot_id)
-            if profiler is not None
-            else nullcontext()
-        )
-        with boot_frame:
-            self._run_stages(ctx)
-        return ctx
-
-    def _run_stages(self, ctx: StageContext) -> None:
-        profiler = ctx.profiler
         for stage in self.stages:
             start_ns = ctx.clock.now_ns
             try:
                 if ctx.fault_plan is not None:
                     ctx.fault_plan.inject(stage, ctx)
-                if profiler is not None:
-                    with profiler.stage_frame(stage.name, stage.principal):
-                        result = stage.run(ctx)
-                else:
-                    result = stage.run(ctx)
+                result = stage.run(ctx)
             except Exception as exc:
                 self._attribute_failure(exc, stage, ctx)
                 raise
@@ -96,6 +81,7 @@ class BootPipeline:
                     detail=result.detail,
                 )
             )
+        return ctx
 
     @staticmethod
     def _attribute_failure(
@@ -106,9 +92,10 @@ class BootPipeline:
         Existing callers keep catching the original typed error; the
         containment layer reads ``boot_stage``/``boot_id`` off it, and a
         process worker ships ``boot_timeline`` to the parent.  The
-        profiler gains a zero-ns ``aborted.<stage>`` frame so an aborted
-        boot is visible in folded stacks while the exact-attribution
-        invariant (attributed ns == clock ns) is preserved.
+        timeline is marked aborted in ``stage``, so the cost profile
+        gives it a zero-ns ``aborted.<stage>`` cell: the aborted boot is
+        visible in folded stacks while the exact-attribution invariant
+        (attributed ns == clock ns) holds.
         """
         try:
             if getattr(exc, "boot_stage", None) is None:
@@ -118,11 +105,7 @@ class BootPipeline:
             exc.boot_timeline = ctx.clock.timeline
         except AttributeError:  # pragma: no cover - slotted exception
             pass
-        profiler = ctx.profiler
-        if profiler is not None:
-            with profiler.stage_frame(stage.name, stage.principal):
-                profiler.record_cost(f"aborted.{stage.name}", 0.0)
-                profiler.commit(0, stage.name)
+        ctx.clock.abort(stage.name, stage.principal)
 
     def stage_names(self) -> list[str]:
         return [stage.name for stage in self.stages]

@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.monitor.config import VmConfig
     from repro.monitor.vm_handle import MicroVm
     from repro.snapshot.checkpoint import Snapshot
-    from repro.telemetry.profiler import CostProfiler
     from repro.vm.memory import GuestMemory
     from repro.vm.pagetable import PageTableWalker
     from repro.vm.portio import PortIoBus
@@ -137,9 +136,6 @@ class StageContext:
     #: the boot identity fault draws and failure attribution key on
     #: (``<kernel>:<seed hex>``, or a restore id)
     boot_id: str = ""
-    #: cost-attribution profiler; the pipeline brackets the run (and each
-    #: stage) in its context frames so every charge lands attributed
-    profiler: "CostProfiler | None" = None
     #: fault injection: the seeded plan probed at every stage boundary
     #: (None = no injection points, zero overhead), plus the fleet index
     #: and retry attempt the plan keys its deterministic decisions on

@@ -63,7 +63,7 @@ class MonitorStartupStage(Stage):
         cfg = ctx.cfg
         if ctx.startup_override_ns is not None:
             # profile override: same jitter draw, routed through the
-            # chokepoint so the profiler still sees a vmm_startup kind
+            # chokepoint so the charge still carries a vmm_startup record
             ns = ctx.costs.charge(
                 "vmm_startup", ctx.startup_override_ns * ctx.costs.jitter.factor()
             )
@@ -445,8 +445,8 @@ class GuestBootStage(Stage):
 
     def run(self, ctx: StageContext) -> StageResult:
         cfg = ctx.cfg
-        # each cost is computed immediately before its own clock charge so
-        # the profiler's pending/commit pairing stays one-to-one
+        # each cost is computed immediately before its own clock charge,
+        # so each charge carries exactly its own cost record
         ctx.clock.charge(
             ctx.costs.kernel_mem_init_ns(cfg.mem_mib),
             category=BootCategory.LINUX_BOOT,

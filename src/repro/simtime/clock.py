@@ -3,17 +3,15 @@
 A :class:`SimClock` is the single source of time for one boot.  Subsystems
 charge durations (computed by :class:`~repro.simtime.costs.CostModel`) with
 a category and step, and the clock records them on a
-:class:`~repro.simtime.trace.Timeline` while advancing ``now_ns``.
+:class:`~repro.simtime.trace.Timeline` while advancing ``now_ns``.  Each
+recorded event carries the cost records its charge paid for, which is
+what the cost profile (:mod:`repro.telemetry.profiler`) folds.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.simtime.costs import take_pending_costs
 from repro.simtime.trace import BootCategory, BootStep, Timeline, TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.telemetry.profiler import CostProfiler
 
 
 class SimClock:
@@ -22,9 +20,8 @@ class SimClock:
     def __init__(self, start_ns: int = 0) -> None:
         self._now_ns = int(start_ns)
         self.timeline = Timeline()
-        #: attribution sink; the monitor attaches the boot's profiler so
-        #: every committed charge is apportioned (see telemetry.profiler)
-        self.profiler: "CostProfiler | None" = None
+        # costs computed before this clock existed are no charge of its own
+        take_pending_costs()
 
     @property
     def now_ns(self) -> int:
@@ -44,7 +41,8 @@ class SimClock:
         """Record ``duration_ns`` of simulated work and advance the clock.
 
         Durations are rounded to whole nanoseconds; negative durations are
-        rejected because simulated time is monotonic.
+        rejected because simulated time is monotonic.  The event carries
+        the cost records made on this thread since its previous charge.
         """
         ns = int(round(duration_ns))
         if ns < 0:
@@ -55,12 +53,15 @@ class SimClock:
             category=category,
             step=step,
             label=label,
+            costs=take_pending_costs(),
         )
         self.timeline.append(event)
         self._now_ns += ns
-        if self.profiler is not None:
-            self.profiler.commit(ns, str(step))
         return event
+
+    def abort(self, stage: str, principal: str) -> None:
+        """Mark the timeline aborted in ``stage``, with its unpaid costs."""
+        self.timeline.aborted = (stage, principal, take_pending_costs())
 
     def elapsed_ms(self) -> float:
         """Total simulated milliseconds since the clock was created."""

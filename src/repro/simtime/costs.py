@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.telemetry.profiler import CostProfiler
+from typing import Iterator
 
 MIB = 1024 * 1024
 NS_PER_S = 1_000_000_000
 
 #: Every charge kind a :class:`CostModel` method can report through its
-#: :meth:`CostModel.charge` chokepoint.  The profiler additionally emits
+#: :meth:`CostModel.charge` chokepoint.  The profile additionally folds
 #: dynamic ``uncosted.<step>`` kinds for clock charges that no cost method
 #: produced (milestone writes, overrides fed raw constants, ...), so the
 #: attribution always covers 100% of simulated time.
@@ -61,6 +59,34 @@ CHARGE_KINDS: tuple[str, ...] = (
     "vmm_pagetable",
     "vmm_startup",
 )
+
+
+class _PendingCosts(threading.local):
+    """The cost records made on one thread since its last clock charge.
+
+    Kept per thread, not per model: a charge may pay for a cost computed
+    on another model (a snapshot capture is priced by the snapshot
+    manager's model and charged on the booted VM's clock).
+    """
+
+    def __init__(self) -> None:
+        self.records: list[tuple[str, float]] = []
+
+
+_PENDING = _PendingCosts()
+
+
+def take_pending_costs() -> tuple[tuple[str, float], ...]:
+    """Hand this thread's pending cost records to the charge paying them.
+
+    Each boot runs wholly on one thread, so the records a clock charge
+    drains are the costs computed for it since the previous charge.
+    """
+    records = _PENDING.records
+    if not records:
+        return ()
+    _PENDING.records = []
+    return tuple(records)
 
 
 def _ns_for_throughput(nbytes: int, mib_per_s: float) -> float:
@@ -209,11 +235,6 @@ class CostModel:
     #: struct-page init); drives the Figure 10 linear trend.
     kernel_mem_init_per_mib_ns: float = 12_000.0
 
-    #: attribution sink (see :mod:`repro.telemetry.profiler`); per-boot
-    #: model clones inherit it through :func:`dataclasses.replace`
-    profiler: "CostProfiler | None" = field(
-        default=None, repr=False, compare=False
-    )
     #: >0 while inside a composite cost method, so inner helper calls
     #: (e.g. the memcpy share of ``shuffle_ns``) are not double-reported
     _depth: int = field(default=0, init=False, repr=False, compare=False)
@@ -229,14 +250,14 @@ class CostModel:
     def charge(self, kind: str, ns: float) -> float:
         """The cost chokepoint: report ``ns`` under ``kind`` and return it.
 
-        Every public cost method funnels its result through here, so an
-        attached profiler sees one ``(kind, ns)`` record per cost site; the
-        clock commit (:meth:`repro.simtime.clock.SimClock.charge`) then
-        attributes the rounded nanoseconds.  No jitter is drawn here — the
-        chokepoint observes values, it never changes them.
+        Every public cost method funnels its result through here, filing
+        one ``(kind, ns)`` record per cost site on the calling thread; the
+        next clock charge (:meth:`repro.simtime.clock.SimClock.charge`)
+        carries the records it pays for on its trace event.  No jitter is
+        drawn here — the chokepoint observes values, it never changes them.
         """
-        if self.profiler is not None and self._depth == 0:
-            self.profiler.record_cost(kind, ns)
+        if self._depth == 0:
+            _PENDING.records.append((kind, float(ns)))
         return ns
 
     @contextmanager

@@ -128,6 +128,8 @@ class TraceEvent:
     category: BootCategory
     step: BootStep
     label: str = ""
+    #: the ``(kind, raw ns)`` cost records this charge paid for
+    costs: tuple[tuple[str, float], ...] = ()
 
     @property
     def end_ns(self) -> int:
@@ -141,12 +143,20 @@ class Timeline:
     Alongside the fine-grained events, a timeline records the
     :class:`StageSpan` windows of the boot pipeline that produced them and
     the ``(stage, kind)`` of every fault the installed plan fired, so
-    reports and telemetry derive every view from one record.
+    reports, telemetry and the cost profile derive every view from one
+    record.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
     spans: list[StageSpan] = field(default_factory=list)
     faults: list[tuple[str, str]] = field(default_factory=list)
+    #: event count at each span's end: span ``i`` holds the events from
+    #: ``span_ends[i - 1]`` (0 for the first) up to ``span_ends[i]``, so
+    #: zero-ns charges on a stage boundary keep the stage that made them
+    span_ends: list[int] = field(default_factory=list)
+    #: ``(stage, principal, unpaid cost records)`` of the stage a failure
+    #: aborted; None for a pipeline that ran to completion
+    aborted: tuple[str, str, tuple[tuple[str, float], ...]] | None = None
 
     def append(self, event: TraceEvent) -> None:
         if self.events and event.start_ns < self.events[-1].end_ns:
@@ -169,6 +179,7 @@ class Timeline:
                 f"{span.start_ns} < {self.spans[-1].end_ns}"
             )
         self.spans.append(span)
+        self.span_ends.append(len(self.events))
 
     def span_totals_ns(self) -> dict[str, int]:
         """Charged ns per stage name, in first-run order."""
@@ -213,7 +224,8 @@ class Timeline:
         Stage spans are carried over too: the filtered timeline keeps
         every span whose window overlaps at least one kept event, so
         stage attribution survives filtering (it used to be silently
-        dropped).
+        dropped).  It keeps no ``span_ends``: it is a view for analysis,
+        not a boot record the cost profile folds.
         """
         wanted = set(steps)
         picked = Timeline()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.layout_result import LayoutResult
 from repro.core.policy import RandomizationPolicy
@@ -33,7 +33,6 @@ from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel
 from repro.simtime.trace import BootCategory, BootStep
 from repro.telemetry import Telemetry, get_telemetry
-from repro.telemetry.profiler import CostProfiler
 
 
 @dataclass
@@ -63,10 +62,9 @@ class SnapshotManager:
 
     costs: CostModel
     policy: RandomizationPolicy = field(default_factory=RandomizationPolicy)
-    #: None means "use the process-wide default at call time"
+    #: None means "use the process-wide default at call time"; restores
+    #: reach its cost profile, when it has one
     telemetry: Telemetry | None = None
-    #: cost-attribution sink for restore pipelines (see telemetry.profiler)
-    profiler: CostProfiler | None = None
     #: seeded fault injection at restore-stage boundaries (None = zero
     #: overhead); targetable stages are ``snapshot_restore`` and ``rebase``
     fault_plan: FaultPlan | None = None
@@ -74,24 +72,10 @@ class SnapshotManager:
     def _telemetry(self) -> Telemetry:
         return self.telemetry if self.telemetry is not None else get_telemetry()
 
-    def _profiled_costs(self, profiler: CostProfiler | None) -> CostModel:
-        """The manager's model, bound to ``profiler`` for this operation.
-
-        ``replace`` shares the jitter instance, so the draw stream is the
-        same object the unprofiled path would use.
-        """
-        if self.costs.profiler is profiler:
-            return self.costs
-        return replace(self.costs, profiler=profiler)
-
     def capture(self, vm: MicroVm) -> Snapshot:
         """Freeze a booted VM; charges capture time on the VM's clock."""
         resident = vm.memory.resident_bytes
-        # pair the pending cost with the clock's committing profiler (the
-        # boot's, if any) — never record on one and commit on another
-        duration = self._profiled_costs(vm.clock.profiler).snapshot_capture_ns(
-            resident
-        )
+        duration = self.costs.snapshot_capture_ns(resident)
         vm.clock.charge(
             duration,
             category=BootCategory.IN_MONITOR,
@@ -153,7 +137,6 @@ class SnapshotManager:
     ) -> tuple[MicroVm, float]:
         telemetry = self._telemetry()
         clock = SimClock()
-        clock.profiler = self.profiler
         # the index/attempt suffix keeps restore identities distinct even
         # when the rebase seed repeats (plain restores always use seed 0):
         # rate-based fault draws are per boot_id, so identical ids would
@@ -164,12 +147,11 @@ class SnapshotManager:
         )
         ctx = StageContext(
             clock=clock,
-            costs=self._profiled_costs(self.profiler),
+            costs=self.costs,
             rng=random.Random(seed),
             snapshot=snapshot,
             policy=self.policy,
             boot_id=boot_id,
-            profiler=self.profiler,
             fault_plan=self.fault_plan,
             boot_index=boot_index,
             attempt=attempt,

@@ -97,6 +97,7 @@ class Telemetry:
         log: BootEventLog | None = None,
         timeseries: TimeSeriesRecorder | None = None,
         tracer: RequestTracer | None = None,
+        profiler: CostProfiler | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.log = log if log is not None else BootEventLog()
@@ -108,21 +109,25 @@ class Telemetry:
         #: optional request tracer; snapshots carry its span trees so the
         #: Chrome exporter can render per-request tracks
         self.tracer = tracer
+        #: optional cost profile; every boot and restore recorded here
+        #: (:func:`repro.monitor.vmm.record_boot`) is folded into it
+        self.profiler = profiler
 
     def scoped(self, **labels: str) -> "Telemetry":
         """A label-injecting view sharing this instance's log/recorder.
 
         Metrics written through the view carry ``labels``; the event log,
-        flight recorder, and tracer are shared, so one snapshot still
-        sees the whole run.  `repro serve` hands each strategy its own
-        scope to keep counters from bleeding between strategies in one
-        process.
+        flight recorder, tracer and profile are shared, so one snapshot
+        still sees the whole run.  `repro serve` hands each strategy its
+        own scope to keep counters from bleeding between strategies in
+        one process.
         """
         return Telemetry(
             registry=ScopedRegistry(self.registry, labels),
             log=self.log,
             timeseries=self.timeseries,
             tracer=self.tracer,
+            profiler=self.profiler,
         )
 
     # -- TelemetrySink ---------------------------------------------------------

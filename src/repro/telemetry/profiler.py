@@ -11,36 +11,39 @@ where the charge kind is the :class:`~repro.simtime.costs.CostModel`
 method that produced the cost (``disk_read``, ``reloc_apply``,
 ``kernel_mem_init``, ...; see :data:`repro.simtime.costs.CHARGE_KINDS`).
 
-Mechanics — two hooks, one invariant:
+Mechanics — a fold over the boot's one record:
 
-* cost methods report their raw float result through
-  ``CostModel.charge(kind, ns)`` -> :meth:`CostProfiler.record_cost`,
-  which parks ``(kind, ns)`` on a thread-local *pending* list;
-* the clock's charge (:meth:`repro.simtime.clock.SimClock.charge`)
-  rounds to whole nanoseconds and calls :meth:`CostProfiler.commit`,
-  which apportions the **rounded** duration across the pending records
-  by largest remainder.
+* every clock charge (:meth:`repro.simtime.clock.SimClock.charge`)
+  carries the ``(kind, raw ns)`` records of the cost methods it paid for
+  on its :class:`~repro.simtime.trace.TraceEvent`;
+* :func:`repro.monitor.vmm.record_boot` hands the profiler each boot's
+  ``(boot id, timeline)`` (thread boots, process replays and restores
+  alike), and the profile folds them when read: an event belongs to the
+  pipeline stage whose span holds its position, and its **rounded**
+  duration is apportioned across its records by largest remainder.
 
-Because attribution happens at commit time with the clock's own integer
-duration, the profiler's totals equal the clock's elapsed time *exactly*
-— rounding, combined charges (several cost calls paid by one clock
-charge), and charges with no cost call at all (attributed as
-``uncosted.<step>``) are all covered by construction.
+Because the fold splits the clock's own integer durations, the profile's
+totals equal the clock's elapsed time *exactly* — rounding, combined
+charges (several cost calls paid by one clock charge), and charges with
+no cost call at all (attributed as ``uncosted.<step>``) are all covered
+by construction.  Events after the last span (module loads, snapshot
+capture) fall outside any boot; on an aborted timeline they belong to
+the aborted stage, which also gets a zero-ns ``aborted.<stage>`` cell.
 
-Fleet boots run concurrently, but each boot runs wholly on one worker
-thread, so the context stack and pending list are thread-local; the
-accumulated cells are merged under a lock and all renderers emit
-canonically sorted output, making seeded runs byte-identical regardless
-of thread interleaving.
+The fold reads timelines when the profile is rendered, so charges made
+on a boot's clock after its boot returned still count; cells are sums
+and every renderer emits canonically sorted output, making seeded runs
+byte-identical regardless of thread or process interleaving.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simtime.trace import Timeline
 
 #: frame placeholders for charges outside a boot / pipeline stage
 NO_BOOT = "-"
@@ -48,6 +51,8 @@ NO_STAGE = "(outside-pipeline)"
 NO_PRINCIPAL = "-"
 #: kind prefix for clock charges no cost method produced
 UNCOSTED_PREFIX = "uncosted."
+#: kind prefix of the zero-ns cell an aborted stage gets
+ABORTED_PREFIX = "aborted."
 
 NS_PER_MS = 1e6
 
@@ -94,119 +99,95 @@ def _apportion(
     return [(kind, share) for (kind, _), share in zip(pending, shares)]
 
 
-class CostProfiler:
-    """Accumulates exact per-(boot, stage, principal, kind) attributions."""
+class _Fold:
+    """Cells and per-boot totals of one pass over the recorded timelines."""
 
     def __init__(self) -> None:
-        self._local = threading.local()
-        self._lock = threading.Lock()
         #: ChargeKey -> [ns_total, call_count]
-        self._cells: dict[ChargeKey, list[int]] = {}
-        #: boot id -> committed ns (every commit, frame or not)
-        self._boot_ns: dict[str, int] = {}
+        self.cells: dict[ChargeKey, list[int]] = {}
+        #: boot id -> attributed ns
+        self.boot_ns: dict[str, int] = {}
 
-    # -- thread-local context --------------------------------------------------
-
-    def _state(self):
-        state = self._local
-        if not hasattr(state, "frames"):
-            state.frames = []
-            state.pending = []
-        return state
-
-    @contextmanager
-    def boot_frame(self, boot_id: str) -> Iterator[None]:
-        """Attribute charges inside the block to ``boot_id``."""
-        state = self._state()
-        state.frames.append((boot_id, NO_STAGE, NO_PRINCIPAL))
-        try:
-            yield
-        finally:
-            state.frames.pop()
-
-    @contextmanager
-    def stage_frame(self, stage: str, principal: str) -> Iterator[None]:
-        """Attribute charges inside the block to a pipeline stage."""
-        state = self._state()
-        boot = state.frames[-1][0] if state.frames else NO_BOOT
-        state.frames.append((boot, stage, principal))
-        try:
-            yield
-        finally:
-            state.frames.pop()
-
-    # -- the two hooks ---------------------------------------------------------
-
-    def record_cost(self, kind: str, ns: float) -> None:
-        """Park one cost-method result until the clock commits it."""
-        self._state().pending.append((kind, float(ns)))
-
-    def commit(self, duration_ns: int, step: str) -> None:
-        """Attribute one rounded clock charge across the pending costs."""
-        state = self._state()
-        pending, state.pending = state.pending, []
-        if state.frames:
-            boot, stage, principal = state.frames[-1]
-        else:
-            boot, stage, principal = NO_BOOT, NO_STAGE, NO_PRINCIPAL
-        if pending:
-            shares = _apportion(pending, duration_ns)
-        else:
-            shares = [(UNCOSTED_PREFIX + step, duration_ns)]
-        with self._lock:
-            self._boot_ns[boot] = self._boot_ns.get(boot, 0) + duration_ns
-            for kind, share in shares:
-                cell = self._cells.setdefault(
-                    ChargeKey(boot, stage, principal, kind), [0, 0]
-                )
-                cell[0] += share
-                cell[1] += 1
-
-    def absorb(
+    def charge(
         self,
-        cells: list[tuple[tuple[str, str, str, str], int, int]],
-        boot_ns: Mapping[str, int],
+        owner: tuple[str, str, str],
+        ns: int,
+        records: tuple[tuple[str, float], ...],
+        step: object,
     ) -> None:
-        """Merge attribution produced in another profiler (or process).
+        """Split one clock charge's ``ns`` across the records it paid for."""
+        boot = owner[0]
+        self.boot_ns[boot] = self.boot_ns.get(boot, 0) + ns
+        if records:
+            shares = _apportion(records, ns)
+        else:
+            shares = [(UNCOSTED_PREFIX + str(step), ns)]
+        for kind, share in shares:
+            cell = self.cells.setdefault(ChargeKey(*owner, kind), [0, 0])
+            cell[0] += share
+            cell[1] += 1
 
-        The process boot engine runs one :class:`CostProfiler` per worker
-        task and ships its cells back as plain tuples
-        ``((boot, stage, principal, kind), ns, count)`` plus the per-boot
-        totals; the parent folds them in here under the same lock
-        ``commit`` uses, so conservation (attributed ns == clock ns)
-        holds across the process boundary exactly as it does within one.
-        """
-        with self._lock:
-            for (boot, stage, principal, kind), ns, count in cells:
-                cell = self._cells.setdefault(
-                    ChargeKey(boot, stage, principal, kind), [0, 0]
-                )
-                cell[0] += int(ns)
-                cell[1] += int(count)
-            for boot, ns in boot_ns.items():
-                self._boot_ns[boot] = self._boot_ns.get(boot, 0) + int(ns)
+    def timeline(self, boot_id: str, timeline: "Timeline") -> None:
+        events = timeline.events
+        start = 0
+        for span, end in zip(timeline.spans, timeline.span_ends):
+            owner = (boot_id, span.name, span.principal)
+            for event in events[start:end]:
+                self.charge(owner, event.duration_ns, event.costs, event.step)
+            start = end
+        owner = (NO_BOOT, NO_STAGE, NO_PRINCIPAL)
+        if timeline.aborted is not None:
+            stage, principal, unpaid = timeline.aborted
+            owner = (boot_id, stage, principal)
+            marker = (ABORTED_PREFIX + stage, 0.0)
+            self.charge(owner, 0, unpaid + (marker,), stage)
+        for event in events[start:]:
+            self.charge(owner, event.duration_ns, event.costs, event.step)
 
-    # -- accessors -------------------------------------------------------------
-
-    def boot_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._boot_ns)
-
-    def total_ns(self, boot_id: str | None = None) -> int:
-        """Attributed ns for one boot (or across every boot)."""
-        with self._lock:
-            if boot_id is None:
-                return sum(self._boot_ns.values())
-            return self._boot_ns.get(boot_id, 0)
-
-    def cells(self) -> list[tuple[ChargeKey, int, int]]:
-        """Every attribution cell as (key, ns, count), canonically sorted."""
-        with self._lock:
-            items = [(k, v[0], v[1]) for k, v in self._cells.items()]
+    def sorted_cells(self) -> list[tuple[ChargeKey, int, int]]:
+        items = [(k, v[0], v[1]) for k, v in self.cells.items()]
         items.sort(key=lambda item: (
             item[0].boot_id, item[0].stage, item[0].principal, item[0].kind
         ))
         return items
+
+
+class CostProfiler:
+    """Folds boot timelines into exact per-(boot, stage, principal, kind)
+    attributions.
+
+    Request one with ``Telemetry(profiler=CostProfiler())``; every boot
+    and restore recorded into that telemetry is then profiled.
+    """
+
+    def __init__(self) -> None:
+        self._boots: list[tuple[str, "Timeline"]] = []
+
+    def add(self, boot_id: str, timeline: "Timeline") -> None:
+        """Profile ``timeline`` under ``boot_id`` (folded when read)."""
+        self._boots.append((boot_id, timeline))
+
+    def _fold(self) -> _Fold:
+        fold = _Fold()
+        for boot_id, timeline in self._boots:
+            fold.timeline(boot_id, timeline)
+        return fold
+
+    # -- accessors -------------------------------------------------------------
+
+    def boot_ids(self) -> list[str]:
+        return sorted(self._fold().boot_ns)
+
+    def total_ns(self, boot_id: str | None = None) -> int:
+        """Attributed ns for one boot (or across every boot)."""
+        boot_ns = self._fold().boot_ns
+        if boot_id is None:
+            return sum(boot_ns.values())
+        return boot_ns.get(boot_id, 0)
+
+    def cells(self) -> list[tuple[ChargeKey, int, int]]:
+        """Every attribution cell as (key, ns, count), canonically sorted."""
+        return self._fold().sorted_cells()
 
     # -- renderers -------------------------------------------------------------
 
@@ -227,10 +208,12 @@ class CostProfiler:
 
     def to_json(self) -> str:
         """Machine-readable dump: per-boot totals plus every cell."""
+        fold = self._fold()
         boots: dict[str, dict] = {}
-        for key, ns, count in self.cells():
+        kinds: dict[str, int] = {}
+        for key, ns, count in fold.sorted_cells():
             entry = boots.setdefault(
-                key.boot_id, {"total_ns": self.total_ns(key.boot_id), "cells": []}
+                key.boot_id, {"total_ns": fold.boot_ns[key.boot_id], "cells": []}
             )
             entry["cells"].append(
                 {
@@ -241,11 +224,9 @@ class CostProfiler:
                     "calls": count,
                 }
             )
-        kinds: dict[str, int] = {}
-        for key, ns, _count in self.cells():
             kinds[key.kind] = kinds.get(key.kind, 0) + ns
         payload = {
-            "total_ns": self.total_ns(),
+            "total_ns": sum(fold.boot_ns.values()),
             "boots": boots,
             "kinds_ns": dict(sorted(kinds.items())),
         }
@@ -253,15 +234,16 @@ class CostProfiler:
 
     def to_table(self) -> str:
         """Self/cumulative text tables over the aggregated boots."""
-        total = self.total_ns()
+        fold = self._fold()
+        total = sum(fold.boot_ns.values())
         if total == 0:
             return "no attributed cost (profiler saw no charges)\n"
-        n_boots = len([b for b in self.boot_ids() if b != NO_BOOT]) or 1
+        n_boots = len([b for b in fold.boot_ns if b != NO_BOOT]) or 1
 
         # self time per (stage, principal, kind), aggregated over boots
         self_rows: dict[tuple[str, str, str], list[int]] = {}
         stage_rows: dict[tuple[str, str], int] = {}
-        for key, ns, count in self.cells():
+        for key, ns, count in fold.sorted_cells():
             cell = self_rows.setdefault(
                 (key.stage, key.principal, key.kind), [0, 0]
             )

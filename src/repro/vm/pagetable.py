@@ -179,22 +179,27 @@ class PageTableWalker:
         paddr, size = self.leaf(vaddr)
         return paddr | (vaddr & (size - 1))
 
+    def _run(self, vaddr: int, length: int) -> tuple[int, int]:
+        """``(paddr, n)``: the first ``n <= length`` bytes at ``vaddr``
+        that one leaf maps, contiguous from ``paddr``."""
+        base, size = self.leaf(vaddr)
+        offset = vaddr & (size - 1)
+        return base | offset, min(length, size - offset)
+
     def read_virt(self, vaddr: int, length: int) -> bytes:
-        """Read guest-virtual memory, page-crossing aware."""
+        """Read guest-virtual memory, split at every leaf it crosses."""
         out = bytearray()
         while length > 0:
-            paddr = self.translate(vaddr)
-            run = min(length, PAGE_2M - (vaddr % PAGE_2M))
+            paddr, run = self._run(vaddr, length)
             out += self.memory.read(paddr, run)
             vaddr += run
             length -= run
         return bytes(out)
 
     def write_virt(self, vaddr: int, data: bytes) -> None:
-        """Write guest-virtual memory, page-crossing aware."""
+        """Write guest-virtual memory, split at every leaf it crosses."""
         pos = 0
         while pos < len(data):
-            paddr = self.translate(vaddr + pos)
-            run = min(len(data) - pos, PAGE_2M - ((vaddr + pos) % PAGE_2M))
+            paddr, run = self._run(vaddr + pos, len(data) - pos)
             self.memory.write(paddr, data[pos : pos + run])
             pos += run

@@ -167,7 +167,7 @@ def test_injection_ticks_failure_counters(tiny_kaslr):
 def test_aborted_stage_appears_in_profile(tiny_kaslr):
     profiler = CostProfiler()
     plan = FaultPlan.parse(["stage=page_tables,kind=stage-timeout"])
-    vmm = _vmm(plan, profiler=profiler)
+    vmm = _vmm(plan, telemetry=Telemetry(profiler=profiler))
     with pytest.raises(BootFailure):
         vmm.boot(_cfg(tiny_kaslr))
     folded = profiler.render("folded")

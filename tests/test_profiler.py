@@ -1,8 +1,8 @@
 """Cost-attribution profiler: exact accounting and determinism.
 
 The headline invariant (profiler totals == clock elapsed time, to the
-nanosecond) is structural — commits apportion the clock's own rounded
-duration — so these tests sweep it across every monitor flavor,
+nanosecond) is structural — the fold apportions each clock charge's own
+rounded duration — so these tests sweep it across every monitor flavor,
 randomization mode, and the snapshot restore path, then pin the
 byte-identical-output guarantee the folded renderer makes.
 """
@@ -17,9 +17,22 @@ from repro.host import HostStorage
 from repro.kernel import TINY, KernelVariant
 from repro.monitor import Firecracker, FleetManager, Qemu, VmConfig
 from repro.simtime import CostModel, JitterModel
+from repro.simtime.costs import take_pending_costs
+from repro.simtime.trace import (
+    BootCategory,
+    BootStep,
+    StageSpan,
+    Timeline,
+    TraceEvent,
+)
 from repro.snapshot.checkpoint import SnapshotManager
 from repro.telemetry import CostProfiler, Telemetry
-from repro.telemetry.profiler import NO_BOOT, UNCOSTED_PREFIX, _apportion
+from repro.telemetry.profiler import (
+    NO_BOOT,
+    NO_STAGE,
+    UNCOSTED_PREFIX,
+    _apportion,
+)
 from repro.unikernel import UnikernelMonitor
 
 _VARIANTS = {
@@ -35,8 +48,7 @@ def _boot_profiled(monitor_cls, mode, *, jitter=False):
     vmm = monitor_cls(
         HostStorage(),
         CostModel(scale=1, jitter=jm),
-        telemetry=Telemetry(),
-        profiler=profiler,
+        telemetry=Telemetry(profiler=profiler),
     )
     kernel = get_kernel(TINY, _VARIANTS[mode], scale=1, seed=3)
     report, vm = vmm.boot_vm(VmConfig(kernel=kernel, randomize=mode, seed=9))
@@ -54,6 +66,7 @@ def test_every_simulated_ns_is_attributed(monitor_cls, mode):
     assert profiler.total_ns(boot_id) == vm.clock.now_ns
     assert profiler.total_ns() == vm.clock.now_ns
     assert vm.clock.now_ns > 0
+    assert take_pending_costs() == ()
 
 
 @pytest.mark.parametrize("mode", list(_VARIANTS))
@@ -63,6 +76,20 @@ def test_attribution_exact_under_jitter(mode):
     (boot_id,) = profiler.boot_ids()
     assert profiler.total_ns(boot_id) == vm.clock.now_ns
     assert sum(ns for _key, ns, _count in profiler.cells()) == vm.clock.now_ns
+    assert take_pending_costs() == ()
+
+
+def test_cost_no_charge_paid_for_stays_out_of_the_next_boot():
+    """Cost records are always filed; a new boot's clock drops stale ones."""
+    CostModel(scale=1).disk_read_ns(1 << 20, cached=False)  # never charged
+    profiler, _report, vm = _boot_profiled(Firecracker, RandomizeMode.KASLR)
+    clean, _report, _vm = _boot_profiled(Firecracker, RandomizeMode.KASLR)
+    assert profiler.cells() == clean.cells()
+    assert not [
+        key for key, _ns, _count in profiler.cells()
+        if key.stage == "monitor_startup" and key.kind == "disk_read"
+    ]
+    assert profiler.total_ns() == vm.clock.now_ns
 
 
 def test_pipeline_boot_has_no_uncosted_time():
@@ -102,19 +129,16 @@ def test_post_boot_charges_attributed_outside_frames():
 
 
 def test_snapshot_restore_is_fully_attributed(tiny_kaslr):
-    telemetry = Telemetry()
     profiler = CostProfiler()
-    vmm = Firecracker(
-        HostStorage(), CostModel(scale=1), telemetry=telemetry,
-        profiler=profiler,
-    )
+    telemetry = Telemetry(profiler=profiler)
+    vmm = Firecracker(HostStorage(), CostModel(scale=1), telemetry=telemetry)
     cfg = VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=9)
     _report, vm = vmm.boot_vm(cfg)
-    manager = SnapshotManager(
-        costs=CostModel(scale=1), telemetry=telemetry, profiler=profiler
-    )
+    assert take_pending_costs() == ()
+    manager = SnapshotManager(costs=CostModel(scale=1), telemetry=telemetry)
     snapshot = manager.capture(vm)  # charged on the boot's own clock
     clone, _ms = manager.restore_rebased(snapshot, seed=77)
+    assert take_pending_costs() == ()
     restore_ids = [b for b in profiler.boot_ids() if b.startswith("restore:")]
     assert len(restore_ids) == 1
     assert profiler.total_ns(restore_ids[0]) == clone.clock.now_ns
@@ -127,8 +151,8 @@ def test_snapshot_restore_is_fully_attributed(tiny_kaslr):
 def _profiled_fleet(kernel):
     profiler = CostProfiler()
     vmm = Firecracker(
-        HostStorage(), CostModel(scale=1), telemetry=Telemetry(),
-        profiler=profiler,
+        HostStorage(), CostModel(scale=1),
+        telemetry=Telemetry(profiler=profiler),
     )
     manager = FleetManager(vmm, workers=3, telemetry=vmm.telemetry)
     cfg = VmConfig(kernel=kernel, randomize=RandomizeMode.FGKASLR)
@@ -180,10 +204,70 @@ def test_apportion_handles_zero_and_negative_weights():
 
 
 def test_uncharged_clock_event_becomes_uncosted():
+    timeline = Timeline()
+    timeline.append(
+        TraceEvent(0, 42, BootCategory.IN_MONITOR, BootStep.MONITOR_GUEST_ENTRY)
+    )
+    timeline.add_span(StageSpan("guest_entry", "guest_entry", "monitor", 0, 42))
     profiler = CostProfiler()
-    with profiler.boot_frame("b"):
-        profiler.commit(42, "guest_entry")
+    profiler.add("b", timeline)
     ((key, ns, count),) = profiler.cells()
-    assert key.kind == UNCOSTED_PREFIX + "guest_entry"
+    assert key.kind == UNCOSTED_PREFIX + "monitor_guest_entry"
     assert (ns, count) == (42, 1)
     assert profiler.total_ns("b") == 42
+
+
+def _event(start, ns, *costs):
+    return TraceEvent(
+        start, ns, BootCategory.IN_MONITOR, BootStep.MONITOR_STARTUP,
+        costs=tuple(costs),
+    )
+
+
+def _cell_map(profiler):
+    return {
+        (key.boot_id, key.stage, key.kind): (ns, count)
+        for key, ns, count in profiler.cells()
+    }
+
+
+def test_fold_attributes_events_by_position_not_timestamp():
+    """Zero-ns charges on a stage boundary keep the stage that made them."""
+    timeline = Timeline()
+    timeline.append(_event(0, 10, ("a", 4.0)))
+    timeline.append(_event(10, 0, ("end_of_a", 0.0)))
+    timeline.add_span(StageSpan("A", "a", "monitor", 0, 10))
+    timeline.append(_event(10, 0, ("start_of_b", 0.0)))
+    timeline.append(_event(10, 10, ("b", 1.0), ("b2", 3.0)))
+    timeline.add_span(StageSpan("B", "b", "guest", 10, 20))
+    timeline.append(_event(20, 5, ("post_boot", 5.0)))  # e.g. a module load
+    profiler = CostProfiler()
+    profiler.add("boot", timeline)
+    assert _cell_map(profiler) == {
+        ("boot", "A", "a"): (10, 1),
+        ("boot", "A", "end_of_a"): (0, 1),
+        ("boot", "B", "start_of_b"): (0, 1),
+        ("boot", "B", "b"): (3, 1),
+        ("boot", "B", "b2"): (7, 1),
+        (NO_BOOT, NO_STAGE, "post_boot"): (5, 1),
+    }
+    assert profiler.total_ns("boot") == 20
+    assert profiler.total_ns() == timeline.total_ns
+
+
+def test_fold_gives_an_aborted_timeline_its_stage():
+    """Charges after the last span belong to the aborted stage."""
+    timeline = Timeline()
+    timeline.append(_event(0, 10, ("a", 1.0)))
+    timeline.add_span(StageSpan("A", "a", "monitor", 0, 10))
+    timeline.append(_event(10, 3, ("partial", 1.0)))
+    timeline.aborted = ("B", "guest", (("unpaid", 2.0),))
+    profiler = CostProfiler()
+    profiler.add("boot", timeline)
+    assert _cell_map(profiler) == {
+        ("boot", "A", "a"): (10, 1),
+        ("boot", "B", "partial"): (3, 1),
+        ("boot", "B", "unpaid"): (0, 1),
+        ("boot", "B", "aborted.B"): (0, 1),
+    }
+    assert profiler.boot_ids() == ["boot"]

@@ -76,6 +76,27 @@ def test_read_write_virt_across_page_boundary():
     assert mem.read(0x1000000 + PAGE_2M, 8) == b"89abcdef"
 
 
+def test_read_write_virt_split_at_4k_leaves():
+    """An access crossing a 4 KiB leaf reaches the next leaf's frame."""
+    mem, builder = _build()
+    pdpt = builder._get_or_create(builder.pml4, 0)
+    pd = builder._get_or_create(pdpt, 0)
+    pt = builder._get_or_create(pd, 0x400000 >> 21)
+    present_rw = 0b11
+    mem.write_u64(pt + 0 * 8, 1 * MIB | present_rw)  # 0x400000 -> 1 MiB
+    mem.write_u64(pt + 1 * 8, 3 * MIB | present_rw)  # 0x401000 -> 3 MiB
+    walker = PageTableWalker(mem, builder.pml4)
+    assert walker.leaf(0x401000) == (3 * MIB, PAGE_4K)
+    mem.write(MIB + 0xFF8, b"01234567")
+    mem.write(MIB + PAGE_4K, b"wrongpg!")  # physically next, virtually not
+    mem.write(3 * MIB, b"89abcdef")
+    assert walker.read_virt(0x400FF8, 16) == b"0123456789abcdef"
+    walker.write_virt(0x400FF8, b"ABCDEFGHIJKLMNOP")
+    assert mem.read(MIB + 0xFF8, 8) == b"ABCDEFGH"
+    assert mem.read(3 * MIB, 8) == b"IJKLMNOP"
+    assert mem.read(MIB + PAGE_4K, 8) == b"wrongpg!"
+
+
 def test_tables_live_in_guest_memory():
     mem, builder = _build()
     builder.map_identity_1g(1)
