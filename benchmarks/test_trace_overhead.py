@@ -3,8 +3,8 @@
 The tracing layer promises to be *pure observation*: a traced run must
 produce the byte-identical :class:`ServeResult` and cost < 5% extra
 serve-engine time.  The engine keeps that budget by deferring trace
-materialization — the hot loop appends compact per-request records and
-registers a builder via ``RequestTracer.defer``; span trees only exist
+materialization — the run hands its event log to a builder registered
+via ``RequestTracer.defer``; span trees only exist
 after the first tracer read, which happens *after* ``run()`` returns.
 This bench gates the promise.
 

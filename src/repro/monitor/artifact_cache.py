@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -200,9 +201,16 @@ class DiskCacheTier:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         target = self.file_for(key)
-        tmp = target.with_name(f"{target.stem}.{os.getpid()}.tmp")
-        tmp.write_bytes(envelope)
-        os.replace(tmp, target)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.path, prefix=f"{target.stem}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(envelope)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, key: CacheKey) -> PreparedImage | None:
         target = self.file_for(key)

@@ -14,6 +14,17 @@ simulated time.  The pieces:
 * instance accounting is a :class:`~repro.serve.pool.WarmPool` over a
   :class:`~repro.monitor.leases.LeaseRegistry`.
 
+One writer: the event loop keeps only simulation state (the heap, the
+admission queue, the warm pool, the breaker, the provisioners) and
+appends one entry per processed event to the run's log (see
+:class:`Logged`).  After the loop, :meth:`ServeEngine._derive` walks the
+log once, in order, and writes every view of the run from it: the
+:class:`ServeResult` tallies, the ``repro_serve_*`` series, the flight
+recorder's windows, the ``serve:<cell>`` lifecycle track, the KASLR
+audit and, deferred to the first tracer read, the request traces.
+Nothing in the loop reads a view back, so a run with every sink
+installed simulates exactly what a bare run does.
+
 Determinism: the event heap is keyed ``(time, kind, seq)``; ``kind``
 fixes the processing order of same-instant events (capacity lands
 before completions, completions before new arrivals, arrivals before
@@ -42,13 +53,13 @@ from repro.errors import MonitorError
 from repro.security.audit import KaslrAuditor
 from repro.serve.arrivals import ArrivalSpec, generate_arrivals
 from repro.serve.backend import ProductionSample, SampledBackend
-from repro.serve.pool import AutoscalePolicy, PoolStats, WarmInstance, WarmPool
+from repro.serve.pool import AutoscalePolicy, PoolStats, WarmPool
 from repro.simtime.fleetclock import FleetWallClock
 from repro.telemetry import Telemetry
-from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedEmitter
+from repro.telemetry.timeseries import TimeSeriesRecorder
 from repro.telemetry.tracing import RequestTracer, TraceContext
 
-__all__ = ["EventKind", "ServeConfig", "ServeEngine", "ServeResult"]
+__all__ = ["EventKind", "Logged", "ServeConfig", "ServeEngine", "ServeResult"]
 
 
 class EventKind(enum.IntEnum):
@@ -59,6 +70,25 @@ class EventKind(enum.IntEnum):
     ARRIVE = 2  # a request enters the system
     DEADLINE = 3  # a queued request gives up
     IDLE = 4  # scale-down watchdog
+
+
+class Logged(enum.IntEnum):
+    """What one run-log entry records; every entry is ``(kind, t_ns, ...)``.
+
+    The fields after the instant are the values the views read.
+    """
+
+    PREWARM = 0  # instance_id, sample (a failed sample: the prewarm died)
+    PROVISION = 1  # instance_id, window, sample, trigger, at_dispatch
+    READY = 2  # instance_id, sample, ready count after it landed
+    FAILED = 3  # (nothing) a production died
+    BREAKER = 4  # consecutive failures that tripped the breaker
+    ARRIVE = 5  # request, queue depth after admission
+    REJECT = 6  # request
+    DONE = 7  # request, arrival_ns, lease_ns, WarmInstance, sample
+    DEADLINE = 8  # request, arrival_ns
+    TICK = 9  # (nothing) the idle watchdog popped; evictions follow
+    EVICT = 10  # instance_id
 
 
 @dataclass(frozen=True)
@@ -131,27 +161,20 @@ class ServeResult:
         return self
 
 
-# Compact trace records.  The engine's event loop is the hot path — it
-# must stay within a few percent of an untraced run (the gated
-# ``BENCH_trace_overhead`` series pins this), so instead of minting span
-# objects inline the loop appends plain lists holding ints and refs to
-# already-immutable objects, and a deferred builder
-# (:meth:`ServeEngine._build_traces`) turns them into one bulk commit per
-# trace on the first tracer read.  A request that dispatches gets one
-# served record (layout below); rejected and deadline-failed requests get
-# small tuples; provisions get ``[instance_id, BootWindow, sample,
-# span_id]`` (span_id filled by the builder) and prewarms
-# ``[instance_id, sample, span_id]``.
-R_INDEX = 0  # request index
-R_ARRIVAL = 1  # admission time (ns)
-R_DISPATCH = 2  # lease time (ns)
-R_DONE = 3  # completion time (ns); 0 while in flight
-R_INST = 4  # the leased WarmInstance
-R_SAMPLE = 5  # the ProductionSample replayed by the invocation
-R_PROV = 6  # provision/prewarm record that built the instance, or None
-R_PROV_ARRIVE = 7  # provision records triggered at admission (list|None)
-R_TRACE = 8  # trace id already derived for the exemplar, or None
-R_LEN = 9  # provisions triggered by our dispatch are appended past here
+def _provision_row(entry: tuple, parent: int | None = 0) -> tuple:
+    """A ``PROVISION`` log entry as a commit row: a child of the request
+    root, or (``parent=None``) a root of the pool trace."""
+    _, _, instance_id, window, sample, _, _ = entry
+    attrs = {
+        "instance": instance_id,
+        "worker": window.worker,
+        "failed": sample.failed,
+    }
+    if sample.source:
+        attrs["source"] = sample.source
+    return (
+        "provision", "provision", window.start_ns, window.end_ns, parent, attrs,
+    )
 
 
 class ServeEngine:
@@ -172,11 +195,8 @@ class ServeEngine:
         self.config = config
         self.telemetry = telemetry
         self.labels = dict(labels or {})
-        #: optional flight recorder fed per event (arrivals, serves, depth)
+        #: optional flight recorder (arrivals, serves, depth per window)
         self.recorder = recorder
-        #: null-safe recorder facade (shared shape with the fleet's
-        #: telemetry forwarding — see ``WindowedEmitter``)
-        self._emit = WindowedEmitter(recorder)
         #: optional KASLR auditor fed one record per provisioned instance
         self.auditor = auditor
         #: Chrome-trace track for lifecycle events; events are recorded
@@ -186,99 +206,27 @@ class ServeEngine:
         self.track = track
         #: optional request tracer (usually a per-cell scoped view); when
         #: absent the run is byte-identical to an untraced one, and when
-        #: present the event loop only fills compact records — the span
-        #: trees materialize lazily (see :meth:`_build_traces`)
+        #: present the span trees materialize lazily from the run's log
+        #: (see :meth:`_build_traces`)
         self.tracer = tracer
-        #: (metric name, *extra labels) -> instrument, resolved on first use
-        self._instruments: dict[tuple, object] = {}
 
-    # -- internal helpers ------------------------------------------------------
+    # -- the simulation ----------------------------------------------------------
 
     def _push(self, when_ns: int, kind: EventKind, payload: int) -> None:
         heapq.heappush(self._events, (when_ns, kind, self._seq, payload))
         self._seq += 1
 
-    def _instrument(self, kind: str, name: str, help_text: str, **extra: str):
-        """The ``kind`` instrument for ``name`` and these labels.
-
-        Resolved through the registry on first use only (never before, so
-        no zero-valued series appears), then reused: the registry checks
-        and sorts the labels once, not on every event.
-        """
-        key = (name, *extra.items())
-        metric = self._instruments.get(key)
-        if metric is None:
-            factory = getattr(self.telemetry.registry, kind)
-            metric = self._instruments[key] = factory(
-                name, help=help_text, **self.labels, **extra
-            )
-        return metric
-
-    def _count(self, name: str, help_text: str, amount: int = 1, **extra: str) -> None:
-        if self.telemetry is None or amount == 0:
-            return
-        self._instrument("counter", name, help_text, **extra).inc(amount)
-
-    def _span(
-        self,
-        name: str,
-        *,
-        start_ns: int,
-        duration_ns: int = 0,
-        worker: int | None = None,
-        detail: str = "",
-    ) -> None:
-        """Record one lifecycle event; callers check ``self._lifecycle``
-        first, so nothing (not even the detail string) is built for a
-        run that records none."""
-        self.telemetry.serve_span(
-            self.track,
-            name=name,
-            start_ns=start_ns,
-            duration_ns=duration_ns,
-            worker=worker,
-            detail=detail,
-        )
-
-    def _audit_strategy(self) -> str:
-        return self.labels.get("strategy", self.track or "serve")
-
-    def _audit_record(
-        self, instance_id: int, sample: ProductionSample, t_ns: int
-    ) -> None:
-        if self.auditor is None:
-            return
-        # hand-built test samples carry no digest; the layout offset is
-        # the next-best fingerprint (coarser: FGKASLR shuffles invisible)
-        digest = sample.layout_digest or f"off:{sample.layout_offset:#x}"
-        self._instance_digest[instance_id] = digest
-        self.auditor.record(
-            f"{self.track or 'serve'}:instance:{instance_id}",
-            strategy=self._audit_strategy(),
-            t_ns=t_ns,
-            digest=digest,
-        )
-
-    def _audit_touch(self, instance_id: int, t_ns: int) -> None:
-        """Extend a layout's validity span to its last live sighting."""
-        if self.auditor is None:
-            return
-        digest = self._instance_digest.pop(instance_id, None)
-        if digest is not None:
-            self.auditor.touch(self._audit_strategy(), digest, t_ns)
-
     def _provision(
-        self, now_ns: int, trigger: int | None = None, rec: list | None = None
+        self, now_ns: int, trigger: int | None = None, at_dispatch: bool = False
     ) -> None:
         """Chase the target: start provisions until the deficit closes.
 
-        ``trigger`` is the request index whose admission or dispatch
-        opened the deficit; its trace adopts the provision spans, so a
-        cold request's scale-up shows up *inside* that request's tree
-        (``rec`` is that request's served record when the trigger has
-        already dispatched).  Refills with no single cause (prewarm
-        top-ups, post-failure retries) land on the cell's ``pool``
-        trace instead.
+        ``trigger`` is the request index whose admission (or, with
+        ``at_dispatch``, whose dispatch) opened the deficit; its trace
+        adopts the provision spans, so a cold request's scale-up shows up
+        *inside* that request's tree.  Refills with no single cause
+        (prewarm top-ups, post-failure retries) land on the cell's
+        ``pool`` trace instead.
         """
         if self._breaker_tripped:
             return
@@ -288,35 +236,27 @@ class ServeEngine:
             sample = self.backend.sample(self._production_index)
             self._production_index += 1
             window = self._provisioners.schedule_at(now_ns, sample.startup_ns)
-            self._emit.count(now_ns, "serve_provision_started")
-            if self._lifecycle:
-                self._span(
-                    "provision",
-                    start_ns=window.start_ns,
-                    duration_ns=window.end_ns - window.start_ns,
-                    worker=window.worker,
-                    detail=f"instance={instance_id} failed={sample.failed}",
-                )
-            if self.tracer is not None:
-                prov = [instance_id, window, sample, ""]
-                self._prov_of[instance_id] = prov
-                if rec is not None:
-                    # trigger already dispatched: its execute span
-                    # precedes these provisions in its tree
-                    rec.append(prov)
-                elif trigger is not None:
-                    lst = self._prov_arrive_of.get(trigger)
-                    if lst is None:
-                        lst = self._prov_arrive_of[trigger] = []
-                    lst.append(prov)
-                else:
-                    self._pool_records.append(("provision", prov))
+            self._log.append((
+                Logged.PROVISION, now_ns, instance_id, window, sample,
+                trigger, at_dispatch,
+            ))
             if sample.failed:
                 # the provisioner still burns the time before giving up
                 self._push(window.end_ns, EventKind.READY, -(instance_id + 1))
             else:
                 self._pending[instance_id] = sample
                 self._push(window.end_ns, EventKind.READY, instance_id)
+
+    def _production_died(self, now_ns: int) -> bool:
+        """Account one dead production; True once the breaker is tripped."""
+        self._pool.fail_provision()
+        self._consecutive_failures += 1
+        if self._consecutive_failures >= self.config.max_provision_failures:
+            self._breaker_tripped = True
+            self._log.append(
+                (Logged.BREAKER, now_ns, self._consecutive_failures)
+            )
+        return self._breaker_tripped
 
     def _dispatch(self, now_ns: int) -> None:
         """Marry queued requests to ready instances, FIFO on both sides."""
@@ -331,22 +271,12 @@ class ServeEngine:
                 return
             self._queue.popleft()
             self._resolved.add(req)
-            sample = self._instance_sample[inst.instance_id]
-            done = now_ns + sample.invoke_ns
-            self._push(done, EventKind.DONE, inst.instance_id)
-            if self.tracer is not None:
-                rec = [
-                    req, self._arrival_of[req], now_ns, 0, inst, sample,
-                    self._prov_of.get(inst.instance_id),
-                    self._prov_arrive_of.pop(req, None), None,
-                ]
-                self._records.append(rec)
-            else:
-                rec = None
-            self._serving[inst.instance_id] = (req, inst, now_ns, rec)
+            sample = self._instance_sample.pop(inst.instance_id)
+            self._push(now_ns + sample.invoke_ns, EventKind.DONE, inst.instance_id)
+            self._serving[inst.instance_id] = (req, inst, now_ns, sample)
             self._touch_idle(now_ns)
             # consuming capacity may open a deficit immediately
-            self._provision(now_ns, trigger=req, rec=rec)
+            self._provision(now_ns, trigger=req, at_dispatch=True)
 
     def _touch_idle(self, now_ns: int) -> None:
         self._idle_at = now_ns + self.config.policy.idle_ns
@@ -354,93 +284,472 @@ class ServeEngine:
             self._idle_armed = True
             self._push(self._idle_at, EventKind.IDLE, 0)
 
-    # -- deferred trace materialization ----------------------------------------
+    def run(self, spec: ArrivalSpec) -> ServeResult:
+        arrivals = generate_arrivals(spec)
+        cfg = self.config
+        self._pool = WarmPool(policy=cfg.policy)
+        self._provisioners = FleetWallClock(cfg.provisioners)
+        self._events: list[tuple[int, EventKind, int, int]] = []
+        self._seq = 0
+        self._queue: deque[int] = deque()
+        self._resolved: set[int] = set()
+        self._arrival_of: dict[int, int] = {}
+        self._serving: dict[int, tuple] = {}
+        self._pending: dict[int, ProductionSample] = {}
+        self._instance_sample: dict[int, ProductionSample] = {}
+        self._production_index = 0
+        self._consecutive_failures = 0
+        self._breaker_tripped = False
+        self._idle_at = 0
+        self._idle_armed = False
+        #: one entry per processed event (see :class:`Logged`)
+        log = self._log = []
 
-    @staticmethod
-    def _prov_row(prov: list, parent: int | None = 0) -> tuple:
-        """A provision record as a commit row: a child of the request
-        root, or (``parent=None``) a root of the pool trace."""
-        instance_id, window, sample, _ = prov
-        attrs = {
-            "instance": instance_id,
-            "worker": window.worker,
-            "failed": sample.failed,
-        }
-        if sample.source:
-            attrs["source"] = sample.source
-        return (
-            "provision", "provision", window.start_ns, window.end_ns, parent,
-            attrs,
+        # Prewarm: the pool opens stocked to its floor.  Prewarmed
+        # instances are ready at t=0 — their production happened before
+        # the observation window, so they are never cold starts.
+        for _ in range(cfg.policy.min_ready):
+            if self._breaker_tripped:
+                break
+            instance_id = self._pool.begin_provision()
+            sample = self.backend.sample(self._production_index)
+            self._production_index += 1
+            log.append((Logged.PREWARM, 0, instance_id, sample))
+            if sample.failed:
+                self._production_died(0)
+                continue
+            self._consecutive_failures = 0
+            self._instance_sample[instance_id] = sample
+            self._pool.complete_provision(
+                instance_id,
+                ready_ns=0,
+                startup_ns=sample.startup_ns,
+                layout_offset=sample.layout_offset,
+                degraded=sample.degraded,
+            )
+
+        for idx, when in enumerate(arrivals):
+            self._push(when, EventKind.ARRIVE, idx)
+
+        while self._events:
+            now_ns, kind, _seq, payload = heapq.heappop(self._events)
+
+            if kind is EventKind.ARRIVE:
+                if len(self._queue) >= cfg.queue_cap:
+                    self._resolved.add(payload)
+                    log.append((Logged.REJECT, now_ns, payload))
+                    continue
+                self._queue.append(payload)
+                self._arrival_of[payload] = now_ns
+                log.append((Logged.ARRIVE, now_ns, payload, len(self._queue)))
+                self._push(
+                    now_ns + cfg.deadline_ns, EventKind.DEADLINE, payload
+                )
+                self._pool.observe_queue(len(self._queue))
+                self._touch_idle(now_ns)
+                self._provision(now_ns, trigger=payload)
+                self._dispatch(now_ns)
+
+            elif kind is EventKind.READY:
+                if payload < 0:  # a failed production completing
+                    log.append((Logged.FAILED, now_ns))
+                    if not self._production_died(now_ns):
+                        self._provision(now_ns)
+                    continue
+                self._consecutive_failures = 0
+                sample = self._pending.pop(payload)
+                self._instance_sample[payload] = sample
+                self._pool.complete_provision(
+                    payload,
+                    ready_ns=now_ns,
+                    startup_ns=sample.startup_ns,
+                    layout_offset=sample.layout_offset,
+                    degraded=sample.degraded,
+                )
+                log.append((
+                    Logged.READY, now_ns, payload, sample,
+                    self._pool.ready_count,
+                ))
+                self._dispatch(now_ns)
+
+            elif kind is EventKind.DONE:
+                req, inst, lease_ns, sample = self._serving.pop(payload)
+                self._pool.finish(inst)
+                log.append((
+                    Logged.DONE, now_ns, req, self._arrival_of.pop(req),
+                    lease_ns, inst, sample,
+                ))
+                self._provision(now_ns)
+                self._dispatch(now_ns)
+
+            elif kind is EventKind.DEADLINE:
+                # a served request's sentinel is a no-op and logs nothing,
+                # so the recorder never drags an empty window tail out to
+                # arrival + deadline
+                if payload in self._resolved:
+                    continue
+                self._resolved.add(payload)
+                # eager removal keeps the admission bound honest: a
+                # timed-out request must stop occupying a queue slot
+                self._queue.remove(payload)
+                log.append((
+                    Logged.DEADLINE, now_ns, payload,
+                    self._arrival_of.pop(payload, now_ns),
+                ))
+
+            elif kind is EventKind.IDLE:
+                # logged even when it only re-arms: the recorder's
+                # windows close at every processed instant
+                log.append((Logged.TICK, now_ns))
+                if now_ns < self._idle_at:
+                    self._push(self._idle_at, EventKind.IDLE, 0)
+                    continue
+                self._idle_armed = False
+                if not self._queue:
+                    for inst in self._pool.scale_to_floor(now_ns):
+                        log.append((Logged.EVICT, now_ns, inst.instance_id))
+
+        self._pool.drain()
+        del self._log
+        return self._derive(log, len(arrivals), spec.duration_ns)
+
+    # -- the views -------------------------------------------------------------
+
+    def _derive(self, log: list, arrivals: int, horizon_ns: int) -> ServeResult:
+        """Walk one run's log once, in order, and write every view of it.
+
+        The recorder advances to each entry's instant before the entry's
+        samples land, so windows close (and alerts fire) at the instants
+        the events happened; lifecycle events and audit records follow
+        in log order.  The registry series and the result are the walk's
+        tallies.  The request traces are deferred: the builder keeps the
+        log until the first tracer read.
+        """
+        recorder, auditor, tracer = self.recorder, self.auditor, self.tracer
+        span = (
+            partial(self.telemetry.serve_span, self.track)
+            if self.telemetry is not None and self.track is not None
+            else None
         )
+        strategy = self.labels.get("strategy", self.track or "serve")
+        #: instance id -> layout digest, until its last live sighting
+        digests: dict[int, str] = {}
+        #: request -> the exemplar's trace id, handed on to the builder
+        trace_ids: dict[int, str] = {}
+
+        def audit(instance_id: int, sample: ProductionSample, t_ns: int) -> None:
+            if auditor is None:
+                return
+            # hand-built test samples carry no digest; the layout offset is
+            # the next-best fingerprint (coarser: FGKASLR shuffles invisible)
+            digests[instance_id] = auditor.record(
+                f"{self.track or 'serve'}:instance:{instance_id}",
+                strategy=strategy,
+                t_ns=t_ns,
+                digest=sample.layout_digest or f"off:{sample.layout_offset:#x}",
+            )
+
+        def touch(instance_id: int, t_ns: int) -> None:
+            """Extend a layout's validity span to its last live sighting."""
+            digest = digests.pop(instance_id, None)
+            if digest is not None:
+                auditor.touch(strategy, digest, t_ns)
+
+        latencies: list[int] = []
+        cold_starts = degraded_serves = rejected = deadline_missed = 0
+        failures = max_queue_depth = 0
+        advanced_ns = 0
+        for entry in log:
+            kind, now_ns = entry[0], entry[1]
+            if recorder is not None and now_ns != advanced_ns:
+                recorder.advance(now_ns)
+                advanced_ns = now_ns
+
+            if kind is Logged.DONE:
+                _, _, req, arrival_ns, lease_ns, inst, _ = entry
+                latency_ns = now_ns - arrival_ns
+                latencies.append(latency_ns)
+                horizon_ns = max(horizon_ns, now_ns)
+                cold = inst.ready_ns > arrival_ns
+                if cold:
+                    cold_starts += 1
+                if inst.degraded:
+                    degraded_serves += 1
+                if span is not None:
+                    span(
+                        name="lease",
+                        start_ns=lease_ns,
+                        duration_ns=now_ns - lease_ns,
+                        detail=f"req={req} cold={str(cold).lower()}",
+                    )
+                if recorder is not None:
+                    exemplar = None
+                    if tracer is not None:
+                        # ids are pure functions of (seed, key): one
+                        # sha256 stamps the exemplar without
+                        # materializing the trace, and the builder
+                        # reuses it
+                        exemplar = trace_ids[req] = tracer.trace_id_for(
+                            f"req/{req}"
+                        )
+                    recorder.count(now_ns, "serve_served")
+                    if cold:
+                        recorder.count(now_ns, "serve_cold_starts")
+                    recorder.observe(
+                        now_ns, "serve_latency_ms", latency_ns / 1e6,
+                        exemplar=exemplar,
+                    )
+                touch(inst.instance_id, now_ns)
+
+            elif kind is Logged.ARRIVE:
+                depth = entry[3]
+                max_queue_depth = max(max_queue_depth, depth)
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_arrivals")
+                    recorder.set_gauge(now_ns, "serve_queue_depth", depth)
+
+            elif kind is Logged.PROVISION:
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_provision_started")
+                if span is not None:
+                    _, _, instance_id, window, sample, _, _ = entry
+                    span(
+                        name="provision",
+                        start_ns=window.start_ns,
+                        duration_ns=window.end_ns - window.start_ns,
+                        worker=window.worker,
+                        detail=f"instance={instance_id} failed={sample.failed}",
+                    )
+
+            elif kind is Logged.READY:
+                _, _, instance_id, sample, ready = entry
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_provisioned")
+                    recorder.set_gauge(now_ns, "serve_pool_ready", ready)
+                audit(instance_id, sample, now_ns)
+
+            elif kind is Logged.REJECT:
+                rejected += 1
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_arrivals")
+                    recorder.count(now_ns, "serve_rejected")
+
+            elif kind is Logged.DEADLINE:
+                deadline_missed += 1
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_deadline_missed")
+
+            elif kind is Logged.EVICT:
+                instance_id = entry[2]
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_evicted")
+                if span is not None:
+                    span(
+                        name="evict", start_ns=now_ns,
+                        detail=f"instance={instance_id}",
+                    )
+                touch(instance_id, now_ns)
+
+            elif kind is Logged.PREWARM:
+                _, _, instance_id, sample = entry
+                if sample.failed:
+                    if recorder is not None:
+                        recorder.count(now_ns, "serve_provision_failures")
+                    continue
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_prewarmed")
+                if span is not None:
+                    span(
+                        name="prewarm", start_ns=now_ns,
+                        detail=f"instance={instance_id}",
+                    )
+                audit(instance_id, sample, now_ns)
+
+            elif kind is Logged.FAILED:
+                failures += 1
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_provision_failures")
+
+            elif kind is Logged.BREAKER:
+                if recorder is not None:
+                    recorder.count(now_ns, "serve_breaker_trips")
+                if span is not None:
+                    span(
+                        name="breaker", start_ns=now_ns,
+                        detail=f"failures={entry[2]}",
+                    )
+
+        if self.telemetry is not None:
+            self._export(
+                latencies, cold_starts, rejected, deadline_missed, failures,
+                max_queue_depth,
+            )
+        if recorder is not None:
+            # close every window through the run horizon so the frame
+            # sequence tiles the full observation span deterministically
+            recorder.close(horizon_ns)
+        if tracer is not None:
+            # the cell-wide trace adopting spans with no single requester
+            # (prewarms, retry refills, evictions); minting it now keeps it
+            # first among this run's traces in the store's creation order
+            tracer.defer(
+                partial(
+                    self._build_traces, tracer, tracer.trace("pool"), log,
+                    trace_ids,
+                )
+            )
+
+        return ServeResult(
+            arrivals=arrivals,
+            served=len(latencies),
+            rejected=rejected,
+            deadline_missed=deadline_missed,
+            cold_starts=cold_starts,
+            degraded_serves=degraded_serves,
+            latencies_ns=tuple(latencies),
+            max_queue_depth=max_queue_depth,
+            pool=self._pool.stats(),
+            provisioner_busy=self._provisioners.busy_fraction(horizon_ns),
+            breaker_tripped=self._breaker_tripped,
+            horizon_ns=horizon_ns,
+        ).check()
+
+    def _export(
+        self,
+        latencies: list[int],
+        cold_starts: int,
+        rejected: int,
+        deadline_missed: int,
+        failures: int,
+        max_queue_depth: int,
+    ) -> None:
+        """The run's ``repro_serve_*`` series.  A counter appears only
+        once it counts something, so no zero-valued series is exported."""
+        registry, labels = self.telemetry.registry, self.labels
+        served = "Requests served to completion"
+        failed = "Requests the control plane failed"
+        died = "Productions that died (cold fallback included)"
+        for name, help_text, extra, amount in (
+            ("repro_serve_served_total", served, {"cold": "true"}, cold_starts),
+            (
+                "repro_serve_served_total", served, {"cold": "false"},
+                len(latencies) - cold_starts,
+            ),
+            ("repro_serve_failed_total", failed, {"reason": "rejected"}, rejected),
+            (
+                "repro_serve_failed_total", failed, {"reason": "deadline"},
+                deadline_missed,
+            ),
+            ("repro_serve_provision_failures_total", died, {}, failures),
+        ):
+            if amount:
+                registry.counter(name, help=help_text, **labels, **extra).inc(amount)
+        if latencies:
+            histogram = registry.histogram(
+                "repro_serve_latency_ns",
+                help="End-to-end request latency (arrival to completion)",
+                **labels,
+            )
+            for latency_ns in latencies:
+                histogram.observe(latency_ns)
+        for name, help_text, value in (
+            (
+                "repro_serve_peak_queue_depth",
+                "High-water mark of the admission queue", max_queue_depth,
+            ),
+            (
+                "repro_serve_peak_pool_ready",
+                "High-water mark of warm instances ready to lease",
+                self._pool.peak_ready,
+            ),
+            (
+                "repro_serve_pool_target",
+                "Autoscale target at end of run", self._pool.target,
+            ),
+        ):
+            registry.gauge(name, help=help_text, **labels).set(value)
 
     @staticmethod
     def _build_traces(
         tracer: RequestTracer,
         pool_ctx: TraceContext,
-        pool_records: list,
-        records: list,
-        failed_recs: list,
+        log: list,
+        trace_ids: dict[int, str],
     ) -> None:
-        """Turn one run's compact records into span trees, one commit each.
+        """Turn one run's log into span trees, one commit per trace.
 
         Runs off the hot path (first tracer read; see
-        :meth:`RequestTracer.defer`).  The pool trace comes first, then
-        one trace per request in arrival (= index) order; within a
+        :meth:`RequestTracer.defer`).  The pool trace comes first —
+        prewarms, unowned refills and evictions in log order, all roots —
+        then one trace per request in arrival (= index) order; within a
         request trace the spans keep the order the run created them in:
         root, queue, admission-time provisions, execute, dispatch-time
-        provisions, respond.  The byte-identical golden
+        provisions, respond.  ``trace_ids`` holds the ids the recorder's
+        exemplars already derived.  The byte-identical golden
         (``tests/golden/serve_traces.json``) and the differential test
         against the open/close reference (``tests/reference.py``) pin
         this.
         """
-        prov_row = ServeEngine._prov_row
-
-        # The pool trace: prewarms, unowned refills and evictions, in
-        # event order, all roots.
-        rows = []
-        for entry in pool_records:
+        pool_rows: list[tuple] = []
+        #: per pool row, the instance it built (None for an eviction)
+        pool_built: list[int | None] = []
+        #: (request, at_dispatch) -> the provisions it triggered
+        provisions: dict[tuple[int, bool], list[tuple]] = {}
+        #: request -> the entry that resolved it (DONE, DEADLINE, REJECT)
+        resolved: dict[int, tuple] = {}
+        for entry in log:
             kind = entry[0]
-            if kind == "prewarm":
-                instance_id, sample, _ = entry[1]
-                attrs = {"instance": instance_id}
-                if sample.source:
-                    attrs["source"] = sample.source
-                rows.append(("prewarm", "prewarm", 0, 0, None, attrs))
-            elif kind == "provision":
-                rows.append(prov_row(entry[1], None))
-            else:
-                rows.append((
-                    "evict", "evict", entry[2], entry[2], None,
-                    {"instance": entry[1]},
+            if kind is Logged.PROVISION:
+                if entry[5] is None:
+                    pool_rows.append(_provision_row(entry, None))
+                    pool_built.append(entry[2])
+                else:
+                    provisions.setdefault((entry[5], entry[6]), []).append(entry)
+            elif kind in (Logged.DONE, Logged.DEADLINE, Logged.REJECT):
+                resolved[entry[2]] = entry
+            elif kind is Logged.PREWARM:
+                _, _, instance_id, sample = entry
+                if not sample.failed:
+                    attrs = {"instance": instance_id}
+                    if sample.source:
+                        attrs["source"] = sample.source
+                    pool_rows.append(("prewarm", "prewarm", 0, 0, None, attrs))
+                    pool_built.append(instance_id)
+            elif kind is Logged.EVICT:
+                pool_rows.append((
+                    "evict", "evict", entry[1], entry[1], None,
+                    {"instance": entry[2]},
                 ))
-        for entry, span in zip(pool_records, pool_ctx.commit(rows)):
-            if entry[0] != "evict":
-                entry[1][-1] = span.span_id
+                pool_built.append(None)
 
-        by_index: dict[int, object] = {rec[R_INDEX]: rec for rec in records}
-        for failed in failed_recs:
-            by_index[failed[1]] = failed
-        # (execute attrs, record of the provision that built the
-        # instance).  FIFO leasing can hand a request an instance that a
-        # *later* request's trace provisioned (and the other way round),
-        # so the links resolve once every tree is committed.
-        links: list[tuple[dict, list]] = []
+        #: instance id -> span id of the provision or prewarm that built it
+        built_by: dict[int, str] = {}
+        for instance_id, span in zip(pool_built, pool_ctx.commit(pool_rows)):
+            if instance_id is not None:
+                built_by[instance_id] = span.span_id
+
+        # (execute attrs, leased instance id).  FIFO leasing can hand a
+        # request an instance that a *later* request's trace provisioned
+        # (and the other way round), so the links resolve once every tree
+        # is committed.
+        links: list[tuple[dict, int]] = []
         # one stage breakdown dict per sample, shared read-only by the
         # execute spans that replay it
         stage_ns_of: dict[int, dict] = {}
-        for index in sorted(by_index):
-            rec = by_index[index]
-            if rec.__class__ is tuple:  # rejected / deadline
-                if rec[0] == "rejected":
-                    tracer.trace(f"req/{index}").commit((
-                        (
-                            "request", "request", rec[2], rec[2], None,
-                            {"index": index, "status": "rejected"},
-                        ),
-                    ))
-                    continue
-                _, _, arrival_ns, failed_ns, arrive = rec
-                arrive = arrive or ()
+        for index in sorted(resolved):
+            entry = resolved[index]
+            kind = entry[0]
+            if kind is Logged.REJECT:
+                tracer.trace(f"req/{index}").commit((
+                    (
+                        "request", "request", entry[1], entry[1], None,
+                        {"index": index, "status": "rejected"},
+                    ),
+                ))
+                continue
+            arrive = provisions.get((index, False), ())
+            if kind is Logged.DEADLINE:
+                _, failed_ns, _, arrival_ns = entry
                 rows = [
                     (
                         "request", "request", arrival_ns, failed_ns, None,
@@ -448,28 +757,21 @@ class ServeEngine:
                     ),
                     ("queue", "queue", arrival_ns, failed_ns, 0, {}),
                 ]
-                for prov in arrive:
-                    rows.append(prov_row(prov))
+                rows.extend(_provision_row(prov) for prov in arrive)
                 spans = tracer.trace(f"req/{index}").commit(rows)
                 for prov, span in zip(arrive, spans[2:]):
-                    prov[-1] = span.span_id
+                    built_by[prov[2]] = span.span_id
                 continue
 
-            arrival_ns = rec[R_ARRIVAL]
-            dispatch_ns = rec[R_DISPATCH]
-            done_ns = rec[R_DONE]
-            arrive = rec[R_PROV_ARRIVE] or ()
-            dispatch = rec[R_LEN:]
-            inst = rec[R_INST]
-            sample = rec[R_SAMPLE]
+            _, done_ns, _, arrival_ns, dispatch_ns, inst, sample = entry
+            dispatch = provisions.get((index, True), ())
             attrs = {
                 "instance": inst.instance_id,
                 "cold": inst.ready_ns > arrival_ns,
                 "ready_ns": inst.ready_ns,
                 "degraded": inst.degraded,
             }
-            if rec[R_PROV] is not None:
-                links.append((attrs, rec[R_PROV]))
+            links.append((attrs, inst.instance_id))
             if sample.source:
                 attrs["source"] = sample.source
             if sample.stage_ns:
@@ -488,347 +790,15 @@ class ServeEngine:
                 ),
                 ("queue", "queue", arrival_ns, dispatch_ns, 0, {}),
             ]
-            for prov in arrive:
-                rows.append(prov_row(prov))
+            rows.extend(_provision_row(prov) for prov in arrive)
             rows.append(("execute", "execute", dispatch_ns, done_ns, 0, attrs))
-            for prov in dispatch:
-                rows.append(prov_row(prov))
+            rows.extend(_provision_row(prov) for prov in dispatch)
             rows.append(("respond", "respond", done_ns, done_ns, 0, {}))
-            spans = tracer.trace(f"req/{index}", rec[R_TRACE]).commit(rows)
-            if arrive or dispatch:
-                for prov, span in zip(arrive, spans[2:]):
-                    prov[-1] = span.span_id
-                for prov, span in zip(dispatch, spans[3 + len(arrive):]):
-                    prov[-1] = span.span_id
+            spans = tracer.trace(f"req/{index}", trace_ids.get(index)).commit(rows)
+            for prov, span in zip(arrive, spans[2:]):
+                built_by[prov[2]] = span.span_id
+            for prov, span in zip(dispatch, spans[3 + len(arrive):]):
+                built_by[prov[2]] = span.span_id
 
-        for attrs, prov in links:
-            attrs["provision_span"] = prov[-1]
-
-    # -- the run ---------------------------------------------------------------
-
-    def run(self, spec: ArrivalSpec) -> ServeResult:
-        arrivals = generate_arrivals(spec)
-        cfg = self.config
-        self._pool = WarmPool(policy=cfg.policy)
-        self._provisioners = FleetWallClock(cfg.provisioners)
-        self._events: list[tuple[int, EventKind, int, int]] = []
-        self._seq = 0
-        self._queue: deque[int] = deque()
-        self._resolved: set[int] = set()
-        self._arrival_of: dict[int, int] = {}
-        self._serving: dict[int, tuple] = {}
-        self._pending: dict[int, ProductionSample] = {}
-        self._instance_sample: dict[int, ProductionSample] = {}
-        self._instance_digest: dict[int, str] = {}
-        self._production_index = 0
-        self._consecutive_failures = 0
-        self._breaker_tripped = False
-        self._idle_at = 0
-        self._idle_armed = False
-        #: lifecycle events go to the event log (see ``track``)
-        self._lifecycle = self.telemetry is not None and self.track is not None
-        #: served-request records, in dispatch order (see R_* layout)
-        self._records: list[list] = []
-        #: rejected/deadline records, in resolution order
-        self._failed_recs: list[tuple] = []
-        #: admission-triggered provisions parked until the request resolves
-        self._prov_arrive_of: dict[int, list] = {}
-        #: instance id -> provision/prewarm record that built it
-        self._prov_of: dict[int, list] = {}
-        #: pool-trace records (prewarms, unowned refills, evictions),
-        #: in event order
-        self._pool_records: list[tuple] = []
-        #: cell-wide trace adopting spans with no single requester
-        #: (prewarms, retry refills, evictions); minting it eagerly
-        #: keeps it first in the store's creation order
-        self._pool_ctx = (
-            self.tracer.trace("pool") if self.tracer is not None else None
-        )
-
-        served = rejected = deadline_missed = 0
-        cold_starts = degraded_serves = 0
-        latencies: list[int] = []
-        max_queue_depth = 0
-        horizon_ns = spec.duration_ns
-
-        # Prewarm: the pool opens stocked to its floor.  Prewarmed
-        # instances are ready at t=0 — their production happened before
-        # the observation window, so they are never cold starts.
-        for _ in range(cfg.policy.min_ready):
-            if self._breaker_tripped:
-                break
-            instance_id = self._pool.begin_provision()
-            sample = self.backend.sample(self._production_index)
-            self._production_index += 1
-            if sample.failed:
-                self._pool.fail_provision()
-                self._consecutive_failures += 1
-                self._emit.count(0, "serve_provision_failures")
-                if self._consecutive_failures >= cfg.max_provision_failures:
-                    self._breaker_tripped = True
-                    self._emit.count(0, "serve_breaker_trips")
-                    if self._lifecycle:
-                        self._span(
-                            "breaker",
-                            start_ns=0,
-                            detail=f"failures={self._consecutive_failures}",
-                        )
-            else:
-                self._consecutive_failures = 0
-                self._instance_sample[instance_id] = sample
-                if self._pool_ctx is not None:
-                    prewarm = [instance_id, sample, ""]
-                    self._prov_of[instance_id] = prewarm
-                    self._pool_records.append(("prewarm", prewarm))
-                self._pool.complete_provision(
-                    instance_id,
-                    ready_ns=0,
-                    startup_ns=sample.startup_ns,
-                    layout_offset=sample.layout_offset,
-                    degraded=sample.degraded,
-                )
-                self._emit.count(0, "serve_prewarmed")
-                if self._lifecycle:
-                    self._span(
-                        "prewarm", start_ns=0, detail=f"instance={instance_id}"
-                    )
-                self._audit_record(instance_id, sample, 0)
-
-        for idx, when in enumerate(arrivals):
-            self._push(when, EventKind.ARRIVE, idx)
-
-        while self._events:
-            now_ns, kind, _seq, payload = heapq.heappop(self._events)
-            if self.recorder is not None and (
-                kind is not EventKind.DEADLINE or payload not in self._resolved
-            ):
-                # deadline sentinels for already-served requests are
-                # no-ops; advancing on them would drag an empty window
-                # tail out to arrival + deadline
-                self.recorder.advance(now_ns)
-
-            if kind is EventKind.ARRIVE:
-                self._emit.count(now_ns, "serve_arrivals")
-                if len(self._queue) >= cfg.queue_cap:
-                    rejected += 1
-                    self._resolved.add(payload)
-                    if self.tracer is not None:
-                        self._failed_recs.append(
-                            ("rejected", payload, now_ns)
-                        )
-                    self._count(
-                        "repro_serve_failed_total",
-                        "Requests the control plane failed",
-                        reason="rejected",
-                    )
-                    self._emit.count(now_ns, "serve_rejected")
-                    continue
-                self._queue.append(payload)
-                self._arrival_of[payload] = now_ns
-                max_queue_depth = max(max_queue_depth, len(self._queue))
-                self._emit.gauge(now_ns, "serve_queue_depth", len(self._queue))
-                self._push(
-                    now_ns + cfg.deadline_ns, EventKind.DEADLINE, payload
-                )
-                self._pool.observe_queue(len(self._queue))
-                self._touch_idle(now_ns)
-                self._provision(now_ns, trigger=payload)
-                self._dispatch(now_ns)
-
-            elif kind is EventKind.READY:
-                if payload < 0:  # a failed production completing
-                    self._pool.fail_provision()
-                    self._consecutive_failures += 1
-                    self._count(
-                        "repro_serve_provision_failures_total",
-                        "Productions that died (cold fallback included)",
-                    )
-                    self._emit.count(now_ns, "serve_provision_failures")
-                    if self._consecutive_failures >= cfg.max_provision_failures:
-                        self._breaker_tripped = True
-                        self._emit.count(now_ns, "serve_breaker_trips")
-                        if self._lifecycle:
-                            self._span(
-                                "breaker",
-                                start_ns=now_ns,
-                                detail=f"failures={self._consecutive_failures}",
-                            )
-                    else:
-                        self._provision(now_ns)
-                    continue
-                self._consecutive_failures = 0
-                sample = self._pending.pop(payload)
-                self._instance_sample[payload] = sample
-                self._pool.complete_provision(
-                    payload,
-                    ready_ns=now_ns,
-                    startup_ns=sample.startup_ns,
-                    layout_offset=sample.layout_offset,
-                    degraded=sample.degraded,
-                )
-                self._emit.count(now_ns, "serve_provisioned")
-                self._emit.gauge(
-                    now_ns, "serve_pool_ready", self._pool.ready_count
-                )
-                self._audit_record(payload, sample, now_ns)
-                self._dispatch(now_ns)
-
-            elif kind is EventKind.DONE:
-                req, inst, lease_ns, rec = self._serving.pop(payload)
-                self._instance_sample.pop(payload, None)
-                self._pool.finish(inst)
-                arrival = self._arrival_of.pop(req)
-                latencies.append(now_ns - arrival)
-                served += 1
-                horizon_ns = max(horizon_ns, now_ns)
-                cold = inst.ready_ns > arrival
-                if cold:
-                    cold_starts += 1
-                if inst.degraded:
-                    degraded_serves += 1
-                self._count(
-                    "repro_serve_served_total",
-                    "Requests served to completion",
-                    cold=str(cold).lower(),
-                )
-                self._observe_latency(now_ns - arrival)
-                if self._lifecycle:
-                    self._span(
-                        "lease",
-                        start_ns=lease_ns,
-                        duration_ns=now_ns - lease_ns,
-                        detail=f"req={req} cold={str(cold).lower()}",
-                    )
-                exemplar = None
-                if rec is not None:
-                    rec[R_DONE] = now_ns
-                    if self.recorder is not None:
-                        # ids are pure functions of (seed, key): one
-                        # sha256 stamps the exemplar without
-                        # materializing the trace, and the builder
-                        # reuses it
-                        exemplar = rec[R_TRACE] = self.tracer.trace_id_for(
-                            f"req/{req}"
-                        )
-                self._emit.count(now_ns, "serve_served")
-                if cold:
-                    self._emit.count(now_ns, "serve_cold_starts")
-                self._emit.observe(
-                    now_ns,
-                    "serve_latency_ms",
-                    (now_ns - arrival) / 1e6,
-                    exemplar=exemplar,
-                )
-                self._audit_touch(payload, now_ns)
-                self._provision(now_ns)
-                self._dispatch(now_ns)
-
-            elif kind is EventKind.DEADLINE:
-                if payload in self._resolved:
-                    continue
-                self._resolved.add(payload)
-                # eager removal keeps the admission bound honest: a
-                # timed-out request must stop occupying a queue slot
-                self._queue.remove(payload)
-                arrival = self._arrival_of.pop(payload, now_ns)
-                if self.tracer is not None:
-                    self._failed_recs.append((
-                        "deadline", payload, arrival, now_ns,
-                        self._prov_arrive_of.pop(payload, None),
-                    ))
-                deadline_missed += 1
-                self._count(
-                    "repro_serve_failed_total",
-                    "Requests the control plane failed",
-                    reason="deadline",
-                )
-                self._emit.count(now_ns, "serve_deadline_missed")
-
-            elif kind is EventKind.IDLE:
-                if now_ns < self._idle_at:
-                    self._push(self._idle_at, EventKind.IDLE, 0)
-                    continue
-                self._idle_armed = False
-                if not self._queue:
-                    retired = self._pool.scale_to_floor(now_ns)
-                    self._emit.count(now_ns, "serve_evicted", len(retired))
-                    for inst in retired:
-                        if self._lifecycle:
-                            self._span(
-                                "evict",
-                                start_ns=now_ns,
-                                detail=f"instance={inst.instance_id}",
-                            )
-                        if self._pool_ctx is not None:
-                            self._pool_records.append(
-                                ("evict", inst.instance_id, now_ns)
-                            )
-                        self._audit_touch(inst.instance_id, now_ns)
-
-        self._pool.drain()
-        self._export_gauges(max_queue_depth)
-        if self.recorder is not None:
-            # close every window through the run horizon so the frame
-            # sequence tiles the full observation span deterministically
-            self.recorder.close(horizon_ns)
-        if self.tracer is not None:
-            # hand the compact records to the tracer; span trees
-            # materialize on the first read, off the hot path.  The
-            # builder captures this run's stores so a re-run of the
-            # engine cannot alias them.
-            self.tracer.defer(
-                partial(
-                    self._build_traces,
-                    self.tracer,
-                    self._pool_ctx,
-                    self._pool_records,
-                    self._records,
-                    self._failed_recs,
-                )
-            )
-
-        return ServeResult(
-            arrivals=len(arrivals),
-            served=served,
-            rejected=rejected,
-            deadline_missed=deadline_missed,
-            cold_starts=cold_starts,
-            degraded_serves=degraded_serves,
-            latencies_ns=tuple(latencies),
-            max_queue_depth=max_queue_depth,
-            pool=self._pool.stats(),
-            provisioner_busy=self._provisioners.busy_fraction(horizon_ns),
-            breaker_tripped=self._breaker_tripped,
-            horizon_ns=horizon_ns,
-        ).check()
-
-    # -- telemetry -------------------------------------------------------------
-
-    def _observe_latency(self, latency_ns: int) -> None:
-        if self.telemetry is None:
-            return
-        self._instrument(
-            "histogram",
-            "repro_serve_latency_ns",
-            "End-to-end request latency (arrival to completion)",
-        ).observe(latency_ns)
-
-    def _export_gauges(self, max_queue_depth: int) -> None:
-        if self.telemetry is None:
-            return
-        registry = self.telemetry.registry
-        registry.gauge(
-            "repro_serve_peak_queue_depth",
-            help="High-water mark of the admission queue",
-            **self.labels,
-        ).set(max_queue_depth)
-        registry.gauge(
-            "repro_serve_peak_pool_ready",
-            help="High-water mark of warm instances ready to lease",
-            **self.labels,
-        ).set(self._pool.peak_ready)
-        registry.gauge(
-            "repro_serve_pool_target",
-            help="Autoscale target at end of run",
-            **self.labels,
-        ).set(self._pool.target)
+        for attrs, instance_id in links:
+            attrs["provision_span"] = built_by[instance_id]

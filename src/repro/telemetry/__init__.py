@@ -66,11 +66,7 @@ from repro.telemetry.critical_path import (
     tail_attribution,
 )
 from repro.telemetry.stats import StageLatency, latency_summary, percentile
-from repro.telemetry.timeseries import (
-    TimeSeriesRecorder,
-    WindowFrame,
-    WindowedEmitter,
-)
+from repro.telemetry.timeseries import TimeSeriesRecorder, WindowFrame
 from repro.telemetry.tracing import (
     RequestTracer,
     Span,
@@ -103,9 +99,6 @@ class Telemetry:
         self.log = log if log is not None else BootEventLog()
         #: optional flight recorder; sink methods feed it when installed
         self.timeseries = timeseries
-        #: shared null-safe recorder facade (fleet timeseries forwarding
-        #: and the serve engine write through the same helper)
-        self.emitter = WindowedEmitter(timeseries)
         #: optional request tracer; snapshots carry its span trees so the
         #: Chrome exporter can render per-request tracks
         self.tracer = tracer
@@ -190,10 +183,11 @@ class Telemetry:
             worker=worker,
             detail=detail,
         )
-        # fleet wall time: the boot lands in the window it completed
-        end_ns = start_ns + duration_ns
-        self.emitter.count(end_ns, "fleet_boots")
-        self.emitter.observe(end_ns, "boot_ms", duration_ns / NS_PER_MS)
+        if self.timeseries is not None:
+            # fleet wall time: the boot lands in the window it completed
+            end_ns = start_ns + duration_ns
+            self.timeseries.count(end_ns, "fleet_boots")
+            self.timeseries.observe(end_ns, "boot_ms", duration_ns / NS_PER_MS)
 
     def serve_span(
         self,
@@ -292,7 +286,6 @@ __all__ = [
     "TimeSeriesRecorder",
     "TraceContext",
     "WindowFrame",
-    "WindowedEmitter",
     "critical_path",
     "derive_trace_id",
     "get_telemetry",

@@ -42,7 +42,7 @@ from typing import Callable
 
 from repro.telemetry.stats import percentile
 
-__all__ = ["EXEMPLAR_K", "TimeSeriesRecorder", "WindowFrame", "WindowedEmitter"]
+__all__ = ["EXEMPLAR_K", "TimeSeriesRecorder", "WindowFrame"]
 
 SCHEMA_VERSION = 1
 
@@ -339,37 +339,3 @@ class TimeSeriesRecorder:
                 },
                 "windows": [frame.to_json() for frame in self._frames],
             }
-
-
-class WindowedEmitter:
-    """Null-safe forwarding facade over an optional recorder.
-
-    The serve engine and the telemetry sink both feed a recorder *if one
-    is installed*; this helper centralizes the ``is not None`` guard so
-    every producer writes ``emitter.count(...)`` unconditionally and the
-    disabled path stays a cheap no-op (one attribute test, no recorder
-    method call).
-    """
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder: TimeSeriesRecorder | None = None) -> None:
-        self.recorder = recorder
-
-    @property
-    def enabled(self) -> bool:
-        return self.recorder is not None
-
-    def count(self, t_ns: int, name: str, amount: int = 1) -> None:
-        if self.recorder is not None:
-            self.recorder.count(t_ns, name, amount)
-
-    def gauge(self, t_ns: int, name: str, value: float) -> None:
-        if self.recorder is not None:
-            self.recorder.set_gauge(t_ns, name, value)
-
-    def observe(
-        self, t_ns: int, name: str, value: float, exemplar: str | None = None
-    ) -> None:
-        if self.recorder is not None:
-            self.recorder.observe(t_ns, name, value, exemplar=exemplar)

@@ -39,11 +39,12 @@ as a row offset — which derives every span id once and takes the store
 lock once per trace; :meth:`TraceContext.span` is the one-row form.
 Backend production sampling commits each sample's stage timeline that
 way.  Hot loops (the serve engine processes hundreds of thousands of
-events per wall second) instead record compact per-request records and
-register a *deferred builder* via :meth:`RequestTracer.defer`; the
-builder turns those records into one commit per trace on the first read
-(``get``/``traces``/``trace``/...), so the simulation pays a few appends
-per request and the span trees materialize off the hot path.  Because
+events per wall second) instead keep a compact log (the engine's run log,
+one entry per processed event) and register a *deferred builder* via
+:meth:`RequestTracer.defer`; the builder turns that log into one commit
+per trace on the first read (``get``/``traces``/``trace``/...), so the
+simulation pays one append per event and the span trees materialize off
+the hot path.  Because
 ids are pure functions of ``(seed, key, seq)``, the deferred trees are
 byte-identical to ones built while the run went on — the golden test and
 the builder's differential test would catch any drift.  Draining is

@@ -17,10 +17,10 @@ repeats each digest once per boot.  ``test_audit`` holds the histogram
 form to it after every record.
 
 :func:`build_serve_traces` is the serve engine's trace builder as it once
-replayed a run's compact records: span by span through open/close
-spans, with every provision span id derived ahead of time.
-``test_tracing`` holds the one-commit-per-trace builder to it byte for
-byte.
+replayed a run: span by span through open/close spans, with every
+provision span id derived ahead of time, over per-request records it
+regroups from the run's log.  ``test_tracing`` holds the
+one-commit-per-trace builder to it byte for byte.
 
 :func:`lz4_decompress` is the LZ4 block decoder as it once decoded every
 sequence: an unconditional literal slice, ``struct.unpack_from`` for the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import struct
+from collections import defaultdict
 
 from repro.compress.lz4c import MIN_MATCH
 from repro.elf.relocs import RelocType
@@ -47,17 +48,7 @@ from repro.kernel.manifest import (
 )
 from repro.kernel.verify import VerificationReport, _verify_extable, _verify_kallsyms
 from repro.security.entropy import empirical_entropy_bits
-from repro.serve.engine import (
-    R_ARRIVAL,
-    R_DISPATCH,
-    R_DONE,
-    R_INDEX,
-    R_INST,
-    R_LEN,
-    R_PROV,
-    R_PROV_ARRIVE,
-    R_SAMPLE,
-)
+from repro.serve.engine import Logged
 from repro.telemetry.timeseries import TimeSeriesRecorder, _Accum
 from repro.telemetry.tracing import derive_span_id
 
@@ -322,8 +313,8 @@ class _OpenSpan:
         return self
 
 
-def _prov_attrs(prov: list) -> dict:
-    instance_id, window, sample, _ = prov
+def _prov_attrs(entry: tuple) -> dict:
+    _, _, instance_id, window, sample, _, _ = entry
     attrs = {
         "instance": instance_id,
         "worker": window.worker,
@@ -334,121 +325,128 @@ def _prov_attrs(prov: list) -> dict:
     return attrs
 
 
-def build_serve_traces(tracer, pool_ctx, pool_records, records, failed_recs) -> None:
-    """Replay one engine run's compact records (same arguments as
-    ``ServeEngine._build_traces``) span by span."""
-    # Pass 1: provision/prewarm span ids, computed arithmetically from
-    # each record's future seq so an execute span can link to the
-    # provision that built its instance even when that provision lives
-    # in a trace built later.
-    for seq, entry in enumerate(pool_records):
-        if entry[0] != "evict":
-            entry[1][-1] = derive_span_id(pool_ctx.trace_id, seq)
-    by_index = {rec[R_INDEX]: rec for rec in records}
-    for failed in failed_recs:
-        by_index[failed[1]] = failed
-    order = sorted(by_index)
+def build_serve_traces(tracer, pool_ctx, log, trace_ids) -> None:
+    """Replay one engine run's log (same arguments as
+    ``ServeEngine._build_traces``) span by span.  Every trace id is
+    derived afresh; the exemplar ids in ``trace_ids`` go unused."""
+    # Pass 0: regroup the log into the pool trace's entries and, per
+    # request, the entry that resolved it and the provisions it triggered
+    # at admission and at dispatch.
+    pool_entries = []
+    resolved = {}
+    arrive, dispatch = defaultdict(list), defaultdict(list)
+    for entry in log:
+        kind = entry[0]
+        if kind == Logged.PROVISION:
+            trigger, at_dispatch = entry[5], entry[6]
+            if trigger is None:
+                pool_entries.append(entry)
+            else:
+                (dispatch if at_dispatch else arrive)[trigger].append(entry)
+        elif kind == Logged.PREWARM:
+            if not entry[3].failed:
+                pool_entries.append(entry)
+        elif kind == Logged.EVICT:
+            pool_entries.append(entry)
+        elif kind in (Logged.DONE, Logged.DEADLINE, Logged.REJECT):
+            resolved[entry[2]] = entry
+    order = sorted(resolved)
+
+    # Pass 1: provision/prewarm span ids by the instance they built,
+    # computed arithmetically from each entry's future seq so an execute
+    # span can link to the provision that built its instance even when
+    # that provision lives in a trace built later.
+    built_by = {}
+    for seq, entry in enumerate(pool_entries):
+        if entry[0] != Logged.EVICT:
+            built_by[entry[2]] = derive_span_id(pool_ctx.trace_id, seq)
     for index in order:
-        rec = by_index[index]
-        if isinstance(rec, tuple):  # rejected / deadline
-            arrive = rec[4] if rec[0] == "deadline" else None
-            dispatch = ()
-        else:
-            arrive = rec[R_PROV_ARRIVE]
-            dispatch = rec[R_LEN:]
-        if not arrive and not dispatch:
+        if not arrive[index] and not dispatch[index]:
             continue
         trace_id = tracer.trace_id_for(f"req/{index}")
         seq = 2  # after the root (0) and queue (1) spans
-        for prov in arrive or ():
-            prov[-1] = derive_span_id(trace_id, seq)
+        for entry in arrive[index]:
+            built_by[entry[2]] = derive_span_id(trace_id, seq)
             seq += 1
-        if dispatch:
+        if dispatch[index]:
             seq += 1  # the execute span sits between the phases
-            for prov in dispatch:
-                prov[-1] = derive_span_id(trace_id, seq)
+            for entry in dispatch[index]:
+                built_by[entry[2]] = derive_span_id(trace_id, seq)
                 seq += 1
 
-    # Pass 2: the pool trace, spans in event order.
+    # Pass 2: the pool trace, spans in log order.
     pool = _Tree(pool_ctx)
-    for entry in pool_records:
+    for entry in pool_entries:
         kind = entry[0]
-        if kind == "prewarm":
-            instance_id, sample, _ = entry[1]
+        if kind == Logged.PREWARM:
+            _, _, instance_id, sample = entry
             attrs = {"instance": instance_id}
             if sample.source:
                 attrs["source"] = sample.source
             pool.span("prewarm", "prewarm", 0, 0, attrs=attrs)
-        elif kind == "provision":
-            window = entry[1][1]
+        elif kind == Logged.PROVISION:
+            window = entry[3]
             pool.span(
                 "provision", "provision", window.start_ns, window.end_ns,
-                attrs=_prov_attrs(entry[1]),
+                attrs=_prov_attrs(entry),
             )
         else:
-            pool.span("evict", "evict", entry[2], entry[2], attrs={"instance": entry[1]})
+            pool.span("evict", "evict", entry[1], entry[1], attrs={"instance": entry[2]})
     pool.commit()
 
     # Pass 3: request traces in arrival (= index) order, spans in the
     # order the run created them.
     for index in order:
-        rec = by_index[index]
+        entry = resolved[index]
+        kind = entry[0]
         ctx = _Tree(tracer.trace(f"req/{index}"))
-        if isinstance(rec, tuple) and rec[0] == "rejected":
+        if kind == Logged.REJECT:
             ctx.span(
-                "request", "request", rec[2], rec[2],
+                "request", "request", entry[1], entry[1],
                 attrs={"index": index, "status": "rejected"},
             )
             ctx.commit()
             continue
-        arrival_ns = rec[2] if isinstance(rec, tuple) else rec[R_ARRIVAL]
+        arrival_ns = entry[3]
         root = ctx.open("request", "request", arrival_ns, attrs={"index": index})
         queue = ctx.open("queue", "queue", arrival_ns, parent=root.span_id)
-        if isinstance(rec, tuple):  # deadline
-            _, _, _, failed_ns, arrive = rec
-            for prov in arrive or ():
-                window = prov[1]
-                ctx.span(
-                    "provision", "provision", window.start_ns, window.end_ns,
-                    parent=root.span_id, attrs=_prov_attrs(prov),
-                )
-            queue.close(failed_ns)
-            root.close(failed_ns, status="deadline")
-            ctx.commit()
-            continue
-        for prov in rec[R_PROV_ARRIVE] or ():
-            window = prov[1]
+        for prov in arrive[index]:
+            window = prov[3]
             ctx.span(
                 "provision", "provision", window.start_ns, window.end_ns,
                 parent=root.span_id, attrs=_prov_attrs(prov),
             )
-        inst = rec[R_INST]
-        sample = rec[R_SAMPLE]
-        queue.close(rec[R_DISPATCH])
+        if kind == Logged.DEADLINE:
+            failed_ns = entry[1]
+            queue.close(failed_ns)
+            root.close(failed_ns, status="deadline")
+            ctx.commit()
+            continue
+        _, done_ns, _, _, dispatch_ns, inst, sample = entry
+        queue.close(dispatch_ns)
         attrs = {
             "instance": inst.instance_id,
             "cold": inst.ready_ns > arrival_ns,
             "ready_ns": inst.ready_ns,
             "degraded": inst.degraded,
+            "provision_span": built_by[inst.instance_id],
         }
-        if rec[R_PROV] is not None:
-            attrs["provision_span"] = rec[R_PROV][-1]
         if sample.source:
             attrs["source"] = sample.source
         if sample.stage_ns:
             attrs["stage_ns"] = dict(sample.stage_ns)
         execute = ctx.open(
-            "execute", "execute", rec[R_DISPATCH], parent=root.span_id, attrs=attrs
+            "execute", "execute", dispatch_ns, parent=root.span_id, attrs=attrs
         )
-        for prov in rec[R_LEN:]:
-            window = prov[1]
+        for prov in dispatch[index]:
+            window = prov[3]
             ctx.span(
                 "provision", "provision", window.start_ns, window.end_ns,
                 parent=root.span_id, attrs=_prov_attrs(prov),
             )
-        execute.close(rec[R_DONE])
-        ctx.span("respond", "respond", rec[R_DONE], rec[R_DONE], parent=root.span_id)
-        root.close(rec[R_DONE], status="served", latency_ns=rec[R_DONE] - arrival_ns)
+        execute.close(done_ns)
+        ctx.span("respond", "respond", done_ns, done_ns, parent=root.span_id)
+        root.close(done_ns, status="served", latency_ns=done_ns - arrival_ns)
         ctx.commit()
 
 

@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -560,6 +561,48 @@ def test_disk_tier_ignores_truncated_and_alien_files(tiny_fgkaslr, tmp_path):
     rows = cache.disk.entries()
     assert len(rows) == 1
     assert rows[0]["valid"] is False
+
+
+def test_disk_tier_threads_storing_one_key_each_write_their_own_file(
+    tiny_fgkaslr, tmp_path
+):
+    """Concurrent stores of one key never collide on a temp file: none
+    raises, the entry loads, and no temp file is left behind."""
+    prepared, _ = _parse_into(BootArtifactCache(), tiny_fgkaslr)
+    key = cache_key_for(
+        VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.FGKASLR)
+    )
+    tier = DiskCacheTier(tmp_path)
+    threads = 4
+    barrier = threading.Barrier(threads)
+
+    def store(_):
+        barrier.wait(timeout=30)
+        tier.store(key, prepared)
+
+    with ThreadPoolExecutor(threads) as pool:
+        for _round in range(25):
+            list(pool.map(store, range(threads)))
+    assert tier.load(key).fingerprint() == prepared.fingerprint()
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl"]
+
+
+def test_disk_tier_failed_write_leaves_no_temp_file(
+    tiny_fgkaslr, tmp_path, monkeypatch
+):
+    prepared, _ = _parse_into(BootArtifactCache(), tiny_fgkaslr)
+    key = cache_key_for(
+        VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.FGKASLR)
+    )
+    tier = DiskCacheTier(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        tier.store(key, prepared)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- per-launch cache attribution (the stats-delta bugfix) ---------------------

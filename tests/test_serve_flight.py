@@ -36,6 +36,7 @@ from repro.serve import (
     SampledBackend,
     ServeConfig,
     ServeEngine,
+    generate_arrivals,
 )
 from repro.simtime import CostModel
 from repro.telemetry import RequestTracer, Telemetry, TimeSeriesRecorder
@@ -85,6 +86,27 @@ def test_engine_feeds_recorder_and_totals_reconcile():
     )
     assert observed == result.served
 
+
+def test_recorder_closes_windows_at_an_idle_pop_that_evicts_nothing():
+    """The idle watchdog's last pop lands past the run horizon and, with
+    the pool at its floor, changes nothing; the recorder still closes
+    its windows through that instant, as at every processed event."""
+    idle_ns, window_ns = 500 * MS, 100 * MS
+    config = ServeConfig(
+        policy=AutoscalePolicy(
+            min_ready=1, max_ready=2, scale_up_depth=100, idle_ns=idle_ns
+        )
+    )
+    spec = ArrivalSpec(rate_per_s=5.0, duration_s=1.0, seed=3)
+    recorder = TimeSeriesRecorder(window_ns=window_ns)
+    result = ServeEngine(_backend(), config, recorder=recorder).run(spec)
+    assert result.pool.retired_idle == 0
+    assert result.cold_starts == 0
+    # every request leased a ready instance on arrival, so the watchdog
+    # last popped one idle timeout after the last arrival
+    last_pop_ns = generate_arrivals(spec)[-1] + idle_ns
+    assert last_pop_ns // window_ns > result.horizon_ns // window_ns + 1
+    assert recorder.windows_closed == last_pop_ns // window_ns
 
 
 def test_engine_registry_counters_reconcile_per_label():

@@ -69,6 +69,24 @@ def test_rebase_produces_fresh_verified_layout(booted, tiny_kaslr):
     assert len(offsets) >= 4  # distinct offsets across seeds
 
 
+def test_rebased_restore_equals_a_cold_boot_of_the_same_seed(booted, tiny_kaslr):
+    """A re-randomized clone is indistinguishable from a fresh guest: same
+    voffset, and every resident page byte-identical to a cold KASLR boot
+    drawn with the same seed."""
+    fc, _report, vm = booted
+    manager = SnapshotManager(fc.costs)
+    snapshot = manager.capture(vm)
+    for seed in range(6):
+        clone, _latency = manager.restore_rebased(snapshot, seed=seed)
+        _cold_report, cold = fc.boot_vm(
+            VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=seed)
+        )
+        assert clone.layout.voffset == cold.layout.voffset
+        assert list(clone.memory.iter_resident_pages()) == list(
+            cold.memory.iter_resident_pages()
+        )
+
+
 def test_rebase_updates_boot_params(booted):
     fc, report, vm = booted
     manager = SnapshotManager(fc.costs)

@@ -361,7 +361,7 @@ def test_builder_matches_the_open_close_reference(
 
 
 def test_builder_matches_the_reference_on_every_record_kind():
-    """One pinned flight that holds every compact record the engine keeps."""
+    """One pinned flight that holds every log entry the trace builder reads."""
     backend = SampledBackend(
         samples=tuple(
             ProductionSample(
