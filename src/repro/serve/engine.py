@@ -75,7 +75,12 @@ class EventKind(enum.IntEnum):
 class Logged(enum.IntEnum):
     """What one run-log entry records; every entry is ``(kind, t_ns, ...)``.
 
-    The fields after the instant are the values the views read.
+    The log is the event loop's only output.  The loop is the hot path
+    (a traced run must stay within a few percent of an untraced one; the
+    gated ``BENCH_trace_overhead`` series pins this), so an entry is one
+    tuple of ints and references to already-immutable objects (samples,
+    provisioner windows, leased instances), and the fields after the
+    instant are exactly the values the views read.
     """
 
     PREWARM = 0  # instance_id, sample (a failed sample: the prewarm died)
@@ -210,7 +215,7 @@ class ServeEngine:
         #: (see :meth:`_build_traces`)
         self.tracer = tracer
 
-    # -- the simulation ----------------------------------------------------------
+    # -- the simulation --------------------------------------------------------
 
     def _push(self, when_ns: int, kind: EventKind, payload: int) -> None:
         heapq.heappush(self._events, (when_ns, kind, self._seq, payload))
