@@ -1,71 +1,36 @@
-"""Shared benchmark-harness plumbing.
+"""Shared benchmark-harness settings.
 
 Environment knobs:
 
 * ``REPRO_BOOTS``  — measured boots per series (paper: 100; default 20)
 * ``REPRO_SCALE``  — kernel build scale divisor (DESIGN.md §7; default 16)
+* ``REPRO_JITTER`` — run-to-run noise sigma giving the paper-style
+  min/max error bars (default 0.02); the CI bench-smoke job sets 0 so
+  low-boot-count runs are exactly reproducible and the regression gate
+  compares deterministic numbers
 
-All reported times are simulated milliseconds at paper scale; the harness
-prints the same rows/series the paper's figures plot.
+All reported times are simulated milliseconds at paper scale.  Table 1
+and Figures 3, 4, 6, 9 and 11 are measured by :mod:`repro.experiments`;
+the other benches build their boots with :func:`repro.artifacts.direct_cfg`
+/ :func:`~repro.artifacts.bzimage_cfg` and measure them through ``ENV``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
-from repro.analysis import BootSeries, run_boots
-from repro.artifacts import get_bzimage, get_kernel
-from repro.core import RandomizeMode
-from repro.host import HostStorage
-from repro.kernel import AWS, LUPINE, UBUNTU, KernelVariant
-from repro.monitor import BootFormat, Firecracker, Qemu, VmConfig
-from repro.simtime import CostModel, JitterModel
+from repro.experiments import Env, Figure, fig9_evaluation
 
-N_BOOTS = int(os.environ.get("REPRO_BOOTS", "20"))
-SCALE = int(os.environ.get("REPRO_SCALE", "16"))
-#: run-to-run noise giving the paper-style min/max error bars; the CI
-#: bench-smoke job sets REPRO_JITTER=0 so low-boot-count runs are exactly
-#: reproducible (and the regression gate compares deterministic numbers)
-JITTER_SIGMA = float(os.environ.get("REPRO_JITTER", "0.02"))
-
-KERNEL_CONFIGS = [LUPINE, AWS, UBUNTU]
-
-VARIANT_FOR_MODE = {
-    RandomizeMode.NONE: KernelVariant.NOKASLR,
-    RandomizeMode.KASLR: KernelVariant.KASLR,
-    RandomizeMode.FGKASLR: KernelVariant.FGKASLR,
-}
+ENV = Env(
+    boots=int(os.environ.get("REPRO_BOOTS", Env.boots)),
+    scale=int(os.environ.get("REPRO_SCALE", Env.scale)),
+    jitter=float(os.environ.get("REPRO_JITTER", Env.jitter)),
+)
 
 
-def make_vmm(qemu: bool = False) -> Firecracker:
-    costs = CostModel(scale=SCALE, jitter=JitterModel(sigma=JITTER_SIGMA))
-    cls = Qemu if qemu else Firecracker
-    return cls(HostStorage(), costs)
-
-
-def direct_cfg(config, mode: RandomizeMode, **kwargs) -> VmConfig:
-    kernel = get_kernel(config, VARIANT_FOR_MODE[mode], scale=SCALE)
-    return VmConfig(kernel=kernel, randomize=mode, **kwargs)
-
-
-def bzimage_cfg(
-    config, mode: RandomizeMode, codec: str, optimized: bool = False, **kwargs
-) -> VmConfig:
-    variant = VARIANT_FOR_MODE[mode]
-    kernel = get_kernel(config, variant, scale=SCALE)
-    bz = get_bzimage(config, variant, codec, scale=SCALE, optimized=optimized)
-    return VmConfig(
-        kernel=kernel,
-        boot_format=BootFormat.BZIMAGE,
-        bzimage=bz,
-        randomize=mode,
-        **kwargs,
-    )
-
-
-def measure(vmm, cfg, warm: bool = True, label: str | None = None) -> BootSeries:
-    return run_boots(vmm, cfg, n=N_BOOTS, warm=warm, label=label)
-
-
-def fmt_stats(stats) -> str:
-    return f"{stats.mean:7.2f} [{stats.min:7.2f},{stats.max:7.2f}]"
+@functools.cache
+def fig9() -> Figure:
+    """The Figure 9 measurement, shared by its bench and the headline
+    claims (whose 15 series are Figure 9 series)."""
+    return fig9_evaluation(ENV)

@@ -19,7 +19,7 @@ import subprocess
 
 import pytest
 
-from _common import JITTER_SIGMA, N_BOOTS, SCALE
+from _common import ENV
 
 _RESULTS: list[tuple[str, str]] = []
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -62,9 +62,9 @@ def record():
                 "schema": 1,
                 "name": name,
                 "units": units,
-                "repro_boots": N_BOOTS,
-                "repro_scale": SCALE,
-                "jitter_sigma": JITTER_SIGMA,
+                "repro_boots": ENV.boots,
+                "repro_scale": ENV.scale,
+                "jitter_sigma": ENV.jitter,
                 "git_rev": _git_rev(),
                 "timestamp": datetime.datetime.now(
                     datetime.timezone.utc

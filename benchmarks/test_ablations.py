@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from _common import SCALE, direct_cfg, make_vmm, measure
+from _common import ENV
 from repro.analysis import render_table
-from repro.artifacts import get_kernel
+from repro.artifacts import direct_cfg, get_kernel
 from repro.core import RandomizeMode, RandomizationPolicy
 from repro.kernel import AWS, KernelVariant, build_kernel
 from repro.monitor import VmConfig
@@ -23,10 +23,14 @@ from repro.vm import GuestMemory
 
 def test_ablation_lazy_kallsyms(benchmark, record):
     def run():
-        vmm = make_vmm()
-        lazy_cfg = direct_cfg(AWS, RandomizeMode.FGKASLR, lazy_kallsyms=True)
-        eager_cfg = direct_cfg(AWS, RandomizeMode.FGKASLR, lazy_kallsyms=False)
-        return measure(vmm, lazy_cfg), measure(vmm, eager_cfg)
+        vmm = ENV.vmm()
+        lazy_cfg, eager_cfg = (
+            direct_cfg(
+                AWS, RandomizeMode.FGKASLR, scale=ENV.scale, lazy_kallsyms=lazy
+            )
+            for lazy in (True, False)
+        )
+        return ENV.measure(vmm, lazy_cfg), ENV.measure(vmm, eager_cfg)
 
     lazy, eager = benchmark.pedantic(run, rounds=1, iterations=1)
     saved = eager.total.mean - lazy.total.mean
@@ -54,15 +58,17 @@ def test_ablation_lazy_kallsyms(benchmark, record):
 def test_ablation_orc_fixup(benchmark, record):
     def run():
         orc_config = replace(AWS, name="aws-orc", has_orc=True)
-        kernel = build_kernel(orc_config, KernelVariant.FGKASLR, scale=SCALE, seed=1)
-        vmm = make_vmm()
+        kernel = build_kernel(
+            orc_config, KernelVariant.FGKASLR, scale=ENV.scale, seed=1
+        )
+        vmm = ENV.vmm()
         with_orc = VmConfig(
             kernel=kernel, randomize=RandomizeMode.FGKASLR, update_orc=True
         )
         without = VmConfig(
             kernel=kernel, randomize=RandomizeMode.FGKASLR, update_orc=False
         )
-        return measure(vmm, with_orc), measure(vmm, without)
+        return ENV.measure(vmm, with_orc), ENV.measure(vmm, without)
 
     with_orc, without = benchmark.pedantic(run, rounds=1, iterations=1)
     record(
@@ -90,16 +96,17 @@ def test_ablation_seed_grouping_for_page_merging(benchmark, record):
         from repro.core import InMonitorRandomizer, RandoContext
         from repro.simtime import CostModel, SimClock
 
-        kernel = get_kernel(AWS, KernelVariant.FGKASLR, scale=SCALE)
+        kernel = get_kernel(AWS, KernelVariant.FGKASLR, scale=ENV.scale)
 
         def guest_memory(seed):
             memory = GuestMemory(256 << 20)
             ctx = RandoContext.monitor(
-                SimClock(), CostModel(scale=SCALE), random.Random(seed)
+                SimClock(), CostModel(scale=ENV.scale), random.Random(seed)
             )
             InMonitorRandomizer().run(
                 kernel.elf, kernel.reloc_table, memory, ctx,
-                RandomizeMode.FGKASLR, guest_ram_bytes=memory.size, scale=SCALE,
+                RandomizeMode.FGKASLR, guest_ram_bytes=memory.size,
+                scale=ENV.scale,
             )
             return memory
 
@@ -128,13 +135,13 @@ def test_ablation_seed_grouping_for_page_merging(benchmark, record):
 
 def test_ablation_physical_randomization(benchmark, record):
     def run():
-        vmm = make_vmm()
-        virt_only = direct_cfg(AWS, RandomizeMode.KASLR)
+        vmm = ENV.vmm()
+        virt_only = direct_cfg(AWS, RandomizeMode.KASLR, scale=ENV.scale)
         both = direct_cfg(
-            AWS, RandomizeMode.KASLR,
+            AWS, RandomizeMode.KASLR, scale=ENV.scale,
             policy=RandomizationPolicy(randomize_physical=True),
         )
-        return measure(vmm, virt_only), measure(vmm, both)
+        return ENV.measure(vmm, virt_only), ENV.measure(vmm, both)
 
     virt_only, both = benchmark.pedantic(run, rounds=1, iterations=1)
     phys_loads = {r.layout.phys_load for r in both.reports}

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import time
 
-from _common import SCALE, direct_cfg, make_vmm
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.host import HostStorage
 from repro.kernel import AWS
@@ -43,10 +44,12 @@ SEED = 11
 
 def _audit_strategy(strategy: InstanceStrategy) -> dict:
     auditor = KaslrAuditor()
-    vmm = make_vmm()
+    vmm = ENV.vmm()
     platform = ServerlessPlatform(
         vmm,
-        lambda seed: direct_cfg(AWS, RandomizeMode.KASLR, seed=seed),
+        lambda seed: direct_cfg(
+            AWS, RandomizeMode.KASLR, scale=ENV.scale, seed=seed
+        ),
         strategy=strategy,
     )
     platform.setup()
@@ -79,9 +82,9 @@ class _TimedAuditor(KaslrAuditor):
 def _audit_cpu_share() -> float:
     """CPU inside ``KaslrAuditor.record`` / process CPU of one launch."""
     auditor = _TimedAuditor()
-    vmm = Firecracker(HostStorage(), CostModel(scale=SCALE))
+    vmm = Firecracker(HostStorage(), CostModel(scale=ENV.scale))
     manager = FleetManager(vmm, workers=4, auditor=auditor)
-    cfg = direct_cfg(AWS, RandomizeMode.KASLR)
+    cfg = direct_cfg(AWS, RandomizeMode.KASLR, scale=ENV.scale)
     start = time.process_time()
     manager.launch(cfg, OVERHEAD_BOOTS, fleet_seed=SEED)
     launch_cpu_s = time.process_time() - start

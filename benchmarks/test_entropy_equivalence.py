@@ -9,8 +9,9 @@ and compares their empirical entropy, slot coverage, and alignment.
 
 from __future__ import annotations
 
-from _common import SCALE, bzimage_cfg, direct_cfg, make_vmm
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import bzimage_cfg, direct_cfg
 from repro.core import RandomizeMode, RandomizationPolicy
 from repro.kernel import AWS, layout as kl
 from repro.security import empirical_entropy_bits
@@ -30,10 +31,15 @@ def _offsets(vmm, cfg_factory):
 
 
 def _run():
-    vmm = make_vmm()
-    monitor = _offsets(vmm, lambda: direct_cfg(AWS, RandomizeMode.KASLR))
+    vmm = ENV.vmm()
+    monitor = _offsets(
+        vmm, lambda: direct_cfg(AWS, RandomizeMode.KASLR, scale=ENV.scale)
+    )
     loader = _offsets(
-        vmm, lambda: bzimage_cfg(AWS, RandomizeMode.KASLR, "none", optimized=True)
+        vmm,
+        lambda: bzimage_cfg(
+            AWS, RandomizeMode.KASLR, "none", scale=ENV.scale, optimized=True
+        ),
     )
     return monitor, loader
 
@@ -41,7 +47,8 @@ def _run():
 def test_entropy_equivalence(benchmark, record):
     monitor, loader = benchmark.pedantic(_run, rounds=1, iterations=1)
     policy = RandomizationPolicy()
-    kernel_mem = direct_cfg(AWS, RandomizeMode.KASLR).kernel.manifest.mem_bytes
+    kernel = direct_cfg(AWS, RandomizeMode.KASLR, scale=ENV.scale).kernel
+    kernel_mem = kernel.manifest.mem_bytes
     slots = policy.slot_count(kernel_mem)
 
     rows = []
@@ -64,7 +71,7 @@ def test_entropy_equivalence(benchmark, record):
         ["principal", "boots", "empirical bits", "slot coverage", "min", "max"],
         rows,
         title=f"Entropy equivalence over {N_SAMPLES} boots "
-        f"({slots} theoretical slots, scale 1/{SCALE})",
+        f"({slots} theoretical slots, scale 1/{ENV.scale})",
     )
     record(
         "entropy equivalence",

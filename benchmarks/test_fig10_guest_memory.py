@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from _common import KERNEL_CONFIGS, N_BOOTS, direct_cfg, make_vmm, measure
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
+from repro.experiments import KERNELS
 from repro.simtime import BootCategory
 
 MEM_SIZES_MIB = [256, 512, 1024, 2048]
@@ -19,13 +21,13 @@ MODES = [RandomizeMode.NONE, RandomizeMode.KASLR, RandomizeMode.FGKASLR]
 
 
 def _run():
-    vmm = make_vmm()
+    vmm = ENV.vmm()
     results = {}
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         for mode in MODES:
             for mem in MEM_SIZES_MIB:
-                cfg = direct_cfg(config, mode, mem_mib=mem)
-                results[(config.name, mode, mem)] = measure(vmm, cfg)
+                cfg = direct_cfg(config, mode, scale=ENV.scale, mem_mib=mem)
+                results[(config.name, mode, mem)] = ENV.measure(vmm, cfg)
     return results
 
 
@@ -45,7 +47,7 @@ def test_fig10_guest_memory(benchmark, record):
     table = render_table(
         ["kernel", "rando", "mem MiB", "total ms", "in-monitor ms", "linux ms"],
         rows,
-        title=f"Figure 10: guest memory sweep ({N_BOOTS} boots/series)",
+        title=f"Figure 10: guest memory sweep ({ENV.boots} boots/series)",
     )
     record(
         "fig10 guest memory",
@@ -56,7 +58,7 @@ def test_fig10_guest_memory(benchmark, record):
         },
     )
 
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         for mode in MODES:
             linux = [
                 results[(config.name, mode, mem)]

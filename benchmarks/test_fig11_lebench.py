@@ -8,52 +8,20 @@ average with per-workload variation.
 
 from __future__ import annotations
 
-from _common import SCALE, direct_cfg, make_vmm, measure
-from repro.analysis import render_table
-from repro.core import RandomizeMode
-from repro.kernel import AWS
-from repro.lebench import run_lebench
-
-
-def _run():
-    vmm = make_vmm()
-    out = {}
-    for mode in (RandomizeMode.NONE, RandomizeMode.KASLR, RandomizeMode.FGKASLR):
-        cfg = direct_cfg(AWS, mode)
-        series = measure(vmm, cfg)
-        report = series.first
-        out[mode] = run_lebench(cfg.kernel, report.layout)
-    return out
+from _common import ENV
+from repro.experiments import fig11_lebench
 
 
 def test_fig11_lebench(benchmark, record):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    base = results[RandomizeMode.NONE]
-    kaslr_norm = results[RandomizeMode.KASLR].normalized_to(base)
-    fg_norm = results[RandomizeMode.FGKASLR].normalized_to(base)
-
-    rows = [
-        [name, f"{kaslr_norm[name]:.3f}", f"{fg_norm[name]:.3f}"]
-        for name in kaslr_norm
-    ]
-    kaslr_mean = results[RandomizeMode.KASLR].mean_normalized(base)
-    fg_mean = results[RandomizeMode.FGKASLR].mean_normalized(base)
-    rows.append(["== mean ==", f"{kaslr_mean:.3f}", f"{fg_mean:.3f}"])
-    table = render_table(
-        ["test", "kaslr / nokaslr", "fgkaslr / nokaslr"],
-        rows,
-        title=f"Figure 11: LEBench normalized to aws-nokaslr (scale 1/{SCALE})",
+    fig = benchmark.pedantic(
+        fig11_lebench, (ENV,), rounds=1, iterations=1
     )
-    record(
-        "fig11 lebench",
-        table,
-        series={"kaslr_mean_norm": kaslr_mean, "fgkaslr_mean_norm": fg_mean},
-        units="ratio",
-    )
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
 
     # Paper: KASLR <1% (ours: exactly 1.0 — 2 MiB shifts preserve cache
     # geometry); FGKASLR ~7% with per-workload variation.
-    assert abs(kaslr_mean - 1.0) < 0.01
-    assert 1.02 < fg_mean < 1.15
-    assert max(fg_norm.values()) > 1.05  # some workloads hurt more
-    assert min(fg_norm.values()) < 1.02  # some barely at all
+    assert abs(fig.series["kaslr_mean_norm"] - 1.0) < 0.01
+    assert 1.02 < fig.series["fgkaslr_mean_norm"] < 1.15
+    fg_norm = [float(row[2]) for row in fig.rows[:-1]]
+    assert max(fg_norm) > 1.05  # some workloads hurt more
+    assert min(fg_norm) < 1.02  # some barely at all

@@ -7,57 +7,21 @@ booting codec (which is why the paper configures guests with LZ4).
 
 from __future__ import annotations
 
-from _common import KERNEL_CONFIGS, N_BOOTS, bzimage_cfg, fmt_stats, make_vmm, measure
-from repro.analysis import render_table
-from repro.core import RandomizeMode
-
-CODECS = ["gzip", "bzip2", "lzma", "xz", "lzo", "lz4"]
-
-
-def _run():
-    vmm = make_vmm()
-    results = {}
-    for config in KERNEL_CONFIGS:
-        for codec in CODECS:
-            cfg = bzimage_cfg(config, RandomizeMode.NONE, codec)
-            results[(config.name, codec)] = measure(vmm, cfg)
-    return results
+from _common import ENV
+from repro.experiments import CODECS, KERNELS, fig3_compression_bakeoff
 
 
 def test_fig3_compression_bakeoff(benchmark, record):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = []
-    for (kernel, codec), series in results.items():
-        rows.append(
-            [
-                kernel,
-                codec,
-                series.total.mean,
-                series.total.min,
-                series.total.max,
-                series.first.decompression_ms,
-            ]
-        )
-    table = render_table(
-        ["kernel", "codec", "boot ms", "min", "max", "decompress ms"],
-        rows,
-        title=f"Figure 3: compression bakeoff ({N_BOOTS} cached boots/series)",
+    fig = benchmark.pedantic(
+        fig3_compression_bakeoff, (ENV,), rounds=1, iterations=1
     )
-    record(
-        "fig3 compression bakeoff",
-        table,
-        series={
-            f"{kernel}/{codec}_ms": series.total.mean
-            for (kernel, codec), series in results.items()
-        },
-    )
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
 
     # Paper claim: LZ4 is the fastest-booting compression scheme.
-    for config in KERNEL_CONFIGS:
-        lz4 = results[(config.name, "lz4")].total.mean
+    for config in KERNELS:
+        lz4 = fig.series[f"{config.name}/lz4_ms"]
         for codec in CODECS:
-            if codec != "lz4":
-                assert lz4 <= results[(config.name, codec)].total.mean, (
-                    config.name,
-                    codec,
-                )
+            assert lz4 <= fig.series[f"{config.name}/{codec}_ms"], (
+                config.name,
+                codec,
+            )

@@ -7,68 +7,21 @@ direct uncompressed boot wins (no bootstrap loader).
 
 from __future__ import annotations
 
-from _common import (
-    KERNEL_CONFIGS,
-    N_BOOTS,
-    bzimage_cfg,
-    direct_cfg,
-    make_vmm,
-    measure,
-)
-from repro.analysis import render_table
-from repro.core import RandomizeMode
-from repro.simtime import BootCategory
-
-
-def _run():
-    vmm = make_vmm()
-    results = {}
-    for config in KERNEL_CONFIGS:
-        for cached in (False, True):
-            direct = measure(vmm, direct_cfg(config, RandomizeMode.NONE), warm=cached)
-            bz = measure(
-                vmm, bzimage_cfg(config, RandomizeMode.NONE, "lz4"), warm=cached
-            )
-            results[(config.name, cached)] = (direct, bz)
-    return results
+from _common import ENV
+from repro.experiments import KERNELS, fig4_cache_effects
 
 
 def test_fig4_cache_effects(benchmark, record):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = []
-    for (kernel, cached), (direct, bz) in results.items():
-        state = "cached" if cached else "cold"
-        winner = "direct" if direct.total.mean < bz.total.mean else "bzImage"
-        gap = abs(direct.total.mean - bz.total.mean) / max(
-            direct.total.mean, bz.total.mean
-        )
-        rows.append(
-            [
-                kernel,
-                state,
-                direct.total.mean,
-                bz.total.mean,
-                direct.first.category_ms(BootCategory.IN_MONITOR),
-                winner,
-                f"{gap * 100:.0f}%",
-            ]
-        )
-    table = render_table(
-        ["kernel", "cache", "direct ms", "lz4 bzImage ms", "direct in-mon",
-         "winner", "gap"],
-        rows,
-        title=f"Figure 4: cache effects ({N_BOOTS} boots/series)",
+    fig = benchmark.pedantic(
+        fig4_cache_effects, (ENV,), rounds=1, iterations=1
     )
-    series_out = {}
-    for (kernel, cached), (direct, bz) in results.items():
-        state = "cached" if cached else "cold"
-        series_out[f"{kernel}/{state}/direct_ms"] = direct.total.mean
-        series_out[f"{kernel}/{state}/bzimage_lz4_ms"] = bz.total.mean
-    record("fig4 cache effects", table, series=series_out)
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
 
     # The crossover must hold for every kernel config.
-    for config in KERNEL_CONFIGS:
-        direct_cold, bz_cold = results[(config.name, False)]
-        direct_warm, bz_warm = results[(config.name, True)]
-        assert bz_cold.total.mean < direct_cold.total.mean, config.name
-        assert direct_warm.total.mean < bz_warm.total.mean, config.name
+    for config in KERNELS:
+
+        def ms(state, boot):
+            return fig.series[f"{config.name}/{state}/{boot}_ms"]
+
+        assert ms("cold", "bzimage_lz4") < ms("cold", "direct"), config.name
+        assert ms("cached", "direct") < ms("cached", "bzimage_lz4"), config.name

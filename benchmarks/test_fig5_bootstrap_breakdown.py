@@ -7,9 +7,11 @@ loader time).
 
 from __future__ import annotations
 
-from _common import KERNEL_CONFIGS, bzimage_cfg, make_vmm, measure
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import bzimage_cfg
 from repro.core import RandomizeMode
+from repro.experiments import KERNELS
 from repro.simtime import BootStep
 
 _LOADER_STEPS = [
@@ -25,10 +27,13 @@ _LOADER_STEPS = [
 
 
 def _run():
-    vmm = make_vmm()
+    vmm = ENV.vmm()
     out = {}
-    for config in KERNEL_CONFIGS:
-        series = measure(vmm, bzimage_cfg(config, RandomizeMode.NONE, "lz4"))
+    for config in KERNELS:
+        series = ENV.measure(
+            vmm,
+            bzimage_cfg(config, RandomizeMode.NONE, "lz4", scale=ENV.scale),
+        )
         out[config.name] = series.first
     return out
 

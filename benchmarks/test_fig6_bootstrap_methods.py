@@ -12,61 +12,20 @@ Expected order (paper): none > lz4 > none-optimized > uncompressed.
 
 from __future__ import annotations
 
-from _common import (
-    KERNEL_CONFIGS,
-    N_BOOTS,
-    bzimage_cfg,
-    direct_cfg,
-    make_vmm,
-    measure,
-)
-from repro.analysis import render_table
-from repro.core import RandomizeMode
-
-METHODS = ["none", "lz4", "none-optimized", "uncompressed"]
-
-
-def _cfg_for(config, method):
-    if method == "uncompressed":
-        return direct_cfg(config, RandomizeMode.NONE)
-    if method == "none-optimized":
-        return bzimage_cfg(config, RandomizeMode.NONE, "none", optimized=True)
-    return bzimage_cfg(config, RandomizeMode.NONE, method)
-
-
-def _run():
-    vmm = make_vmm()
-    return {
-        (config.name, method): measure(vmm, _cfg_for(config, method))
-        for config in KERNEL_CONFIGS
-        for method in METHODS
-    }
+from _common import ENV
+from repro.experiments import KERNELS, fig6_bootstrap_methods
 
 
 def test_fig6_bootstrap_methods(benchmark, record):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = [
-        [kernel, method, series.total.mean, series.total.min, series.total.max]
-        for (kernel, method), series in results.items()
-    ]
-    table = render_table(
-        ["kernel", "method", "boot ms", "min", "max"],
-        rows,
-        title=f"Figure 6: bootstrap methods, nokaslr cached ({N_BOOTS} boots)",
+    fig = benchmark.pedantic(
+        fig6_bootstrap_methods, (ENV,), rounds=1, iterations=1
     )
-    record(
-        "fig6 bootstrap methods",
-        table,
-        series={
-            f"{kernel}/{method}_ms": series.total.mean
-            for (kernel, method), series in results.items()
-        },
-    )
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
 
-    for config in KERNEL_CONFIGS:
-        none = results[(config.name, "none")].total.mean
-        lz4 = results[(config.name, "lz4")].total.mean
-        optimized = results[(config.name, "none-optimized")].total.mean
-        direct = results[(config.name, "uncompressed")].total.mean
+    for config in KERNELS:
+        none, lz4, optimized, direct = (
+            fig.series[f"{config.name}/{method}_ms"]
+            for method in ("none", "lz4", "none-optimized", "uncompressed")
+        )
         # the paper's ordering, including "optimized still loses to direct"
         assert none > lz4 > optimized > direct, config.name

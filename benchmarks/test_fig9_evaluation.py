@@ -13,91 +13,34 @@ Reports the paper's four-way breakdown per series.
 
 from __future__ import annotations
 
-from _common import (
-    KERNEL_CONFIGS,
-    N_BOOTS,
-    bzimage_cfg,
-    direct_cfg,
-    make_vmm,
-    measure,
-)
-from repro.analysis import render_table
-from repro.core import RandomizeMode
-from repro.simtime import BootCategory
-
-MODES = [RandomizeMode.NONE, RandomizeMode.KASLR, RandomizeMode.FGKASLR]
-METHODS = ["uncompressed", "compression-none", "lz4"]
-
-
-def _cfg(config, mode, method):
-    if method == "uncompressed":
-        return direct_cfg(config, mode)
-    if method == "compression-none":
-        return bzimage_cfg(config, mode, "none", optimized=True)
-    return bzimage_cfg(config, mode, "lz4")
-
-
-def _run():
-    vmm = make_vmm()
-    return {
-        (config.name, mode, method): measure(vmm, _cfg(config, mode, method))
-        for config in KERNEL_CONFIGS
-        for mode in MODES
-        for method in METHODS
-    }
+from _common import fig9
+from repro.experiments import KERNELS
 
 
 def test_fig9_evaluation(benchmark, record):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = []
-    for (kernel, mode, method), series in results.items():
-        rows.append(
-            [
-                kernel,
-                str(mode),
-                method,
-                series.total.mean,
-                series.total.min,
-                series.total.max,
-                series.category(BootCategory.IN_MONITOR).mean,
-                series.category(BootCategory.BOOTSTRAP_SETUP).mean,
-                series.category(BootCategory.DECOMPRESSION).mean,
-                series.category(BootCategory.LINUX_BOOT).mean,
-            ]
-        )
-    table = render_table(
-        ["kernel", "rando", "method", "total", "min", "max",
-         "in-monitor", "bootstrap", "decompress", "linux"],
-        rows,
-        title=f"Figure 9: boot time evaluation (ms, {N_BOOTS} boots/series)",
-    )
-    record(
-        "fig9 evaluation",
-        table,
-        series={
-            f"{kernel}/{mode}/{method}_ms": series.total.mean
-            for (kernel, mode, method), series in results.items()
-        },
-    )
+    fig = benchmark.pedantic(fig9, rounds=1, iterations=1)
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
 
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         name = config.name
-        for mode in (RandomizeMode.KASLR, RandomizeMode.FGKASLR):
-            inmon = results[(name, mode, "uncompressed")].total.mean
-            cn = results[(name, mode, "compression-none")].total.mean
-            lz4 = results[(name, mode, "lz4")].total.mean
-            # in-monitor randomization beats both self-randomized methods
-            assert inmon < cn < lz4, (name, mode)
 
-        base = results[(name, RandomizeMode.NONE, "uncompressed")].total.mean
-        kaslr = results[(name, RandomizeMode.KASLR, "uncompressed")].total.mean
-        fg = results[(name, RandomizeMode.FGKASLR, "uncompressed")].total.mean
+        def ms(mode, method):
+            return fig.series[f"{name}/{mode}/{method}_ms"]
+
+        for mode in ("kaslr", "fgkaslr"):
+            # in-monitor randomization beats both self-randomized methods
+            assert (
+                ms(mode, "uncompressed")
+                < ms(mode, "compression-none")
+                < ms(mode, "lz4")
+            ), (name, mode)
+
+        base = ms("none", "uncompressed")
         # Section 5.2: in-monitor KASLR adds only a few percent; FGKASLR
         # costs roughly 1.8x-2.5x the baseline
-        assert 1.0 < kaslr / base < 1.10, name
-        assert 1.5 < fg / base < 2.8, name
+        assert 1.0 < ms("kaslr", "uncompressed") / base < 1.10, name
+        assert 1.5 < ms("fgkaslr", "uncompressed") / base < 2.8, name
 
     # The paper's AWS headline: in-monitor FGKASLR still meets the 150 ms
     # Firecracker boot target.
-    aws_fg = results[("aws", RandomizeMode.FGKASLR, "uncompressed")].total.mean
-    assert aws_fg < 150.0
+    assert fig.series["aws/fgkaslr/uncompressed_ms"] < 150.0

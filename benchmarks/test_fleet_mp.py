@@ -12,8 +12,9 @@ an engine property, never a behaviour change.
 
 from __future__ import annotations
 
-from _common import SCALE, direct_cfg
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.host import HostStorage
 from repro.kernel import AWS
@@ -28,10 +29,10 @@ JITTER_SIGMA = 0.0
 
 
 def _launch(executor: str):
-    costs = CostModel(scale=SCALE, jitter=JitterModel(sigma=JITTER_SIGMA))
+    costs = CostModel(scale=ENV.scale, jitter=JitterModel(sigma=JITTER_SIGMA))
     vmm = Firecracker(HostStorage(), costs)
     manager = FleetManager(vmm, workers=WORKERS, executor=executor)
-    cfg = direct_cfg(AWS, RandomizeMode.FGKASLR)
+    cfg = direct_cfg(AWS, RandomizeMode.FGKASLR, scale=ENV.scale)
     return manager.launch(cfg, FLEET_SIZE, fleet_seed=909)
 
 

@@ -10,8 +10,9 @@ boot dominates.
 
 from __future__ import annotations
 
-from _common import SCALE, direct_cfg
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.host import HostStorage
 from repro.kernel import AWS
@@ -24,10 +25,10 @@ JITTER_SIGMA = 0.02
 
 
 def _launch(workers: int):
-    costs = CostModel(scale=SCALE, jitter=JitterModel(sigma=JITTER_SIGMA))
+    costs = CostModel(scale=ENV.scale, jitter=JitterModel(sigma=JITTER_SIGMA))
     vmm = Firecracker(HostStorage(), costs)
     manager = FleetManager(vmm, workers=workers)
-    cfg = direct_cfg(AWS, RandomizeMode.FGKASLR)
+    cfg = direct_cfg(AWS, RandomizeMode.FGKASLR, scale=ENV.scale)
     return manager.launch(cfg, FLEET_SIZE, fleet_seed=606)
 
 

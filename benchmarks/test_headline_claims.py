@@ -9,47 +9,36 @@
 
 from __future__ import annotations
 
-from _common import (
-    KERNEL_CONFIGS,
-    N_BOOTS,
-    bzimage_cfg,
-    direct_cfg,
-    make_vmm,
-    measure,
-)
+from _common import ENV, fig9
 from repro.analysis import render_table
-from repro.core import RandomizeMode
-from repro.kernel import AWS, LUPINE
+from repro.experiments import KERNELS
+
+#: each headline series, as the Figure 9 (mode, method) series it equals
+_FIG9 = {
+    "baseline": ("none", "uncompressed"),
+    "inmon-k": ("kaslr", "uncompressed"),
+    "inmon-fg": ("fgkaslr", "uncompressed"),
+    "selfrando-k": ("kaslr", "compression-none"),
+    "selfrando-fg": ("fgkaslr", "compression-none"),
+}
 
 
 def _run():
-    vmm = make_vmm()
-    data = {}
-    for config in KERNEL_CONFIGS:
-        data[(config.name, "baseline")] = measure(
-            vmm, direct_cfg(config, RandomizeMode.NONE)
-        )
-        for mode, tag in ((RandomizeMode.KASLR, "k"), (RandomizeMode.FGKASLR, "fg")):
-            data[(config.name, f"inmon-{tag}")] = measure(
-                vmm, direct_cfg(config, mode)
-            )
-            data[(config.name, f"selfrando-{tag}")] = measure(
-                vmm, bzimage_cfg(config, mode, "none", optimized=True)
-            )
-    return data
+    fig = fig9()
+    return {
+        (config.name, variant): fig.series[f"{config.name}/{mode}/{method}_ms"]
+        for config in KERNELS
+        for variant, (mode, method) in _FIG9.items()
+    }
 
 
 def test_headline_claims(benchmark, record):
     data = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = []
     speedups_k, speedups_fg, overheads = [], [], []
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         name = config.name
-        base = data[(name, "baseline")].total.mean
-        ik = data[(name, "inmon-k")].total.mean
-        ifg = data[(name, "inmon-fg")].total.mean
-        sk = data[(name, "selfrando-k")].total.mean
-        sfg = data[(name, "selfrando-fg")].total.mean
+        base, ik, ifg, sk, sfg = (data[(name, variant)] for variant in _FIG9)
         speedups_k.append((sk - ik) / sk)
         speedups_fg.append((sfg - ifg) / sfg)
         overheads.append((ik - base, ik / base - 1))
@@ -65,16 +54,15 @@ def test_headline_claims(benchmark, record):
         ["kernel", "baseline", "inmon-K", "inmon-FG", "self-K", "self-FG",
          "K gain", "FG gain", "inmon-K overhead"],
         lines,
-        title=f"Headline claims (ms, {N_BOOTS} boots/series)",
+        title=f"Headline claims (ms, {ENV.boots} boots/series)",
     )
-    series_out = {}
-    for config in KERNEL_CONFIGS:
-        for variant in ("baseline", "inmon-k", "inmon-fg", "selfrando-k",
-                        "selfrando-fg"):
-            series_out[f"{config.name}/{variant}_ms"] = data[
-                (config.name, variant)
-            ].total.mean
-    record("headline claims", table, series=series_out)
+    record(
+        "headline claims",
+        table,
+        series={
+            f"{name}/{variant}_ms": ms for (name, variant), ms in data.items()
+        },
+    )
 
     # (C4a) in-monitor beats self-randomization; best case in the tens of %
     assert all(s > 0 for s in speedups_k + speedups_fg)
@@ -88,8 +76,8 @@ def test_headline_claims(benchmark, record):
     assert mean_pct < 0.08
 
     # AWS FGKASLR under the 150 ms Firecracker target
-    assert data[("aws", "inmon-fg")].total.mean < 150.0
+    assert data[("aws", "inmon-fg")] < 150.0
 
     # minimal kernel boots remain tens-of-ms with randomization on
-    assert data[("lupine", "inmon-k")].total.mean < 30.0
-    assert data[("lupine", "inmon-fg")].total.mean < 60.0
+    assert data[("lupine", "inmon-k")] < 30.0
+    assert data[("lupine", "inmon-fg")] < 60.0

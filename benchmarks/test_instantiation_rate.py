@@ -9,8 +9,9 @@ instantiation rate and end-to-end latency per strategy.
 
 from __future__ import annotations
 
-from _common import direct_cfg, make_vmm
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.kernel import AWS
 from repro.workloads import FUNCTIONS, ServerlessPlatform
@@ -21,11 +22,12 @@ SPEC = FUNCTIONS["json-transform"]
 
 
 def _run():
-    vmm = make_vmm()
+    vmm = ENV.vmm()
     results = {}
     for mode in (RandomizeMode.NONE, RandomizeMode.KASLR, RandomizeMode.FGKASLR):
         platform = ServerlessPlatform(
-            vmm, lambda seed, m=mode: direct_cfg(AWS, m, seed=seed)
+            vmm,
+            lambda seed, m=mode: direct_cfg(AWS, m, scale=ENV.scale, seed=seed),
         )
         for i in range(INVOCATIONS):
             platform.handle(SPEC, seed=600 + i)
@@ -33,7 +35,9 @@ def _run():
 
     rebase = ServerlessPlatform(
         vmm,
-        lambda seed: direct_cfg(AWS, RandomizeMode.KASLR, seed=seed),
+        lambda seed: direct_cfg(
+            AWS, RandomizeMode.KASLR, scale=ENV.scale, seed=seed
+        ),
         strategy=InstanceStrategy.RESTORE_REBASE,
     )
     rebase.setup()

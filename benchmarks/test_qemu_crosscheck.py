@@ -8,26 +8,27 @@ overhead.
 
 from __future__ import annotations
 
-from _common import (
-    KERNEL_CONFIGS,
-    N_BOOTS,
-    bzimage_cfg,
-    direct_cfg,
-    make_vmm,
-    measure,
-)
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import bzimage_cfg, direct_cfg
 from repro.core import RandomizeMode
+from repro.experiments import KERNELS
+from repro.monitor import Qemu
 
 
 def _run():
-    qemu = make_vmm(qemu=True)
-    fc = make_vmm()
+    qemu = ENV.vmm(Qemu)
+    fc = ENV.vmm()
     results = {}
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         for vmm, name in ((fc, "firecracker"), (qemu, "qemu")):
-            direct = measure(vmm, direct_cfg(config, RandomizeMode.NONE))
-            bz = measure(vmm, bzimage_cfg(config, RandomizeMode.NONE, "lz4"))
+            direct = ENV.measure(
+                vmm, direct_cfg(config, RandomizeMode.NONE, scale=ENV.scale)
+            )
+            bz = ENV.measure(
+                vmm,
+                bzimage_cfg(config, RandomizeMode.NONE, "lz4", scale=ENV.scale),
+            )
             results[(config.name, name)] = (direct, bz)
     return results
 
@@ -45,7 +46,7 @@ def test_qemu_crosscheck(benchmark, record):
     table = render_table(
         ["kernel", "vmm", "direct ms", "lz4 bzImage ms", "direct faster by"],
         rows,
-        title=f"QEMU cross-check, cached ({N_BOOTS} boots/series)",
+        title=f"QEMU cross-check, cached ({ENV.boots} boots/series)",
     )
     series_out = {}
     for (kernel, vmm), (direct, bz) in results.items():
@@ -53,7 +54,7 @@ def test_qemu_crosscheck(benchmark, record):
         series_out[f"{kernel}/{vmm}/bzimage_lz4_ms"] = bz.total.mean
     record("qemu crosscheck", table, series=series_out)
 
-    for config in KERNEL_CONFIGS:
+    for config in KERNELS:
         fc_direct, fc_bz = results[(config.name, "firecracker")]
         q_direct, q_bz = results[(config.name, "qemu")]
         # same conclusion on both VMMs...

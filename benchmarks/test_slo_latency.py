@@ -15,8 +15,9 @@ the paper's in-monitor rebase design.
 
 from __future__ import annotations
 
-from _common import direct_cfg, make_vmm
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.kernel import AWS
 from repro.serve import (
@@ -46,10 +47,12 @@ CONFIG = ServeConfig(
 def _run() -> list[StrategySlo]:
     rows = []
     for strategy in InstanceStrategy:
-        vmm = make_vmm()
+        vmm = ENV.vmm()
         platform = ServerlessPlatform(
             vmm,
-            lambda seed: direct_cfg(AWS, RandomizeMode.KASLR, seed=seed),
+            lambda seed: direct_cfg(
+                AWS, RandomizeMode.KASLR, scale=ENV.scale, seed=seed
+            ),
             strategy=strategy,
         )
         backend = SampledBackend.from_platform(

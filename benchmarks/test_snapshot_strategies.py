@@ -9,8 +9,9 @@ gets per-instance layouts at restore-class latency.
 
 from __future__ import annotations
 
-from _common import N_BOOTS, direct_cfg, make_vmm, measure
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.kernel import AWS
 from repro.snapshot import ZygotePool
@@ -21,12 +22,16 @@ POOL_SIZE = 4
 
 
 def _run():
-    vmm = make_vmm()
+    vmm = ENV.vmm()
 
-    cold = measure(vmm, direct_cfg(AWS, RandomizeMode.KASLR))
+    cold = ENV.measure(
+        vmm, direct_cfg(AWS, RandomizeMode.KASLR, scale=ENV.scale)
+    )
 
     def factory(i):
-        return direct_cfg(AWS, RandomizeMode.KASLR, seed=500 + i)
+        return direct_cfg(
+            AWS, RandomizeMode.KASLR, scale=ENV.scale, seed=500 + i
+        )
 
     strategies = {}
     for policy in ZygotePolicy:
@@ -45,7 +50,7 @@ def test_snapshot_strategies(benchmark, record):
     cold, strategies = benchmark.pedantic(_run, rounds=1, iterations=1)
     rows = [
         ["cold boot (in-monitor KASLR)", f"{cold.total.mean:.2f}", "-",
-         str(N_BOOTS), "unbounded"],
+         str(ENV.boots), "unbounded"],
     ]
     for policy, (fill_ms, latencies, offsets) in strategies.items():
         rows.append(

@@ -6,67 +6,23 @@ nine kernels, projected back to paper scale.
 
 from __future__ import annotations
 
-from _common import KERNEL_CONFIGS, SCALE
-from repro.analysis import render_table
-from repro.artifacts import get_bzimage, get_kernel
-from repro.kernel import KernelVariant
-
-MIB = 1024 * 1024
-
-
-def _mb(actual_bytes: int) -> str:
-    return f"{actual_bytes * SCALE / MIB:.1f}M"
-
-
-def _kb(actual_bytes: int) -> str:
-    if actual_bytes == 0:
-        return "N/A"
-    kib = actual_bytes * SCALE / 1024
-    return f"{kib / 1024:.1f}M" if kib >= 1024 else f"{kib:.0f}K"
-
-
-def _build_rows():
-    rows = []
-    for config in KERNEL_CONFIGS:
-        for variant in KernelVariant:
-            kernel = get_kernel(config, variant, scale=SCALE)
-            bz_none = get_bzimage(config, variant, "none", scale=SCALE)
-            bz_lz4 = get_bzimage(config, variant, "lz4", scale=SCALE)
-            rows.append(
-                [
-                    kernel.name,
-                    _mb(kernel.vmlinux_size),
-                    _mb(bz_none.size),
-                    _mb(bz_lz4.size),
-                    _kb(kernel.relocs_size),
-                ]
-            )
-    return rows
+from _common import ENV
+from repro.experiments import table1_kernel_sizes
 
 
 def test_table1_kernel_sizes(benchmark, record):
-    rows = benchmark.pedantic(_build_rows, rounds=1, iterations=1)
-    table = render_table(
-        ["kernel", "vmlinux", "bzImage(none)", "bzImage(lz4)", "relocs"],
-        rows,
-        title=f"Table 1: kernel image sizes (paper scale, build scale 1/{SCALE})",
+    fig = benchmark.pedantic(
+        table1_kernel_sizes, (ENV,), rounds=1, iterations=1
     )
-    record(
-        "table1 kernel sizes",
-        table,
-        series={
-            f"{row[0]}/vmlinux_mb": float(row[1].rstrip("M")) for row in rows
-        },
-        units="MB",
-    )
-    by_name = {row[0]: row for row in rows}
+    record(fig.name, fig.table, series=fig.series, units=fig.units)
+
     # paper shape: nokaslr has no relocs; fgkaslr has the most; sizes grow
     # lupine < aws < ubuntu
-    assert by_name["lupine-nokaslr"][4] == "N/A"
+    relocs = {row[0]: row[4] for row in fig.rows}
+    vmlinux_mb = {
+        name.removesuffix("/vmlinux_mb"): mb for name, mb in fig.series.items()
+    }
+    assert relocs["lupine-nokaslr"] == "N/A"
     for config in ("lupine", "aws", "ubuntu"):
-        kaslr = float(by_name[f"{config}-kaslr"][1].rstrip("M"))
-        fg = float(by_name[f"{config}-fgkaslr"][1].rstrip("M"))
-        assert fg > kaslr
-    assert float(by_name["lupine-kaslr"][1].rstrip("M")) < float(
-        by_name["ubuntu-kaslr"][1].rstrip("M")
-    )
+        assert vmlinux_mb[f"{config}-fgkaslr"] > vmlinux_mb[f"{config}-kaslr"]
+    assert vmlinux_mb["lupine-kaslr"] < vmlinux_mb["ubuntu-kaslr"]

@@ -22,8 +22,9 @@ layouts.
 
 from __future__ import annotations
 
-from _common import direct_cfg, make_vmm
+from _common import ENV
 from repro.analysis import render_table
+from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.kernel import AWS
 from repro.serve import (
@@ -58,10 +59,12 @@ CONFIG = ServeConfig(
 def _run():
     cells = []
     for strategy in InstanceStrategy:
-        vmm = make_vmm()
+        vmm = ENV.vmm()
         platform = ServerlessPlatform(
             vmm,
-            lambda seed: direct_cfg(AWS, RandomizeMode.KASLR, seed=seed),
+            lambda seed: direct_cfg(
+                AWS, RandomizeMode.KASLR, scale=ENV.scale, seed=seed
+            ),
             strategy=strategy,
         )
         backend = SampledBackend.from_platform(

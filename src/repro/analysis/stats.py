@@ -15,7 +15,8 @@ from repro.monitor.report import BootReport
 from repro.monitor.vmm import Firecracker
 from repro.simtime.trace import BootCategory
 
-WARMUP_BOOTS = 5
+#: seed of a series' first measured boot; boot ``i`` gets ``SEED0 + i``
+SEED0 = 1000
 
 
 @dataclass(frozen=True)
@@ -76,22 +77,21 @@ def run_boots(
     vmm: Firecracker,
     cfg: VmConfig,
     n: int = 20,
-    seed0: int = 1000,
+    seed0: int = SEED0,
     warm: bool = True,
-    warmup: int = WARMUP_BOOTS,
     label: str | None = None,
 ) -> BootSeries:
     """Measure ``n`` boots following the paper's protocol.
 
-    ``warm=True`` warms the page cache (``warmup`` unmeasured boots);
-    ``warm=False`` drops host caches before every measured boot.
-    Each boot gets a distinct deterministic seed (``seed0 + i``).
+    ``warm=True`` warms the host caches first
+    (:meth:`~repro.monitor.vmm.Firecracker.warm_caches` models the
+    paper's warm-up boots); ``warm=False`` drops host caches before
+    every measured boot.  Each boot gets a distinct deterministic seed
+    (``seed0 + i``).
     """
     series = BootSeries(label=label or f"{cfg.kernel.name}/{cfg.randomize}")
     if warm:
-        vmm.register_kernel(cfg)
-        for _ in range(max(warmup, 1)):
-            vmm.warm_caches(cfg)
+        vmm.warm_caches(cfg)
     for i in range(n):
         cfg.seed = seed0 + i
         cfg.drop_caches = not warm

@@ -3,7 +3,8 @@
 Kernel builds and (especially) bzImage compression are the expensive parts
 of the simulation; every experiment over the same (config, variant, scale,
 seed, codec) tuple reuses one artifact, just as the paper reuses one set of
-built kernels across all runs.
+built kernels across all runs.  :func:`direct_cfg` and :func:`bzimage_cfg`
+wrap those artifacts in the VM config a randomization mode boots.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import threading
 
 from repro.bzimage.build import build_bzimage
 from repro.bzimage.format import BzImage
+from repro.core.inmonitor import RandomizeMode
 from repro.kernel.build import build_kernel
 from repro.kernel.config import PRESETS, KernelConfig, KernelVariant
 from repro.kernel.image import KernelImage
+from repro.monitor.config import BootFormat, VmConfig
 
 _KERNELS: dict[tuple[str, KernelVariant, int, int], KernelImage] = {}
 _BZIMAGES: dict[tuple[str, KernelVariant, int, int, str, bool], BzImage] = {}
@@ -24,6 +27,13 @@ _LOCK = threading.Lock()
 
 #: default build scale for benchmarks (DESIGN.md §7)
 BENCH_SCALE = 16
+
+#: the kernel build each randomization mode boots
+VARIANT_FOR_MODE = {
+    RandomizeMode.NONE: KernelVariant.NOKASLR,
+    RandomizeMode.KASLR: KernelVariant.KASLR,
+    RandomizeMode.FGKASLR: KernelVariant.FGKASLR,
+}
 
 
 def get_kernel(
@@ -57,6 +67,40 @@ def get_bzimage(
         if key not in _BZIMAGES:
             _BZIMAGES[key] = build_bzimage(kernel, codec, optimized=optimized)
         return _BZIMAGES[key]
+
+
+def direct_cfg(
+    config: KernelConfig | str,
+    mode: RandomizeMode,
+    scale: int = BENCH_SCALE,
+    **vm,
+) -> VmConfig:
+    """A direct vmlinux boot of ``config``'s ``mode`` build; ``vm`` holds
+    any further :class:`VmConfig` fields."""
+    kernel = get_kernel(config, VARIANT_FOR_MODE[mode], scale=scale)
+    return VmConfig(kernel=kernel, randomize=mode, **vm)
+
+
+def bzimage_cfg(
+    config: KernelConfig | str,
+    mode: RandomizeMode,
+    codec: str,
+    scale: int = BENCH_SCALE,
+    optimized: bool = False,
+    **vm,
+) -> VmConfig:
+    """A bzImage boot of ``config``'s ``mode`` build, compressed with
+    ``codec`` (``optimized``: the copy-free loader of Section 3.3)."""
+    variant = VARIANT_FOR_MODE[mode]
+    return VmConfig(
+        kernel=get_kernel(config, variant, scale=scale),
+        boot_format=BootFormat.BZIMAGE,
+        bzimage=get_bzimage(
+            config, variant, codec, scale=scale, optimized=optimized
+        ),
+        randomize=mode,
+        **vm,
+    )
 
 
 def clear_cache() -> None:

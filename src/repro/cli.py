@@ -22,7 +22,8 @@ Other subcommands::
     python -m repro bench-compare                     # regression gate
     python -m repro sizes                     # Table 1
     python -m repro codecs  --kernel lupine   # compression stats
-    python -m repro lebench                   # Figure 11 summary
+    python -m repro lebench                   # Figure 11
+    python -m repro experiment e4             # e1..e5: Figs 3, 4, 6, 9, 11
     python -m repro entropy --kernel aws      # randomization entropy / leaks
     python -m repro faults                    # injectable fault kinds/stages
 
@@ -65,14 +66,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis import render_table, run_boots
-from repro.artifacts import get_bzimage, get_kernel
+from repro.analysis.stats import SEED0
+from repro.artifacts import VARIANT_FOR_MODE, bzimage_cfg, direct_cfg, get_kernel
 from repro.compress import measure as measure_codec
 from repro.core import RandomizeMode
 from repro.errors import BootFailure, FaultPlanError
+from repro.experiments import (
+    EXPERIMENTS,
+    Env,
+    fig11_lebench,
+    run_experiment,
+    table1_kernel_sizes,
+)
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.host import HostStorage
 from repro.kernel import PRESETS, KernelVariant
-from repro.monitor import BootFormat, BootProtocol, Firecracker, Qemu, VmConfig
+from repro.monitor import BootProtocol, Firecracker, Qemu, VmConfig
 from repro.pipeline import PIPELINE_FLAVORS
 from repro.security.audit import KaslrAuditor
 from repro.serve import (
@@ -102,13 +111,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.profiler import CostProfiler
 from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
-
-_MODE_VARIANT = {
-    RandomizeMode.NONE: KernelVariant.NOKASLR,
-    RandomizeMode.KASLR: KernelVariant.KASLR,
-    RandomizeMode.FGKASLR: KernelVariant.FGKASLR,
-}
-
 
 def _make_vmm(args, telemetry: Telemetry | None = None) -> Firecracker:
     costs = CostModel(scale=args.scale, jitter=JitterModel(sigma=args.jitter))
@@ -200,28 +202,14 @@ def _emit_telemetry(args, telemetry: Telemetry) -> None:
 
 def _build_cfg(args) -> VmConfig:
     mode = RandomizeMode(args.mode)
-    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
     if args.format == "bzimage":
-        bz = get_bzimage(
-            args.kernel,
-            _MODE_VARIANT[mode],
-            args.codec,
-            scale=args.scale,
-            optimized=args.optimized,
+        return bzimage_cfg(
+            args.kernel, mode, args.codec, scale=args.scale,
+            optimized=args.optimized, mem_mib=args.mem, seed=args.seed,
         )
-        return VmConfig(
-            kernel=kernel,
-            boot_format=BootFormat.BZIMAGE,
-            bzimage=bz,
-            randomize=mode,
-            mem_mib=args.mem,
-            seed=args.seed,
-        )
-    return VmConfig(
-        kernel=kernel,
-        randomize=mode,
-        boot_protocol=BootProtocol(args.protocol),
-        mem_mib=args.mem,
+    return direct_cfg(
+        args.kernel, mode, scale=args.scale,
+        boot_protocol=BootProtocol(args.protocol), mem_mib=args.mem,
         seed=args.seed,
     )
 
@@ -455,31 +443,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_sizes(args) -> int:
-    rows = []
-    for name in ("lupine", "aws", "ubuntu"):
-        for variant in KernelVariant:
-            kernel = get_kernel(name, variant, scale=args.scale)
-            bz_none = get_bzimage(name, variant, "none", scale=args.scale)
-            bz_lz4 = get_bzimage(name, variant, "lz4", scale=args.scale)
-            mb = 1024 * 1024 / args.scale  # paper-scale MiB per actual byte
-            rows.append(
-                [
-                    kernel.name,
-                    f"{kernel.vmlinux_size / mb:.1f}M",
-                    f"{bz_none.size / mb:.1f}M",
-                    f"{bz_lz4.size / mb:.1f}M",
-                    f"{kernel.relocs_size * args.scale // 1024}K"
-                    if kernel.relocs_size
-                    else "N/A",
-                ]
-            )
-    print(
-        render_table(
-            ["kernel", "vmlinux", "bzImage(none)", "bzImage(lz4)", "relocs"],
-            rows,
-            title="Table 1 (paper scale)",
-        )
-    )
+    print(table1_kernel_sizes(Env(scale=args.scale)).table)
     return 0
 
 
@@ -500,32 +464,8 @@ def _cmd_codecs(args) -> int:
 
 
 def _cmd_lebench(args) -> int:
-    from repro.lebench import run_lebench
-
-    vmm = _make_vmm(args)
-    results = {}
-    for mode in (RandomizeMode.NONE, RandomizeMode.KASLR, RandomizeMode.FGKASLR):
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-        cfg = VmConfig(kernel=kernel, randomize=mode, seed=args.seed)
-        vmm.warm_caches(cfg)
-        report = vmm.boot(cfg)
-        results[mode] = run_lebench(kernel, report.layout)
-    base = results[RandomizeMode.NONE]
-    rows = [
-        [
-            name,
-            f"{results[RandomizeMode.KASLR].normalized_to(base)[name]:.3f}",
-            f"{results[RandomizeMode.FGKASLR].normalized_to(base)[name]:.3f}",
-        ]
-        for name in base.by_name()
-    ]
-    print(
-        render_table(
-            ["test", "kaslr", "fgkaslr"],
-            rows,
-            title=f"LEBench normalized to {args.kernel}-nokaslr",
-        )
-    )
+    env = Env(scale=args.scale, jitter=args.jitter)
+    print(fig11_lebench(env, config=args.kernel, seed=args.seed).table)
     return 0
 
 
@@ -534,22 +474,19 @@ def _cmd_entropy(args) -> int:
 
     vmm = _make_vmm(args)
     for mode in (RandomizeMode.KASLR, RandomizeMode.FGKASLR):
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-        cfg = VmConfig(kernel=kernel, randomize=mode, seed=args.seed)
+        cfg = direct_cfg(args.kernel, mode, scale=args.scale, seed=args.seed)
         vmm.warm_caches(cfg)
         report = vmm.boot(cfg)
-        catalog = GadgetCatalog.from_kernel(kernel, n_gadgets=200, seed=0)
-        leak = simulate_leak_attack(kernel, report.layout, catalog, n_leaks=1)
-        print(f"{kernel.name}: {report.layout.total_entropy_bits:.1f} bits; "
+        catalog = GadgetCatalog.from_kernel(cfg.kernel, n_gadgets=200, seed=0)
+        leak = simulate_leak_attack(cfg.kernel, report.layout, catalog, n_leaks=1)
+        print(f"{cfg.kernel.name}: {report.layout.total_entropy_bits:.1f} bits; "
               f"one leak locates {leak.located_fraction * 100:.1f}% of gadgets")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments import run_experiment
-
-    result = run_experiment(args.id, boots=args.boots, scale=args.scale)
-    print(result.table())
+    env = Env(boots=args.boots, scale=args.scale, jitter=args.jitter)
+    print(run_experiment(args.id, env).table)
     return 0
 
 
@@ -651,7 +588,7 @@ def _fly(
         return None
     tracer = telemetry.tracer
     mode = RandomizeMode(args.mode)
-    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
+    kernel = get_kernel(args.kernel, VARIANT_FOR_MODE[mode], scale=args.scale)
     for strategy in strategies:
         # a fresh monitor per strategy: independent cost-jitter streams,
         # so strategies stay comparable and byte-stable in any order.
@@ -1220,12 +1157,17 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(jitter: float = 0.0) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scale", type=int, default=16,
                         help="kernel build scale divisor (default 16)")
-    common.add_argument("--jitter", type=float, default=0.0,
-                        help="run-to-run noise sigma (default 0)")
+    common.add_argument("--jitter", type=float, default=jitter,
+                        help=f"run-to-run noise sigma (default {jitter:g})")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags()
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1312,16 +1254,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the inventory as JSON")
     cache.set_defaults(func=_cmd_cache)
 
-    sizes = sub.add_parser("sizes", parents=[common], help="regenerate Table 1")
+    sizes = sub.add_parser("sizes", parents=[common], help="print Table 1")
     sizes.set_defaults(func=_cmd_sizes)
 
     codecs = sub.add_parser("codecs", parents=[common], help="compression stats for a kernel")
     codecs.add_argument("--kernel", choices=sorted(PRESETS), default="lupine")
     codecs.set_defaults(func=_cmd_codecs)
 
-    lebench = sub.add_parser("lebench", parents=[common], help="Figure 11 summary")
+    lebench = sub.add_parser("lebench", parents=[common], help="print Figure 11")
     lebench.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    lebench.add_argument("--seed", type=int, default=1)
+    lebench.add_argument("--seed", type=int, default=SEED0,
+                         help="randomization seed of the measured boots "
+                              f"(default {SEED0}, as in the benches)")
     lebench.set_defaults(func=_cmd_lebench)
 
     entropy = sub.add_parser("entropy", parents=[common], help="entropy and value-of-a-leak")
@@ -1329,12 +1273,13 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--seed", type=int, default=1)
     entropy.set_defaults(func=_cmd_entropy)
 
+    # the benches' jitter by default, so each prints its bench's table
     experiment = sub.add_parser(
-        "experiment", parents=[common],
-        help="run an artifact experiment (Appendix A: e1..e5)",
+        "experiment", parents=[_common_flags(jitter=Env.jitter)],
+        help="print an artifact experiment's figure (Appendix A: e1..e5)",
     )
-    experiment.add_argument("id", choices=["e1", "e2", "e3", "e4", "e5"])
-    experiment.add_argument("--boots", type=int, default=20)
+    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
+    experiment.add_argument("--boots", type=int, default=Env.boots)
     experiment.set_defaults(func=_cmd_experiment)
 
     serve = sub.add_parser(

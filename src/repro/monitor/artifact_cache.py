@@ -22,7 +22,7 @@ The in-memory tier is bounded LRU with hit/miss/eviction counters, safe
 for concurrent use by fleet worker threads.  An optional
 :class:`DiskCacheTier` persists entries across processes and runs:
 memory misses probe the disk before parsing, inserts write through, and
-every load is integrity-checked (envelope key + payload SHA-256 + the
+every load is integrity-checked (header key + payload SHA-256 + the
 prepared image's own content digest) so a corrupt or stale file degrades
 to a miss, never a wrong parse.
 
@@ -164,16 +164,17 @@ class DiskCacheTier:
     """Persistent content-addressed tier under one directory.
 
     One file per key, named by the SHA-256 of the key triple.  Each file
-    is a pickled envelope ``{format, key, sha256, payload}`` where
-    ``payload`` is the pickled :class:`PreparedImage` and ``sha256``
-    covers the payload bytes.  Writes go to a unique temp file and
-    ``os.replace`` into place, so concurrent writers and crashes leave
-    either the old entry or the new one, never a torn file.  Loads verify
-    format, key, payload digest, and the prepared image's own content
-    digest; any mismatch or unpickling error degrades to ``None``.
+    is a small pickled header ``{format, key, sha256}`` followed by the
+    payload bytes, the pickled :class:`PreparedImage`; ``sha256`` covers
+    the payload.  Writes go to a unique temp file and ``os.replace`` into
+    place, so concurrent writers and crashes leave either the old entry
+    or the new one, never a torn file.  Loads verify format, key, payload
+    digest, and the prepared image's own content digest; any mismatch or
+    unpickling error degrades to ``None``, and so does a file of another
+    format (format 1 held the payload inside one pickled envelope).
     """
 
-    FORMAT = 1
+    FORMAT = 2
     SUFFIX = ".pkl"
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -191,37 +192,39 @@ class DiskCacheTier:
 
     def store(self, key: CacheKey, prepared: PreparedImage) -> None:
         payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = pickle.dumps(
-            {
-                "format": self.FORMAT,
-                "key": self._key_tuple(key),
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "payload": payload,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        header = {
+            "format": self.FORMAT,
+            "key": self._key_tuple(key),
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }
         target = self.file_for(key)
         fd, tmp = tempfile.mkstemp(
             dir=self.path, prefix=f"{target.stem}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(envelope)
+                pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(payload)
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
 
+    @staticmethod
+    def _read(file: Path) -> tuple[dict, bytes]:
+        """A file's header and the payload bytes after it."""
+        with open(file, "rb") as fh:
+            return pickle.load(fh), fh.read()
+
     def load(self, key: CacheKey) -> PreparedImage | None:
         target = self.file_for(key)
         try:
-            envelope = pickle.loads(target.read_bytes())
-            if envelope["format"] != self.FORMAT:
+            header, payload = self._read(target)
+            if header["format"] != self.FORMAT:
                 return None
-            if tuple(envelope["key"]) != self._key_tuple(key):
+            if tuple(header["key"]) != self._key_tuple(key):
                 return None
-            payload = envelope["payload"]
-            if hashlib.sha256(payload).hexdigest() != envelope["sha256"]:
+            if hashlib.sha256(payload).hexdigest() != header["sha256"]:
                 return None
             prepared = pickle.loads(payload)
             if prepared.digest != key.image_digest:
@@ -239,15 +242,15 @@ class DiskCacheTier:
         for file in sorted(self.path.glob("*" + self.SUFFIX)):
             row: dict = {"file": file.name, "bytes": file.stat().st_size}
             try:
-                envelope = pickle.loads(file.read_bytes())
-                digest, policy, seed_class = envelope["key"]
+                header, payload = self._read(file)
+                digest, policy, seed_class = header["key"]
                 row.update(
                     image_digest=digest,
                     policy=policy,
                     seed_class=seed_class,
-                    sha256=envelope["sha256"],
-                    valid=hashlib.sha256(envelope["payload"]).hexdigest()
-                    == envelope["sha256"],
+                    sha256=header["sha256"],
+                    valid=header["format"] == self.FORMAT
+                    and hashlib.sha256(payload).hexdigest() == header["sha256"],
                 )
             except Exception:
                 row["valid"] = False

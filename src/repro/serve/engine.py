@@ -253,10 +253,17 @@ class ServeEngine:
                 self._push(window.end_ns, EventKind.READY, instance_id)
 
     def _production_died(self, now_ns: int) -> bool:
-        """Account one dead production; True once the breaker is tripped."""
+        """Account one dead production; True once the breaker is tripped.
+
+        The trip is logged once, on the transition: productions already
+        in flight when it trips die without tripping it again.
+        """
         self._pool.fail_provision()
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.config.max_provision_failures:
+        if (
+            not self._breaker_tripped
+            and self._consecutive_failures >= self.config.max_provision_failures
+        ):
             self._breaker_tripped = True
             self._log.append(
                 (Logged.BREAKER, now_ns, self._consecutive_failures)
@@ -558,6 +565,7 @@ class ServeEngine:
             elif kind is Logged.PREWARM:
                 _, _, instance_id, sample = entry
                 if sample.failed:
+                    failures += 1
                     if recorder is not None:
                         recorder.count(now_ns, "serve_provision_failures")
                     continue

@@ -35,7 +35,10 @@ Baseline store schema::
       }
     }
 
-Refresh intentionally with ``repro bench-compare --update`` (see
+A result taken at the store's own ``settings`` with jitter 0 is a pure
+function of the code, so it must reproduce its baseline to within
+``EXACT_REL_TOL``; the bands apply to every other setting.  Refresh
+intentionally with ``repro bench-compare --update`` (see
 EXPERIMENTS.md); per-benchmark/per-metric tolerances survive an update.
 """
 
@@ -52,6 +55,10 @@ DEFAULT_REL_TOL = 0.15
 RESULT_PREFIX = "BENCH_"
 #: floor for relative deviation on near-zero baselines
 EPS = 1e-12
+#: the band for a jitter-free run at the store's settings
+EXACT_REL_TOL = 1e-9
+#: the run settings each result carries and the store records
+SETTINGS = ("repro_boots", "repro_scale", "jitter_sigma")
 
 DEFAULT_RESULTS_DIR = "benchmarks/results"
 DEFAULT_BASELINES = "benchmarks/baselines.json"
@@ -86,6 +93,14 @@ def load_baselines(path: pathlib.Path) -> dict:
             f"{path}: unsupported baseline schema {store.get('schema')!r}"
         )
     return store
+
+
+def _exact(store: dict, payload: dict) -> bool:
+    """Was ``payload`` run jitter-free at the store's own settings?"""
+    settings = store.get("settings") or {}
+    return settings.get("jitter_sigma") == 0 and all(
+        payload.get(key) == settings.get(key) for key in SETTINGS
+    )
 
 
 def _tolerance(store: dict, bench: dict, metric: str) -> float:
@@ -144,11 +159,7 @@ def run_compare(
             write(f"no {RESULT_PREFIX}*.json under {results_dir}; nothing to do\n")
             return 1
         first = next(iter(results.values()))
-        settings = {
-            "repro_boots": first.get("repro_boots"),
-            "repro_scale": first.get("repro_scale"),
-            "jitter_sigma": first.get("jitter_sigma"),
-        }
+        settings = {key: first.get(key) for key in SETTINGS}
         refreshed = update_baselines(store, results, settings)
         baselines_path.write_text(
             json.dumps(refreshed, indent=2, sort_keys=True) + "\n",
@@ -180,14 +191,16 @@ def run_compare(
                 failures += 1
             continue
         series = payload.get("series", {})
+        exact = _exact(store, payload)
         for metric in sorted(bench.get("series", {})):
             base = float(bench["series"][metric])
-            tol = _tolerance(store, bench, metric)
+            tol = EXACT_REL_TOL if exact else _tolerance(store, bench, metric)
+            band = "exact" if exact else f"{tol * 100:.0f}%"
             if metric not in series:
                 failures += 1
                 rows.append(
-                    (name, metric, f"{base:g}", "-", "-",
-                     f"{tol * 100:.0f}%", "FAIL (metric gone)")
+                    (name, metric, f"{base:g}", "-", "-", band,
+                     "FAIL (metric gone)")
                 )
                 continue
             current = float(series[metric])
@@ -202,7 +215,7 @@ def run_compare(
                     f"{base:g}",
                     f"{current:g}",
                     f"{deviation * 100:+.1f}%".replace("+", ""),
-                    f"{tol * 100:.0f}%",
+                    band,
                     "ok" if ok else "FAIL",
                 )
             )

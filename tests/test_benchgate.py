@@ -39,17 +39,39 @@ def _write_result(results_dir, name, series, **extra):
     return path
 
 
-def _write_baselines(path, benchmarks, default_rel_tol=0.15):
+def _write_baselines(path, benchmarks, default_rel_tol=0.15, **store):
     path.write_text(
         json.dumps(
             {
                 "schema": 1,
                 "default_rel_tol": default_rel_tol,
                 "benchmarks": benchmarks,
+                **store,
             }
         )
     )
     return path
+
+
+#: the bench-smoke settings: 3 jitter-free boots per series at scale 16
+SMOKE = {"repro_boots": 3, "repro_scale": 16, "jitter_sigma": 0.0}
+
+
+def _drift(tmp_path, jitter):
+    """Gate a 0.1% drift run at ``jitter`` against a smoke-settings store."""
+    results = tmp_path / "results"
+    _write_result(
+        results, "fig4 cache effects", {"aws/cold/direct_ms": 10.01},
+        jitter_sigma=jitter,
+    )
+    baselines = _write_baselines(
+        tmp_path / "baselines.json",
+        {"fig4 cache effects": {"units": "ms",
+                                "series": {"aws/cold/direct_ms": 10.0}}},
+        settings=SMOKE,
+    )
+    out: list[str] = []
+    return run_compare(results, baselines, write=out.append), "".join(out)
 
 
 def test_safe_name_matches_conftest_slugging():
@@ -85,6 +107,20 @@ def test_doctored_result_fails_non_zero(tmp_path):
     assert "REGRESSION" in "".join(out)
     # the argparse entrypoint propagates the same exit code
     assert main(["--results", str(results), "--baselines", str(baselines)]) == 1
+
+
+def test_drift_at_the_baseline_settings_fails(tmp_path):
+    """A jitter-free run at the store's settings is a pure function of
+    the code: any drift is a change, not noise."""
+    code, text = _drift(tmp_path, jitter=0.0)
+    assert code == 1
+    assert "exact" in text and "FAIL" in text
+
+
+def test_the_same_drift_at_other_settings_passes_its_band(tmp_path):
+    code, text = _drift(tmp_path, jitter=0.02)
+    assert code == 0
+    assert "15%" in text and "FAIL" not in text
 
 
 def test_missing_metric_fails(tmp_path):

@@ -12,10 +12,12 @@ degrade any corruption to a miss, never a wrong parse.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -561,6 +563,30 @@ def test_disk_tier_ignores_truncated_and_alien_files(tiny_fgkaslr, tmp_path):
     rows = cache.disk.entries()
     assert len(rows) == 1
     assert rows[0]["valid"] is False
+
+
+def test_disk_tier_format_1_entry_loads_as_a_miss(tiny_fgkaslr, tmp_path):
+    """An entry from before the header layout (one pickled envelope
+    around the payload bytes, format 1) is a miss, listed as invalid."""
+    prepared, _ = _parse_into(BootArtifactCache(), tiny_fgkaslr)
+    key = cache_key_for(
+        VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.FGKASLR)
+    )
+    tier = DiskCacheTier(tmp_path)
+    payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
+    tier.file_for(key).write_bytes(pickle.dumps({
+        "format": 1,
+        "key": (key.image_digest, key.policy, key.seed_class),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "payload": payload,
+    }))
+    assert tier.load(key) is None
+    (row,) = tier.entries()
+    assert row["image_digest"] == key.image_digest
+    assert row["valid"] is False
+    tier.store(key, prepared)
+    assert tier.load(key).fingerprint() == prepared.fingerprint()
+    assert [row["valid"] for row in tier.entries()] == [True]
 
 
 def test_disk_tier_threads_storing_one_key_each_write_their_own_file(

@@ -116,12 +116,12 @@ _MODES = (RandomizeMode.KASLR, RandomizeMode.FGKASLR)
 @pytest.fixture(scope="module")
 def aws_kernels():
     """aws at scale 64: a 32 KiB ITLB page, so the period is not 4 KiB."""
-    from repro.artifacts import get_kernel
-    from repro.kernel import AWS, KernelVariant
+    from repro.artifacts import VARIANT_FOR_MODE, get_kernel
+    from repro.kernel import AWS
 
     return {
-        RandomizeMode.KASLR: get_kernel(AWS, KernelVariant.KASLR, scale=_SCALE),
-        RandomizeMode.FGKASLR: get_kernel(AWS, KernelVariant.FGKASLR, scale=_SCALE),
+        mode: get_kernel(AWS, VARIANT_FOR_MODE[mode], scale=_SCALE)
+        for mode in _MODES
     }
 
 

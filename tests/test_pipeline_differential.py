@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.artifacts import get_bzimage, get_kernel
+from repro.artifacts import VARIANT_FOR_MODE, get_bzimage, get_kernel
 from repro.core import RandomizeMode
 from repro.host import HostStorage
 from repro.kernel import TINY, KernelVariant
@@ -23,11 +23,6 @@ from repro.snapshot import ZygotePool
 from repro.snapshot.zygote import ZygotePolicy
 from repro.unikernel import UnikernelMonitor
 
-_VARIANTS = {
-    RandomizeMode.NONE: KernelVariant.NOKASLR,
-    RandomizeMode.KASLR: KernelVariant.KASLR,
-    RandomizeMode.FGKASLR: KernelVariant.FGKASLR,
-}
 _MONITORS = {
     "firecracker": Firecracker,
     "qemu": Qemu,
@@ -93,7 +88,7 @@ def test_direct_boot_matches_seed_behaviour(vmm_name, mode):
     voffset, moved, eb, ef, total_ms, cats, n_events = GOLDEN_DIRECT[
         (vmm_name, mode)
     ]
-    kernel = get_kernel(TINY, _VARIANTS[mode], scale=1, seed=3)
+    kernel = get_kernel(TINY, VARIANT_FOR_MODE[mode], scale=1, seed=3)
     mon = _MONITORS[vmm_name](HostStorage(), CostModel(scale=1))
     cfg = VmConfig(kernel=kernel, randomize=mode, seed=42)
     mon.warm_caches(cfg)

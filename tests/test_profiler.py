@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.artifacts import get_kernel
+from repro.artifacts import VARIANT_FOR_MODE, get_kernel
 from repro.core import RandomizeMode
 from repro.host import HostStorage
-from repro.kernel import TINY, KernelVariant
+from repro.kernel import TINY
 from repro.monitor import Firecracker, FleetManager, Qemu, VmConfig
 from repro.simtime import CostModel, JitterModel
 from repro.simtime.costs import take_pending_costs
@@ -35,12 +35,6 @@ from repro.telemetry.profiler import (
 )
 from repro.unikernel import UnikernelMonitor
 
-_VARIANTS = {
-    RandomizeMode.NONE: KernelVariant.NOKASLR,
-    RandomizeMode.KASLR: KernelVariant.KASLR,
-    RandomizeMode.FGKASLR: KernelVariant.FGKASLR,
-}
-
 
 def _boot_profiled(monitor_cls, mode, *, jitter=False):
     profiler = CostProfiler()
@@ -50,7 +44,7 @@ def _boot_profiled(monitor_cls, mode, *, jitter=False):
         CostModel(scale=1, jitter=jm),
         telemetry=Telemetry(profiler=profiler),
     )
-    kernel = get_kernel(TINY, _VARIANTS[mode], scale=1, seed=3)
+    kernel = get_kernel(TINY, VARIANT_FOR_MODE[mode], scale=1, seed=3)
     report, vm = vmm.boot_vm(VmConfig(kernel=kernel, randomize=mode, seed=9))
     return profiler, report, vm
 
@@ -59,7 +53,7 @@ def _boot_profiled(monitor_cls, mode, *, jitter=False):
 
 
 @pytest.mark.parametrize("monitor_cls", [Firecracker, Qemu, UnikernelMonitor])
-@pytest.mark.parametrize("mode", list(_VARIANTS))
+@pytest.mark.parametrize("mode", list(VARIANT_FOR_MODE))
 def test_every_simulated_ns_is_attributed(monitor_cls, mode):
     profiler, _report, vm = _boot_profiled(monitor_cls, mode)
     (boot_id,) = profiler.boot_ids()
@@ -69,7 +63,7 @@ def test_every_simulated_ns_is_attributed(monitor_cls, mode):
     assert take_pending_costs() == ()
 
 
-@pytest.mark.parametrize("mode", list(_VARIANTS))
+@pytest.mark.parametrize("mode", list(VARIANT_FOR_MODE))
 def test_attribution_exact_under_jitter(mode):
     """Rounding float jitter to whole ns never loses or invents time."""
     profiler, _report, vm = _boot_profiled(Firecracker, mode, jitter=True)

@@ -230,6 +230,58 @@ def test_no_track_means_no_serve_events():
     assert not [e for e in trace["traceEvents"] if e.get("cat") == "serve"]
 
 
+_DEAD = ProductionSample(
+    startup_ns=2 * MS, invoke_ns=1 * MS, layout_offset=0, failed=True
+)
+
+
+def _failure_views(backend, config, rate=50.0):
+    """The run, its recorder totals, serve events and registry series."""
+    telemetry = Telemetry()
+    recorder = TimeSeriesRecorder(window_ns=100 * MS)
+    result = ServeEngine(
+        backend, config, telemetry=telemetry, recorder=recorder,
+        track="serve:test",
+    ).run(_spec(rate))
+    counters = {
+        family.name: sum(point.value for point in family.points)
+        for family in telemetry.registry.collect()
+    }
+    names = Counter(e.name for e in telemetry.log.events())
+    return result, recorder.totals(), names, counters
+
+
+def test_breaker_trip_is_recorded_once():
+    """Productions still in flight when the breaker trips die without
+    tripping it again."""
+    result, totals, names, _ = _failure_views(
+        SampledBackend(samples=(_DEAD,)),
+        ServeConfig(
+            policy=AutoscalePolicy(min_ready=0),
+            provisioners=4,
+            max_provision_failures=2,
+        ),
+        rate=400.0,
+    )
+    assert result.breaker_tripped
+    assert totals["serve_provision_failures"] > 2  # in flight at the trip
+    assert totals["serve_breaker_trips"] == 1
+    assert names["breaker"] == 1
+
+
+def test_a_dead_prewarm_counts_in_both_failure_series():
+    good = _backend(n=1).samples
+    result, totals, _, counters = _failure_views(
+        SampledBackend(samples=(_DEAD, *good)),
+        ServeConfig(policy=AutoscalePolicy(min_ready=2)),
+    )
+    assert not result.breaker_tripped
+    assert (
+        counters["repro_serve_provision_failures_total"]
+        == totals["serve_provision_failures"]
+    )
+
+
 def test_scoped_registries_do_not_bleed():
     telemetry = Telemetry()
     for strategy in ("cold-boot", "restore"):
