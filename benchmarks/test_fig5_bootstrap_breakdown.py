@@ -1,14 +1,14 @@
 """Figure 5 — microbenchmark of each bootstrap-loader step.
 
-Breaks one LZ4 bzImage boot per kernel into the loader's individual steps;
-decompression is expected to dominate (the paper reports up to 73% of
-loader time).
+Breaks one warm LZ4 bzImage boot per kernel (seed ``SEED0``) into the
+loader's individual steps; decompression is expected to dominate (the
+paper reports up to 73% of loader time).
 """
 
 from __future__ import annotations
 
 from _common import ENV
-from repro.analysis import render_table
+from repro.analysis import render_table, run_boots
 from repro.artifacts import bzimage_cfg
 from repro.core import RandomizeMode
 from repro.experiments import KERNELS
@@ -30,11 +30,8 @@ def _run():
     vmm = ENV.vmm()
     out = {}
     for config in KERNELS:
-        series = ENV.measure(
-            vmm,
-            bzimage_cfg(config, RandomizeMode.NONE, "lz4", scale=ENV.scale),
-        )
-        out[config.name] = series.first
+        cfg = bzimage_cfg(config, RandomizeMode.NONE, "lz4", scale=ENV.scale)
+        out[config.name] = run_boots(vmm, cfg, n=1).first
     return out
 
 

@@ -14,11 +14,17 @@ from repro.analysis import render_table
 from repro.artifacts import direct_cfg
 from repro.core import RandomizeMode
 from repro.kernel import AWS
-from repro.snapshot import ZygotePool
-from repro.snapshot.zygote import ZygotePolicy
+from repro.workloads import InstanceStrategy, ServerlessPlatform
 
 ACQUISITIONS = 24
 POOL_SIZE = 4
+#: row label -> (strategy, zygotes): one shared zygote, a Morula-style
+#: pool of diverse zygotes, and rebase-on-restore
+STRATEGIES = {
+    "shared": (InstanceStrategy.RESTORE, 1),
+    "pool": (InstanceStrategy.RESTORE, POOL_SIZE),
+    "rebase": (InstanceStrategy.RESTORE_REBASE, 1),
+}
 
 
 def _run():
@@ -34,15 +40,17 @@ def _run():
         )
 
     strategies = {}
-    for policy in ZygotePolicy:
-        pool = ZygotePool(vmm, factory, policy=policy, pool_size=POOL_SIZE)
-        fill_ms = pool.fill()
+    for name, (strategy, zygotes) in STRATEGIES.items():
+        platform = ServerlessPlatform(
+            vmm, factory, strategy=strategy, zygotes=zygotes
+        )
+        platform.setup()
         latencies, offsets = [], set()
         for i in range(ACQUISITIONS):
-            result = pool.acquire(seed=7_000 + i)
-            latencies.append(result.latency_ms)
-            offsets.add(result.vm.layout.voffset)
-        strategies[policy] = (fill_ms, latencies, offsets)
+            produced = platform.produce(7_000 + i)
+            latencies.append(produced.startup_ms)
+            offsets.add(produced.layout_offset)
+        strategies[name] = (platform.setup_ms, latencies, offsets)
     return cold, strategies
 
 
@@ -52,14 +60,14 @@ def test_snapshot_strategies(benchmark, record):
         ["cold boot (in-monitor KASLR)", f"{cold.total.mean:.2f}", "-",
          str(ENV.boots), "unbounded"],
     ]
-    for policy, (fill_ms, latencies, offsets) in strategies.items():
+    for name, (fill_ms, latencies, offsets) in strategies.items():
         rows.append(
             [
-                f"zygote: {policy}",
+                f"zygote: {name}",
                 f"{sum(latencies) / len(latencies):.2f}",
                 f"{fill_ms:.1f}",
                 str(len(offsets)),
-                "unbounded" if policy is ZygotePolicy.REBASE else str(len(offsets)),
+                "unbounded" if name == "rebase" else str(len(offsets)),
             ]
         )
     table = render_table(
@@ -69,14 +77,14 @@ def test_snapshot_strategies(benchmark, record):
         title=f"Zygote strategies, aws kernel, {ACQUISITIONS} acquisitions",
     )
     series_out = {"cold_boot_ms": cold.total.mean}
-    for policy, (fill_ms, latencies, _offsets) in strategies.items():
-        series_out[f"{policy}/acquire_ms"] = sum(latencies) / len(latencies)
-        series_out[f"{policy}/fill_ms"] = fill_ms
+    for name, (fill_ms, latencies, _offsets) in strategies.items():
+        series_out[f"{name}/acquire_ms"] = sum(latencies) / len(latencies)
+        series_out[f"{name}/fill_ms"] = fill_ms
     record("snapshot strategies", table, series=series_out)
 
-    shared = strategies[ZygotePolicy.SHARED]
-    pool = strategies[ZygotePolicy.POOL]
-    rebase = strategies[ZygotePolicy.REBASE]
+    shared = strategies["shared"]
+    pool = strategies["pool"]
+    rebase = strategies["rebase"]
 
     # restores are much faster than cold boots
     assert max(shared[1]) < cold.total.mean / 3

@@ -22,15 +22,21 @@ from repro import (
     HostStorage,
     KernelVariant,
     RandomizeMode,
+    ServerlessPlatform,
     VmConfig,
     get_kernel,
 )
 from repro.security import GadgetCatalog, simulate_leak_attack
-from repro.snapshot import ZygotePool
-from repro.snapshot.zygote import ZygotePolicy
+from repro.workloads import InstanceStrategy
 
 SCALE = 16
 ACQUIRES = 12
+#: name -> (strategy, zygotes)
+STRATEGIES = {
+    "shared": (InstanceStrategy.RESTORE, 1),
+    "pool": (InstanceStrategy.RESTORE, 4),
+    "rebase": (InstanceStrategy.RESTORE_REBASE, 1),
+}
 
 
 def main() -> None:
@@ -47,26 +53,29 @@ def main() -> None:
     print(f"cold boot w/ in-monitor KASLR: {cold.total_ms:7.2f} ms\n")
 
     clones = {}
-    for policy in ZygotePolicy:
-        pool = ZygotePool(vmm, factory, policy=policy, pool_size=4)
-        fill = pool.fill()
-        results = [pool.acquire(seed=8_000 + i) for i in range(ACQUIRES)]
-        mean = sum(r.latency_ms for r in results) / len(results)
-        layouts = {r.vm.layout.voffset for r in results}
-        clones[policy] = [r.vm for r in results]
-        print(f"zygote policy {policy.value:7s}: acquire {mean:6.2f} ms "
-              f"(up-front {fill:6.1f} ms), {len(layouts):2d} distinct layouts")
+    for name, (strategy, zygotes) in STRATEGIES.items():
+        platform = ServerlessPlatform(
+            vmm, factory, strategy=strategy, zygotes=zygotes
+        )
+        platform.setup()
+        produced = [platform.produce(8_000 + i) for i in range(ACQUIRES)]
+        mean = sum(p.startup_ms for p in produced) / len(produced)
+        layouts = {p.layout_offset for p in produced}
+        clones[name] = [p.vm for p in produced]
+        print(f"zygote strategy {name:7s}: acquire {mean:6.2f} ms "
+              f"(up-front {platform.setup_ms:6.1f} ms), "
+              f"{len(layouts):2d} distinct layouts")
 
     # Security payoff: leak one clone, attack another.
     catalog = GadgetCatalog.from_kernel(kernel, n_gadgets=200, seed=2)
     print("\nleak in clone #0, gadgets locatable in clone #1:")
-    for policy in (ZygotePolicy.SHARED, ZygotePolicy.REBASE):
-        a, b = clones[policy][0], clones[policy][1]
+    for name in ("shared", "rebase"):
+        a, b = clones[name][0], clones[name][1]
         # attacker learns clone A's offset; it transfers iff B shares it
         transferable = a.layout.voffset == b.layout.voffset
         result = simulate_leak_attack(kernel, b.layout, catalog, n_leaks=1)
         located = result.located if transferable else 0
-        print(f"  {policy.value:7s}: {located}/{result.n_gadgets} "
+        print(f"  {name:7s}: {located}/{result.n_gadgets} "
               f"({'layout shared — leak transfers' if transferable else 'fresh layout — leak useless'})")
 
     print("\nRebase-on-restore keeps restore-class latency while denying "

@@ -57,7 +57,7 @@ from repro.monitor import (
     VmConfig,
 )
 from repro.simtime import BootCategory, BootStep, CostModel, JitterModel
-from repro.snapshot import Snapshot, SnapshotManager, ZygotePool
+from repro.snapshot import Snapshot, SnapshotManager
 from repro.unikernel import UnikernelMonitor, build_unikernel
 from repro.workloads import FUNCTIONS, ServerlessPlatform
 
@@ -94,7 +94,6 @@ __all__ = [
     "Snapshot",
     "SnapshotManager",
     "UnikernelMonitor",
-    "ZygotePool",
     "RandomizationPolicy",
     "RandomizeMode",
     "ReproError",

@@ -24,9 +24,9 @@ class HostEntropyPool:
     every monitor thread booting fleet instances, and ``draws`` / the RNG
     stream must stay consistent under that concurrency.
 
-    Every draw also increments ``repro_entropy_draws_total`` on the given
-    metrics registry (the process-wide default when none is injected), so
-    fleet launches can attribute randomness consumption.
+    With a metrics registry, every draw also increments
+    ``repro_entropy_draws_total`` on it, so fleet launches can attribute
+    randomness consumption.
     """
 
     def __init__(
@@ -37,12 +37,12 @@ class HostEntropyPool:
         self._lock = threading.Lock()
         self.draws = 0
         # bound once: the counter itself is thread-safe
-        if registry is None:
-            from repro.telemetry import get_telemetry
-
-            registry = get_telemetry().registry
-        self._draw_counter = registry.counter(
-            "repro_entropy_draws_total", help="Host entropy pool draws"
+        self._draw_counter = (
+            registry.counter(
+                "repro_entropy_draws_total", help="Host entropy pool draws"
+            )
+            if registry is not None
+            else None
         )
 
     @property
@@ -54,24 +54,27 @@ class HostEntropyPool:
             self._seed = seed
             self._rng = random.Random(seed)
 
+    def _count_draw(self) -> None:
+        """Count one draw; the caller holds ``_lock``."""
+        self.draws += 1
+        if self._draw_counter is not None:
+            self._draw_counter.inc()
+
     def draw_u64(self) -> int:
-        self._draw_counter.inc()
         with self._lock:
-            self.draws += 1
+            self._count_draw()
             return self._rng.getrandbits(64)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n); counts as one pool draw."""
         if n <= 0:
             raise ValueError(f"randrange bound must be positive: {n}")
-        self._draw_counter.inc()
         with self._lock:
-            self.draws += 1
+            self._count_draw()
             return self._rng.randrange(n)
 
     def shuffle_rng(self) -> random.Random:
         """A child RNG for Fisher-Yates shuffles; counts as one seed draw."""
-        self._draw_counter.inc()
         with self._lock:
-            self.draws += 1
+            self._count_draw()
             return random.Random(self._rng.getrandbits(64))

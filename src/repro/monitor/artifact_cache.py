@@ -49,7 +49,7 @@ from repro.core.inmonitor import RandomizeMode
 from repro.core.policy import RandomizationPolicy
 from repro.core.prepared import PreparedImage, prepare_image
 from repro.elf.reader import ElfImage
-from repro.telemetry import MetricsRegistry, get_telemetry
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.config import VmConfig
@@ -298,6 +298,8 @@ class BootArtifactCache:
     With ``disk_path`` set, a :class:`DiskCacheTier` backs the LRU:
     memory misses probe the disk (a disk hit counts as a hit and
     promotes), and inserts write through so entries survive the process.
+    Cache traffic and occupancy are published to ``registry``, when one
+    is given.
     """
 
     def __init__(
@@ -319,11 +321,6 @@ class BootArtifactCache:
         self._registry = registry
         self.disk = DiskCacheTier(disk_path) if disk_path is not None else None
 
-    def _metrics(self) -> MetricsRegistry:
-        # resolved per operation so a scoped telemetry sees cache traffic
-        # from caches built before the scope was installed
-        return self._registry if self._registry is not None else get_telemetry().registry
-
     def _record(
         self,
         *,
@@ -340,7 +337,9 @@ class BootArtifactCache:
         workers can never publish a stale (decreasing) gauge value.  The
         registry's own locks are leaf locks; no path leads back here.
         """
-        registry = self._metrics()
+        registry = self._registry
+        if registry is None:
+            return
         record_cache_traffic(registry, hits, misses, evictions)
         registry.gauge(
             "repro_cache_entries", help="Boot-artifact cache occupancy"

@@ -22,7 +22,7 @@ A process worker pays for its boot substrate once per launch, and under
 parent's warmed kernel image (parsed ELF, decoded relocation table), the
 parse product the warm-up cached and the site plans
 (:mod:`repro.core.siteplan`), and builds only the per-launch objects that
-carry locks or counts (host storage, artifact cache, telemetry).  Under
+carry locks or counts (host storage, artifact cache).  Under
 ``spawn`` nothing is inherited: the worker rebuilds the kernel from
 zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views and
 re-warms from the disk tier.  The start method (the platform's
@@ -149,7 +149,7 @@ class BootExecutor:
         cfg: VmConfig,
         workers: int,
         scope: CacheScope,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
         warm: bool,
     ) -> Iterator[object]:
         raise NotImplementedError
@@ -169,7 +169,7 @@ class ThreadBootExecutor(BootExecutor):
         cfg: VmConfig,
         workers: int,
         scope: CacheScope,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
         warm: bool,
     ) -> Iterator["_ThreadLaunch"]:
         pool = ThreadPoolExecutor(max_workers=workers)
@@ -244,13 +244,10 @@ def _worker_init(spec: _WorkerSpec) -> None:
         relocs = spec.relocs_blob.bytes() if spec.relocs_blob is not None else None
         kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
         cfg = replace(spec.cfg, kernel=kernel)
-    # worker-local telemetry is a write sink only; the parent derives the
-    # real telemetry from the shipped timeline, so nothing here is read
-    telemetry = Telemetry()
+    # the worker records no telemetry: the parent derives it from the
+    # shipped timeline and cache-scope counts
     cache = BootArtifactCache(
-        max_entries=spec.cache_entries,
-        registry=telemetry.registry,
-        disk_path=spec.disk_path,
+        max_entries=spec.cache_entries, disk_path=spec.disk_path
     )
     if spec.prepared is not None:
         cache.seed(*spec.prepared)
@@ -259,7 +256,6 @@ def _worker_init(spec: _WorkerSpec) -> None:
         HostStorage(),
         costs=spec.costs,
         artifact_cache=cache,
-        telemetry=telemetry,
         fault_plan=spec.fault_plan,
     )
     if spec.warm:
@@ -324,7 +320,7 @@ class _ReplayFuture:
         *,
         seed: int,
         scope: CacheScope,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
     ) -> None:
         self._future = future
         self._seed = seed
@@ -336,10 +332,11 @@ class _ReplayFuture:
             out = self._future.result()
         counts = out["scope"]
         self._scope.absorb(counts)
-        record_cache_traffic(
-            self._telemetry.registry,
-            counts["hits"], counts["misses"], counts["evictions"],
-        )
+        if self._telemetry is not None:
+            record_cache_traffic(
+                self._telemetry.registry,
+                counts["hits"], counts["misses"], counts["evictions"],
+            )
         if not out["ok"]:
             failure = out["failure"]
             if out["timeline"] is not None:  # the pipeline ran and aborted
@@ -381,7 +378,7 @@ class ProcessBootExecutor(BootExecutor):
         cfg: VmConfig,
         workers: int,
         scope: CacheScope,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
         warm: bool,
     ) -> Iterator["_ProcessLaunch"]:
         import multiprocessing
@@ -466,7 +463,7 @@ class _ProcessLaunch:
         self,
         pool: ProcessPoolExecutor,
         scope: CacheScope,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
     ) -> None:
         self._pool = pool
         self._scope = scope

@@ -14,7 +14,8 @@ clock and cost-model clone, and the aggregate wall clock admits boots in
 fleet-index order — so neither results nor timings depend on which Python
 thread finished first.
 
-Every launch also feeds the telemetry layer (:mod:`repro.telemetry`):
+Every launch also feeds the telemetry layer (:mod:`repro.telemetry`),
+when the fleet or its monitor holds one:
 each attempt's stage records come from its timeline via the executor,
 per-boot wall windows land in the boot-event log (one Chrome-trace track
 per worker), and the fleet counters and gauges (boots, retries, rate,
@@ -40,7 +41,7 @@ from repro.monitor.report import BootReport
 from repro.monitor.vmm import Firecracker, boot_identity
 from repro.simtime.fleetclock import FleetWallClock
 from repro.simtime.trace import BootStep
-from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.stats import StageLatency, latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -317,13 +318,9 @@ class FleetManager:
         if vmm.artifact_cache is None:
             vmm.artifact_cache = BootArtifactCache()
 
-    def _telemetry(self) -> Telemetry:
-        """Scoping: the fleet's own, else the monitor's, else the default."""
-        if self.telemetry is not None:
-            return self.telemetry
-        if self.vmm.telemetry is not None:
-            return self.vmm.telemetry
-        return get_telemetry()
+    def _telemetry(self) -> Telemetry | None:
+        """Scoping: the fleet's own, else the monitor's, else none."""
+        return self.telemetry if self.telemetry is not None else self.vmm.telemetry
 
     def launch(
         self,
@@ -406,16 +403,17 @@ class FleetManager:
             )
             # fleet-index order, after the parallel section: the telemetry
             # feed is deterministic regardless of thread scheduling
-            telemetry.boot_window(
-                boot_identity(cfg.kernel.name, seed),
-                worker=window.worker,
-                start_ns=window.start_ns,
-                duration_ns=window.duration_ns,
-                detail=f"fleet index {index}",
-            )
-            telemetry.registry.counter(
-                "repro_fleet_boots_total", help="Boots launched by fleets"
-            ).inc()
+            if telemetry is not None:
+                telemetry.boot_window(
+                    boot_identity(cfg.kernel.name, seed),
+                    worker=window.worker,
+                    start_ns=window.start_ns,
+                    duration_ns=window.duration_ns,
+                    detail=f"fleet index {index}",
+                )
+                telemetry.registry.counter(
+                    "repro_fleet_boots_total", help="Boots launched by fleets"
+                ).inc()
             if self.auditor is not None:
                 self.auditor.record(
                     boot_identity(cfg.kernel.name, seed),
@@ -423,18 +421,22 @@ class FleetManager:
                     t_ns=window.end_ns,
                     layout=report.layout,
                 )
-        telemetry.registry.counter(
-            "repro_fleet_launches_total", help="Fleet launches"
-        ).inc()
-        telemetry.registry.gauge(
-            "repro_fleet_makespan_ms", help="Wall-clock makespan of the last fleet"
-        ).set(wall.makespan_ms)
-        telemetry.registry.gauge(
-            "repro_fleet_rate_vms_per_s",
-            help="Instantiation rate of the last fleet",
-        ).set(
-            len(succeeded) / (wall.makespan_ms / 1e3) if wall.makespan_ms else 0.0
-        )
+        if telemetry is not None:
+            telemetry.registry.counter(
+                "repro_fleet_launches_total", help="Fleet launches"
+            ).inc()
+            telemetry.registry.gauge(
+                "repro_fleet_makespan_ms",
+                help="Wall-clock makespan of the last fleet",
+            ).set(wall.makespan_ms)
+            telemetry.registry.gauge(
+                "repro_fleet_rate_vms_per_s",
+                help="Instantiation rate of the last fleet",
+            ).set(
+                len(succeeded) / (wall.makespan_ms / 1e3)
+                if wall.makespan_ms
+                else 0.0
+            )
         return FleetReport(
             kernel_name=cfg.kernel.name,
             mode=str(cfg.randomize),
@@ -455,7 +457,7 @@ class FleetManager:
         cfg: VmConfig,
         seeds_used: list[int],
         retries: int,
-        telemetry: Telemetry,
+        telemetry: Telemetry | None,
         scope: CacheScope,
         warm: bool,
     ) -> tuple[list[BootReport | None], list[BootFailure], int]:
@@ -523,9 +525,10 @@ class FleetManager:
                         seeds_used[index] = fresh_seed
                         pending.append((index, replace(cfg, seed=fresh_seed)))
                         total_retries += 1
-                        telemetry.registry.counter(
-                            "repro_fleet_retries_total",
-                            help="Fleet boot retry attempts",
-                        ).inc()
+                        if telemetry is not None:
+                            telemetry.registry.counter(
+                                "repro_fleet_retries_total",
+                                help="Fleet boot retry attempts",
+                            ).inc()
         failures = [last_failure[index] for index in sorted(last_failure) if reports[index] is None]
         return reports, failures, total_retries

@@ -49,7 +49,7 @@ from repro.pipeline import BootPipeline, StageContext, build_boot_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel, JitterModel
 from repro.simtime.trace import Timeline
-from repro.telemetry import NS_PER_MS, Telemetry, get_telemetry
+from repro.telemetry import NS_PER_MS, Telemetry
 from repro.vm.portio import PortIoBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +67,7 @@ def boot_identity(kernel_name: str, seed: int) -> str:
 
 
 def record_boot(
-    telemetry: Telemetry,
+    telemetry: Telemetry | None,
     boot_id: str,
     timeline: Timeline,
     *,
@@ -81,7 +81,10 @@ def record_boot(
     one (``failure=(stage, kind)``).  Restores pass neither.  Thread
     boots, the process executor's replay and restores all record here,
     and so all reach the telemetry's cost profile, when it has one.
+    Without a telemetry nothing is recorded.
     """
+    if telemetry is None:
+        return
     if telemetry.profiler is not None:
         telemetry.profiler.add(boot_id, timeline)
     for span in timeline.spans:
@@ -264,7 +267,6 @@ class Firecracker:
         # A per-boot clone keeps concurrent boots off one shared jitter RNG.
         costs = self._boot_costs(cfg, seed)
 
-        telemetry = self.telemetry if self.telemetry is not None else get_telemetry()
         clock = SimClock()
         ctx = StageContext(
             clock=clock,
@@ -289,7 +291,7 @@ class Firecracker:
         except Exception as exc:
             stage = getattr(exc, "boot_stage", None) or "unknown"
             record_boot(
-                telemetry,
+                self.telemetry,
                 ctx.boot_id,
                 clock.timeline,
                 failure=(stage, failure_kind(exc)),
@@ -306,7 +308,7 @@ class Firecracker:
                 ) from exc
             raise
         record_boot(
-            telemetry, ctx.boot_id, clock.timeline, vmm=self.profile.name
+            self.telemetry, ctx.boot_id, clock.timeline, vmm=self.profile.name
         )
 
         codec = (

@@ -1,32 +1,20 @@
-"""Snapshot / zygote / re-randomization substrate (Section 7).
+"""Snapshot / re-randomization substrate (Section 7).
 
 Zygote-style platforms restore pre-booted VM images to dodge cold-start
 latency, but copy-on-write clones share one memory layout, nullifying
-ASLR.  This package provides the three strategies the paper discusses:
-
-* :class:`~repro.snapshot.checkpoint.SnapshotManager` — capture a booted
-  microVM and restore copy-on-write clones in milliseconds;
-* :class:`~repro.snapshot.zygote.ZygotePool` — a Morula-style pool of
-  zygotes with *diverse* randomizations;
-* in-place **rebase** of restored clones to fresh offsets
-  (:class:`repro.core.rerandomize.Rerandomizer`) — the new option
-  in-monitor randomization enables, because the monitor holds the
-  relocation table.
+ASLR.  :class:`~repro.snapshot.checkpoint.SnapshotManager` captures a
+booted microVM and restores copy-on-write clones in milliseconds, either
+as-is or **rebased** in place to a fresh offset
+(:class:`repro.core.rerandomize.Rerandomizer`) — the option in-monitor
+randomization enables, because the monitor holds the relocation table.
+:class:`repro.workloads.ServerlessPlatform` builds the paper's three
+zygote strategies on it: one shared zygote, a Morula-style pool of
+diverse zygotes (``zygotes=N``), and rebase-on-restore.
 """
 
 from repro.snapshot.checkpoint import Snapshot, SnapshotManager
-from repro.snapshot.zygote import (
-    AcquireFailure,
-    AcquireResult,
-    ZygoteFleetResult,
-    ZygotePool,
-)
 
 __all__ = [
-    "AcquireFailure",
-    "AcquireResult",
     "Snapshot",
     "SnapshotManager",
-    "ZygoteFleetResult",
-    "ZygotePool",
 ]

@@ -32,7 +32,7 @@ from repro.pipeline import StageContext, build_restore_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel
 from repro.simtime.trace import BootCategory, BootStep
-from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -52,7 +52,7 @@ class Snapshot:
         return self._restores
 
     _restores: int = field(default=0, repr=False)
-    # one snapshot serves many concurrent restores in a fleet fan-out
+    # one snapshot may serve concurrent restores
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
@@ -62,15 +62,12 @@ class SnapshotManager:
 
     costs: CostModel
     policy: RandomizationPolicy = field(default_factory=RandomizationPolicy)
-    #: None means "use the process-wide default at call time"; restores
-    #: reach its cost profile, when it has one
+    #: where captures and restores are recorded (None records nothing);
+    #: restores reach its cost profile, when it has one
     telemetry: Telemetry | None = None
     #: seeded fault injection at restore-stage boundaries (None = zero
     #: overhead); targetable stages are ``snapshot_restore`` and ``rebase``
     fault_plan: FaultPlan | None = None
-
-    def _telemetry(self) -> Telemetry:
-        return self.telemetry if self.telemetry is not None else get_telemetry()
 
     def capture(self, vm: MicroVm) -> Snapshot:
         """Freeze a booted VM; charges capture time on the VM's clock."""
@@ -82,9 +79,10 @@ class SnapshotManager:
             step=BootStep.MONITOR_STARTUP,
             label=f"snapshot capture ({resident >> 20} MiB resident)",
         )
-        self._telemetry().registry.counter(
-            "repro_snapshot_captures_total", help="Snapshots captured"
-        ).inc()
+        if self.telemetry is not None:
+            self.telemetry.registry.counter(
+                "repro_snapshot_captures_total", help="Snapshots captured"
+            ).inc()
         return Snapshot(
             kernel=vm.kernel,
             frozen=vm.memory.freeze(),
@@ -135,7 +133,7 @@ class SnapshotManager:
         self, snapshot: Snapshot, rebase: bool, seed: int,
         boot_index: int = 0, attempt: int = 0,
     ) -> tuple[MicroVm, float]:
-        telemetry = self._telemetry()
+        telemetry = self.telemetry
         clock = SimClock()
         # the index/attempt suffix keeps restore identities distinct even
         # when the rebase seed repeats (plain restores always use seed 0):
@@ -161,7 +159,7 @@ class SnapshotManager:
         except InjectedFault as exc:
             # same containment contract as Firecracker.boot_vm: an
             # injected restore fault surfaces as a typed, attributed
-            # BootFailure the pool/platform can degrade on
+            # BootFailure the platform can degrade on
             raise BootFailure(
                 str(exc),
                 boot_id=boot_id,
@@ -177,12 +175,13 @@ class SnapshotManager:
             record_boot(telemetry, boot_id, clock.timeline)
         with snapshot._lock:
             snapshot._restores += 1
-        telemetry.registry.counter(
-            "repro_snapshot_restores_total", help="Snapshot restores"
-        ).inc()
-        if rebase:
+        if telemetry is not None:
             telemetry.registry.counter(
-                "repro_snapshot_rebases_total",
-                help="Restores rebased to a fresh KASLR offset",
+                "repro_snapshot_restores_total", help="Snapshot restores"
             ).inc()
+            if rebase:
+                telemetry.registry.counter(
+                    "repro_snapshot_rebases_total",
+                    help="Restores rebased to a fresh KASLR offset",
+                ).inc()
         return ctx.vm, ctx.clock.elapsed_ms()

@@ -15,18 +15,14 @@ protocol that :func:`repro.monitor.vmm.record_boot` and the fleet
 manager feed.  Exporters (:mod:`repro.telemetry.export`) read both
 through one frozen :class:`~repro.telemetry.export.TelemetrySnapshot`.
 
-Scoping: a process-wide default instance backs every instrumented layer
-that was not handed an explicit registry/telemetry, so ad-hoc scripts
-get metrics for free; anything that wants isolated counters (a fleet
-launch, a golden test) creates its own ``Telemetry`` and either injects
-it or installs it with :func:`scoped_telemetry`.
+Scoping: there is no process-wide default.  Whoever wants telemetry
+creates a ``Telemetry`` and hands it (or its registry) to the layers it
+should observe; a layer given none records nothing.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.telemetry.alerts import AlertManager, AlertRule, BurnRateRule
 from repro.telemetry.events import (
@@ -224,36 +220,6 @@ class Telemetry:
         )
 
 
-_default = Telemetry()
-_default_lock = threading.Lock()
-
-
-def get_telemetry() -> Telemetry:
-    """The process-wide telemetry instance (unless one is scoped in)."""
-    with _default_lock:
-        return _default
-
-
-def set_telemetry(telemetry: Telemetry) -> Telemetry:
-    """Install a new process-wide instance; returns the previous one."""
-    global _default
-    with _default_lock:
-        previous = _default
-        _default = telemetry
-        return previous
-
-
-@contextmanager
-def scoped_telemetry(telemetry: Telemetry | None = None) -> Iterator[Telemetry]:
-    """Temporarily make ``telemetry`` (default: a fresh one) the default."""
-    scoped = telemetry if telemetry is not None else Telemetry()
-    previous = set_telemetry(scoped)
-    try:
-        yield scoped
-    finally:
-        set_telemetry(previous)
-
-
 __all__ = [
     "AlertManager",
     "AlertRule",
@@ -288,12 +254,9 @@ __all__ = [
     "WindowFrame",
     "critical_path",
     "derive_trace_id",
-    "get_telemetry",
     "latency_summary",
     "percentile",
     "request_paths",
-    "scoped_telemetry",
-    "set_telemetry",
     "slowest",
     "tail_attribution",
     "to_chrome_trace",

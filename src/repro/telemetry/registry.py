@@ -11,10 +11,10 @@ instrument kinds the exporters understand:
   sample reservoir for nearest-rank p50/p90/p99.
 
 Metrics are keyed by ``(name, frozenset(labels))`` inside a
-:class:`MetricsRegistry`.  A registry is cheap and injectable: share the
-process-wide default (see :mod:`repro.telemetry`) or scope a fresh one to
-a single fleet launch; every instrument is thread-safe because fleet
-workers feed them concurrently.
+:class:`MetricsRegistry`.  A registry is cheap and injectable: hand one
+to every layer it should observe, for a whole run or a single fleet
+launch; every instrument is thread-safe because fleet workers feed them
+concurrently.
 
 Naming convention: ``repro_<subsystem>_<name>_<unit>`` (counters end in
 ``_total`` per Prometheus convention).

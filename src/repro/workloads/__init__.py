@@ -6,7 +6,9 @@ This package makes that end-to-end: function workloads are composed of
 LEBench syscall mixes plus user time, executed against a VM's *actual*
 randomized layout (so FGKASLR's i-cache cost surfaces in invocation
 latency), and :class:`~repro.workloads.platform.ServerlessPlatform`
-drives cold-boot or zygote strategies through whole invocations.
+drives cold-boot or zygote strategies through whole invocations.  It is
+the only producer of zygote instances: one shared zygote, a Morula-style
+pool (``zygotes=N``), or rebase-on-restore (Section 7).
 """
 
 from repro.workloads.functions import FUNCTIONS, FunctionSpec, invoke_ns

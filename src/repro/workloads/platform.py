@@ -8,6 +8,14 @@ instance's real layout, recording end-to-end latency.
 instances one serial monitor thread can produce per second under each
 strategy.
 
+The warm strategies cover Section 7's three ways to make instances from
+snapshots.  ``restore`` with one zygote is the SAND-style shared zygote
+(every clone shares its layout: ASLR nullified); ``restore`` with
+``zygotes=N`` is a Morula-style pool of N diversely randomized zygotes,
+restored round-robin (N layouts for N boots of up-front cost);
+``restore-rebase`` moves each clone to a fresh offset, which only a
+monitor holding the relocation table can do.
+
 The platform is also the *per-invocation backend* of the serve control
 plane (:mod:`repro.serve`): the engine leases instances out of warm
 pools instead of calling ``handle`` inline, and samples its production
@@ -27,6 +35,7 @@ and restore clones and rebases share their zygote's.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import Callable
@@ -37,7 +46,7 @@ from repro.lebench.runner import layout_key
 from repro.monitor.config import VmConfig
 from repro.monitor.vm_handle import MicroVm
 from repro.monitor.vmm import Firecracker
-from repro.snapshot.checkpoint import SnapshotManager
+from repro.snapshot.checkpoint import Snapshot, SnapshotManager
 from repro.workloads.functions import FunctionSpec, lebench_ns
 
 
@@ -45,7 +54,7 @@ class InstanceStrategy(enum.Enum):
     """How the platform produces a fresh instance per invocation."""
 
     COLD_BOOT = "cold-boot"
-    RESTORE = "restore"  # shared zygote (layout reused!)
+    RESTORE = "restore"  # zygote layouts reused (one zygote: ASLR nullified)
     RESTORE_REBASE = "restore-rebase"  # fresh offset per instance
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -72,8 +81,8 @@ class ProducedInstance:
 
     ``degraded`` marks a warm (restore) production that failed —
     injected fault or organic — and fell back to a cold boot; the
-    startup latency then reflects the full failed-restore + cold-boot
-    path, which is exactly the tail the serve SLO report must see.
+    startup latency is then the cold boot's alone: the failed restore's
+    simulated time is not charged to it.
     """
 
     vm: MicroVm
@@ -92,8 +101,13 @@ class ServerlessPlatform:
     vmm: Firecracker
     cfg_factory: Callable[[int], VmConfig]
     strategy: InstanceStrategy = InstanceStrategy.COLD_BOOT
+    #: zygotes a warm strategy boots (``cfg_factory(0 .. zygotes-1)``)
+    #: and restores round-robin; cold boots ignore it
+    zygotes: int = 1
     records: list[InvocationRecord] = field(default_factory=list)
-    _snapshot: object | None = None
+    _snapshots: list[Snapshot] = field(default_factory=list, repr=False)
+    _next: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _manager: SnapshotManager | None = None
     setup_ms: float = 0.0
     #: warm productions that degraded to cold boots (fault fallback)
@@ -106,23 +120,46 @@ class ServerlessPlatform:
         default_factory=dict, repr=False
     )
 
+    def __post_init__(self) -> None:
+        if self.zygotes < 1:
+            raise MonitorError(
+                f"a platform needs at least one zygote, got {self.zygotes}"
+            )
+
     def setup(self) -> None:
-        """Prepare the platform (boot + snapshot the zygote if needed)."""
+        """Boot and snapshot the zygotes a warm strategy restores.
+
+        Rebuilds from scratch on every call (a failed zygote boot leaves
+        the previous zygotes in place); ``setup_ms`` is the summed boot +
+        capture cost of all zygotes.
+        """
         if self.strategy is InstanceStrategy.COLD_BOOT:
             return
-        cfg = self.cfg_factory(0)
-        self.vmm.warm_caches(cfg)
-        _report, vm = self.vmm.boot_vm(cfg)
         # the manager inherits the monitor's fault plan: restore-stage
         # faults fire for warm productions, and the cold fallback runs
         # under the same plan (a fully poisoned plan still fails)
-        self._manager = SnapshotManager(
+        manager = SnapshotManager(
             self.vmm.costs,
             telemetry=self.vmm.telemetry,
             fault_plan=self.vmm.fault_plan,
         )
-        self._snapshot = self._manager.capture(vm)
-        self.setup_ms = vm.clock.elapsed_ms()
+        snapshots = []
+        setup_ms = 0.0
+        for index in range(self.zygotes):
+            cfg = self.cfg_factory(index)
+            self.vmm.warm_caches(cfg)
+            _report, vm = self.vmm.boot_vm(cfg)
+            snapshots.append(manager.capture(vm))
+            setup_ms += vm.clock.elapsed_ms()
+        self._manager, self._snapshots, self._next = manager, snapshots, 0
+        self.setup_ms = setup_ms
+
+    def _next_zygote(self) -> Snapshot:
+        """The zygote the next warm production restores (round-robin)."""
+        with self._lock:
+            index = self._next % len(self._snapshots)
+            self._next += 1
+        return self._snapshots[index]
 
     def _cold_instance(
         self, seed: int, boot_index: int, attempt: int
@@ -150,16 +187,17 @@ class ServerlessPlatform:
         if self.strategy is InstanceStrategy.COLD_BOOT:
             vm, startup_ms = self._cold_instance(seed, boot_index, attempt=0)
             return ProducedInstance(vm=vm, startup_ms=startup_ms)
-        if self._snapshot is None or self._manager is None:
+        if not self._snapshots or self._manager is None:
             raise MonitorError("platform not set up; call setup() first")
+        snapshot = self._next_zygote()
         try:
             if self.strategy is InstanceStrategy.RESTORE_REBASE:
                 vm, startup_ms = self._manager.restore_rebased(
-                    self._snapshot, seed=seed, boot_index=boot_index
+                    snapshot, seed=seed, boot_index=boot_index
                 )
             else:
                 vm, startup_ms = self._manager.restore(
-                    self._snapshot, boot_index=boot_index
+                    snapshot, boot_index=boot_index
                 )
             return ProducedInstance(vm=vm, startup_ms=startup_ms)
         except BootFailure as exc:

@@ -17,7 +17,6 @@ from repro.monitor import (
     VmConfig,
 )
 from repro.simtime import CostModel, FleetWallClock, JitterModel
-from repro.snapshot.zygote import ZygotePolicy, ZygotePool
 from repro.telemetry.stats import percentile
 
 
@@ -189,38 +188,6 @@ def test_entropy_pool_concurrent_draws_lose_nothing():
     expected = {reference.draw_u64() for _ in range(400)}
     # interleaving may permute the assignment, never the drawn set
     assert set(drawn) == expected
-
-
-def test_zygote_fleet_fanout_is_deterministic(tiny_kaslr):
-    vmm = Firecracker(HostStorage(), CostModel(scale=1))
-    pool = ZygotePool(
-        vmm=vmm,
-        cfg_factory=lambda i: VmConfig(
-            kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=100 + i
-        ),
-        policy=ZygotePolicy.POOL,
-        pool_size=3,
-    )
-    pool.fill()
-    seeds = list(range(9))
-    results = pool.acquire_fleet(seeds, workers=4)
-    assert [r.zygote_index for r in results] == [i % 3 for i in range(9)]
-    assert sum(s.restore_count() for s in pool.zygotes) == 9
-    # position fixes the zygote, so layouts repeat with period pool_size
-    assert results[0].vm.layout.voffset == results[3].vm.layout.voffset
-    assert results[1].vm.layout.voffset == results[4].vm.layout.voffset
-
-
-def test_zygote_fleet_requires_fill(tiny_kaslr):
-    vmm = Firecracker(HostStorage(), CostModel(scale=1))
-    pool = ZygotePool(
-        vmm=vmm,
-        cfg_factory=lambda i: VmConfig(
-            kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=i
-        ),
-    )
-    with pytest.raises(MonitorError, match="empty"):
-        pool.acquire_fleet([1, 2])
 
 
 # -- FleetWallClock ------------------------------------------------------------

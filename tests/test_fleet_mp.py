@@ -53,7 +53,6 @@ from repro.monitor import (
     make_boot_executor,
 )
 from repro.simtime import CostModel
-from repro.snapshot.zygote import ZygotePolicy, ZygotePool
 from repro.telemetry import Telemetry, to_prometheus
 from repro.telemetry.profiler import CostProfiler
 
@@ -667,56 +666,3 @@ def test_scope_absorb_matches_note():
     stats = scope.snapshot(entries=5)
     assert stats.entries == 5
     assert stats.lookups == 6
-
-
-# -- zygote fan-out partial results --------------------------------------------
-
-
-def test_zygote_fleet_contains_failures_as_typed_records(tiny_kaslr):
-    vmm = Firecracker(HostStorage(), CostModel(scale=1))
-    pool = ZygotePool(
-        vmm=vmm,
-        cfg_factory=lambda i: VmConfig(
-            kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=100 + i
-        ),
-        policy=ZygotePolicy.POOL,
-        pool_size=3,
-    )
-    pool.fill()
-    original = pool._acquire_from
-
-    def flaky(index: int, seed: int):
-        if seed == 5:
-            raise MonitorError("injected restore failure")
-        return original(index, seed)
-
-    pool._acquire_from = flaky  # type: ignore[method-assign]
-    result = pool.acquire_fleet(list(range(9)), workers=4)
-    assert not result.ok
-    assert len(result) == 8  # sequence interface: successes only
-    assert [r.zygote_index for r in result] == [
-        i % 3 for i in range(9) if i != 5
-    ]
-    assert len(result.failures) == 1
-    failure = result.failures[0]
-    assert failure.position == 5
-    assert failure.seed == 5
-    assert failure.zygote_index == 5 % 3
-    assert failure.kind == "monitor"
-    assert "injected restore failure" in failure.error
-
-
-def test_zygote_fleet_all_success_is_ok(tiny_kaslr):
-    vmm = Firecracker(HostStorage(), CostModel(scale=1))
-    pool = ZygotePool(
-        vmm=vmm,
-        cfg_factory=lambda i: VmConfig(
-            kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=100 + i
-        ),
-    )
-    pool.fill()
-    result = pool.acquire_fleet([1, 2, 3])
-    assert result.ok
-    assert result.failures == ()
-    assert len(result) == 3
-    assert list(result)[0] is result[0]

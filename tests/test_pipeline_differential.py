@@ -19,9 +19,8 @@ from repro.kernel import TINY, KernelVariant
 from repro.monitor import BootFormat, Firecracker, Qemu, VmConfig
 from repro.simtime import CostModel
 from repro.simtime.trace import BootCategory
-from repro.snapshot import ZygotePool
-from repro.snapshot.zygote import ZygotePolicy
 from repro.unikernel import UnikernelMonitor
+from repro.workloads import InstanceStrategy, ServerlessPlatform
 
 _MONITORS = {
     "firecracker": Firecracker,
@@ -130,31 +129,38 @@ def test_bzimage_boot_matches_seed_behaviour():
     assert len(report.timeline.events) == 18
 
 
+_ZYGOTE_STRATEGY = {
+    "shared": InstanceStrategy.RESTORE,
+    "rebase": InstanceStrategy.RESTORE_REBASE,
+}
+
+
 @pytest.mark.parametrize(
-    ("policy", "voffset", "latency_ms", "in_monitor_ns"),
+    ("zygote", "voffset", "latency_ms", "in_monitor_ns"),
     [
-        (ZygotePolicy.SHARED, 171966464, 2.5045, 2504500),
-        (ZygotePolicy.REBASE, 874512384, 2.5124, 2512400),
+        ("shared", 171966464, 2.5045, 2504500),
+        ("rebase", 874512384, 2.5124, 2512400),
     ],
 )
 def test_zygote_restore_matches_seed_behaviour(
-    policy, voffset, latency_ms, in_monitor_ns
+    zygote, voffset, latency_ms, in_monitor_ns
 ):
     kernel = get_kernel(TINY, KernelVariant.KASLR, scale=1, seed=3)
     mon = Firecracker(HostStorage(), CostModel(scale=1))
-    pool = ZygotePool(
+    platform = ServerlessPlatform(
         vmm=mon,
         cfg_factory=lambda i: VmConfig(
             kernel=kernel, randomize=RandomizeMode.KASLR, seed=100 + i
         ),
-        policy=policy,
+        strategy=_ZYGOTE_STRATEGY[zygote],
     )
-    pool.fill()
-    result = pool.acquire(seed=77)
+    platform.setup()
+    produced = platform.produce(77)
 
-    assert result.vm.layout.voffset == voffset
-    assert result.latency_ms == latency_ms
-    cats = _category_ns(result.vm.clock.timeline)
+    assert not produced.degraded
+    assert produced.layout_offset == voffset
+    assert produced.startup_ms == latency_ms
+    cats = _category_ns(produced.vm.clock.timeline)
     assert cats == {"in_monitor": in_monitor_ns}
 
 

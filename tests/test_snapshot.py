@@ -8,9 +8,9 @@ from repro.kernel import layout as kl
 from repro.kernel.verify import verify_guest_kernel
 from repro.monitor import VmConfig
 from repro.simtime import CostModel
-from repro.snapshot import SnapshotManager, ZygotePool
-from repro.snapshot.zygote import ZygotePolicy
+from repro.snapshot import SnapshotManager
 from repro.vm.bootparams import BootParams
+from repro.workloads import InstanceStrategy, ServerlessPlatform
 
 
 @pytest.fixture()
@@ -127,34 +127,48 @@ def test_rebase_requires_relocs(fc, tiny_nokaslr):
         manager.restore_rebased(snapshot, seed=1)
 
 
-def test_zygote_policies(fc, tiny_kaslr):
+def _zygote_factory(kernel, base=0):
     def factory(i):
-        return VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=100 + i)
+        return VmConfig(kernel=kernel, randomize=RandomizeMode.KASLR, seed=base + i)
 
+    return factory
+
+
+def test_zygote_policies(fc, tiny_kaslr):
+    """Section 7's three strategies: shared zygote, pool, rebase."""
+    factory = _zygote_factory(tiny_kaslr, base=100)
     diversity = {}
-    for policy in ZygotePolicy:
-        pool = ZygotePool(fc, factory, policy=policy, pool_size=3)
-        pool.fill()
-        offsets = {pool.acquire(seed=9_000 + i).vm.layout.voffset for i in range(9)}
-        diversity[policy] = len(offsets)
-    assert diversity[ZygotePolicy.SHARED] == 1
-    assert diversity[ZygotePolicy.POOL] == 3
-    assert diversity[ZygotePolicy.REBASE] >= 7
+    for name, strategy, zygotes in (
+        ("shared", InstanceStrategy.RESTORE, 1),
+        ("pool", InstanceStrategy.RESTORE, 3),
+        ("rebase", InstanceStrategy.RESTORE_REBASE, 1),
+    ):
+        platform = ServerlessPlatform(fc, factory, strategy=strategy, zygotes=zygotes)
+        platform.setup()
+        offsets = {platform.produce(9_000 + i).layout_offset for i in range(9)}
+        diversity[name] = len(offsets)
+    assert diversity["shared"] == 1
+    assert diversity["pool"] == 3
+    assert diversity["rebase"] >= 7
 
 
 def test_zygote_pool_fill_cost_scales_with_size(fc, tiny_kaslr):
-    def factory(i):
-        return VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=i)
-
-    shared = ZygotePool(fc, factory, policy=ZygotePolicy.SHARED, pool_size=4)
-    pool = ZygotePool(fc, factory, policy=ZygotePolicy.POOL, pool_size=4)
-    assert pool.fill() > 3 * shared.fill()
+    factory = _zygote_factory(tiny_kaslr)
+    shared = ServerlessPlatform(fc, factory, strategy=InstanceStrategy.RESTORE)
+    pool = ServerlessPlatform(
+        fc, factory, strategy=InstanceStrategy.RESTORE, zygotes=4
+    )
+    shared.setup()
+    pool.setup()
+    assert pool.setup_ms > 3 * shared.setup_ms
 
 
 def test_acquire_before_fill_rejected(fc, tiny_kaslr):
-    def factory(i):
-        return VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.KASLR, seed=i)
-
-    pool = ZygotePool(fc, factory)
-    with pytest.raises(MonitorError, match="empty"):
-        pool.acquire(seed=0)
+    factory = _zygote_factory(tiny_kaslr)
+    with pytest.raises(MonitorError, match="at least one zygote"):
+        ServerlessPlatform(fc, factory, strategy=InstanceStrategy.RESTORE, zygotes=0)
+    platform = ServerlessPlatform(
+        fc, factory, strategy=InstanceStrategy.RESTORE, zygotes=2
+    )
+    with pytest.raises(MonitorError, match="setup"):
+        platform.produce(0)

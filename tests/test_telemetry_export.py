@@ -16,8 +16,6 @@ from repro.simtime import CostModel
 from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
-    get_telemetry,
-    scoped_telemetry,
     to_chrome_trace,
     to_json_dump,
     to_prometheus,
@@ -248,14 +246,6 @@ def test_event_log_jsonl_is_parseable_with_dense_seqs(tiny_fgkaslr):
     snap = telemetry.snapshot()
     keys = [event.sort_key() for event in snap.events]
     assert keys == sorted(keys)
-
-
-def test_scoped_telemetry_restores_default():
-    before = get_telemetry()
-    with scoped_telemetry() as scoped:
-        assert get_telemetry() is scoped
-        assert scoped is not before
-    assert get_telemetry() is before
 
 
 def test_snapshot_is_frozen_view(tiny_fgkaslr):

@@ -141,6 +141,81 @@ def test_produce_degrades_warm_failures_to_cold(fc, tiny_kaslr):
     assert min(p.startup_ms for p in degraded) > max(p.startup_ms for p in warm)
 
 
+def test_morula_pool_restores_round_robin(fc, tiny_kaslr):
+    """Three zygotes: productions ``i`` and ``i + 3`` share a layout."""
+    platform = ServerlessPlatform(
+        fc, _factory(tiny_kaslr), strategy=InstanceStrategy.RESTORE, zygotes=3
+    )
+    platform.setup()
+    offsets = [
+        platform.produce(100 + i, boot_index=i).layout_offset for i in range(9)
+    ]
+    assert len(set(offsets[:3])) == 3
+    assert offsets[3:] == offsets[:-3]
+    assert platform.degraded_count == 0
+
+
+def test_morula_pool_draw_is_balanced_under_threads(fc, tiny_kaslr):
+    """Concurrent productions never lose a round-robin draw."""
+    import sys
+    from collections import Counter
+    from concurrent.futures import ThreadPoolExecutor
+
+    platform = ServerlessPlatform(
+        fc, _factory(tiny_kaslr), strategy=InstanceStrategy.RESTORE, zygotes=3
+    )
+    platform.setup()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(platform.produce, 100 + i, boot_index=i)
+                for i in range(48)
+            ]
+            offsets = Counter(f.result(timeout=60).layout_offset for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(offsets.values()) == [16, 16, 16]
+
+
+def test_morula_pool_honours_the_monitors_fault_plan_and_telemetry(tiny_kaslr):
+    """Pool restores fault under the monitor's plan and record into its
+    telemetry, each restore under its own boot id."""
+    from repro.faults import FaultPlan
+    from repro.host import HostStorage
+    from repro.monitor import Firecracker
+    from repro.simtime import CostModel
+    from repro.telemetry import KIND_STAGE, Telemetry
+
+    telemetry = Telemetry()
+    fc = Firecracker(
+        HostStorage(),
+        CostModel(scale=1),
+        telemetry=telemetry,
+        fault_plan=FaultPlan.parse(
+            ["stage=snapshot_restore,kind=stage-timeout,rate=0.5"], seed=3
+        ),
+    )
+    platform = ServerlessPlatform(
+        fc, _factory(tiny_kaslr), strategy=InstanceStrategy.RESTORE, zygotes=3
+    )
+    platform.setup()
+    produced = [platform.produce(100 + i, boot_index=i) for i in range(12)]
+    warm = [i for i, p in enumerate(produced) if not p.degraded]
+    assert 0 < len(warm) < len(produced)
+    assert platform.degraded_count == len(produced) - len(warm)
+
+    stages: dict[str, list[str]] = {}
+    for event in telemetry.log.events():
+        if event.kind == KIND_STAGE and event.boot_id.startswith("restore:"):
+            stages.setdefault(event.boot_id, []).append(event.name)
+    assert stages == {
+        f"restore:{tiny_kaslr.name}:{0:016x}:{i}:0": ["snapshot_restore"]
+        for i in warm
+    }
+
+
 def test_handle_prices_each_instance_on_its_own_layout():
     """Every handled invocation is timed on the layout it actually ran on.
 
