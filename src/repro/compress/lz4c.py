@@ -6,7 +6,9 @@ standard end-of-block constraints: the final five bytes are always literals
 and no match may start within the last twelve bytes (``MFLIMIT``).  The
 compressor uses a greedy single-entry hash chain with the reference
 implementation's acceleration heuristic (skip faster through incompressible
-regions).
+regions).  It is one loop with no Python call per probed position or
+per sequence: the hash, the 32-bit reads and the sequence emit are
+inlined, and matches extend eight bytes per step.
 
 Output from this compressor decodes with any conforming LZ4 block decoder;
 the decoder here accepts any conforming block.  It tests a token's literal
@@ -28,10 +30,8 @@ MAX_OFFSET = 0xFFFF
 _SKIP_TRIGGER = 6  # acceleration: every 2**6 misses, step grows by 1
 
 _HASH_MULT = 2654435761  # Knuth multiplicative hash, as in reference LZ4
-
-
-def _hash(seq: int) -> int:
-    return ((seq * _HASH_MULT) & 0xFFFFFFFF) >> 16
+_U32 = struct.Struct("<I").unpack_from
+_U64 = struct.Struct("<Q").unpack_from
 
 
 def _write_length(out: bytearray, length: int) -> None:
@@ -54,8 +54,11 @@ class Lz4Codec(Codec):
             self._emit_last_literals(out, data, 0)
             return bytes(out)
 
-        table: dict[int, int] = {}
-        unpack_u32 = struct.unpack_from
+        # One slot per 16-bit hash; the initial entry is out of offset range.
+        table = [-1 - MAX_OFFSET] * (1 << 16)
+        u32 = _U32
+        u64 = _U64
+        append = out.append
         anchor = 0
         pos = 0
         match_limit = n - LAST_LITERALS
@@ -63,31 +66,54 @@ class Lz4Codec(Codec):
         searches = 0
 
         while pos <= mf_limit:
-            seq = unpack_u32("<I", data, pos)[0]
-            h = _hash(seq)
-            candidate = table.get(h)
+            seq = u32(data, pos)[0]
+            h = ((seq * _HASH_MULT) & 0xFFFFFFFF) >> 16
+            candidate = table[h]
             table[h] = pos
-            if (
-                candidate is None
-                or pos - candidate > MAX_OFFSET
-                or unpack_u32("<I", data, candidate)[0] != seq
-            ):
+            if pos - candidate > MAX_OFFSET or u32(data, candidate)[0] != seq:
                 searches += 1
                 pos += 1 + (searches >> _SKIP_TRIGGER)
                 continue
 
             searches = 0
-            # Extend the match forward (bounded by the last-literals rule).
+            # Extend the match forward (bounded by the last-literals rule),
+            # eight bytes at a time: the lowest set bit of two words' XOR
+            # falls in their first differing byte.
             match_len = MIN_MATCH
             limit = match_limit - pos
-            while (
-                match_len < limit and data[candidate + match_len] == data[pos + match_len]
-            ):
-                match_len += 1
+            while match_len + 8 <= limit:
+                diff = (
+                    u64(data, pos + match_len)[0]
+                    ^ u64(data, candidate + match_len)[0]
+                )
+                if diff:
+                    match_len += ((diff & -diff).bit_length() - 1) >> 3
+                    break
+                match_len += 8
+            else:
+                while (
+                    match_len < limit
+                    and data[candidate + match_len] == data[pos + match_len]
+                ):
+                    match_len += 1
 
-            self._emit_sequence(
-                out, data, anchor, pos, offset=pos - candidate, match_len=match_len
-            )
+            # The sequence emit, inlined but for a literal run long enough
+            # to need a length extension (under 1% of kernel sequences).
+            lit_len = pos - anchor
+            if lit_len < 15:
+                offset = pos - candidate
+                ml_code = match_len - MIN_MATCH
+                append(lit_len << 4 | (15 if ml_code >= 15 else ml_code))
+                if lit_len:
+                    out += data[anchor:pos]
+                append(offset & 0xFF)
+                append(offset >> 8)
+                if ml_code >= 15:
+                    _write_length(out, ml_code - 15)
+            else:
+                self._emit_sequence(
+                    out, data, anchor, pos, offset=pos - candidate, match_len=match_len
+                )
             pos += match_len
             anchor = pos
 

@@ -47,10 +47,16 @@ class ElfWriter:
     sections: list[Section] = field(default_factory=list)
     symbols: list[Symbol] = field(default_factory=list)
     segments: list[SegmentSpec] = field(default_factory=list)
+    #: names of ``sections``, so a duplicate is caught without a rescan
+    _names: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._names = {s.name for s in self.sections}
 
     def add_section(self, section: Section) -> Section:
-        if any(s.name == section.name for s in self.sections):
+        if section.name in self._names:
             raise ElfLayoutError(f"duplicate section name {section.name!r}")
+        self._names.add(section.name)
         self.sections.append(section)
         return section
 

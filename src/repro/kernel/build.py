@@ -90,10 +90,28 @@ def _make_patterns(rng: random.Random) -> list[bytes]:
 
 
 def _filler(rng: random.Random, patterns: list[bytes], n: int) -> bytes:
-    out = bytearray()
-    while len(out) < n:
-        out += rng.choice(patterns)
-    return bytes(out[:n])
+    """``n`` bytes of patterns picked as ``rng.choice(patterns)`` picks them.
+
+    Each index is drawn with the ``getrandbits`` rejection rule that
+    ``Random.choice`` applies, so the stream (and every built image) is
+    the same without two Python calls per pick; ``random.choices`` draws
+    a different stream.
+    """
+    count = len(patterns)
+    if not count and n > 0:
+        raise IndexError("Cannot choose from an empty sequence")
+    bits = count.bit_length()
+    getrandbits = rng.getrandbits
+    picks = []
+    size = 0
+    while size < n:
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        pattern = patterns[index]
+        picks.append(pattern)
+        size += len(pattern)
+    return b"".join(picks)[:n]
 
 
 class _KernelBuilder:

@@ -27,6 +27,14 @@ sequence: an unconditional literal slice, ``struct.unpack_from`` for the
 offset, ``len(out)`` for the output size and a byte-by-byte overlapping
 copy.  ``test_compress_lz4`` holds the one-pass decoder to it byte for
 byte and error for error.
+
+:func:`lz4_compress` is the LZ4 block compressor as it once probed and
+emitted: a hash call per probed position, a byte-at-a-time match
+extension and an emit call per sequence.  :func:`filler` is the kernel
+builder's filler as it once drew every pattern, one ``Random.choice``
+call per pick.  ``test_compress_lz4`` and ``test_kernel_build`` hold the
+inlined loops to them byte for byte (and the filler to the same random
+stream).
 """
 
 from __future__ import annotations
@@ -35,7 +43,14 @@ import bisect
 import struct
 from collections import defaultdict
 
-from repro.compress.lz4c import MIN_MATCH
+from repro.compress.lz4c import (
+    LAST_LITERALS,
+    MAX_OFFSET,
+    MFLIMIT,
+    MIN_MATCH,
+    Lz4Codec,
+    _write_length,
+)
 from repro.elf.relocs import RelocType
 from repro.errors import CompressionError, GuestPanic, RandomizationError
 from repro.kernel import layout as kl
@@ -503,3 +518,79 @@ def _lz4_read_length(data: bytes, pos: int, base: int) -> tuple[int, int]:
         length += byte
         if byte != 255:
             return length, pos
+
+
+# -- LZ4 block compressor ---------------------------------------------------------
+
+_LZ4_SKIP_TRIGGER = 6
+_LZ4_HASH_MULT = 2654435761
+
+
+def _lz4_hash(seq: int) -> int:
+    return ((seq * _LZ4_HASH_MULT) & 0xFFFFFFFF) >> 16
+
+
+def lz4_compress(data: bytes) -> bytes:
+    n = len(data)
+    out = bytearray()
+    if n < MFLIMIT + 1:
+        Lz4Codec._emit_last_literals(out, data, 0)
+        return bytes(out)
+
+    table: dict[int, int] = {}
+    anchor = 0
+    pos = 0
+    match_limit = n - LAST_LITERALS
+    mf_limit = n - MFLIMIT
+    searches = 0
+    while pos <= mf_limit:
+        seq = struct.unpack_from("<I", data, pos)[0]
+        h = _lz4_hash(seq)
+        candidate = table.get(h)
+        table[h] = pos
+        if (
+            candidate is None
+            or pos - candidate > MAX_OFFSET
+            or struct.unpack_from("<I", data, candidate)[0] != seq
+        ):
+            searches += 1
+            pos += 1 + (searches >> _LZ4_SKIP_TRIGGER)
+            continue
+        searches = 0
+        match_len = MIN_MATCH
+        limit = match_limit - pos
+        while (
+            match_len < limit and data[candidate + match_len] == data[pos + match_len]
+        ):
+            match_len += 1
+        _lz4_emit_sequence(out, data, anchor, pos, pos - candidate, match_len)
+        pos += match_len
+        anchor = pos
+    Lz4Codec._emit_last_literals(out, data, anchor)
+    return bytes(out)
+
+
+def _lz4_emit_sequence(
+    out: bytearray, data: bytes, anchor: int, pos: int, offset: int, match_len: int
+) -> None:
+    lit_len = pos - anchor
+    ml_code = match_len - MIN_MATCH
+    token_lit = 15 if lit_len >= 15 else lit_len
+    token_ml = 15 if ml_code >= 15 else ml_code
+    out.append((token_lit << 4) | token_ml)
+    if lit_len >= 15:
+        _write_length(out, lit_len - 15)
+    out += data[anchor:pos]
+    out += struct.pack("<H", offset)
+    if ml_code >= 15:
+        _write_length(out, ml_code - 15)
+
+
+# -- kernel builder filler ---------------------------------------------------------
+
+
+def filler(rng, patterns: list[bytes], n: int) -> bytes:
+    out = bytearray()
+    while len(out) < n:
+        out += rng.choice(patterns)
+    return bytes(out[:n])

@@ -5,9 +5,10 @@ import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference import lz4_compress as reference_compress
 from reference import lz4_decompress as reference_decompress
 
-from repro.compress.lz4c import Lz4Codec
+from repro.compress.lz4c import MAX_OFFSET, Lz4Codec
 from repro.errors import CompressionError
 
 codec = Lz4Codec()
@@ -175,3 +176,78 @@ def _corrupted_blocks(draw) -> bytes:
 @given(_corrupted_blocks())
 def test_decoder_matches_reference_on_corrupted_blocks(data):
     _assert_decodes_like_reference(data)
+
+
+# -- the compressor against the probe-at-a-time reference ------------------------
+
+_two_symbol = st.lists(st.sampled_from(b"ab"), max_size=3000).map(bytes)
+_repeated = st.builds(
+    lambda unit, count: unit * count,
+    st.binary(min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=200),
+)
+_shapes = st.one_of(st.binary(max_size=4096), _two_symbol, _repeated)
+
+
+def _assert_compresses_like_reference(payload: bytes) -> None:
+    block = codec.compress(payload)
+    assert block == reference_compress(payload)
+    assert codec.decompress(block) == payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shapes)
+def test_compressor_matches_reference(payload):
+    _assert_compresses_like_reference(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapes, st.sampled_from([12, 13]))
+@example(b"a", 12)
+@example(b"a", 13)
+def test_compressor_matches_reference_around_mflimit(payload, size):
+    # below 13 bytes a block is one literal run; at 13 one match may start
+    _assert_compresses_like_reference((payload * size)[:size].ljust(size, b"\0"))
+
+
+def _far_repeat(block: bytes, offset: int) -> bytes:
+    """``block`` again ``offset`` bytes after its start, with zeros between:
+    the zero run is one offset-1 match ending at the repeat, so the repeat
+    is probed at its first byte."""
+    return block + bytes(offset - len(block)) + block + b"tail!"
+
+
+_blocks = st.lists(st.integers(1, 255), min_size=19, max_size=64).map(bytes)
+_BLOCK = bytes(range(1, 41))
+
+
+@st.composite
+def _separated_repeats(draw) -> bytes:
+    """A nonzero block of 19+ bytes (a match-length extension when it
+    repeats) and its repeat, separated by random bytes (a literal run of
+    15+, often 270+: a 255 extension) or by zeros placing the repeat
+    within a few bytes of ``MAX_OFFSET``, either side."""
+    block = draw(_blocks)
+    if draw(st.booleans()):
+        return _far_repeat(block, draw(st.integers(MAX_OFFSET - 8, MAX_OFFSET + 8)))
+    gap = random.Random(draw(st.integers(0, 2**32 - 1))).randbytes(
+        draw(st.integers(15, 600))
+    )
+    return block + gap + block + draw(st.binary(max_size=32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_separated_repeats())
+@example(_far_repeat(_BLOCK, MAX_OFFSET))
+@example(_far_repeat(_BLOCK, MAX_OFFSET + 1))
+@example(_BLOCK + _INCOMPRESSIBLE_270 + _BLOCK)
+def test_compressor_matches_reference_on_long_runs_and_far_offsets(payload):
+    _assert_compresses_like_reference(payload)
+
+
+def test_far_repeat_examples_straddle_the_offset_limit():
+    """The repeat at ``MAX_OFFSET`` is one match; one byte further it is
+    literals (both compressors, per the differential test above)."""
+    near = codec.compress(_far_repeat(_BLOCK, MAX_OFFSET))
+    far = codec.compress(_far_repeat(_BLOCK, MAX_OFFSET + 1))
+    assert len(far) - len(near) > len(_BLOCK) - 4

@@ -48,6 +48,15 @@ def test_duplicate_section_rejected():
         w.add_section(Section(".text", data=b""))
 
 
+def test_duplicate_of_a_constructor_section_rejected():
+    w = ElfWriter(entry=VBASE, sections=[Section(".text", data=b"\x90")])
+    w.add_section(Section(".data", data=b"\x01"))
+    for name in (".text", ".data"):
+        with pytest.raises(ElfLayoutError, match="duplicate"):
+            w.add_section(Section(name, data=b""))
+    assert [s.name for s in w.sections] == [".text", ".data"]
+
+
 def test_symbols_roundtrip_with_local_ordering():
     w = _writer()
     w.add_symbol(Symbol("globalf", VBASE, 16, section=".text"))

@@ -1,11 +1,15 @@
 """Synthetic kernel builder: structure, determinism, ground truth."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from reference import filler as reference_filler
 
 from repro.elf.relocs import RelocType
 from repro.kernel import TINY, KernelVariant, build_kernel
 from repro.kernel import layout as kl
-from repro.kernel.build import BASE_SYMBOL_NAMES
+from repro.kernel.build import BASE_SYMBOL_NAMES, _filler
 from repro.kernel.manifest import (
     FUNCTION_PROLOGUE,
     ID_TAG_OFFSET,
@@ -154,3 +158,39 @@ def test_generate_names_unique():
 def test_image_name():
     img = build_kernel(TINY, KernelVariant.FGKASLR, scale=1, seed=0)
     assert img.name == "tiny-fgkaslr"
+
+
+@st.composite
+def _filler_draws(draw):
+    """A seed, a pattern list, and a length of 0, 1, some pattern's length
+    minus one, plus zero or plus one, or anything up to 2,000."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    patterns = draw(
+        st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=64)
+    )
+    length = len(draw(st.sampled_from(patterns)))
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 1, length - 1, length, length + 1]),
+            st.integers(0, 2000),
+        )
+    )
+    return seed, patterns, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filler_draws())
+@example((7, [b"\x90" * 8, b"ab" * 6, b"x" * 16], 25))
+def test_filler_matches_reference(draw):
+    """The direct draw gives ``Random.choice``'s bytes and leaves the
+    generator where ``choice`` leaves it, so later draws agree too."""
+    seed, patterns, n = draw
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _filler(ours, patterns, n) == reference_filler(theirs, patterns, n)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_filler_from_no_patterns():
+    assert _filler(random.Random(1), [], 0) == b""
+    with pytest.raises(IndexError):
+        _filler(random.Random(1), [], 1)
