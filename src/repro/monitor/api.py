@@ -141,7 +141,7 @@ class FirecrackerApi:
     def create_snapshot(self) -> Snapshot:
         if self._vm is None:
             raise MonitorError("Cannot snapshot a microVM that is not running.")
-        return SnapshotManager(self.vmm.costs).capture(self._vm)
+        return SnapshotManager.for_monitor(self.vmm).capture(self._vm)
 
     def load_snapshot(self, snapshot: Snapshot, rebase_seed: int | None = None):
         """Restore into a *new* API instance (Firecracker restores fresh VMs)."""
@@ -149,7 +149,7 @@ class FirecrackerApi:
             raise MonitorError(
                 "Cannot load a snapshot into a running microVM."
             )
-        manager = SnapshotManager(self.vmm.costs)
+        manager = SnapshotManager.for_monitor(self.vmm)
         if rebase_seed is not None:
             vm, latency = manager.restore_rebased(snapshot, seed=rebase_seed)
         else:

@@ -27,7 +27,7 @@ from repro.errors import BootFailure, InjectedFault, MonitorError
 from repro.faults.plan import FaultPlan
 from repro.kernel.image import KernelImage
 from repro.monitor.vm_handle import MicroVm
-from repro.monitor.vmm import record_boot
+from repro.monitor.vmm import Firecracker, record_boot
 from repro.pipeline import StageContext, build_restore_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel
@@ -68,6 +68,13 @@ class SnapshotManager:
     #: seeded fault injection at restore-stage boundaries (None = zero
     #: overhead); targetable stages are ``snapshot_restore`` and ``rebase``
     fault_plan: FaultPlan | None = None
+
+    @classmethod
+    def for_monitor(cls, vmm: Firecracker) -> "SnapshotManager":
+        """The manager for ``vmm``'s snapshots: its costs, its telemetry and
+        its fault plan, so restore-stage faults fire and restores record
+        where the monitor's boots do."""
+        return cls(vmm.costs, telemetry=vmm.telemetry, fault_plan=vmm.fault_plan)
 
     def capture(self, vm: MicroVm) -> Snapshot:
         """Freeze a booted VM; charges capture time on the VM's clock."""

@@ -138,11 +138,7 @@ class ServerlessPlatform:
         # the manager inherits the monitor's fault plan: restore-stage
         # faults fire for warm productions, and the cold fallback runs
         # under the same plan (a fully poisoned plan still fails)
-        manager = SnapshotManager(
-            self.vmm.costs,
-            telemetry=self.vmm.telemetry,
-            fault_plan=self.vmm.fault_plan,
-        )
+        manager = SnapshotManager.for_monitor(self.vmm)
         snapshots = []
         setup_ms = 0.0
         for index in range(self.zygotes):

@@ -82,6 +82,49 @@ def test_snapshot_endpoints(fc, tiny_kaslr):
         clone_api.load_snapshot(snapshot)
 
 
+def _snapshot_on(fc, kernel):
+    origin = FirecrackerApi(fc)
+    origin.put_boot_source(
+        BootSource(kernel_image=kernel, relocs=True, randomize="kaslr")
+    )
+    origin.instance_start()
+    return origin.create_snapshot()
+
+
+def test_snapshot_restores_use_the_monitors_telemetry_and_fault_plan(tiny_kaslr):
+    """The API builds its snapshot manager as the serverless platform
+    does: restores record into the monitor's telemetry and fault under
+    its fault plan."""
+    from repro.errors import BootFailure
+    from repro.faults import FaultPlan
+    from repro.host import HostStorage
+    from repro.monitor import Firecracker
+    from repro.simtime import CostModel
+    from repro.telemetry import KIND_STAGE, Telemetry
+
+    telemetry = Telemetry()
+    fc = Firecracker(HostStorage(), CostModel(scale=1), telemetry=telemetry)
+    FirecrackerApi(fc).load_snapshot(_snapshot_on(fc, tiny_kaslr), rebase_seed=9)
+    restores = [
+        (event.boot_id, event.name)
+        for event in telemetry.log.events()
+        if event.kind == KIND_STAGE and event.boot_id.startswith("restore:")
+    ]
+    boot_id = f"restore:{tiny_kaslr.name}:{9:016x}:0:0"
+    assert restores == [(boot_id, "snapshot_restore"), (boot_id, "rebase")]
+
+    poisoned = Firecracker(
+        HostStorage(),
+        CostModel(scale=1),
+        fault_plan=FaultPlan.parse(
+            ["stage=snapshot_restore,kind=stage-timeout,rate=1.0"], seed=3
+        ),
+    )
+    snapshot = _snapshot_on(poisoned, tiny_kaslr)
+    with pytest.raises(BootFailure):
+        FirecrackerApi(poisoned).load_snapshot(snapshot, rebase_seed=9)
+
+
 def test_snapshot_requires_running_vm(api):
     with pytest.raises(MonitorError, match="not running"):
         api.create_snapshot()
