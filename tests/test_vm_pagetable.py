@@ -1,6 +1,9 @@
 """4-level page-table construction and software walks."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PageTableError, TranslationFault
 from repro.vm import GuestMemory, PageTableBuilder, PageTableWalker
@@ -76,27 +79,6 @@ def test_read_write_virt_across_page_boundary():
     assert mem.read(0x1000000 + PAGE_2M, 8) == b"89abcdef"
 
 
-def test_read_write_virt_split_at_4k_leaves():
-    """An access crossing a 4 KiB leaf reaches the next leaf's frame."""
-    mem, builder = _build()
-    pdpt = builder._get_or_create(builder.pml4, 0)
-    pd = builder._get_or_create(pdpt, 0)
-    pt = builder._get_or_create(pd, 0x400000 >> 21)
-    present_rw = 0b11
-    mem.write_u64(pt + 0 * 8, 1 * MIB | present_rw)  # 0x400000 -> 1 MiB
-    mem.write_u64(pt + 1 * 8, 3 * MIB | present_rw)  # 0x401000 -> 3 MiB
-    walker = PageTableWalker(mem, builder.pml4)
-    assert walker.leaf(0x401000) == (3 * MIB, PAGE_4K)
-    mem.write(MIB + 0xFF8, b"01234567")
-    mem.write(MIB + PAGE_4K, b"wrongpg!")  # physically next, virtually not
-    mem.write(3 * MIB, b"89abcdef")
-    assert walker.read_virt(0x400FF8, 16) == b"0123456789abcdef"
-    walker.write_virt(0x400FF8, b"ABCDEFGHIJKLMNOP")
-    assert mem.read(MIB + 0xFF8, 8) == b"ABCDEFGH"
-    assert mem.read(3 * MIB, 8) == b"IJKLMNOP"
-    assert mem.read(MIB + PAGE_4K, 8) == b"wrongpg!"
-
-
 def test_tables_live_in_guest_memory():
     mem, builder = _build()
     builder.map_identity_1g(1)
@@ -119,3 +101,76 @@ def test_canonical_high_addresses():
     walker = PageTableWalker(mem, builder.pml4)
     # both sign-extended and 48-bit-truncated forms resolve identically
     assert walker.translate(VBASE) == walker.translate(VBASE & 0xFFFFFFFFFFFF)
+
+
+# -- reads and writes against a per-byte translation ------------------------------
+
+#: bases of two adjacent 2 MiB regions whose boundary is inside one page
+#: directory, at a 1 GiB (PDPT) boundary, or at a 512 GiB (PML4) one
+_REGION_BASES = (VBASE, 0x3FE00000, 0x7FFFE00000)
+_EDGE_PAGES = 2  # 4 KiB pages a 4 KiB-leaf region maps beside the boundary
+#: physical frames: two 2 MiB leaves, then one 4 KiB frame per edge page
+_FRAMES_2M = (4 * MIB, 6 * MIB)
+_FRAMES_4K = 8 * MIB
+_POOL, _POOL_END = 4 * MIB, _FRAMES_4K + 2 * _EDGE_PAGES * PAGE_4K
+_POOL_FILL = random.Random(0).randbytes(_POOL_END - _POOL)
+
+
+@st.composite
+def _windows(draw):
+    """Two regions, each one 2 MiB leaf or 4 KiB leaves on permuted frames,
+    and an access window of up to a page and a bit that starts at or just
+    before one of the 4 KiB boundaries around the regions' boundary."""
+    base = draw(st.sampled_from(_REGION_BASES))
+    kinds = draw(st.lists(st.sampled_from(("4k", "2m")), min_size=2, max_size=2))
+    frames_2m = draw(st.permutations(_FRAMES_2M))
+    frames_4k = draw(st.permutations(range(2 * _EDGE_PAGES)))
+    boundary = base + PAGE_2M
+    low, high = boundary - _EDGE_PAGES * PAGE_4K, boundary + _EDGE_PAGES * PAGE_4K
+    edge = draw(st.sampled_from(range(low + PAGE_4K, high, PAGE_4K)))
+    start = edge - draw(st.integers(0, 256))
+    length = draw(st.integers(0, min(PAGE_4K + 256, high - start)))
+    return base, kinds, frames_2m, frames_4k, start, length
+
+
+def _map_regions(mem, builder, base, kinds, frames_2m, frames_4k):
+    for region, kind in enumerate(kinds):
+        vbase = base + region * PAGE_2M
+        if kind == "2m":
+            builder.map_2m(vbase, frames_2m[region], PAGE_2M)
+            continue
+        pdpt = builder._get_or_create(builder.pml4, (vbase >> 39) & 0x1FF)
+        pd = builder._get_or_create(pdpt, (vbase >> 30) & 0x1FF)
+        pt = builder._get_or_create(pd, (vbase >> 21) & 0x1FF)
+        first = 512 - _EDGE_PAGES if region == 0 else 0
+        for k in range(_EDGE_PAGES):
+            frame = _FRAMES_4K + frames_4k[region * _EDGE_PAGES + k] * PAGE_4K
+            mem.write_u64(pt + (first + k) * 8, frame | 0b11)  # present, RW
+
+
+@settings(max_examples=40, deadline=None)
+@given(_windows(), st.integers(0, 2**32 - 1))
+def test_read_write_virt_equal_per_byte_translation(window, seed):
+    """``read_virt`` returns, and ``write_virt`` writes, exactly the bytes a
+    per-byte ``translate`` reaches, across 4 KiB and 2 MiB leaves alike;
+    a write leaves every other byte of the frames alone (a physically
+    adjacent frame that maps elsewhere included)."""
+    base, kinds, frames_2m, frames_4k, start, length = window
+    mem, builder = _build(GuestMemory(16 * MIB))
+    _map_regions(mem, builder, base, kinds, frames_2m, frames_4k)
+    mem.write(_POOL, _POOL_FILL)
+    walker = PageTableWalker(mem, builder.pml4)
+
+    paddrs = [walker.translate(v) for v in range(start, start + length)]
+    assert all(_POOL <= p < _POOL_END for p in paddrs)
+    assert walker.read_virt(start, length) == bytes(
+        _POOL_FILL[p - _POOL] for p in paddrs
+    )
+
+    data = random.Random(seed).randbytes(length)
+    walker.write_virt(start, data)
+    assert walker.read_virt(start, length) == data
+    expected = bytearray(_POOL_FILL)
+    for p, byte in zip(paddrs, data):
+        expected[p - _POOL] = byte
+    assert mem.read(_POOL, _POOL_END - _POOL) == expected
