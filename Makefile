@@ -31,7 +31,7 @@ bench-gate:
 # the CI bench-smoke gate, run exactly as CI runs it: 3 jitter-free boots
 # per series, then a strict comparison against the committed baselines
 bench-smoke:
-	REPRO_BOOTS=3 REPRO_JITTER=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	REPRO_BOOTS=3 REPRO_JITTER=0 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q --durations=15
 	PYTHONPATH=src $(PYTHON) -m repro bench-compare --strict
 
 # host-clock benchmark smoke: its self-test, then every workload for 3 s,
