@@ -52,6 +52,8 @@ class ElfWriter:
 
     def __post_init__(self) -> None:
         self._names = {s.name for s in self.sections}
+        if len(self._names) < len(self.sections):
+            raise ElfLayoutError("duplicate section name among the given sections")
 
     def add_section(self, section: Section) -> Section:
         if section.name in self._names:

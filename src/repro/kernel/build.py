@@ -95,11 +95,9 @@ def _filler(rng: random.Random, patterns: list[bytes], n: int) -> bytes:
     Each index is drawn with the ``getrandbits`` rejection rule that
     ``Random.choice`` applies, so the stream (and every built image) is
     the same without two Python calls per pick; ``random.choices`` draws
-    a different stream.
+    a different stream.  ``patterns`` must not be empty.
     """
     count = len(patterns)
-    if not count and n > 0:
-        raise IndexError("Cannot choose from an empty sequence")
     bits = count.bit_length()
     getrandbits = rng.getrandbits
     picks = []

@@ -55,6 +55,8 @@ def test_duplicate_of_a_constructor_section_rejected():
         with pytest.raises(ElfLayoutError, match="duplicate"):
             w.add_section(Section(name, data=b""))
     assert [s.name for s in w.sections] == [".text", ".data"]
+    with pytest.raises(ElfLayoutError, match="duplicate"):
+        ElfWriter(sections=[Section(".text", data=b""), Section(".text", data=b"")])
 
 
 def test_symbols_roundtrip_with_local_ordering():

@@ -189,8 +189,3 @@ def test_filler_matches_reference(draw):
     assert _filler(ours, patterns, n) == reference_filler(theirs, patterns, n)
     assert ours.getstate() == theirs.getstate()
 
-
-def test_filler_from_no_patterns():
-    assert _filler(random.Random(1), [], 0) == b""
-    with pytest.raises(IndexError):
-        _filler(random.Random(1), [], 1)
