@@ -6,10 +6,10 @@ LZ4/LZO compressors or the ``random`` stream they draw from would move
 every number at once.  The golden stores the SHA-256 of ``vmlinux`` and
 ``vmlinux.relocs`` for tiny at scale 1 (every variant) and aws at scale
 16 (the two relocatable variants), and of the bzImage bytes for tiny/1
-KASLR under the from-scratch codecs and aws/16 KASLR under LZ4.  The
-stdlib codecs are left out: their bytes depend on the host's zlib and
-liblzma.  An intentional change must regenerate the digests (and say so
-in review):
+KASLR under the in-repo codecs (lz4, lzo, none) and aws/16 KASLR under
+LZ4.  The stdlib codecs are left out: their bytes depend on the host's
+zlib and liblzma.  An intentional change must regenerate the digests
+(and say so in review):
 
     PYTHONPATH=src python tests/test_artifact_golden.py \
         > tests/golden/artifacts.json
