@@ -97,49 +97,28 @@ class Lz4Codec(Codec):
                 ):
                     match_len += 1
 
-            # The sequence emit, inlined but for a literal run long enough
-            # to need a length extension (under 1% of kernel sequences).
+            # Emit the sequence: token, literals, offset, match extension.
             lit_len = pos - anchor
+            offset = pos - candidate
+            ml_code = match_len - MIN_MATCH
+            ml_token = 15 if ml_code >= 15 else ml_code
             if lit_len < 15:
-                offset = pos - candidate
-                ml_code = match_len - MIN_MATCH
-                append(lit_len << 4 | (15 if ml_code >= 15 else ml_code))
+                append(lit_len << 4 | ml_token)
                 if lit_len:
                     out += data[anchor:pos]
-                append(offset & 0xFF)
-                append(offset >> 8)
-                if ml_code >= 15:
-                    _write_length(out, ml_code - 15)
             else:
-                self._emit_sequence(
-                    out, data, anchor, pos, offset=pos - candidate, match_len=match_len
-                )
+                append(0xF0 | ml_token)
+                _write_length(out, lit_len - 15)
+                out += data[anchor:pos]
+            append(offset & 0xFF)
+            append(offset >> 8)
+            if ml_code >= 15:
+                _write_length(out, ml_code - 15)
             pos += match_len
             anchor = pos
 
         self._emit_last_literals(out, data, anchor)
         return bytes(out)
-
-    @staticmethod
-    def _emit_sequence(
-        out: bytearray,
-        data: bytes,
-        anchor: int,
-        pos: int,
-        offset: int,
-        match_len: int,
-    ) -> None:
-        lit_len = pos - anchor
-        ml_code = match_len - MIN_MATCH
-        token_lit = 15 if lit_len >= 15 else lit_len
-        token_ml = 15 if ml_code >= 15 else ml_code
-        out.append((token_lit << 4) | token_ml)
-        if lit_len >= 15:
-            _write_length(out, lit_len - 15)
-        out += data[anchor:pos]
-        out += struct.pack("<H", offset)
-        if ml_code >= 15:
-            _write_length(out, ml_code - 15)
 
     @staticmethod
     def _emit_last_literals(out: bytearray, data: bytes, anchor: int) -> None:
