@@ -97,7 +97,6 @@ class Lz4Codec(Codec):
                 ):
                     match_len += 1
 
-            # Emit the sequence: token, literals, offset, match extension.
             lit_len = pos - anchor
             offset = pos - candidate
             ml_code = match_len - MIN_MATCH

@@ -9,7 +9,7 @@ every number at once.  The golden stores the SHA-256 of ``vmlinux`` and
 KASLR under the in-repo codecs (lz4, lzo, none) and aws/16 KASLR under
 LZ4.  The stdlib codecs are left out: their bytes depend on the host's
 zlib and liblzma.  An intentional change must regenerate the digests
-(and say so in review):
+(and say so in the commit message):
 
     PYTHONPATH=src python tests/test_artifact_golden.py \
         > tests/golden/artifacts.json
