@@ -71,20 +71,23 @@ class InMonitorRandomizer:
         mode: RandomizeMode,
         guest_ram_bytes: int,
         scale: int = 1,
-        charge_load_memcpy: bool = False,
         in_place: bool = False,
     ) -> tuple[LayoutResult, LoadedImage]:
-        """Execute the pipeline; returns the final layout and load info.
+        """Parse, then randomize; returns the final layout and load info.
 
         ``scale`` is the build-size divisor, used only so reported entropy
-        corresponds to a paper-scale image.  ``in_place``/
-        ``charge_load_memcpy`` select the bootstrap-loader cost shape (the
-        image already sits in guest memory and every byte move is an extra
-        in-guest copy).
+        corresponds to a paper-scale image.  ``in_place`` selects the
+        bootstrap-loader shuffle (the image already sits in guest memory,
+        so the shuffle needs a scratch copy of the text).
         """
         from repro.core.prepared import prepare_image
 
         prepared = prepare_image(elf, mode)
+        ctx.charge(
+            ctx.costs.elf_parse_ns(prepared.n_sections, prepared.n_symbols),
+            ctx.steps.parse,
+            label=f"parse ELF ({prepared.n_sections} sections)",
+        )
         return self.run_prepared(
             prepared,
             relocs,
@@ -92,9 +95,7 @@ class InMonitorRandomizer:
             ctx,
             guest_ram_bytes=guest_ram_bytes,
             scale=scale,
-            charge_load_memcpy=charge_load_memcpy,
             in_place=in_place,
-            from_cache=False,
         )
 
     def run_prepared(
@@ -105,36 +106,15 @@ class InMonitorRandomizer:
         ctx: RandoContext,
         guest_ram_bytes: int,
         scale: int = 1,
-        charge_load_memcpy: bool = False,
         in_place: bool = False,
-        from_cache: bool = False,
-        charge_parse: bool = True,
     ) -> tuple[LayoutResult, LoadedImage]:
         """The per-boot randomize phase, fed by a (possibly cached) parse.
 
-        ``from_cache=True`` means the parse phase was served by the
-        boot-artifact cache: the boot pays a constant probe instead of the
-        full section/symbol scan — the amortization that makes per-instance
-        randomization cheap at fleet scale.  ``charge_parse=False`` skips
-        that charge entirely — the boot pipeline's prepare stage accounts
-        it itself so the cost lands inside the prepare span.
+        Charges nothing for the parse: whoever produced ``prepared`` has
+        (the monitor's prepare stage, or :meth:`run`).
         """
         elf = prepared.elf
         mode = prepared.mode
-        if not charge_parse:
-            pass
-        elif from_cache:
-            ctx.charge(
-                ctx.costs.artifact_cache_lookup(),
-                ctx.steps.parse,
-                label=f"layout cache hit ({prepared.digest[:12]})",
-            )
-        else:
-            ctx.charge(
-                ctx.costs.elf_parse_ns(prepared.n_sections, prepared.n_symbols),
-                ctx.steps.parse,
-                label=f"parse ELF ({prepared.n_sections} sections)",
-            )
 
         if mode is not RandomizeMode.NONE and relocs is None:
             raise RandomizationError(
@@ -164,7 +144,6 @@ class InMonitorRandomizer:
             memory,
             ctx,
             phys_load=phys_load,
-            charge_memcpy=charge_load_memcpy,
             skip_text=plan is not None,
         )
         if plan is not None:

@@ -1,10 +1,11 @@
 """Shared ELF segment loading into guest memory.
 
-Used by the monitor's direct boot path (zero-extra-copy: bytes stream from
-the page cache into guest memory, so only per-segment bookkeeping is
-charged) and by the bootstrap loader (an extra in-guest copy of every
-segment, charged as memcpy — the redundant relocation of the kernel the
-paper eliminates).
+Used by the monitor's direct boot path (bytes stream from the page cache
+into guest memory) and by the bootstrap loader (decompression already
+wrote the image to its run location).  Neither pays a bulk copy here, so
+only per-segment bookkeeping is charged; the loader's redundant copies of
+the kernel are charged where they happen (copy-aside, decompression and
+the in-place FGKASLR shuffle).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ def load_elf_segments(
     memory: GuestMemory,
     ctx: RandoContext,
     phys_load: int = kl.PHYS_LOAD_ADDR,
-    charge_memcpy: bool = False,
     skip_text: bool = False,
 ) -> LoadedImage:
     """Copy every PT_LOAD segment to its physical location.
@@ -49,25 +49,16 @@ def load_elf_segments(
     lo = min(s.p_paddr for s in segments) + phys_shift
     hi_mem = max(s.p_paddr + s.p_memsz for s in segments) + phys_shift
     hi_file = max(s.p_paddr + s.p_filesz for s in segments) + phys_shift
-    copied = 0
     for phdr in segments:
         executable = bool(phdr.p_flags & 0x1)
         if skip_text and executable:
             continue
-        data = elf.segment_bytes(phdr)
-        memory.write(phdr.p_paddr + phys_shift, data)
-        copied += len(data)
+        memory.write(phdr.p_paddr + phys_shift, elf.segment_bytes(phdr))
     ctx.charge(
         ctx.costs.segment_load_ns(len(segments)),
         ctx.steps.segment_load,
         label=f"load {len(segments)} segments",
     )
-    if charge_memcpy and copied:
-        ctx.charge(
-            ctx.costs.memcpy_ns(copied),
-            ctx.steps.segment_load,
-            label=f"copy {copied} segment bytes",
-        )
     return LoadedImage(
         phys_load=lo,
         image_bytes=hi_file - lo,

@@ -16,9 +16,10 @@ plan whether any spec fires for ``(stage name, boot)``.  Fatal kinds
 raise a typed :class:`~repro.errors.InjectedFault` (which the monitor
 wraps into a :class:`~repro.errors.BootFailure`); the one non-fatal kind,
 ``cache-drop``, forces a cache miss on the boot it fires on, so that
-boot's caching stage re-parses — resilience, not failure.  It marks only
-its own boot's context and never touches the shared cache, so no other
-boot's lookup changes and concurrent fleets stay deterministic.
+boot's ``prepare_image`` stage re-parses — resilience, not failure.  It
+marks only its own boot's context and never touches the shared cache,
+so no other boot's lookup changes and concurrent fleets stay
+deterministic.
 
 The plan writes no telemetry: each fired ``(stage, kind)`` lands on the
 boot's timeline, from which :func:`~repro.monitor.vmm.record_boot`
@@ -82,11 +83,11 @@ class FaultSpec:
             raise FaultPlanError("fault spec needs a stage name")
         if self.kind == "cache-drop":
             # lazy: the pipeline's stages import modules that import this one
-            from repro.pipeline.stages import ArtifactCacheStage
+            from repro.pipeline.stages import PrepareImageStage
 
-            if self.stage != ArtifactCacheStage.name:
+            if self.stage != PrepareImageStage.name:
                 raise FaultPlanError(
-                    f"cache-drop fires only at {ArtifactCacheStage.name}, the "
+                    f"cache-drop fires only at {PrepareImageStage.name}, the "
                     f"stage that consults the artifact cache, got stage "
                     f"{self.stage!r}"
                 )
@@ -101,7 +102,12 @@ class FaultSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
-        """Parse the CLI syntax: ``stage=<s>,kind=<k>[,rate=<r>][,seed=<n>][,boot=<i>]``."""
+        """Parse the CLI syntax: ``stage=<s>,kind=<k>[,rate=<r>][,seed=<n>][,boot=<i>]``.
+
+        The stage must be one some built-in pipeline runs, so a misspelled
+        stage fails here instead of never firing; a spec built directly
+        may name any stage (a custom composition's, say).
+        """
         fields: dict[str, str] = {}
         for part in text.split(","):
             part = part.strip()
@@ -121,6 +127,15 @@ class FaultSpec:
         if "stage" not in fields or "kind" not in fields:
             raise FaultPlanError(
                 f"fault spec needs at least stage= and kind=, got {text!r}"
+            )
+        # lazy: the pipeline's stages import modules that import this one
+        from repro.pipeline.pipeline import PIPELINE_FLAVORS
+
+        known = {name for names in PIPELINE_FLAVORS.values() for name in names}
+        if fields["stage"] not in known:
+            raise FaultPlanError(
+                f"unknown stage {fields['stage']!r}; "
+                f"known: {', '.join(sorted(known))}"
             )
         try:
             return cls(

@@ -67,7 +67,7 @@ def policy_fingerprint(policy: RandomizationPolicy) -> str:
 
 
 def cache_key_for(cfg: "VmConfig") -> "CacheKey":
-    """The cache key a boot of ``cfg`` probes in :class:`ArtifactCacheStage`."""
+    """The cache key a boot of ``cfg`` probes in the ``prepare_image`` stage."""
     return CacheKey(
         image_digest=cfg.kernel.elf.digest,
         policy=f"{cfg.randomize}:{policy_fingerprint(cfg.policy)}",

@@ -364,7 +364,7 @@ class FleetManager:
         assert cache is not None  # installed in __init__
         if warm:
             # warm_caches primes the host page cache *and* the artifact
-            # cache entry the pipeline's caching stage will probe; the
+            # cache entry the pipeline's prepare stage will probe; the
             # priming itself stays outside the launch scope, so the
             # report's cache stats cover only the fleet's own boots
             self.vmm.warm_caches(cfg)

@@ -6,7 +6,7 @@ boot pipeline (:mod:`repro.pipeline`):
 * monitor startup (process + KVM init),
 * kernel file read through the host page-cache model,
 * direct boot — with optional in-monitor (FG)KASLR, the parse phase
-  served by the :class:`BootArtifactCache` wrapper stage when present —
+  served by the :class:`BootArtifactCache` when present —
   or bzImage boot via the in-guest bootstrap loader stages,
 * boot_params/cmdline/page-table/vCPU setup per the chosen boot protocol,
 * guest entry, then the guest's own boot (memory init + subsystem init),
@@ -232,8 +232,8 @@ class Firecracker:
         ``boot_index``/``attempt`` identify the boot to an installed
         fault plan (fleet index targeting, retry redraws); both default
         to 0 for standalone boots.  ``cache_scope`` is an optional
-        :class:`~repro.monitor.artifact_cache.CacheScope` the caching
-        stage attributes its activity to.
+        :class:`~repro.monitor.artifact_cache.CacheScope` the
+        ``prepare_image`` stage attributes its cache activity to.
         """
         report, _vm = self.boot_vm(
             cfg,

@@ -3,9 +3,11 @@
 Boot flavors are compositions of :class:`~repro.pipeline.stage.BootStage`
 objects over a shared :class:`~repro.pipeline.stage.StageContext`; the
 :class:`~repro.pipeline.pipeline.BootPipeline` composer executes them and
-emits per-stage begin/end spans into the boot's timeline.  All monitors
-(Firecracker, Qemu, UnikernelMonitor), the fleet manager, and snapshot
-restore boot through pipelines built here.
+emits per-stage begin/end spans into the boot's timeline.  Each flavor's
+stage list is written once (``FLAVOR_STAGES``), and the builders here are
+the only composition of boot work: all monitors (Firecracker, Qemu,
+UnikernelMonitor), the fleet manager, and snapshot restore boot through
+them, and the bzImage flavor's loader stages are the bootstrap loader.
 """
 
 from repro.pipeline.pipeline import (

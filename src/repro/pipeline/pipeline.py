@@ -9,10 +9,13 @@ attribution included.  Nothing else is written per stage: telemetry and
 the cost profile are derived from the finished timeline
 (:func:`repro.monitor.vmm.record_boot`).
 
-Builders assemble the stage list per boot flavor (Figure 5/7's columns):
+:data:`FLAVOR_STAGES` lists each boot flavor's stage classes once
+(Figure 5/7's columns); the builders instantiate them and
+:data:`PIPELINE_FLAVORS` names them:
 
 * ``direct``   — in-monitor (FG)KASLR over a vmlinux: startup, image
-  read, cached prepare, randomize+load, then the shared tail;
+  read, prepare (served by the artifact cache when the monitor has one),
+  randomize+load, then the shared tail;
 * ``bzimage``  — bootstrap self-randomization: startup, container read,
   loader bring-up, decompress, self-randomize, jump, shared tail;
 * ``restore``  — snapshot restore (optionally rebased to a fresh offset).
@@ -27,9 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import MonitorError
-from repro.pipeline.stage import BootStage, StageContext
+from repro.pipeline.stage import BootStage, Stage, StageContext
 from repro.pipeline.stages import (
-    ArtifactCacheStage,
     BootParamsStage,
     BzImageReadStage,
     GuestBootStage,
@@ -111,42 +113,40 @@ class BootPipeline:
         return [stage.name for stage in self.stages]
 
 
-#: stage names per boot flavor, statically derived from the stage classes
-#: (the ``repro faults`` listing of valid injection points)
-PIPELINE_FLAVORS: dict[str, tuple[str, ...]] = {
+_SHARED_TAIL = (BootParamsStage, PageTableStage, GuestEntryStage, GuestBootStage)
+
+#: the stage classes of each boot flavor, in run order; the restore
+#: flavor's last stage runs only when the restore rebases
+FLAVOR_STAGES: dict[str, tuple[type[Stage], ...]] = {
     "direct": (
-        MonitorStartupStage.name,
-        KernelImageReadStage.name,
-        ArtifactCacheStage.name,
-        RandomizeLoadStage.name,
-        BootParamsStage.name,
-        PageTableStage.name,
-        GuestEntryStage.name,
-        GuestBootStage.name,
+        MonitorStartupStage,
+        KernelImageReadStage,
+        PrepareImageStage,
+        RandomizeLoadStage,
+        *_SHARED_TAIL,
     ),
     "bzimage": (
-        MonitorStartupStage.name,
-        BzImageReadStage.name,
-        LoaderBringUpStage.name,
-        LoaderDecompressStage.name,
-        LoaderRandomizeStage.name,
-        LoaderJumpStage.name,
-        BootParamsStage.name,
-        PageTableStage.name,
-        GuestEntryStage.name,
-        GuestBootStage.name,
+        MonitorStartupStage,
+        BzImageReadStage,
+        LoaderBringUpStage,
+        LoaderDecompressStage,
+        LoaderRandomizeStage,
+        LoaderJumpStage,
+        *_SHARED_TAIL,
     ),
-    "restore": (SnapshotRestoreStage.name, RebaseStage.name),
+    "restore": (SnapshotRestoreStage, RebaseStage),
+}
+
+#: stage names per boot flavor (the ``repro faults`` listing of valid
+#: injection points)
+PIPELINE_FLAVORS: dict[str, tuple[str, ...]] = {
+    flavor: tuple(cls.name for cls in classes)
+    for flavor, classes in FLAVOR_STAGES.items()
 }
 
 
-def _shared_tail() -> list[BootStage]:
-    return [
-        BootParamsStage(),
-        PageTableStage(),
-        GuestEntryStage(),
-        GuestBootStage(),
-    ]
+def _compose(name: str, classes: tuple[type[Stage], ...]) -> BootPipeline:
+    return BootPipeline(name=name, stages=tuple(cls() for cls in classes))
 
 
 def build_boot_pipeline(cfg: "VmConfig", direct_only: bool = False) -> BootPipeline:
@@ -164,36 +164,12 @@ def build_boot_pipeline(cfg: "VmConfig", direct_only: bool = False) -> BootPipel
                 "unikernel monitors have no bootstrap loader; "
                 "only direct image boot is supported"
             )
-        return BootPipeline(
-            name="bzimage",
-            stages=(
-                MonitorStartupStage(),
-                BzImageReadStage(),
-                LoaderBringUpStage(),
-                LoaderDecompressStage(),
-                LoaderRandomizeStage(),
-                LoaderJumpStage(),
-                *_shared_tail(),
-            ),
-        )
-    return BootPipeline(
-        name=f"direct-{cfg.randomize}",
-        stages=(
-            MonitorStartupStage(),
-            KernelImageReadStage(),
-            ArtifactCacheStage(PrepareImageStage()),
-            RandomizeLoadStage(),
-            *_shared_tail(),
-        ),
-    )
+        return _compose("bzimage", FLAVOR_STAGES["bzimage"])
+    return _compose(f"direct-{cfg.randomize}", FLAVOR_STAGES["direct"])
 
 
 def build_restore_pipeline(rebase: bool = False) -> BootPipeline:
     """Assemble the snapshot-restore flavor (zygote acquisitions)."""
-    stages: list[BootStage] = [SnapshotRestoreStage()]
     if rebase:
-        stages.append(RebaseStage())
-    return BootPipeline(
-        name="restore-rebase" if rebase else "restore",
-        stages=tuple(stages),
-    )
+        return _compose("restore-rebase", FLAVOR_STAGES["restore"])
+    return _compose("restore", FLAVOR_STAGES["restore"][:1])

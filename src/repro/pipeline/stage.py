@@ -25,13 +25,11 @@ from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.bootstrap.loader import BootstrapLoader
     from repro.core.context import RandoContext
     from repro.core.layout_result import LayoutResult
     from repro.core.loading import LoadedImage
     from repro.core.policy import RandomizationPolicy
     from repro.core.prepared import PreparedImage
-    from repro.elf.reader import ElfImage
     from repro.elf.relocs import RelocationTable
     from repro.faults.plan import FaultPlan
     from repro.host.entropy import HostEntropyPool
@@ -121,7 +119,7 @@ class StageContext:
     storage: "HostStorage | None" = None
     entropy: "HostEntropyPool | None" = None
     artifact_cache: "BootArtifactCache | None" = None
-    #: per-launch cache attribution scope; the caching stage notes its
+    #: per-launch cache attribution scope; the prepare stage notes its
     #: hits/misses/parses here so concurrent launches sharing one cache
     #: each account exactly their own traffic
     cache_scope: "CacheScope | None" = None
@@ -142,7 +140,7 @@ class StageContext:
     fault_plan: "FaultPlan | None" = None
     boot_index: int = 0
     attempt: int = 0
-    #: set by a fired ``cache-drop`` fault: this boot's caching stage
+    #: set by a fired ``cache-drop`` fault: this boot's prepare stage
     #: skips both cache tiers, counts a miss and re-parses
     cache_miss_forced: bool = False
 
@@ -151,11 +149,8 @@ class StageContext:
     relocs: "RelocationTable | None" = None
     prepared: "PreparedImage | None" = None
     prepared_from_cache: bool = False
-    loader: "BootstrapLoader | None" = None
     loader_ctx: "RandoContext | None" = None
     payload_blob: bytes | None = None
-    payload_elf: "ElfImage | None" = None
-    payload_relocs: "RelocationTable | None" = None
     layout: "LayoutResult | None" = None
     loaded: "LoadedImage | None" = None
     walker: "PageTableWalker | None" = None

@@ -12,9 +12,7 @@ golden values captured before the refactor.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.bootstrap.loader import BootstrapLoader
+from repro.bootstrap import loader
 from repro.core.context import RandoContext
 from repro.core.inmonitor import InMonitorRandomizer, RandomizeMode
 from repro.core.prepared import prepare_image
@@ -101,73 +99,57 @@ class KernelImageReadStage(Stage):
 
 
 class PrepareImageStage(Stage):
-    """The seed-independent parse phase, executed cold."""
+    """The seed-independent parse phase, served by the artifact cache.
 
-    name = "prepare_image"
-    category = "prepare"
-    principal = PRINCIPAL_MONITOR
-
-    def run(self, ctx: StageContext) -> StageResult:
-        cfg = ctx.cfg
-        prepared = prepare_image(cfg.kernel.elf, cfg.randomize)
-        ctx.prepared = prepared
-        ctx.prepared_from_cache = False
-        ctx.clock.charge(
-            ctx.costs.elf_parse_ns(prepared.n_sections, prepared.n_symbols),
-            category=BootCategory.IN_MONITOR,
-            step=BootStep.MONITOR_ELF_PARSE,
-            label=f"parse ELF ({prepared.n_sections} sections)",
-        )
-        return self.result(
-            detail=f"{prepared.n_sections} sections, {prepared.n_symbols} symbols"
-        )
-
-
-class ArtifactCacheStage(Stage):
-    """Caching wrapper around a prepare stage.
-
-    When the monitor holds a :class:`BootArtifactCache`, a hit replaces the
-    inner stage's full parse with a constant probe; a miss runs the inner
-    stage and inserts its product.  A ``cache-drop`` fault on this boot
-    forces the miss.  Without a cache the wrapper is transparent.  The
-    emitted span carries the hit/miss attribution.
+    When the monitor holds a :class:`BootArtifactCache`, a hit replaces
+    the full parse with a constant probe; a miss parses and inserts the
+    product.  A ``cache-drop`` fault on this boot forces the miss.
+    Without a cache the stage parses.  The span carries the hit/miss
+    attribution (none without a cache).
     """
 
     name = "prepare_image"
     category = "prepare"
     principal = PRINCIPAL_MONITOR
 
-    def __init__(self, inner: PrepareImageStage | None = None) -> None:
-        self.inner = inner if inner is not None else PrepareImageStage()
-
     def run(self, ctx: StageContext) -> StageResult:
         from repro.monitor.artifact_cache import cache_key_for
 
-        cache = ctx.artifact_cache
-        if cache is None:
-            return self.inner.run(ctx)
         cfg = ctx.cfg
-        key = cache_key_for(cfg)
-        digest = key.image_digest
-        prepared = cache.lookup(
-            key, scope=ctx.cache_scope, force_miss=ctx.cache_miss_forced
+        cache = ctx.artifact_cache
+        if cache is not None:
+            key = cache_key_for(cfg)
+            digest = key.image_digest
+            prepared = cache.lookup(
+                key, scope=ctx.cache_scope, force_miss=ctx.cache_miss_forced
+            )
+            if prepared is not None:
+                ctx.prepared = prepared
+                ctx.prepared_from_cache = True
+                ctx.clock.charge(
+                    ctx.costs.artifact_cache_lookup(),
+                    category=BootCategory.IN_MONITOR,
+                    step=BootStep.MONITOR_ELF_PARSE,
+                    label=f"layout cache hit ({digest[:12]})",
+                )
+                return self.result(
+                    detail=f"cache hit ({digest[:12]})", cache_hit=True
+                )
+        prepared = prepare_image(cfg.kernel.elf, cfg.randomize)
+        ctx.prepared = prepared
+        ctx.clock.charge(
+            ctx.costs.elf_parse_ns(prepared.n_sections, prepared.n_symbols),
+            category=BootCategory.IN_MONITOR,
+            step=BootStep.MONITOR_ELF_PARSE,
+            label=f"parse ELF ({prepared.n_sections} sections)",
         )
-        if prepared is not None:
-            ctx.prepared = prepared
-            ctx.prepared_from_cache = True
-            ctx.clock.charge(
-                ctx.costs.artifact_cache_lookup(),
-                category=BootCategory.IN_MONITOR,
-                step=BootStep.MONITOR_ELF_PARSE,
-                label=f"layout cache hit ({digest[:12]})",
-            )
-            return self.result(
-                detail=f"cache hit ({digest[:12]})", cache_hit=True
-            )
-        inner_result = self.inner.run(ctx)
-        cache.note_parse(scope=ctx.cache_scope)
-        cache.insert(key, ctx.prepared, scope=ctx.cache_scope)
-        return replace(inner_result, cache_hit=False)
+        if cache is not None:
+            cache.note_parse(scope=ctx.cache_scope)
+            cache.insert(key, prepared, scope=ctx.cache_scope)
+        return self.result(
+            detail=f"{prepared.n_sections} sections, {prepared.n_symbols} symbols",
+            cache_hit=False if cache is not None else None,
+        )
 
 
 class RandomizeLoadStage(Stage):
@@ -192,8 +174,6 @@ class RandomizeLoadStage(Stage):
             rando,
             guest_ram_bytes=cfg.mem_bytes,
             scale=cfg.kernel.scale,
-            from_cache=ctx.prepared_from_cache,
-            charge_parse=False,
         )
         return self.result(
             detail=f"mode {cfg.randomize}",
@@ -235,13 +215,10 @@ class LoaderBringUpStage(Stage):
     principal = PRINCIPAL_GUEST
 
     def run(self, ctx: StageContext) -> StageResult:
-        cfg = ctx.cfg
-        ctx.loader = BootstrapLoader(cfg.loader_options)
+        header = ctx.cfg.bzimage.header
         ctx.loader_ctx = RandoContext.loader(ctx.clock, ctx.costs, ctx.rng)
-        ctx.loader.bring_up(cfg.bzimage.header, ctx.loader_ctx, ctx.bus)
-        return self.result(
-            detail=f"{cfg.bzimage.header.heap_size} byte boot heap"
-        )
+        loader.bring_up(header, ctx.loader_ctx, ctx.bus)
+        return self.result(detail=f"{header.heap_size} byte boot heap")
 
 
 class LoaderDecompressStage(Stage):
@@ -252,11 +229,9 @@ class LoaderDecompressStage(Stage):
     principal = PRINCIPAL_GUEST
 
     def run(self, ctx: StageContext) -> StageResult:
-        cfg = ctx.cfg
-        ctx.payload_blob = ctx.loader.decompress(
-            cfg.bzimage, ctx.loader_ctx, ctx.bus
-        )
-        header = cfg.bzimage.header
+        bzimage = ctx.cfg.bzimage
+        ctx.payload_blob = loader.decompress(bzimage, ctx.loader_ctx, ctx.bus)
+        header = bzimage.header
         detail = (
             "optimized layout (no copy, no decompress)"
             if header.optimized
@@ -274,16 +249,24 @@ class LoaderRandomizeStage(Stage):
 
     def run(self, ctx: StageContext) -> StageResult:
         cfg = ctx.cfg
-        elf, table = ctx.loader.parse_payload(cfg.bzimage, ctx.payload_blob)
-        ctx.payload_elf, ctx.payload_relocs = elf, table
-        ctx.layout, ctx.loaded = ctx.loader.randomize(
+        options = cfg.loader_options
+        elf, relocs = loader.parse_payload(cfg.bzimage, ctx.payload_blob)
+        randomizer = InMonitorRandomizer(
+            policy=options.policy,
+            lazy_kallsyms=not options.kallsyms_fixup,
+            update_orc=options.orc_fixup,
+        )
+        # Decompression already wrote the image to its run location, so
+        # segment loading is in place: no extra bulk copy.
+        ctx.layout, ctx.loaded = randomizer.run(
             elf,
-            table,
+            relocs,
             ctx.memory,
             ctx.loader_ctx,
             cfg.randomize,
             guest_ram_bytes=cfg.mem_bytes,
             scale=cfg.kernel.scale,
+            in_place=True,
         )
         return self.result(detail=f"mode {cfg.randomize} (in-place)")
 
@@ -296,7 +279,7 @@ class LoaderJumpStage(Stage):
     principal = PRINCIPAL_GUEST
 
     def run(self, ctx: StageContext) -> StageResult:
-        ctx.loader.jump(ctx.loader_ctx)
+        loader.jump(ctx.loader_ctx)
         return self.result()
 
 

@@ -52,9 +52,10 @@ class ProductionSample:
     #: time so the auditor never touches a pipeline on the hot path;
     #: empty for failed productions and hand-built test samples
     layout_digest: str = ""
-    #: the originating pipeline's per-stage charges ``(name, ns)``, in
-    #: stage order — the critical-path analyzer subdivides a cold
-    #: request's provision segment across these; empty when unmeasured
+    #: the originating production's per-stage charges ``(name, ns)``, in
+    #: stage order (a degraded one's aborted restore first) — the
+    #: critical-path analyzer subdivides a cold request's provision
+    #: segment across these; empty when unmeasured
     stage_ns: tuple[tuple[str, int], ...] = ()
     #: trace id of the real production run this sample replays ("" when
     #: sampling ran untraced), linking every replayed invocation back to
@@ -140,7 +141,7 @@ class SampledBackend:
                 failures += 1
                 measured.append(None)  # calibrated after the loop
                 continue
-            spans = tuple(produced.vm.clock.timeline.spans)
+            spans = produced.spans
             source = ""
             if tracer is not None:
                 ctx = tracer.trace(f"sample/{i}")

@@ -455,11 +455,3 @@ class CostModel:
         across variants).
         """
         return self.charge("kernel_init", self._const(base_ms * 1e6))
-
-    def kernel_boot_ns(self, base_ms: float, mem_mib: int) -> tuple[float, float]:
-        """Compat wrapper: (memory-init, remaining-init) in one call.
-
-        Draw order matches the split methods (memory first), so seeded
-        jitter streams are unchanged either way.
-        """
-        return self.kernel_mem_init_ns(mem_mib), self.kernel_init_ns(base_ms)

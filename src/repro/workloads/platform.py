@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import mean
 from typing import Callable
 
@@ -46,6 +46,7 @@ from repro.lebench.runner import layout_key
 from repro.monitor.config import VmConfig
 from repro.monitor.vm_handle import MicroVm
 from repro.monitor.vmm import Firecracker
+from repro.simtime.trace import StageSpan, Timeline
 from repro.snapshot.checkpoint import Snapshot, SnapshotManager
 from repro.workloads.functions import FunctionSpec, lebench_ns
 
@@ -79,19 +80,42 @@ class InvocationRecord:
 class ProducedInstance:
     """One manufactured instance: the live guest and what it cost.
 
-    ``degraded`` marks a warm (restore) production that failed —
-    injected fault or organic — and fell back to a cold boot; the
-    startup latency is then the cold boot's alone: the failed restore's
-    simulated time is not charged to it.
+    ``degraded`` marks a warm (restore) production whose restore failed
+    on an injected fault and fell back to a cold boot.  Its startup
+    latency is the aborted restore's simulated time plus the cold
+    boot's.  ``spans`` are the production's stage spans in order: a
+    degraded production lists the aborted restore's completed stages,
+    then the cold boot's, shifted to start where the restore stopped.
     """
 
     vm: MicroVm
     startup_ms: float
+    spans: tuple[StageSpan, ...]
     degraded: bool = False
 
     @property
     def layout_offset(self) -> int:
         return self.vm.layout.voffset
+
+
+def _produced(vm: MicroVm, aborted: Timeline | None = None) -> ProducedInstance:
+    """The instance ``vm``, after the aborted restore ``aborted`` if any."""
+    spans = tuple(vm.clock.timeline.spans)
+    if aborted is None:
+        return ProducedInstance(vm=vm, startup_ms=vm.clock.elapsed_ms(), spans=spans)
+    paid_ns = aborted.total_ns
+    return ProducedInstance(
+        vm=vm,
+        startup_ms=(paid_ns + vm.clock.now_ns) / 1e6,
+        spans=(
+            *aborted.spans,
+            *(
+                replace(span, start_ns=span.start_ns + paid_ns, end_ns=span.end_ns + paid_ns)
+                for span in spans
+            ),
+        ),
+        degraded=True,
+    )
 
 
 @dataclass
@@ -157,15 +181,11 @@ class ServerlessPlatform:
             self._next += 1
         return self._snapshots[index]
 
-    def _cold_instance(
-        self, seed: int, boot_index: int, attempt: int
-    ) -> tuple[MicroVm, float]:
+    def _cold_instance(self, seed: int, boot_index: int, attempt: int) -> MicroVm:
         cfg = self.cfg_factory(seed)
         self.vmm.warm_caches(cfg)
-        report, vm = self.vmm.boot_vm(
-            cfg, boot_index=boot_index, attempt=attempt
-        )
-        return vm, report.total_ms
+        _report, vm = self.vmm.boot_vm(cfg, boot_index=boot_index, attempt=attempt)
+        return vm
 
     def produce(
         self, seed: int, *, boot_index: int = 0
@@ -173,7 +193,7 @@ class ServerlessPlatform:
         """Manufacture one instance under the current strategy.
 
         Warm strategies degrade: a restore that raises
-        :class:`~repro.errors.BootFailure` (e.g. an injected
+        :class:`~repro.errors.BootFailure` (an injected
         ``snapshot_restore``/``rebase`` fault) falls back to a cold boot
         of the same seed, so the instance's startup latency jumps from
         restore-scale to boot-scale — the cold-start tail the serve SLO
@@ -181,26 +201,24 @@ class ServerlessPlatform:
         there is nothing left to degrade to.
         """
         if self.strategy is InstanceStrategy.COLD_BOOT:
-            vm, startup_ms = self._cold_instance(seed, boot_index, attempt=0)
-            return ProducedInstance(vm=vm, startup_ms=startup_ms)
+            return _produced(self._cold_instance(seed, boot_index, attempt=0))
         if not self._snapshots or self._manager is None:
             raise MonitorError("platform not set up; call setup() first")
         snapshot = self._next_zygote()
         try:
             if self.strategy is InstanceStrategy.RESTORE_REBASE:
-                vm, startup_ms = self._manager.restore_rebased(
+                vm, _ms = self._manager.restore_rebased(
                     snapshot, seed=seed, boot_index=boot_index
                 )
             else:
-                vm, startup_ms = self._manager.restore(
-                    snapshot, boot_index=boot_index
-                )
-            return ProducedInstance(vm=vm, startup_ms=startup_ms)
+                vm, _ms = self._manager.restore(snapshot, boot_index=boot_index)
+            return _produced(vm)
         except BootFailure as exc:
             self.degraded_count += 1
             self._count_degraded(exc)
-            vm, cold_ms = self._cold_instance(seed, boot_index, attempt=1)
-            return ProducedInstance(vm=vm, startup_ms=cold_ms, degraded=True)
+            vm = self._cold_instance(seed, boot_index, attempt=1)
+            # the restore pipeline stamped its aborted timeline on the fault
+            return _produced(vm, aborted=exc.__cause__.boot_timeline)
 
     def _count_degraded(self, failure: BootFailure) -> None:
         telemetry = self.vmm.telemetry

@@ -1,84 +1,87 @@
-"""Bootstrap-loader simulation: steps, costs, self-randomization."""
+"""Bootstrap-loader boots: steps, costs, self-randomization.
 
-import random
+Each test boots a bzImage through ``Firecracker.boot_vm``, the path the
+figures run; its guest-boot stage runs the verification oracle.
+"""
 
 import pytest
 
-from repro.bootstrap import BootstrapLoader, LoaderOptions
+from repro.bootstrap import LoaderOptions
 from repro.bzimage import build_bzimage
 from repro.core import RandomizeMode
-from repro.kernel.verify import verify_guest_kernel
-from repro.simtime import BootCategory, BootStep, CostModel, SimClock
-from repro.vm import GuestMemory, PortIoBus
+from repro.host import HostStorage
+from repro.monitor import BootFormat, Firecracker, VmConfig
+from repro.simtime import BootCategory, BootStep, CostModel
 from repro.vm.portio import (
     MILESTONE_DECOMPRESS_END,
     MILESTONE_DECOMPRESS_START,
     MILESTONE_LOADER_ENTRY,
 )
 
-from helpers import walker_for
 
-MIB = 1024 * 1024
+def _boot(img, bz, mode, options=None, seed=13):
+    cfg = VmConfig(
+        kernel=img,
+        boot_format=BootFormat.BZIMAGE,
+        bzimage=bz,
+        randomize=mode,
+        seed=seed,
+        loader_options=options or LoaderOptions(),
+    )
+    return Firecracker(HostStorage(), CostModel(scale=img.scale)).boot_vm(cfg)
 
 
 def _run(img, codec, mode, optimized=False, options=None, seed=13):
     bz = build_bzimage(img, codec, optimized=optimized)
-    memory = GuestMemory(256 * MIB)
-    clock = SimClock()
-    bus = PortIoBus(clock)
-    loader = BootstrapLoader(options)
-    layout, loaded = loader.run(
-        bz, memory, clock, CostModel(scale=img.scale), random.Random(seed),
-        mode, guest_ram_bytes=memory.size, scale=img.scale, bus=bus,
+    report, _vm = _boot(img, bz, mode, options=options, seed=seed)
+    return report
+
+
+def _loader_ns(timeline) -> int:
+    """The guest's share before ``startup_64``: bootstrap + decompression."""
+    return timeline.category_ns(BootCategory.BOOTSTRAP_SETUP) + timeline.category_ns(
+        BootCategory.DECOMPRESSION
     )
-    return layout, loaded, memory, clock, bus
 
 
 def test_lz4_boot_self_randomizes_and_verifies(tiny_kaslr):
-    layout, loaded, memory, clock, _ = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR)
-    assert layout.voffset != 0
-    walker = walker_for(memory, layout, loaded)
-    verify_guest_kernel(memory, walker, layout, tiny_kaslr.manifest)
+    report = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR)
+    assert report.layout.voffset != 0
+    assert report.verification.functions_checked > 0
 
 
 def test_fgkaslr_self_randomization_verifies(tiny_fgkaslr):
-    layout, loaded, memory, clock, _ = _run(
-        tiny_fgkaslr, "none", RandomizeMode.FGKASLR, optimized=True
-    )
-    assert layout.fine_grained
-    walker = walker_for(memory, layout, loaded)
-    report = verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
-    assert report.kallsyms_stale  # fair-comparison loader skips the fixup
+    report = _run(tiny_fgkaslr, "none", RandomizeMode.FGKASLR, optimized=True)
+    assert report.layout.fine_grained
+    assert report.verification.kallsyms_stale  # fair-comparison loader skips the fixup
 
 
 def test_stock_loader_fixes_kallsyms(tiny_fgkaslr):
     options = LoaderOptions(kallsyms_fixup=True)
-    layout, loaded, memory, _, _ = _run(
+    report = _run(
         tiny_fgkaslr, "none", RandomizeMode.FGKASLR, optimized=True, options=options
     )
-    assert layout.kallsyms_fixed
+    assert report.layout.kallsyms_fixed
 
 
 def test_decompression_charged_to_its_own_category(tiny_kaslr):
-    _, _, _, clock, _ = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR)
-    totals = clock.timeline.category_totals_ns()
+    totals = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR).timeline.category_totals_ns()
     assert totals[BootCategory.DECOMPRESSION] > 0
     assert totals[BootCategory.BOOTSTRAP_SETUP] > 0
 
 
 def test_optimized_skips_copy_and_decompression(tiny_kaslr):
-    _, _, _, clock, _ = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True)
-    steps = clock.timeline.step_totals_ns()
-    assert BootStep.LOADER_COPY_KERNEL not in steps
-    assert clock.timeline.category_ns(BootCategory.DECOMPRESSION) == 0
+    timeline = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True).timeline
+    assert BootStep.LOADER_COPY_KERNEL not in timeline.step_totals_ns()
+    assert timeline.category_ns(BootCategory.DECOMPRESSION) == 0
 
 
 def test_unoptimized_none_pays_both_copies(tiny_kaslr):
-    _, _, _, plain, _ = _run(tiny_kaslr, "none", RandomizeMode.KASLR)
-    _, _, _, opt, _ = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True)
-    assert plain.now_ns > opt.now_ns
+    plain = _run(tiny_kaslr, "none", RandomizeMode.KASLR).timeline
+    opt = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True).timeline
+    assert _loader_ns(plain) > _loader_ns(opt)
     # the unoptimized boot has the copy-aside step
-    assert plain.timeline.step_ns(BootStep.LOADER_COPY_KERNEL) > 0
+    assert plain.step_ns(BootStep.LOADER_COPY_KERNEL) > 0
 
 
 def test_lz4_decompression_dominates_loader_time():
@@ -92,17 +95,14 @@ def test_lz4_decompression_dominates_loader_time():
     from repro.kernel import AWS, KernelVariant
 
     aws = get_kernel(AWS, KernelVariant.NOKASLR, scale=64)
-    _, _, _, clock, _ = _run(aws, "lz4", RandomizeMode.NONE)
-    decompress = clock.timeline.category_ns(BootCategory.DECOMPRESSION)
-    loader_total = decompress + clock.timeline.category_ns(
-        BootCategory.BOOTSTRAP_SETUP
-    )
-    assert decompress / loader_total > 0.5
+    timeline = _run(aws, "lz4", RandomizeMode.NONE).timeline
+    decompress = timeline.category_ns(BootCategory.DECOMPRESSION)
+    assert decompress / _loader_ns(timeline) > 0.5
 
 
 def test_milestones_in_order(tiny_kaslr):
-    _, _, _, _, bus = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR)
-    values = [w.value for w in bus.milestones()]
+    report = _run(tiny_kaslr, "lz4", RandomizeMode.KASLR)
+    values = [w.value for w in report.milestones]
     assert values[:3] == [
         MILESTONE_LOADER_ENTRY,
         MILESTONE_DECOMPRESS_START,
@@ -111,9 +111,9 @@ def test_milestones_in_order(tiny_kaslr):
 
 
 def test_fgkaslr_heap_zero_dominates_kaslr_setup(tiny_kaslr, tiny_fgkaslr):
-    _, _, _, ck, _ = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True)
-    _, _, _, cf, _ = _run(tiny_fgkaslr, "none", RandomizeMode.FGKASLR, optimized=True)
-    assert cf.timeline.step_ns(BootStep.LOADER_HEAP_ZERO) > 5 * ck.timeline.step_ns(
+    ck = _run(tiny_kaslr, "none", RandomizeMode.KASLR, optimized=True).timeline
+    cf = _run(tiny_fgkaslr, "none", RandomizeMode.FGKASLR, optimized=True).timeline
+    assert cf.step_ns(BootStep.LOADER_HEAP_ZERO) > 5 * ck.step_ns(
         BootStep.LOADER_HEAP_ZERO
     )
 
@@ -126,16 +126,12 @@ def test_corrupt_payload_fails_boot(tiny_kaslr):
     data = bytearray(bz.data)
     data[bz.header.payload_offset + 100] ^= 0xFF
     corrupted = BzImage.parse(bytes(data))
-    memory = GuestMemory(256 * MIB)
-    with pytest.raises((CompressionError, BzImageError)):
-        BootstrapLoader().run(
-            corrupted, memory, SimClock(), CostModel(scale=1), random.Random(0),
-            RandomizeMode.KASLR, guest_ram_bytes=memory.size,
-        )
+    with pytest.raises((CompressionError, BzImageError)) as excinfo:
+        _boot(tiny_kaslr, corrupted, RandomizeMode.KASLR, seed=0)
+    assert excinfo.value.boot_stage in ("decompress", "self_randomize")
 
 
 def test_nokaslr_bzimage_boots_without_randomization(tiny_nokaslr):
-    layout, loaded, memory, _, _ = _run(tiny_nokaslr, "gzip", RandomizeMode.NONE)
-    assert layout.voffset == 0
-    walker = walker_for(memory, layout, loaded)
-    verify_guest_kernel(memory, walker, layout, tiny_nokaslr.manifest)
+    report = _run(tiny_nokaslr, "gzip", RandomizeMode.NONE)
+    assert report.layout.voffset == 0
+    assert report.verification.functions_checked > 0

@@ -54,16 +54,6 @@ def test_skip_text_leaves_text_untouched(tiny_fgkaslr):
     assert memory.read(paddr, 16) != bytes(16)
 
 
-def test_charge_memcpy_costs_more(tiny_kaslr):
-    ctx_cheap = _ctx()
-    load_elf_segments(tiny_kaslr.elf, GuestMemory(64 * MIB), ctx_cheap)
-    ctx_copy = _ctx()
-    load_elf_segments(
-        tiny_kaslr.elf, GuestMemory(64 * MIB), ctx_copy, charge_memcpy=True
-    )
-    assert ctx_copy.clock.now_ns > ctx_cheap.clock.now_ns
-
-
 def test_no_segments_rejected():
     from repro.elf import ElfWriter, Section
 

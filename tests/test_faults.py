@@ -65,6 +65,7 @@ def test_spec_parse_defaults():
         ("just-words", "key=value"),
         ("stage=linux_boot,kind=cache-drop", "cache-drop fires only at prepare_image"),
         ("stage=randomize_load,kind=cache-drop,boot=1", "consults the artifact cache"),
+        ("stage=decompres,kind=corrupt-elf", "unknown stage 'decompres'; known: .*decompress"),
     ],
 )
 def test_spec_parse_rejects(text, match):
@@ -109,11 +110,11 @@ def test_matches_pins_boot_index():
 
 
 def test_matches_respects_rate_extremes():
-    always = FaultPlan.parse(["stage=s,kind=corrupt-elf,rate=1.0"])
-    never = FaultPlan.parse(["stage=s,kind=corrupt-elf,rate=0.0"])
+    always = FaultPlan.parse(["stage=linux_boot,kind=corrupt-elf,rate=1.0"])
+    never = FaultPlan.parse(["stage=linux_boot,kind=corrupt-elf,rate=0.0"])
     for i in range(20):
-        assert always.matches("s", boot_id=f"b{i}", boot_index=i)
-        assert not never.matches("s", boot_id=f"b{i}", boot_index=i)
+        assert always.matches("linux_boot", boot_id=f"b{i}", boot_index=i)
+        assert not never.matches("linux_boot", boot_id=f"b{i}", boot_index=i)
 
 
 # -- single-boot containment ---------------------------------------------------
@@ -319,3 +320,17 @@ def test_cli_rejects_bad_fault_spec(capsys):
     ])
     assert code == 2
     assert "bad --inject-fault" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_misspelled_stage(capsys):
+    """A typo'd stage never fires, so the CLI refuses it before booting."""
+    from repro.cli import main
+
+    code = main([
+        "boot", "--kernel", "tiny", "--scale", "1",
+        "--inject-fault", "stage=decompres,kind=corrupt-elf",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad --inject-fault spec: unknown stage 'decompres'" in captured.err

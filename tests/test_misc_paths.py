@@ -6,16 +6,12 @@ import dataclasses
 import pytest
 
 from repro.bzimage import build_bzimage
-from repro.bootstrap import BootstrapLoader, LoaderOptions
+from repro.bootstrap import LoaderOptions
 from repro.core import RandomizeMode
 from repro.host import HostStorage
 from repro.kernel import TINY, KernelVariant, build_kernel
-from repro.kernel.verify import verify_guest_kernel
-from repro.monitor import BootFormat, Qemu, VmConfig
-from repro.simtime import CostModel, SimClock
-from repro.vm import GuestMemory
-
-from helpers import walker_for
+from repro.monitor import BootFormat, Firecracker, Qemu, VmConfig
+from repro.simtime import CostModel
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +27,17 @@ def test_orc_kernel_has_unwind_sections(orc_kernel):
 
 def test_loader_orc_fixup_path(orc_kernel):
     """The stock loader updates ORC tables; the stripped one skips them."""
-    import random
-
     bz = build_bzimage(orc_kernel, "none", optimized=True)
 
     def run(orc_fixup):
-        memory = GuestMemory(256 << 20)
-        clock = SimClock()
-        loader = BootstrapLoader(LoaderOptions(orc_fixup=orc_fixup))
-        layout, loaded = loader.run(
-            bz, memory, clock, CostModel(scale=1), random.Random(3),
-            RandomizeMode.FGKASLR, guest_ram_bytes=memory.size,
+        cfg = VmConfig(
+            kernel=orc_kernel, boot_format=BootFormat.BZIMAGE, bzimage=bz,
+            randomize=RandomizeMode.FGKASLR, seed=3,
+            loader_options=LoaderOptions(orc_fixup=orc_fixup),
         )
-        verify_guest_kernel(memory, walker_for(memory, layout, loaded),
-                            layout, orc_kernel.manifest)
-        return clock.now_ns
+        # the guest-boot stage verifies the randomized kernel
+        report = Firecracker(HostStorage(), CostModel(scale=1)).boot(cfg)
+        return report.timeline.total_ns
 
     assert run(orc_fixup=True) > run(orc_fixup=False)
 

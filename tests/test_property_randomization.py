@@ -6,18 +6,17 @@ principal — after randomization the guest kernel must still be correct
 seed/mode space; the verification oracle is the property.
 """
 
-import random
-
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bootstrap import BootstrapLoader
+from repro.artifacts import bzimage_cfg, direct_cfg
 from repro.bzimage import build_bzimage
 from repro.core import RandomizeMode
+from repro.host import HostStorage
+from repro.kernel import TINY
 from repro.kernel import layout as kl
 from repro.kernel.verify import verify_guest_kernel
-from repro.simtime import CostModel, SimClock
-from repro.vm import GuestMemory
+from repro.monitor import BootFormat, Firecracker, VmConfig
+from repro.simtime import CostModel
 
 from helpers import randomize_into_memory, walker_for
 
@@ -57,35 +56,43 @@ def test_inmonitor_fgkaslr_always_verifies(tiny_fgkaslr, seed, lazy):
     codec=st.sampled_from(["none", "lz4", "gzip"]),
 )
 def test_self_randomization_always_verifies(tiny_fgkaslr, seed, codec):
-    bz = build_bzimage(tiny_fgkaslr, codec)
-    memory = GuestMemory(256 << 20)
-    layout, loaded = BootstrapLoader().run(
-        bz, memory, SimClock(), CostModel(scale=1), random.Random(seed),
-        RandomizeMode.FGKASLR, guest_ram_bytes=memory.size,
+    cfg = VmConfig(
+        kernel=tiny_fgkaslr, boot_format=BootFormat.BZIMAGE,
+        bzimage=build_bzimage(tiny_fgkaslr, codec),
+        randomize=RandomizeMode.FGKASLR, seed=seed,
     )
-    walker = walker_for(memory, layout, loaded)
-    verify_guest_kernel(memory, walker, layout, tiny_fgkaslr.manifest)
+    # the guest-boot stage runs the verification oracle
+    report = Firecracker(HostStorage(), CostModel(scale=1)).boot(cfg)
+    assert report.verification.functions_checked > 0
 
 
 @_SETTINGS
-@given(seed=st.integers(0, 2**32 - 1))
-def test_monitor_and_loader_entropy_equivalent(tiny_kaslr, seed):
-    """Same seed, same algorithm -> same offset under either principal.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(RandomizeMode)),
+    codec=st.sampled_from([("lz4", False), ("none", True)]),
+)
+def test_monitor_and_loader_entropy_equivalent(seed, mode, codec):
+    """Same seed, same algorithm -> same guest under either principal.
 
     This is the Section 4.3 equivalence claim made literal: the principals
-    share the offset-selection algorithm, so given the same randomness they
-    produce identical layouts.
+    share the randomization pipeline, so given the same randomness a
+    direct boot and a bzImage boot of one kernel lay it out identically,
+    byte for byte.  (A kernel with ORC tables would differ under the
+    default options: the fair-comparison loader skips the ORC update.)
     """
-    layout_monitor, *_ = randomize_into_memory(
-        tiny_kaslr, RandomizeMode.KASLR, seed=seed
+    codec, optimized = codec
+    fc = Firecracker(HostStorage(), CostModel(scale=1))
+    _, direct = fc.boot_vm(direct_cfg(TINY, mode, scale=1, seed=seed))
+    _, loader = fc.boot_vm(
+        bzimage_cfg(TINY, mode, codec, scale=1, optimized=optimized, seed=seed)
     )
-    bz = build_bzimage(tiny_kaslr, "none", optimized=True)
-    memory = GuestMemory(256 << 20)
-    layout_loader, _ = BootstrapLoader().run(
-        bz, memory, SimClock(), CostModel(scale=1), random.Random(seed),
-        RandomizeMode.KASLR, guest_ram_bytes=memory.size,
+    a, b = direct.layout, loader.layout
+    assert (a.voffset, a.phys_load, a.moved, a.mem_bytes) == (
+        b.voffset, b.phys_load, b.moved, b.mem_bytes
     )
-    assert layout_monitor.voffset == layout_loader.voffset
+    image = (a.phys_load, a.mem_bytes)
+    assert direct.memory.read(*image) == loader.memory.read(*image)
 
 
 @_SETTINGS

@@ -65,7 +65,8 @@ def test_in_guest_reloc_apply_slower():
 
 def test_kernel_boot_ns_splits_memory_and_base():
     costs = CostModel(scale=1)
-    mem_ns, base_ns = costs.kernel_boot_ns(base_ms=50.0, mem_mib=1024)
+    mem_ns = costs.kernel_mem_init_ns(1024)
+    base_ns = costs.kernel_init_ns(50.0)
     assert base_ns == pytest.approx(50e6)
     assert mem_ns == pytest.approx(1024 * costs.kernel_mem_init_per_mib_ns)
 

@@ -141,6 +141,54 @@ def test_produce_degrades_warm_failures_to_cold(fc, tiny_kaslr):
     assert min(p.startup_ms for p in degraded) > max(p.startup_ms for p in warm)
 
 
+@pytest.mark.parametrize(
+    "stage, startup_ms, first_stage",
+    [
+        # the CoW restore ran (2.5045 ms) before the rebase fault fired
+        ("rebase", 12.532116, "snapshot_restore"),
+        # the fault fired before the restore charged anything
+        ("snapshot_restore", 10.027616, "monitor_startup"),
+    ],
+)
+def test_degraded_production_pays_for_its_aborted_restore(
+    fc, tiny_kaslr, stage, startup_ms, first_stage
+):
+    """A degraded startup is the aborted restore, then the cold boot."""
+    from repro.faults import FaultPlan
+    from repro.serve.backend import SampledBackend
+    from repro.telemetry.tracing import RequestTracer
+
+    fc.fault_plan = FaultPlan.parse([f"stage={stage},kind=stage-timeout,rate=1.0"])
+    platform = ServerlessPlatform(
+        fc, _factory(tiny_kaslr), strategy=InstanceStrategy.RESTORE_REBASE
+    )
+    platform.setup()
+    produced = platform.produce(9)
+    assert produced.degraded
+    assert produced.startup_ms == startup_ms
+    spans = produced.spans
+    cold = produced.vm.clock.timeline.spans
+    assert spans[0].name == first_stage
+    assert [s.name for s in spans[len(spans) - len(cold):]] == [s.name for s in cold]
+    # the spans tile the whole startup, the cold boot's shifted after the restore's
+    assert spans[0].start_ns == 0
+    assert all(a.end_ns == b.start_ns for a, b in zip(spans, spans[1:]))
+    assert spans[-1].end_ns == round(startup_ms * 1e6)
+
+    tracer = RequestTracer(seed=1)
+    sample = SampledBackend.from_platform(
+        platform, FUNCTIONS["api-echo"], n_samples=1, tracer=tracer
+    ).samples[0]
+    assert sample.degraded
+    assert sample.stage_ns[0][0] == first_stage
+    assert sum(ns for _, ns in sample.stage_ns) == sample.startup_ns
+    (trace,) = tracer.traces()
+    root, *stage_spans = trace.spans()
+    assert (root.start_ns, root.end_ns) == (0, sample.startup_ns)
+    assert [(s.name, s.duration_ns) for s in stage_spans] == list(sample.stage_ns)
+    assert all(a.end_ns == b.start_ns for a, b in zip(stage_spans, stage_spans[1:]))
+
+
 def test_morula_pool_restores_round_robin(fc, tiny_kaslr):
     """Three zygotes: productions ``i`` and ``i + 3`` share a layout."""
     platform = ServerlessPlatform(
