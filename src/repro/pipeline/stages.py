@@ -113,28 +113,26 @@ class PrepareImageStage(Stage):
     principal = PRINCIPAL_MONITOR
 
     def run(self, ctx: StageContext) -> StageResult:
-        from repro.monitor.artifact_cache import cache_key_for
-
         cfg = ctx.cfg
         cache = ctx.artifact_cache
         if cache is not None:
+            from repro.monitor.artifact_cache import cache_key_for
+
             key = cache_key_for(cfg)
-            digest = key.image_digest
             prepared = cache.lookup(
                 key, scope=ctx.cache_scope, force_miss=ctx.cache_miss_forced
             )
             if prepared is not None:
+                digest = key.image_digest[:12]
                 ctx.prepared = prepared
                 ctx.prepared_from_cache = True
                 ctx.clock.charge(
                     ctx.costs.artifact_cache_lookup(),
                     category=BootCategory.IN_MONITOR,
                     step=BootStep.MONITOR_ELF_PARSE,
-                    label=f"layout cache hit ({digest[:12]})",
+                    label=f"layout cache hit ({digest})",
                 )
-                return self.result(
-                    detail=f"cache hit ({digest[:12]})", cache_hit=True
-                )
+                return self.result(detail=f"cache hit ({digest})", cache_hit=True)
         prepared = prepare_image(cfg.kernel.elf, cfg.randomize)
         ctx.prepared = prepared
         ctx.clock.charge(

@@ -103,17 +103,15 @@ def _produced(vm: MicroVm, aborted: Timeline | None = None) -> ProducedInstance:
     spans = tuple(vm.clock.timeline.spans)
     if aborted is None:
         return ProducedInstance(vm=vm, startup_ms=vm.clock.elapsed_ms(), spans=spans)
-    paid_ns = aborted.total_ns
+    paid = aborted.total_ns
+    shifted = (
+        replace(span, start_ns=span.start_ns + paid, end_ns=span.end_ns + paid)
+        for span in spans
+    )
     return ProducedInstance(
         vm=vm,
-        startup_ms=(paid_ns + vm.clock.now_ns) / 1e6,
-        spans=(
-            *aborted.spans,
-            *(
-                replace(span, start_ns=span.start_ns + paid_ns, end_ns=span.end_ns + paid_ns)
-                for span in spans
-            ),
-        ),
+        startup_ms=(paid + vm.clock.now_ns) / 1e6,
+        spans=(*aborted.spans, *shifted),
         degraded=True,
     )
 

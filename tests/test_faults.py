@@ -65,7 +65,10 @@ def test_spec_parse_defaults():
         ("just-words", "key=value"),
         ("stage=linux_boot,kind=cache-drop", "cache-drop fires only at prepare_image"),
         ("stage=randomize_load,kind=cache-drop,boot=1", "consults the artifact cache"),
-        ("stage=decompres,kind=corrupt-elf", "unknown stage 'decompres'; known: .*decompress"),
+        (
+            "stage=decompres,kind=corrupt-elf",
+            "unknown stage 'decompres'; known: .*, decompress,",
+        ),
     ],
 )
 def test_spec_parse_rejects(text, match):
