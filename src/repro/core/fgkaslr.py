@@ -37,6 +37,8 @@ class SectionInventory:
     ordered: tuple[tuple[str, int, int], ...]
     region_start: int
     region_end: int
+    #: file offset of each section's bytes in the ELF, in the same order
+    offsets: tuple[int, ...]
 
     @property
     def n_sections(self) -> int:
@@ -51,8 +53,12 @@ class ShufflePlan:
     moved: list[tuple[int, int, int]] = field(default_factory=list)
     region_start: int = 0  # link vaddr where function sections begin
     region_end: int = 0
+    #: link vaddr just past the last repacked byte (at most ``region_end``)
+    packed_end: int = 0
     n_sections: int = 0
     moved_bytes: int = 0
+    #: file offset of each moved section's bytes, in ``moved`` order
+    file_offsets: tuple[int, ...] = ()
 
     def permutation_entropy_bits(self, scale: int = 1) -> float:
         """log2(n!) for the paper-scale section count."""
@@ -70,11 +76,14 @@ class FgkaslrEngine:
         """Collect the shuffle set in link order (cacheable parse phase)."""
         sections = sorted(elf.function_sections(), key=lambda s: s.vaddr)
         if not sections:
-            return SectionInventory(ordered=(), region_start=0, region_end=0)
+            return SectionInventory(
+                ordered=(), region_start=0, region_end=0, offsets=()
+            )
         return SectionInventory(
             ordered=tuple((s.name, s.vaddr, s.size) for s in sections),
             region_start=sections[0].vaddr,
             region_end=max(s.vaddr + s.size for s in sections),
+            offsets=tuple(s.header.sh_offset for s in sections),
         )
 
     def plan(self, elf: ElfImage, ctx: RandoContext) -> ShufflePlan:
@@ -102,18 +111,22 @@ class FgkaslrEngine:
             region_start=inventory.region_start,
             region_end=inventory.region_end,
             n_sections=inventory.n_sections,
+            file_offsets=inventory.offsets,
         )
-        cursor = inventory.region_start
+        cursor = end = inventory.region_start
         new_start: dict[str, int] = {}
         for name, _vaddr, size in permuted:
             cursor = kl.align_up(cursor, kl.FUNC_ALIGN)
             new_start[name] = cursor
             cursor += size
+            if size:
+                end = cursor
         if cursor > inventory.region_end:
             raise RandomizationError(
                 f"repacked sections overflow the text region "
                 f"({cursor:#x} > {inventory.region_end:#x})"
             )
+        plan.packed_end = end
         for name, vaddr, size in inventory.ordered:
             delta = new_start[name] - vaddr
             plan.moved.append((vaddr, size, delta))
@@ -141,6 +154,13 @@ class FgkaslrEngine:
         already loaded at its link layout, so the loader must copy the
         whole text region aside before repacking — the extra relocation of
         the kernel the paper's Section 5.2 calls out.
+
+        The span the sections are repacked into, from the region's start
+        to the plan's ``packed_end``, is read from guest memory once, each
+        section is copied into it from the ELF bytes at the file offset
+        the inventory recorded, and the span is written back once.  Bytes
+        no section lands on keep what memory held: zeros on the monitor
+        path, the link-layout image on the loader's.
         """
         base_text = elf.section(".text")
         if in_place:
@@ -156,11 +176,14 @@ class FgkaslrEngine:
         base_off = base_text.vaddr - kl.LINK_VBASE
         memory.write(phys_load + base_off, base_text.data)
 
-        sections = {s.vaddr: s for s in elf.function_sections()}
-        for orig_start, size, delta in plan.moved:
-            section = sections[orig_start]
-            new_off = orig_start + delta - kl.LINK_VBASE
-            memory.write(phys_load + new_off, section.data)
+        start = plan.region_start
+        region_paddr = phys_load + start - kl.LINK_VBASE
+        region = bytearray(memory.read(region_paddr, plan.packed_end - start))
+        data = memoryview(elf.data)
+        for (orig_start, size, delta), src in zip(plan.moved, plan.file_offsets):
+            at = orig_start + delta - start
+            region[at : at + size] = data[src : src + size]
+        memory.write(region_paddr, region)
         ctx.charge(
             ctx.costs.shuffle_ns(plan.n_sections, plan.moved_bytes),
             ctx.steps.shuffle,

@@ -163,7 +163,7 @@ class InMonitorRandomizer:
         layout.finalize()
 
         assert relocs is not None  # checked above
-        Relocator(memory, layout).apply(relocs, ctx)
+        Relocator(memory, layout, elf).apply(relocs, ctx)
 
         if mode is RandomizeMode.FGKASLR:
             self.engine.fixup_extable(elf, memory, layout, ctx)

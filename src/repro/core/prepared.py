@@ -62,8 +62,10 @@ class PreparedImage:
             )
             h.update(section.data)
         if self.fg_inventory is not None:
-            for name, vaddr, size in self.fg_inventory.ordered:
-                h.update(f"{name}:{vaddr}:{size}".encode())
+            for (name, vaddr, size), offset in zip(
+                self.fg_inventory.ordered, self.fg_inventory.offsets
+            ):
+                h.update(f"{name}:{vaddr}:{size}:{offset}".encode())
             h.update(
                 f"{self.fg_inventory.region_start}:"
                 f"{self.fg_inventory.region_end}".encode()

@@ -18,19 +18,22 @@ from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_right
-from typing import Callable, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core import siteplan
 from repro.core.context import RandoContext
 from repro.core.layout_result import LayoutResult
+from repro.elf.reader import ElfImage
 from repro.elf.relocs import RelocationTable
 from repro.errors import RandomizationError
 from repro.kernel import layout as kl
 from repro.vm.memory import CHUNK_SHIFT, GuestMemory
 
-#: kernel virtual addresses live in the top 2 GiB
-_KERNEL_WINDOW = 2 * kl.GIB
+#: kernel virtual addresses live in the top 2 GiB, below this
+_WINDOW_TOP = kl.START_KERNEL_MAP + 2 * kl.GIB
 _HIGH_BITS = kl.START_KERNEL_MAP & ~0xFFFF_FFFF  # 0xffffffff_00000000
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -43,7 +46,7 @@ WordFix = Callable[[int, int], int]
 
 def check_kernel_vaddr(vaddr: int, site: str, offset: int) -> None:
     """Reject a value outside the kernel window; ``site`` + offset names it."""
-    if not kl.START_KERNEL_MAP <= vaddr < kl.START_KERNEL_MAP + _KERNEL_WINDOW:
+    if not kl.START_KERNEL_MAP <= vaddr < _WINDOW_TOP:
         raise RandomizationError(
             f"{site}{offset:#x}: value {vaddr:#x} is not a kernel virtual address"
         )
@@ -54,62 +57,162 @@ def low32_to_vaddr(low32: int) -> int:
     return _HIGH_BITS | low32
 
 
-def relocation_plan(
-    table: RelocationTable, layout: LayoutResult
-) -> tuple[tuple[array, array], ...]:
-    """Each class's sites as :func:`~repro.core.siteplan.split_runs` runs.
+class RelocClass(NamedTuple):
+    """One relocation class: its site word and its arithmetic.
 
-    Derived once per table content and window layout (see
-    :mod:`repro.core.siteplan`).
+    The checked fix of :meth:`Relocator.apply` and the memo it builds
+    from a plan's words both relocate through ``relocate``.
+    """
+
+    name: str
+    word: struct.Struct
+    #: the kernel vaddr a stored word names
+    vaddr: Callable[[int], int]
+    #: the stored word of that vaddr moved by ``shift``; None for a value
+    #: that no longer fits the word
+    relocate: Callable[[int, int], int | None]
+
+
+def _abs32(low: int, shift: int) -> int | None:
+    new = low + shift  # the low half of (_HIGH_BITS | low) + shift
+    return new if 0 <= new <= _MASK32 else None
+
+
+#: the three classes, in :class:`RelocationTable` order
+CLASSES = (
+    RelocClass(
+        "ABS64",
+        _U64,
+        lambda value: value,
+        lambda value, shift: (value + shift) & _MASK64,
+    ),
+    RelocClass("ABS32", _U32, low32_to_vaddr, _abs32),
+    RelocClass(
+        "INV32",
+        _U32,
+        lambda stored: low32_to_vaddr(-stored & _MASK32),
+        lambda stored, shift: (stored - shift) & _MASK32,
+    ),
+)
+
+
+def _class_offsets(table: RelocationTable) -> tuple[list[int], ...]:
+    return table.abs64, table.abs32, table.inv32
+
+
+class ClassPlan(NamedTuple):
+    """One class's sites under one window layout, and the words they hold."""
+
+    #: :func:`~repro.core.siteplan.split_runs` of the class's sites
+    ends: array
+    windows: array
+    #: every distinct link-time word at the sites that names a kernel
+    #: vaddr, and the window of that vaddr (none without an image);
+    #: (tuples: a boot iterates them, and an array makes an int per item)
+    words: tuple[int, ...]
+    word_windows: tuple[int, ...]
+
+
+def relocation_plan(
+    table: RelocationTable, layout: LayoutResult, image: ElfImage | None = None
+) -> tuple[ClassPlan, ...]:
+    """Each class's :class:`ClassPlan` under ``layout``'s windows.
+
+    Derived once per table content, image content and window layout
+    (see :mod:`repro.core.siteplan`).  Both contents are hashed once per
+    object, so a lookup hashes the window bounds and two digests.
     """
     bounds, _ = layout.windows()
     vbase = layout.link_vbase
-    classes = (
-        (table.abs64, _U64.size),
-        (table.abs32, _U32.size),
-        (table.inv32, _U32.size),
+    key = (
+        "relocs",
+        table.content_key,
+        image.digest if image is not None else None,
+        vbase,
+        bounds,
     )
-    key = ("relocs", vbase, bounds, *(tuple(offsets) for offsets, _ in classes))
     return siteplan.shared(
         key,
         lambda: tuple(
-            siteplan.split_runs(offsets, width, bounds, vbase)
-            for offsets, width in classes
+            _class_plan(offsets, cls, image, bounds, vbase)
+            for offsets, cls in zip(_class_offsets(table), CLASSES)
         ),
     )
+
+
+def _class_plan(
+    offsets: Sequence[int],
+    cls: RelocClass,
+    image: ElfImage | None,
+    bounds: tuple[int, ...],
+    vbase: int,
+) -> ClassPlan:
+    ends, windows = siteplan.split_runs(offsets, cls.word.size, bounds, vbase)
+    words = []
+    if image is not None:
+        words = [
+            w
+            for w in link_words(image, offsets, cls.word)
+            if kl.START_KERNEL_MAP <= cls.vaddr(w) < _WINDOW_TOP
+        ]
+    word_windows = siteplan.window_indices([cls.vaddr(w) for w in words], bounds)
+    return ClassPlan(ends, windows, tuple(words), tuple(word_windows))
+
+
+def link_words(
+    image: ElfImage, offsets: Sequence[int], word: struct.Struct
+) -> set[int]:
+    """The distinct ``word``s ``image`` stores at the sites at ``offsets``.
+
+    Read from the file bytes of the image's load segments, each placed
+    at image offset ``p_paddr - PHYS_LOAD_ADDR`` as segment loading
+    places it.  A site outside every segment's file bytes is skipped.
+    """
+    offsets = sorted(offsets)
+    out: set[int] = set()
+    for p in image.load_segments():
+        lo = p.p_paddr - kl.PHYS_LOAD_ADDR
+        first = bisect_left(offsets, lo)
+        end = bisect_right(offsets, lo + p.p_filesz - word.size)
+        at = map(add, offsets[first:end], repeat(p.p_offset - lo))
+        out.update(map(itemgetter(0), map(word.unpack_from, repeat(image.data), at)))
+    return out
 
 
 def fix_sites(
     memory: GuestMemory,
     layout: LayoutResult,
     table: RelocationTable,
-    abs64: WordFix,
-    abs32: WordFix,
-    inv32: WordFix,
+    fixes: Sequence[WordFix],
+    plan: tuple[ClassPlan, ...] | None = None,
+    memos: Sequence[dict[int, int | None]] | None = None,
 ) -> None:
     """Rewrite every site's word in place: one pass per relocation class.
 
     Sites are visited and written one at a time, in table order.  Under
-    FGKASLR a pass walks the table's :func:`relocation_plan`: each run
-    shares one displacement and, nearly always, one memory chunk, which
-    is looked up once for the run.  A class's ``fix`` must depend on the
-    stored word alone — the offset only names the site in errors —
-    because it runs once per distinct word and its result is reused for
-    every other site holding that word.
+    FGKASLR a pass walks the table's :func:`relocation_plan` (``plan``,
+    looked up when not given): each run shares one displacement and,
+    nearly always, one memory chunk, which is looked up once for the run.
+
+    ``fixes`` holds each class's fix, in :data:`CLASSES` order.  A fix
+    must depend on the stored word alone — the offset only names the
+    site in errors — because a pass memoizes it by stored word.
+    ``memos`` prefill the pass's memo (:meth:`Relocator.apply` builds
+    them from the plan's words); a word missing from it, or mapped to
+    None, goes through the fix once, and the result is reused for every
+    other site holding that word.
     """
     bounds, deltas = layout.windows()
-    plan = relocation_plan(table, layout) if len(bounds) > 2 else None
+    if plan is None and len(bounds) > 2:
+        plan = relocation_plan(table, layout)
     phys = layout.phys_load
     size = memory.size
     chunks: dict[int, tuple] = {}  # chunk index -> (writable buf, base, end)
-    for c, (offsets, word, fix) in enumerate(
-        (
-            (table.abs64, _U64, abs64),
-            (table.abs32, _U32, abs32),
-            (table.inv32, _U32, inv32),
-        )
+    for c, (offsets, cls, fix) in enumerate(
+        zip(_class_offsets(table), CLASSES, fixes)
     ):
-        fixed: dict[int, int] = {}
+        word = cls.word
+        fixed = memos[c] if memos is not None else {}
         if plan is None:  # one window: the whole class is one run
             _fix_run(memory, offsets, word, phys, fix, fixed)
             continue
@@ -117,7 +220,7 @@ def fix_sites(
         unpack, pack = word.unpack_from, word.pack_into
         get = fixed.get
         a = 0
-        for b, j in zip(*plan[c]):
+        for b, j in zip(plan[c].ends, plan[c].windows):
             shift = phys + deltas[j]
             lo = offsets[a] + shift
             hi = offsets[b - 1] + shift + width
@@ -186,9 +289,17 @@ def _fix_run(
 class Relocator:
     """Applies a relocation table to a kernel image in guest memory."""
 
-    def __init__(self, memory: GuestMemory, layout: LayoutResult) -> None:
+    def __init__(
+        self,
+        memory: GuestMemory,
+        layout: LayoutResult,
+        image: ElfImage | None = None,
+    ) -> None:
         self.memory = memory
         self.layout = layout
+        #: the ELF the kernel was loaded from; an FGKASLR layout's plan
+        #: reads the link-time words at the sites from it
+        self.image = image
 
     def apply(self, table: RelocationTable, ctx: RandoContext) -> int:
         """Fix every site; returns the number of entries processed.
@@ -196,6 +307,9 @@ class Relocator:
         The byte work is real (values in guest memory change); the
         simulated time is charged in one batch per the cost model, with the
         FGKASLR binary-search surcharge when sections were shuffled.
+        Under FGKASLR each class's memo starts with every word of the
+        plan relocated by its window's shift, so a boot runs the checked
+        fix only for a word the image did not hold at link time.
         """
         layout = self.layout
         n = table.entry_count
@@ -203,32 +317,13 @@ class Relocator:
             return 0
         bounds, deltas = layout.windows()
         voffset = layout.voffset
-
-        # LayoutResult.final_vaddr without its two calls; it runs per distinct word
-        def final(vaddr: int) -> int:
-            return vaddr + deltas[bisect_right(bounds, vaddr) - 1] + voffset
-
-        def abs64(value: int, off: int) -> int:
-            check_kernel_vaddr(value, "ABS64 site at image+", off)
-            return final(value) & _MASK64
-
-        def abs32(low: int, off: int) -> int:
-            vaddr = low32_to_vaddr(low)
-            check_kernel_vaddr(vaddr, "ABS32 site at image+", off)
-            new = final(vaddr)
-            if (new & ~_MASK32) != _HIGH_BITS:
-                raise RandomizationError(
-                    f"ABS32 site at image+{off:#x}: relocated value "
-                    f"{new:#x} no longer fits 32 bits"
-                )
-            return new & _MASK32
-
-        def inv32(stored: int, off: int) -> int:
-            vaddr = low32_to_vaddr((-stored) & _MASK32)
-            check_kernel_vaddr(vaddr, "INV32 site at image+", off)
-            return (-final(vaddr)) & _MASK32
-
-        fix_sites(self.memory, layout, table, abs64, abs32, inv32)
+        shifts = [delta + voffset for delta in deltas]
+        fixes = [_checked_fix(cls, bounds, shifts) for cls in CLASSES]
+        plan = memos = None
+        if len(bounds) > 2:
+            plan = relocation_plan(table, layout, self.image)
+            memos = [_memo(p, cls, shifts) for p, cls in zip(plan, CLASSES)]
+        fix_sites(self.memory, layout, table, fixes, plan, memos)
         ctx.charge(
             ctx.costs.reloc_apply_batch_ns(n, in_guest=ctx.in_guest),
             ctx.steps.relocate,
@@ -242,3 +337,34 @@ class Relocator:
             )
         layout.relocs_applied += n
         return n
+
+
+def _memo(plan: ClassPlan, cls: RelocClass, shifts: list[int]) -> dict:
+    """Each of the plan's words relocated by its window's shift."""
+    word_shifts = map(shifts.__getitem__, plan.word_windows)
+    return dict(zip(plan.words, map(cls.relocate, plan.words, word_shifts)))
+
+
+def _checked_fix(
+    cls: RelocClass, bounds: tuple[int, ...], shifts: list[int]
+) -> WordFix:
+    """``cls``'s fix under one layout: check the vaddr, then relocate it.
+
+    ``shifts[j]`` is window ``j``'s displacement plus the voffset.
+    """
+    site = f"{cls.name} site at image+"
+    vaddr_of, relocate = cls.vaddr, cls.relocate
+
+    def fix(stored: int, off: int) -> int:
+        vaddr = vaddr_of(stored)
+        check_kernel_vaddr(vaddr, site, off)
+        shift = shifts[bisect_right(bounds, vaddr) - 1]
+        new = relocate(stored, shift)
+        if new is None:
+            raise RandomizationError(
+                f"{site}{off:#x}: relocated value {vaddr + shift:#x} "
+                "no longer fits 32 bits"
+            )
+        return new
+
+    return fix

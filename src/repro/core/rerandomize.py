@@ -67,7 +67,7 @@ class Rerandomizer:
         def inv32(stored: int, off: int) -> int:
             return (stored - delta) & 0xFFFF_FFFF
 
-        fix_sites(memory, layout, relocs, abs64, abs32, inv32)
+        fix_sites(memory, layout, relocs, (abs64, abs32, inv32))
         ctx.charge(
             ctx.costs.reloc_apply_batch_ns(relocs.entry_count, in_guest=ctx.in_guest),
             ctx.steps.relocate,

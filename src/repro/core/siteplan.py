@@ -15,10 +15,18 @@ seldom straddles a 256 KiB memory chunk (never, for an unmoved window of
 an image loaded on a chunk boundary), and its sites ascend without
 overlapping, so one ``struct`` format with pad bytes reads them all.
 
+A plan may carry more of what every boot of the image shares: the
+relocator's (:func:`~repro.core.relocator.relocation_plan`) also holds,
+per class, each distinct link-time word at the sites and its window, so
+a boot fills its fix memo from this boot's deltas alone.
+
 Plans are shared by content, never by object identity: equal site lists
 under equal window layouts (a fresh build of the same kernel, a fleet
 worker's own parse of the relocs sidecar) find the same plan, and the
-store holds none of the objects a plan was derived from.
+store holds none of the objects a plan was derived from.  A key names
+big inputs by a digest their object computes once (a table's
+``content_key``, an image's ``digest``), so a boot's lookup hashes the
+window bounds, not every site.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ meaningful.
 from __future__ import annotations
 
 import enum
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -53,11 +54,25 @@ class RelocationTable:
     abs64: list[int] = field(default_factory=list)
     abs32: list[int] = field(default_factory=list)
     inv32: list[int] = field(default_factory=list)
+    _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, reloc_type: RelocType, image_offset: int) -> None:
         if image_offset < 0 or image_offset > 0xFFFFFFFF:
             raise RelocsError(f"relocation offset out of u32 range: {image_offset}")
         self._bucket(reloc_type).append(image_offset)
+        self._key = None
+
+    @property
+    def content_key(self) -> bytes:
+        """SHA-256 of :meth:`encode`: equal for equal tables, however built.
+
+        Hashed on first use and kept, so a table looked up on every boot
+        is hashed once; :meth:`add` drops it.  Tables are not edited
+        through their lists once built.
+        """
+        if self._key is None:
+            self._key = hashlib.sha256(self.encode()).digest()
+        return self._key
 
     def _bucket(self, reloc_type: RelocType) -> list[int]:
         if reloc_type is RelocType.ABS64:

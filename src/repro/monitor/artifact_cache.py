@@ -171,10 +171,11 @@ class DiskCacheTier:
     or the new one, never a torn file.  Loads verify format, key, payload
     digest, and the prepared image's own content digest; any mismatch or
     unpickling error degrades to ``None``, and so does a file of another
-    format (format 1 held the payload inside one pickled envelope).
+    format (format 1 held the payload inside one pickled envelope; format
+    2's FGKASLR inventory had no section file offsets).
     """
 
-    FORMAT = 2
+    FORMAT = 3
     SUFFIX = ".pkl"
 
     def __init__(self, path: str | os.PathLike) -> None:

@@ -20,12 +20,12 @@ backends behind one interface:
 A process worker pays for its boot substrate once per launch, and under
 ``fork`` it does not pay for the read-only part at all: it inherits the
 parent's warmed kernel image (parsed ELF, decoded relocation table), the
-parse product the warm-up cached and the site plans
-(:mod:`repro.core.siteplan`), and builds only the per-launch objects that
-carry locks or counts (host storage, artifact cache).  Under
-``spawn`` nothing is inherited: the worker rebuilds the kernel from
-zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views and
-re-warms from the disk tier.  The start method (the platform's
+parse product the warm-up cached and the site plans, the relocator's
+word maps included (:mod:`repro.core.siteplan`), and builds only the
+per-launch objects that carry locks or counts (host storage, artifact
+cache).  Under ``spawn`` nothing is inherited: the worker rebuilds the
+kernel from zero-copy :class:`~repro.monitor.sharedmem.SharedBlob` views
+and re-warms from the disk tier.  The start method (the platform's
 default, or ``REPRO_MP_START``) picks the path.
 
 Both backends therefore produce byte-identical layouts and telemetry for

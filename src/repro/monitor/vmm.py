@@ -25,7 +25,6 @@ monitor are profiles over the same pipeline machinery.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import zlib
 from dataclasses import dataclass, replace
@@ -368,7 +367,8 @@ class Qemu(Firecracker):
 
 def _derive_site_plans(cfg: VmConfig) -> None:
     """The oracle's site plan for ``cfg``'s window layout and, under
-    FGKASLR, the relocator's (see :mod:`repro.core.siteplan`).
+    FGKASLR, the relocator's with its word map (see
+    :mod:`repro.core.siteplan`).
 
     Under FGKASLR the derivation is remembered per kernel content: a
     repeat warm-up finds both plans under the kernel's content key and
@@ -384,11 +384,11 @@ def _derive_site_plans(cfg: VmConfig) -> None:
     if cfg.randomize is not RandomizeMode.FGKASLR:
         oracle_plan(kernel.manifest, LayoutResult().finalize())
         return
-    relocs = kernel.relocs
+    table = kernel.reloc_table
     key = (
         "fgkaslr-warm-up",
         kernel.elf.digest,
-        hashlib.sha256(relocs).digest() if relocs is not None else None,
+        table.content_key if table is not None else None,
         kernel.manifest.oracle_rows.key,
     )
     siteplan.shared(key, lambda: _fgkaslr_plans(kernel))
@@ -401,6 +401,8 @@ def _fgkaslr_plans(kernel: KernelImage) -> tuple:
     windows.moved = [(vaddr, size, 0) for _, vaddr, size in inventory.ordered]
     plans = []
     if windows.moved and kernel.reloc_table is not None:
-        plans.append(relocation_plan(kernel.reloc_table, windows.finalize()))
+        plans.append(
+            relocation_plan(kernel.reloc_table, windows.finalize(), kernel.elf)
+        )
     plans.append(oracle_plan(kernel.manifest, windows.finalize()))
     return tuple(plans)

@@ -7,6 +7,11 @@ batched passes must agree with them byte for byte and error for error;
 the differential tests (``test_reloc_differential.py``,
 ``test_kernel_verify.py``) hold them to it.
 
+:func:`load_text_shuffled` is the FGKASLR text placement as it once wrote
+the shuffled text: one ``GuestMemory.write`` per function section, found
+in a per-boot dict by link vaddr.  ``test_core_fgkaslr`` holds the
+one-write placement to it byte for byte and charge for charge.
+
 :class:`ReferenceRecorder` is the flight recorder that freezes every
 closed window into one list before evicting; ``test_property_timeseries``
 holds the evict-as-it-closes recorder to it.
@@ -146,6 +151,27 @@ def relocate(memory, layout, table, ctx) -> int:
         )
     layout.relocs_applied += n
     return n
+
+
+def load_text_shuffled(elf, plan, memory, phys_load, ctx, in_place=False) -> None:
+    """``FgkaslrEngine.load_text_shuffled``, one section write at a time."""
+    base_text = elf.section(".text")
+    if in_place:
+        ctx.charge(
+            ctx.costs.loader_memcpy_ns(plan.region_end - plan.region_start),
+            ctx.steps.shuffle,
+            label="copy text region aside for in-place shuffle",
+        )
+    memory.write(phys_load + base_text.vaddr - kl.LINK_VBASE, base_text.data)
+    sections = {s.vaddr: s for s in elf.function_sections()}
+    for orig_start, _size, delta in plan.moved:
+        new_off = orig_start + delta - kl.LINK_VBASE
+        memory.write(phys_load + new_off, sections[orig_start].data)
+    ctx.charge(
+        ctx.costs.shuffle_ns(plan.n_sections, plan.moved_bytes),
+        ctx.steps.shuffle,
+        label=f"shuffle {plan.n_sections} sections",
+    )
 
 
 def rebase(policy, memory, layout, relocs, ctx) -> int:

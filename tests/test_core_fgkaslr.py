@@ -1,11 +1,14 @@
 """FGKASLR engine: shuffle plans, byte movement, table fixups."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from repro.core import FgkaslrEngine, RandoContext, RandomizeMode
-from repro.errors import RandomizationError
+from repro.errors import GuestMemoryError, RandomizationError
 from repro.kernel import layout as kl
 from repro.kernel.manifest import ID_TAG_OFFSET, function_id_tag
 from repro.kernel.tables import decode_extable, decode_kallsyms, kallsyms_is_sorted
@@ -77,6 +80,93 @@ def test_shuffled_load_places_bodies_at_new_homes(tiny_fgkaslr):
         paddr = layout.final_paddr(func.link_vaddr)
         tag = memory.read(paddr + ID_TAG_OFFSET, 8)
         assert tag == function_id_tag(func.name)
+
+
+def _placed(elf, plan, phys_load, mem_bytes, in_place, place):
+    """Guest memory and clock after ``place`` puts the shuffled text.
+
+    The monitor path starts from the other segments loaded (the text
+    region reads zeros); the loader's starts from the whole link-layout
+    image, as decompression leaves it.  A segment is cut at the end of
+    memory.
+    """
+    memory = GuestMemory(mem_bytes)
+    clock = SimClock()
+    costs, rng = CostModel(scale=1), random.Random(0)
+    ctx = (
+        RandoContext.loader(clock, costs, rng)
+        if in_place
+        else RandoContext.monitor(clock, costs, rng)
+    )
+    shift = phys_load - kl.PHYS_LOAD_ADDR
+    for phdr in elf.load_segments():
+        paddr = phdr.p_paddr + shift
+        if (in_place or not phdr.p_flags & 0x1) and paddr < mem_bytes:
+            memory.write(paddr, elf.segment_bytes(phdr)[: mem_bytes - paddr])
+    try:
+        place(elf, plan, memory, phys_load, ctx, in_place=in_place)
+        outcome = "ok"
+    except GuestMemoryError:
+        outcome = "GuestMemoryError"
+    return outcome, memory, clock
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    in_place=st.booleans(),
+    phys_offset=st.integers(0, 4 * MIB),
+    skipped=st.sets(st.integers(0, 47), max_size=4),
+    dropped=st.sets(st.integers(0, 47), max_size=4),
+)
+def test_text_placement_matches_per_section_reference(
+    tiny_fgkaslr, data, seed, in_place, phys_offset, skipped, dropped
+):
+    """One region write places the text as one write per section did.
+
+    An inventory without the ``skipped`` sections repacks the rest and
+    leaves the region's tail unused; a plan without the ``dropped``
+    sections leaves holes between the others.  Bytes in both keep what
+    memory held.  When guest memory ends inside the image, both
+    placements must fail with the same error type, or both succeed.
+    """
+    elf = tiny_fgkaslr.elf
+    inventory = FgkaslrEngine.inventory(elf)
+    kept = [i for i in range(inventory.n_sections) if i not in skipped]
+    inventory = replace(
+        inventory,
+        ordered=tuple(inventory.ordered[i] for i in kept),
+        offsets=tuple(inventory.offsets[i] for i in kept),
+    )
+    plan = FgkaslrEngine().plan_from_inventory(inventory, _ctx(seed))
+    kept = [i for i in range(len(plan.moved)) if i not in dropped]
+    plan.moved = [plan.moved[i] for i in kept]
+    plan.file_offsets = tuple(plan.file_offsets[i] for i in kept)
+    span = tiny_fgkaslr.manifest.image_bytes
+    packed, region_end = (v - kl.LINK_VBASE for v in (plan.packed_end, plan.region_end))
+    # where guest memory ends, as an image offset: past the image, inside
+    # it, or in the region's unused tail
+    end = data.draw(
+        st.none() | st.integers(1, span) | st.integers(packed, region_end)
+    )
+    phys_load = kl.PHYS_LOAD_ADDR + phys_offset
+    mem_bytes = phys_load + (span + MIB if end is None else end)
+    got = _placed(
+        elf, plan, phys_load, mem_bytes, in_place,
+        FgkaslrEngine().load_text_shuffled,
+    )
+    want = _placed(
+        elf, plan, phys_load, mem_bytes, in_place, reference.load_text_shuffled
+    )
+    assert got[0] == want[0]
+    assert got[2].timeline.events == want[2].timeline.events
+    if got[0] == "ok":
+        n = min(span, mem_bytes - phys_load)
+        assert got[1].read(phys_load, n) == want[1].read(phys_load, n)
+        assert got[1].freeze() == want[1].freeze()
+    if end is not None and end < packed:
+        assert got[0] == "GuestMemoryError"
 
 
 def test_extable_resorted_in_memory(tiny_fgkaslr):

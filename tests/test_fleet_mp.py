@@ -23,6 +23,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -275,26 +276,33 @@ def test_worker_defaults_clamp_to_host_cores(tiny_fgkaslr):
 
 _real_worker_init = executor._worker_init
 _real_worker_boot = executor._worker_boot
-#: what this worker process's init built, read back by :func:`_worker_state`
+#: what this worker process's init built, and what its boots derived
+#: after it, read back by :func:`_worker_state`
 _BUILT: dict = {}
+_BOOTED: dict = {}
 
 
 def _counting_worker_init(spec) -> None:
-    """The real worker init, counting ELF parses, disk-tier loads and plans."""
-    from repro.core import siteplan
+    """The real worker init, counting ELF parses, disk-tier loads, site
+    plans and relocation word maps; plans and word maps stay counted, in
+    ``_BOOTED``, through the worker's boots."""
+    from repro.core import relocator, siteplan
     from repro.elf.reader import ElfImage
 
     counted = (
         (ElfImage, "__init__", "elf_parses"),
         (DiskCacheTier, "load", "disk_loads"),
         (siteplan, "split_runs", "plan_derivations"),
+        (relocator, "link_words", "word_maps"),
     )
     real = {key: getattr(owner, name) for owner, name, key in counted}
     _BUILT.update(dict.fromkeys(real, 0))
+    _BOOTED.update(plan_derivations=0, word_maps=0)
+    counts = [_BUILT]
 
     def counting(key):
         def call(*args, **kwargs):
-            _BUILT[key] += 1
+            counts[0][key] += 1
             return real[key](*args, **kwargs)
 
         return call
@@ -304,14 +312,16 @@ def _counting_worker_init(spec) -> None:
     try:
         _real_worker_init(spec)
     finally:
-        for owner, name, key in counted:
+        for owner, name, key in counted[:2]:
             setattr(owner, name, real[key])
+        counts[0] = _BOOTED
 
 
 def _worker_state() -> dict:
     vmm, cfg = executor._WORKER["vmm"], executor._WORKER["cfg"]
     return {
         **_BUILT,
+        "booted": dict(_BOOTED),
         "page_cached": vmm.storage.is_cached(cfg.kernel_file_name()),
         "memory_entries": vmm.artifact_cache.stats().entries,
     }
@@ -332,7 +342,10 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
 
     The parent is warm either way; only the launch's ``warm`` decides
     whether a worker starts with the kernel page-cached and the parse in
-    its memory tier.
+    its memory tier.  A boot derives no site plan and no relocation word
+    map unless the worker has neither inherited nor warmed them: a
+    worker that derived them on its first boot ran ~20% fewer
+    fleet-process launches per second.
     """
     _start_method(monkeypatch, start)
     monkeypatch.setattr(executor, "_worker_init", _counting_worker_init)
@@ -349,12 +362,18 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
         telemetry=vmm.telemetry, warm=warm,
     ) as launch:
         state = launch._pool.submit(_worker_state).result()
+        launch.submit(replace(cfg, seed=5), index=0, attempt=0).result()
+        booted = launch._pool.submit(_worker_state).result()["booted"]
     rebuilt = start == "spawn" and warm
     assert state["elf_parses"] == int(rebuilt)
     assert state["disk_loads"] == int(rebuilt)
     assert (state["plan_derivations"] > 0) == rebuilt
+    assert (state["word_maps"] > 0) == rebuilt
     assert state["page_cached"] == warm
     assert state["memory_entries"] == int(warm)
+    derived_at_boot = start == "spawn" and not warm
+    assert (booted["plan_derivations"] > 0) == derived_at_boot
+    assert (booted["word_maps"] > 0) == derived_at_boot
 
 
 def _crash_index_1(index: int, seed: int, attempt: int) -> dict:

@@ -7,7 +7,9 @@ random tables — unsorted offsets, words straddling a 256 KiB chunk,
 sites inside moved sections, stored values in moved sections, in gaps
 and outside the kernel window — they must leave byte-identical guest
 memory, count the same entries and charge the same time as the per-site
-references in ``reference.py``, or fail with the same error.
+references in ``reference.py``, or fail with the same error.  Under
+FGKASLR the relocator also starts from a memo of the words its image
+held at link time; a drawn image holds some sites' words and not others.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core import LayoutResult, RandoContext, RandomizeMode
 from repro.core.policy import RandomizationPolicy
 from repro.core.relocator import Relocator
 from repro.core.rerandomize import Rerandomizer
+from repro.elf import ElfImage, ElfWriter, Section, SegmentSpec
 from repro.elf.relocs import RelocationTable, RelocType
 from repro.errors import GuestMemoryError, GuestPanic, RandomizationError
 from repro.kernel import TINY, KernelVariant
@@ -106,12 +109,10 @@ def _stored_values(data, layout, n: int) -> list[int]:
         # ABS32 and INV32 both store this as 0x80000000 and relocate it
         # differently, so a memo keyed on the word must stay per class
         st.just(kl.START_KERNEL_MAP),
-    )
-    anything = st.one_of(
-        valid,
+        # kernel vaddrs an ABS32 site cannot hold once moved up 1 MiB
         st.integers(WINDOW_TOP - 0x10_0000, WINDOW_TOP - 1),
-        st.integers(0, (1 << 64) - 1),
     )
+    anything = st.one_of(valid, st.integers(0, (1 << 64) - 1))
     value = anything if data.draw(st.booleans()) else valid
     return data.draw(st.lists(value, min_size=n, max_size=n))
 
@@ -125,36 +126,65 @@ def _table(data) -> RelocationTable:
     return table.sorted() if data.draw(st.booleans()) else table
 
 
-def _memory_with(layout, table, values, at) -> GuestMemory:
-    """Guest memory holding each site's value, written where ``at`` says."""
-    memory = GuestMemory(MEM)
+def _site_words(table, values) -> list[tuple[int, bytes]]:
+    """Each site's image offset and the word its class stores for its value."""
     sites = [(8, off) for off in table.abs64]
     sites += [(4, off) for off in table.abs32]
     sites += [(-4, off) for off in table.inv32]
-    for (kind, off), value in zip(sites, values):
-        paddr = at(layout, off)
-        word = (
+    return [
+        (
+            off,
             struct.pack("<Q", value & M64)
             if kind == 8
-            else struct.pack("<I", (value if kind > 0 else -value) & M32)
+            else struct.pack("<I", (value if kind > 0 else -value) & M32),
         )
+        for (kind, off), value in zip(sites, values)
+    ]
+
+
+def _memory_with(layout, table, values, at) -> GuestMemory:
+    """Guest memory holding each site's value, written where ``at`` says."""
+    memory = GuestMemory(MEM)
+    for off, word in _site_words(table, values):
+        paddr = at(layout, off)
         if paddr + len(word) <= MEM:
             memory.write(paddr, word)
     return memory
 
 
+def _link_image(data, table, values) -> ElfImage:
+    """An image whose one load segment holds the words of drawn sites.
+
+    The other sites hold zero, which names no kernel vaddr in any class,
+    so the plan's words cover the drawn sites' words and lack the rest.
+    """
+    image = bytearray(IMAGE)
+    for off, word in _site_words(table, values):
+        if data.draw(st.booleans()):
+            image[off : off + len(word)] = word
+    writer = ElfWriter(
+        sections=[Section(".data", vaddr=V, data=bytes(image))],
+        segments=[SegmentSpec([".data"], paddr=P)],
+    )
+    return ElfImage(writer.build())
+
+
 @SETTINGS
 @given(data=st.data(), voffset=st.integers(0, 511), moves=_moves)
 def test_relocator_matches_per_site_reference(data, voffset, moves):
+    """With moves, the memo holds the image's words: out-of-window words
+    it held and ABS32 words that overflow at this voffset must still
+    fail as the reference fails."""
     layout = _layout(voffset * 2 * kl.MIB, moves)
     table = _table(data)
     values = _stored_values(data, layout, table.entry_count)
+    image = _link_image(data, table, values)
     base = _memory_with(layout, table, values, reference.site_paddr)
     mem_new, mem_ref = base.clone_cow(), base.clone_cow()
     lay_new, lay_ref = layout.clone(), layout.clone()
     ctx_new, ctx_ref = _ctx(), _ctx()
 
-    got = _outcome(lambda: Relocator(mem_new, lay_new).apply(table, ctx_new))
+    got = _outcome(lambda: Relocator(mem_new, lay_new, image).apply(table, ctx_new))
     want = _outcome(lambda: reference.relocate(mem_ref, lay_ref, table, ctx_ref))
 
     assert got == want
