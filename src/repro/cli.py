@@ -430,11 +430,10 @@ def _cmd_cache(args) -> int:
         print(f"cache tier at {tier.path} is empty")
         return 0
     print(render_table(
-        ["file", "bytes", "image digest", "policy", "seed class", "valid"],
+        ["file", "bytes", "image digest", "policy", "valid"],
         [[r["file"], str(r["bytes"]),
           (r.get("image_digest") or "?")[:12],
           (r.get("policy") or "?")[:12],
-          r.get("seed_class") or "?",
           "yes" if r.get("valid") else "NO"]
          for r in rows],
         title=f"disk cache tier at {tier.path}",

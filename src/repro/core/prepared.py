@@ -8,10 +8,12 @@ microVMs can do it once per distinct image and reuse the result for every
 boot — only the per-instance shuffle + offset draw + relocation pass stays
 on the hot path.
 
-:class:`PreparedImage` is that reusable product.  It is immutable, carries
-a content digest of the image bytes it was parsed from, and exposes a
-:meth:`fingerprint` over every derived datum so tests can prove a cached
-entry is byte-identical to a cold parse.
+:class:`PreparedImage` is that reusable product.  It is immutable, reads
+its content digest from the ELF it was parsed from (computed once, on
+first read, and pickled with the ELF), and exposes a :meth:`fingerprint`
+over every derived datum so tests can prove a cached entry is
+byte-identical to a cold parse.  A boot hashes its image only when a
+cache key or an FGKASLR plan key reads the digest.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ class PreparedImage:
 
     elf: ElfImage
     mode: RandomizeMode
-    #: hex SHA-256 of the ELF file bytes (the content address)
-    digest: str
     n_sections: int
     #: symbol count scanned during parse (0 outside FGKASLR mode)
     n_symbols: int
@@ -46,6 +46,11 @@ class PreparedImage:
     fg_inventory: SectionInventory | None
     #: whether the kernel-constants note contract was validated
     constants_checked: bool
+
+    @property
+    def digest(self) -> str:
+        """Hex SHA-256 of the ELF file bytes (the content address)."""
+        return self.elf.digest
 
     def fingerprint(self) -> str:
         """Digest over every parse product (cache-correctness oracle)."""
@@ -73,11 +78,7 @@ class PreparedImage:
         return h.hexdigest()
 
 
-def prepare_image(
-    elf: ElfImage,
-    mode: RandomizeMode,
-    digest: str | None = None,
-) -> PreparedImage:
+def prepare_image(elf: ElfImage, mode: RandomizeMode) -> PreparedImage:
     """Run the seed-independent parse phase over an ELF image.
 
     Pure with respect to the boot: charges nothing, draws nothing.  The
@@ -100,7 +101,6 @@ def prepare_image(
     return PreparedImage(
         elf=elf,
         mode=mode,
-        digest=digest if digest is not None else elf.digest,
         n_sections=len(elf.sections),
         n_symbols=n_symbols,
         image_mem_bytes=image_mem_bytes,

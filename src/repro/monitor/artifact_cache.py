@@ -7,30 +7,34 @@ on the image bytes and policy, never the per-boot seed, so the fleet path
 memoizes it here and leaves only the shuffle + offset draw + relocation
 pass on the per-instance hot path.
 
-Entries are keyed on ``(image digest, policy fingerprint, seed class)``:
+Entries are keyed on ``(image digest, policy fingerprint)``:
 
 * the **image digest** is the SHA-256 of the ELF bytes — content
   addressing, so renaming a kernel or registering the same build twice
   cannot duplicate an entry, and any rebuilt image gets a fresh one;
-* the **policy fingerprint** folds in the randomization policy, since a
-  policy change invalidates planning assumptions;
-* the **seed class** segregates populations whose seeds come from
-  different regimes (e.g. per-VM draws vs a shared pool seed) so an
-  operator can flush one class without disturbing another.
+* the **policy fingerprint** folds in the randomize mode (the symbol
+  scan and FGKASLR inventory differ by mode) and the randomization
+  policy, since a policy change invalidates planning assumptions.
 
-The in-memory tier is bounded LRU with hit/miss/eviction counters, safe
-for concurrent use by fleet worker threads.  An optional
-:class:`DiskCacheTier` persists entries across processes and runs:
-memory misses probe the disk before parsing, inserts write through, and
-every load is integrity-checked (header key + payload SHA-256 + the
-prepared image's own content digest) so a corrupt or stale file degrades
-to a miss, never a wrong parse.
+:class:`BootArtifactCache` is the only code that probes, parses, inserts
+and counts a parse product: :meth:`~BootArtifactCache.get_or_parse`
+serves both the ``prepare_image`` stage and the monitor's warm-up.  The
+in-memory tier is bounded LRU, safe for concurrent use by fleet worker
+threads.  An optional :class:`DiskCacheTier` persists entries across
+processes and runs: memory misses probe the disk before parsing, parses
+write through, and every load is integrity-checked (payload SHA-256 +
+header format and key + the prepared image's own content digest) so a
+corrupt or stale file degrades to a miss, never a wrong parse.
 
-Attribution: callers that want per-launch accounting pass a
-:class:`CacheScope` to ``lookup``/``insert``/``get_or_parse`` — the scope
-accumulates only the activity of calls that carried it, so two fleets
-sharing one cache each see exactly their own traffic (the old
-before/after ``stats()`` delta misattributed interleaved launches).
+Counting: every operation is noted once, under the cache lock, in the
+cache's lifetime tally (:meth:`~BootArtifactCache.stats`), in the
+caller's :class:`CacheScope` and in the registry.  A scope accumulates
+only the activity of calls that carried it, so two fleets sharing one
+cache each see exactly their own traffic.  A process-fleet worker counts
+into its own cache; the parent replays each boot's counts into its cache
+with :meth:`~BootArtifactCache.absorb`, so after a warm launch the
+parent's tally and registry read the same whichever executor served the
+boots.
 """
 
 from __future__ import annotations
@@ -45,17 +49,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.inmonitor import RandomizeMode
 from repro.core.policy import RandomizationPolicy
 from repro.core.prepared import PreparedImage, prepare_image
-from repro.elf.reader import ElfImage
 from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.config import VmConfig
-
-#: seed class for fleets where every instance draws its own seed
-SEED_CLASS_PER_VM = "per-vm"
 
 
 def policy_fingerprint(policy: RandomizationPolicy) -> str:
@@ -71,17 +70,15 @@ def cache_key_for(cfg: "VmConfig") -> "CacheKey":
     return CacheKey(
         image_digest=cfg.kernel.elf.digest,
         policy=f"{cfg.randomize}:{policy_fingerprint(cfg.policy)}",
-        seed_class=cfg.seed_class,
     )
 
 
 @dataclass(frozen=True)
 class CacheKey:
-    """(what bytes, under which policy, for which seed population)."""
+    """(what bytes, under which mode and policy)."""
 
     image_digest: str
     policy: str
-    seed_class: str
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,7 @@ class CacheStats:
 
     ``disk_hits`` counts the subset of ``hits`` served by promoting a
     persistent-tier entry into memory; ``parses`` counts cold parses the
-    cache could not avoid.  Both default to zero so older snapshots and
-    call sites keep working.
+    cache could not avoid.
     """
 
     hits: int
@@ -110,41 +106,24 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-#: counter fields a scope tracks (also the worker->parent wire format)
-_SCOPE_FIELDS = ("hits", "misses", "evictions", "disk_hits", "parses")
-
-
 class CacheScope:
-    """Per-launch cache attribution: counts only the calls that carry it.
+    """Cache counts: a launch's attribution, or a cache's lifetime tally.
 
     Thread-safe; fleet workers on many threads note into one scope.  The
-    process backend ships each worker's counts back as a plain dict
-    (:meth:`counts`) which the parent folds in with :meth:`absorb`.
+    process backend ships each worker boot's counts back as a plain dict
+    (:meth:`counts`), which the parent's cache absorbs.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(_SCOPE_FIELDS, 0)
+        self._counts = dict.fromkeys(
+            ("hits", "misses", "evictions", "disk_hits", "parses"), 0
+        )
 
-    def note(
-        self,
-        *,
-        hits: int = 0,
-        misses: int = 0,
-        evictions: int = 0,
-        disk_hits: int = 0,
-        parses: int = 0,
-    ) -> None:
+    def note(self, **counts: int) -> None:
         with self._lock:
-            self._counts["hits"] += hits
-            self._counts["misses"] += misses
-            self._counts["evictions"] += evictions
-            self._counts["disk_hits"] += disk_hits
-            self._counts["parses"] += parses
-
-    def absorb(self, counts: Mapping[str, int]) -> None:
-        """Fold in a worker's counts dict (unknown keys ignored)."""
-        self.note(**{f: int(counts.get(f, 0)) for f in _SCOPE_FIELDS})
+            for name, n in counts.items():
+                self._counts[name] += n
 
     def counts(self) -> dict[str, int]:
         with self._lock:
@@ -153,37 +132,54 @@ class CacheScope:
     def snapshot(self, entries: int = 0) -> CacheStats:
         """This scope's activity as a :class:`CacheStats`.
 
-        ``entries`` is global occupancy — a cache property, not a scope
-        one — so the caller supplies it (usually ``cache.stats().entries``).
+        ``entries`` is occupancy — a cache property, not a scope one — so
+        the caller supplies it.
         """
-        counts = self.counts()
-        return CacheStats(entries=entries, **counts)
+        return CacheStats(entries=entries, **self.counts())
+
+
+class _HashingWriter:
+    """A file's ``write``, hashing every byte on the way through."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self._fh.write(data)
 
 
 class DiskCacheTier:
     """Persistent content-addressed tier under one directory.
 
-    One file per key, named by the SHA-256 of the key triple.  Each file
-    is a small pickled header ``{format, key, sha256}`` followed by the
-    payload bytes, the pickled :class:`PreparedImage`; ``sha256`` covers
-    the payload.  Writes go to a unique temp file and ``os.replace`` into
-    place, so concurrent writers and crashes leave either the old entry
-    or the new one, never a torn file.  Loads verify format, key, payload
-    digest, and the prepared image's own content digest; any mismatch or
-    unpickling error degrades to ``None``, and so does a file of another
-    format (format 1 held the payload inside one pickled envelope; format
-    2's FGKASLR inventory had no section file offsets).
+    One file per key, named by the SHA-256 of the key pair.  Each file is
+    a small pickled header ``{format, key}``, then the payload (the
+    pickled :class:`PreparedImage`), then the payload's 32-byte SHA-256.
+    The store pickles the payload straight into the file through the
+    hash, so it never holds the whole pickle in memory.  Writes go to a
+    unique temp file and ``os.replace`` into place, so concurrent writers
+    and crashes leave either the old entry or the new one, never a torn
+    file.  Loads verify the trailer before unpickling the payload, then
+    the format, key and the prepared image's own content digest; any
+    mismatch, truncation or unpickling error degrades to ``None``, and so
+    does a file of an older format (format 1 held the payload inside one
+    pickled envelope, format 2's FGKASLR inventory had no section file
+    offsets, format 3 keyed on a seed class and put the payload digest
+    in the header).
     """
 
-    FORMAT = 3
+    FORMAT = 4
     SUFFIX = ".pkl"
+    #: the SHA-256 trailer's length
+    TRAILER = 32
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
 
-    def _key_tuple(self, key: CacheKey) -> tuple[str, str, str]:
-        return (key.image_digest, key.policy, key.seed_class)
+    def _key_tuple(self, key: CacheKey) -> tuple[str, str]:
+        return (key.image_digest, key.policy)
 
     def file_for(self, key: CacheKey) -> Path:
         name = hashlib.sha256(
@@ -192,49 +188,48 @@ class DiskCacheTier:
         return self.path / (name + self.SUFFIX)
 
     def store(self, key: CacheKey, prepared: PreparedImage) -> None:
-        payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": self.FORMAT,
-            "key": self._key_tuple(key),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
         target = self.file_for(key)
         fd, tmp = tempfile.mkstemp(
             dir=self.path, prefix=f"{target.stem}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
+                header = {"format": self.FORMAT, "key": self._key_tuple(key)}
                 pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.write(payload)
+                payload = _HashingWriter(fh)
+                pickle.dump(prepared, payload, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(payload.sha256.digest())
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
 
-    @staticmethod
-    def _read(file: Path) -> tuple[dict, bytes]:
-        """A file's header and the payload bytes after it."""
+    def _read(self, file: Path) -> tuple[dict, memoryview | None]:
+        """A file's header, and its payload if the trailer vouches for it."""
         with open(file, "rb") as fh:
-            return pickle.load(fh), fh.read()
+            header = pickle.load(fh)
+            rest = fh.read()
+        payload = memoryview(rest)[: -self.TRAILER]
+        if (
+            len(rest) <= self.TRAILER
+            or hashlib.sha256(payload).digest() != rest[-self.TRAILER:]
+        ):
+            return header, None
+        return header, payload
 
     def load(self, key: CacheKey) -> PreparedImage | None:
-        target = self.file_for(key)
         try:
-            header, payload = self._read(target)
-            if header["format"] != self.FORMAT:
-                return None
-            if tuple(header["key"]) != self._key_tuple(key):
-                return None
-            if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+            header, payload = self._read(self.file_for(key))
+            if (
+                payload is None
+                or header["format"] != self.FORMAT
+                or tuple(header["key"]) != self._key_tuple(key)
+            ):
                 return None
             prepared = pickle.loads(payload)
-            if prepared.digest != key.image_digest:
-                return None
-            return prepared
-        except FileNotFoundError:
-            return None
+            return prepared if prepared.digest == key.image_digest else None
         except Exception:
-            # torn write from a pre-atomic world, truncation, version skew
+            # no such file, a truncated header, version skew
             return None
 
     def entries(self) -> list[dict]:
@@ -244,14 +239,12 @@ class DiskCacheTier:
             row: dict = {"file": file.name, "bytes": file.stat().st_size}
             try:
                 header, payload = self._read(file)
-                digest, policy, seed_class = header["key"]
+                digest, policy = header["key"]
                 row.update(
                     image_digest=digest,
                     policy=policy,
-                    seed_class=seed_class,
-                    sha256=header["sha256"],
-                    valid=header["format"] == self.FORMAT
-                    and hashlib.sha256(payload).hexdigest() == header["sha256"],
+                    valid=payload is not None
+                    and header["format"] == self.FORMAT,
                 )
             except Exception:
                 row["valid"] = False
@@ -271,34 +264,12 @@ class DiskCacheTier:
         return self.evict("")
 
 
-def record_cache_traffic(
-    registry: MetricsRegistry, hits: int = 0, misses: int = 0, evictions: int = 0
-) -> None:
-    """Tick the cache traffic counters (zero deltas create no series).
-
-    Every cache operation publishes here, and so does the process
-    executor's replay of a worker's :meth:`CacheScope.counts`.
-    """
-    if hits:
-        registry.counter(
-            "repro_cache_hits_total", help="Boot-artifact cache hits"
-        ).inc(hits)
-    if misses:
-        registry.counter(
-            "repro_cache_misses_total", help="Boot-artifact cache misses"
-        ).inc(misses)
-    if evictions:
-        registry.counter(
-            "repro_cache_evictions_total", help="Boot-artifact cache evictions"
-        ).inc(evictions)
-
-
 class BootArtifactCache:
     """Bounded LRU over :class:`PreparedImage` parse products.
 
     With ``disk_path`` set, a :class:`DiskCacheTier` backs the LRU:
     memory misses probe the disk (a disk hit counts as a hit and
-    promotes), and inserts write through so entries survive the process.
+    promotes), and parses write through so entries survive the process.
     Cache traffic and occupancy are published to ``registry``, when one
     is given.
     """
@@ -314,39 +285,43 @@ class BootArtifactCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[CacheKey, PreparedImage]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._disk_hits = 0
-        self._parses = 0
+        #: lifetime counts, in-process and absorbed alike
+        self._tally = CacheScope()
         self._registry = registry
         self.disk = DiskCacheTier(disk_path) if disk_path is not None else None
 
-    def _record(
-        self,
-        *,
-        hits: int = 0,
-        misses: int = 0,
-        evictions: int = 0,
-        entries: int,
-    ) -> None:
-        """Publish one operation's metric deltas and occupancy snapshot.
+    def _count(self, scope: CacheScope | None, **counts: int) -> None:
+        """Note one operation's counts in the tally, ``scope`` and registry.
 
-        ``entries`` is the occupancy captured under ``self._lock`` by the
-        caller — and every call site still *holds* the lock, so occupancy
-        publications are ordered with cache state and concurrent fleet
-        workers can never publish a stale (decreasing) gauge value.  The
-        registry's own locks are leaf locks; no path leads back here.
+        Every caller holds ``self._lock``, so occupancy publications are
+        ordered with cache state and concurrent fleet workers can never
+        publish a stale (decreasing) gauge value.  The scopes' and the
+        registry's locks are leaf locks; no path leads back here.
         """
+        self._tally.note(**counts)
+        if scope is not None:
+            scope.note(**counts)
         registry = self._registry
         if registry is None:
             return
-        record_cache_traffic(registry, hits, misses, evictions)
+        for name in ("hits", "misses", "evictions"):
+            if counts.get(name):  # zero deltas create no series
+                registry.counter(
+                    f"repro_cache_{name}_total", help=f"Boot-artifact cache {name}"
+                ).inc(counts[name])
         registry.gauge(
             "repro_cache_entries", help="Boot-artifact cache occupancy"
-        ).set(entries)
+        ).set(len(self._entries))
 
-    # -- raw access ----------------------------------------------------------
+    def _place(self, key: CacheKey, prepared: PreparedImage) -> int:
+        """Make ``prepared`` the newest entry; returns the LRU evictions."""
+        self._entries[key] = prepared
+        self._entries.move_to_end(key)
+        evicted = 0
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            evicted += 1
+        return evicted
 
     def lookup(
         self,
@@ -363,64 +338,62 @@ class BootArtifactCache:
         both tiers and counts a miss without touching any entry, so other
         callers' lookups are unaffected.
         """
-        disk_hit = False
         with self._lock:
             prepared = None if force_miss else self._entries.get(key)
+            disk_hits = evictions = 0
             if prepared is not None:
                 self._entries.move_to_end(key)
             elif self.disk is not None and not force_miss:
                 prepared = self.disk.load(key)
                 if prepared is not None:
-                    disk_hit = True
-                    self._entries[key] = prepared
-                    self._entries.move_to_end(key)
-            evicted = 0
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                evicted += 1
-            if prepared is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-            self._disk_hits += 1 if disk_hit else 0
-            self._evictions += evicted
-            self._record(
-                hits=1 if prepared is not None else 0,
-                misses=1 if prepared is None else 0,
-                evictions=evicted,
-                entries=len(self._entries),
-            )
-        if scope is not None:
-            scope.note(
-                hits=1 if prepared is not None else 0,
-                misses=1 if prepared is None else 0,
-                evictions=evicted,
-                disk_hits=1 if disk_hit else 0,
+                    disk_hits = 1
+                    evictions = self._place(key, prepared)
+            hit = int(prepared is not None)
+            self._count(
+                scope,
+                hits=hit,
+                misses=1 - hit,
+                evictions=evictions,
+                disk_hits=disk_hits,
             )
         return prepared
 
-    def insert(
-        self, key: CacheKey, prepared: PreparedImage, scope: CacheScope | None = None
-    ) -> None:
-        """Add (or refresh) an entry, evicting LRU entries past the bound.
+    def get_or_parse(
+        self,
+        cfg: "VmConfig",
+        scope: CacheScope | None = None,
+        *,
+        force_miss: bool = False,
+    ) -> tuple[PreparedImage, bool]:
+        """Serve the parse phase of ``cfg``'s boot; returns ``(prepared, hit)``.
 
-        Write-through: with a disk tier configured the entry also lands
-        on disk (outside the lock — the tier's atomic rename makes
-        concurrent writers safe).
+        A miss parses cold and inserts the product, counting the parse
+        and any eviction; with a disk tier the entry is also written
+        through (outside the lock — the tier's atomic rename makes
+        concurrent writers safe).  Concurrent misses on the same key may
+        parse twice, but content addressing makes the results
+        interchangeable, so the race is benign.
         """
+        key = cache_key_for(cfg)
+        prepared = self.lookup(key, scope, force_miss=force_miss)
+        if prepared is not None:
+            return prepared, True
+        prepared = prepare_image(cfg.kernel.elf, cfg.randomize)
         with self._lock:
-            self._entries[key] = prepared
-            self._entries.move_to_end(key)
-            evicted = 0
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-            self._record(evictions=evicted, entries=len(self._entries))
-        if scope is not None and evicted:
-            scope.note(evictions=evicted)
+            self._count(scope, parses=1, evictions=self._place(key, prepared))
         if self.disk is not None:
             self.disk.store(key, prepared)
+        return prepared, False
+
+    def absorb(self, counts: Mapping[str, int], scope: CacheScope) -> None:
+        """Count a fleet worker's boot (its :meth:`CacheScope.counts`) here.
+
+        The process executor's replay calls this for every boot a worker
+        served, so this cache's tally and registry read as if it had
+        served the boot itself.  Occupancy stays this cache's own.
+        """
+        with self._lock:
+            self._count(scope, **counts)
 
     def peek(self, key: CacheKey) -> PreparedImage | None:
         """The memory tier's entry for ``key``, without counting or reordering."""
@@ -434,63 +407,13 @@ class BootArtifactCache:
         parent's warm-up holds (see :meth:`peek`).
         """
         with self._lock:
-            self._entries[key] = prepared
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def note_parse(self, scope: CacheScope | None = None) -> None:
-        """Count one cold parse the cache could not serve."""
-        with self._lock:
-            self._parses += 1
-        if scope is not None:
-            scope.note(parses=1)
+            self._place(key, prepared)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._record(entries=0)
-
-    # -- the fleet-facing API --------------------------------------------------
-
-    def get_or_parse(
-        self,
-        elf: ElfImage,
-        mode: RandomizeMode,
-        policy: RandomizationPolicy,
-        seed_class: str = SEED_CLASS_PER_VM,
-        scope: CacheScope | None = None,
-    ) -> tuple[PreparedImage, bool]:
-        """Serve the parse phase; returns ``(prepared, was_hit)``.
-
-        On a miss the image is parsed cold and inserted; concurrent misses
-        on the same key may parse twice, but content addressing makes the
-        results interchangeable, so the race is benign.
-
-        The randomize mode folds into the policy component: the symbol scan
-        and FGKASLR inventory differ by mode, so each mode owns an entry.
-        """
-        digest = elf.digest
-        key = CacheKey(
-            image_digest=digest,
-            policy=f"{mode}:{policy_fingerprint(policy)}",
-            seed_class=seed_class,
-        )
-        prepared = self.lookup(key, scope=scope)
-        if prepared is not None:
-            return prepared, True
-        fresh = prepare_image(elf, mode, digest=digest)
-        self.note_parse(scope=scope)
-        self.insert(key, fresh, scope=scope)
-        return fresh, False
+            self._count(None)
 
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._entries),
-                disk_hits=self._disk_hits,
-                parses=self._parses,
-            )
+            return self._tally.snapshot(entries=len(self._entries))

@@ -55,9 +55,6 @@ class VmConfig:
     initrd: bytes | None = None
     #: randomization seed; None draws one from the host entropy pool
     seed: int | None = None
-    #: boot-artifact cache population this boot's seed regime belongs to
-    #: (see :mod:`repro.monitor.artifact_cache`)
-    seed_class: str = "per-vm"
     #: monitor-side FGKASLR options (Section 4.3)
     lazy_kallsyms: bool = True
     update_orc: bool = True

@@ -13,9 +13,9 @@ backends behind one interface:
 * :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
   boot against their own monitor instance and return one record per
   boot: its timeline (in the report, or next to the failure JSON) and
-  cache-scope counts.  The parent derives telemetry and the cost
-  profile from that timeline with the
-  :func:`~repro.monitor.vmm.record_boot` the thread path calls.
+  cache-scope counts.  The parent's cache absorbs the counts, and the
+  parent derives telemetry and the cost profile from the timeline with
+  the :func:`~repro.monitor.vmm.record_boot` the thread path calls.
 
 A process worker pays for its boot substrate once per launch, and under
 ``fork`` it does not pay for the read-only part at all: it inherits the
@@ -59,7 +59,6 @@ from repro.monitor.artifact_cache import (
     CacheKey,
     CacheScope,
     cache_key_for,
-    record_cache_traffic,
 )
 from repro.monitor.config import BootFormat, VmConfig
 from repro.monitor.report import BootReport
@@ -245,7 +244,7 @@ def _worker_init(spec: _WorkerSpec) -> None:
         kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
         cfg = replace(spec.cfg, kernel=kernel)
     # the worker records no telemetry: the parent derives it from the
-    # shipped timeline and cache-scope counts
+    # shipped timeline, and its cache absorbs the cache-scope counts
     cache = BootArtifactCache(
         max_entries=spec.cache_entries, disk_path=spec.disk_path
     )
@@ -308,7 +307,9 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
 class _ReplayFuture:
     """Wraps a worker future; ``result()`` replays the outcome record.
 
-    Replay order matches the thread path: cache-scope counts first, then
+    Replay order matches the thread path: the boot's cache counts first,
+    absorbed by the parent's cache (its tally, the launch scope and its
+    registry, where a thread boot's lookup counts them), then
     :func:`~repro.monitor.vmm.record_boot` over the shipped timeline —
     and, for a failed attempt, a reconstructed :class:`BootFailure`
     raise.
@@ -319,24 +320,20 @@ class _ReplayFuture:
         future,
         *,
         seed: int,
+        cache: BootArtifactCache,
         scope: CacheScope,
         telemetry: Telemetry | None,
     ) -> None:
         self._future = future
         self._seed = seed
+        self._cache = cache
         self._scope = scope
         self._telemetry = telemetry
 
     def result(self) -> BootReport:
         with _pool_boundary():
             out = self._future.result()
-        counts = out["scope"]
-        self._scope.absorb(counts)
-        if self._telemetry is not None:
-            record_cache_traffic(
-                self._telemetry.registry,
-                counts["hits"], counts["misses"], counts["evictions"],
-            )
+        self._cache.absorb(out["scope"], self._scope)
         if not out["ok"]:
             failure = out["failure"]
             if out["timeline"] is not None:  # the pipeline ran and aborted
@@ -394,9 +391,10 @@ class ProcessBootExecutor(BootExecutor):
             start = "fork" if "fork" in methods else "spawn"
         mp_ctx = multiprocessing.get_context(start)
         inherit = start == "fork"
+        # FleetManager installs a cache on every monitor it drives
         cache = vmm.artifact_cache
         prepared = None
-        if inherit and warm and cache is not None:
+        if inherit and warm:
             key = cache_key_for(cfg)
             entry = cache.peek(key)
             prepared = (key, entry) if entry is not None else None
@@ -421,12 +419,8 @@ class ProcessBootExecutor(BootExecutor):
                 costs=vmm.costs,
                 fault_plan=vmm.fault_plan,
                 warm=warm,
-                cache_entries=cache.max_entries if cache is not None else 64,
-                disk_path=(
-                    str(cache.disk.path)
-                    if cache is not None and cache.disk is not None
-                    else None
-                ),
+                cache_entries=cache.max_entries,
+                disk_path=str(cache.disk.path) if cache.disk is not None else None,
                 inherit=inherit,
                 prepared=prepared,
             )
@@ -437,7 +431,7 @@ class ProcessBootExecutor(BootExecutor):
                 initargs=(spec,),
             )
             try:
-                yield _ProcessLaunch(pool, scope, telemetry)
+                yield _ProcessLaunch(pool, cache, scope, telemetry)
             finally:
                 pool.shutdown(wait=True)
 
@@ -462,10 +456,12 @@ class _ProcessLaunch:
     def __init__(
         self,
         pool: ProcessPoolExecutor,
+        cache: BootArtifactCache,
         scope: CacheScope,
         telemetry: Telemetry | None,
     ) -> None:
         self._pool = pool
+        self._cache = cache
         self._scope = scope
         self._telemetry = telemetry
 
@@ -476,6 +472,7 @@ class _ProcessLaunch:
         return _ReplayFuture(
             future,
             seed=boot_cfg.seed,
+            cache=self._cache,
             scope=self._scope,
             telemetry=self._telemetry,
         )

@@ -210,12 +210,7 @@ class Firecracker:
             self.artifact_cache is not None
             and cfg.boot_format is BootFormat.VMLINUX
         ):
-            self.artifact_cache.get_or_parse(
-                cfg.kernel.elf,
-                cfg.randomize,
-                cfg.policy,
-                seed_class=cfg.seed_class,
-            )
+            self.artifact_cache.get_or_parse(cfg)
         _derive_site_plans(cfg)
 
     def boot(

@@ -101,9 +101,9 @@ class KernelImageReadStage(Stage):
 class PrepareImageStage(Stage):
     """The seed-independent parse phase, served by the artifact cache.
 
-    When the monitor holds a :class:`BootArtifactCache`, a hit replaces
-    the full parse with a constant probe; a miss parses and inserts the
-    product.  A ``cache-drop`` fault on this boot forces the miss.
+    When the monitor holds a :class:`BootArtifactCache`, the cache serves
+    the parse product, and a hit replaces the full parse charge with a
+    constant probe.  A ``cache-drop`` fault on this boot forces the miss.
     Without a cache the stage parses.  The span carries the hit/miss
     attribution (none without a cache).
     """
@@ -115,38 +115,32 @@ class PrepareImageStage(Stage):
     def run(self, ctx: StageContext) -> StageResult:
         cfg = ctx.cfg
         cache = ctx.artifact_cache
-        if cache is not None:
-            from repro.monitor.artifact_cache import cache_key_for
-
-            key = cache_key_for(cfg)
-            prepared = cache.lookup(
-                key, scope=ctx.cache_scope, force_miss=ctx.cache_miss_forced
+        if cache is None:
+            prepared, hit = prepare_image(cfg.kernel.elf, cfg.randomize), None
+        else:
+            prepared, hit = cache.get_or_parse(
+                cfg, ctx.cache_scope, force_miss=ctx.cache_miss_forced
             )
-            if prepared is not None:
-                digest = key.image_digest[:12]
-                ctx.prepared = prepared
-                ctx.prepared_from_cache = True
-                ctx.clock.charge(
-                    ctx.costs.artifact_cache_lookup(),
-                    category=BootCategory.IN_MONITOR,
-                    step=BootStep.MONITOR_ELF_PARSE,
-                    label=f"layout cache hit ({digest})",
-                )
-                return self.result(detail=f"cache hit ({digest})", cache_hit=True)
-        prepared = prepare_image(cfg.kernel.elf, cfg.randomize)
         ctx.prepared = prepared
+        if hit:
+            digest = prepared.digest[:12]
+            ctx.prepared_from_cache = True
+            ctx.clock.charge(
+                ctx.costs.artifact_cache_lookup(),
+                category=BootCategory.IN_MONITOR,
+                step=BootStep.MONITOR_ELF_PARSE,
+                label=f"layout cache hit ({digest})",
+            )
+            return self.result(detail=f"cache hit ({digest})", cache_hit=True)
         ctx.clock.charge(
             ctx.costs.elf_parse_ns(prepared.n_sections, prepared.n_symbols),
             category=BootCategory.IN_MONITOR,
             step=BootStep.MONITOR_ELF_PARSE,
             label=f"parse ELF ({prepared.n_sections} sections)",
         )
-        if cache is not None:
-            cache.note_parse(scope=ctx.cache_scope)
-            cache.insert(key, prepared, scope=ctx.cache_scope)
         return self.result(
             detail=f"{prepared.n_sections} sections, {prepared.n_symbols} symbols",
-            cache_hit=False if cache is not None else None,
+            cache_hit=hit,
         )
 
 

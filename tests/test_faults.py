@@ -253,7 +253,7 @@ def test_cache_drop_skips_the_disk_tier(tiny_kaslr, tmp_path):
     from repro.monitor import BootArtifactCache
 
     warm = BootArtifactCache(disk_path=tmp_path)
-    warm.get_or_parse(tiny_kaslr.elf, RandomizeMode.KASLR, _cfg(tiny_kaslr).policy)
+    warm.get_or_parse(_cfg(tiny_kaslr))
     # a fresh memory tier over the same directory: only the disk holds it
     cache = BootArtifactCache(disk_path=tmp_path)
     plan = FaultPlan.parse(["stage=prepare_image,kind=cache-drop"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -147,25 +148,26 @@ def test_fleet_manager_installs_cache():
 def test_cache_eviction_counted(tiny_kaslr, tiny_fgkaslr, tiny_nokaslr):
     cache = BootArtifactCache(max_entries=2)
     for kernel in (tiny_kaslr, tiny_fgkaslr, tiny_nokaslr):
-        cache.get_or_parse(
-            kernel.elf, RandomizeMode.NONE, VmConfig(kernel=kernel).policy
-        )
+        cache.get_or_parse(VmConfig(kernel=kernel, randomize=RandomizeMode.NONE))
     stats = cache.stats()
     assert stats.misses == 3
     assert stats.evictions == 1
     assert stats.entries == 2
     # the first-inserted (LRU) kernel was evicted: probing it misses again
     _, hit = cache.get_or_parse(
-        tiny_kaslr.elf, RandomizeMode.NONE, VmConfig(kernel=tiny_kaslr).policy
+        VmConfig(kernel=tiny_kaslr, randomize=RandomizeMode.NONE)
     )
     assert not hit
 
 
 def test_cache_keyed_on_mode(tiny_fgkaslr):
     cache = BootArtifactCache()
-    policy = VmConfig(kernel=tiny_fgkaslr).policy
-    a, hit_a = cache.get_or_parse(tiny_fgkaslr.elf, RandomizeMode.KASLR, policy)
-    b, hit_b = cache.get_or_parse(tiny_fgkaslr.elf, RandomizeMode.FGKASLR, policy)
+    a, hit_a = cache.get_or_parse(
+        VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.KASLR)
+    )
+    b, hit_b = cache.get_or_parse(
+        VmConfig(kernel=tiny_fgkaslr, randomize=RandomizeMode.FGKASLR)
+    )
     assert not hit_a and not hit_b
     assert a.fg_inventory is None
     assert b.fg_inventory is not None and b.fg_inventory.n_sections > 0
@@ -384,7 +386,8 @@ def test_fleet_rejects_negative_retries(tiny_fgkaslr):
 def test_cache_gauge_tracks_occupancy_under_concurrency(tiny_kaslr, tiny_fgkaslr):
     """The occupancy gauge is published under the cache lock: it must equal
     stats().entries after any storm of concurrent inserts, LRU evictions
-    and clears."""
+    and clears.  Every operation is counted once, in the tally and in the
+    registry alike, however the threads interleave."""
     from repro.telemetry import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -400,13 +403,23 @@ def test_cache_gauge_tracks_occupancy_under_concurrency(tiny_kaslr, tiny_fgkaslr
     def churn(offset):
         for i in range(25):
             cfg = cfgs[(offset + i) % len(cfgs)]
-            cache.get_or_parse(cfg.kernel.elf, cfg.randomize, cfg.policy)
+            cache.get_or_parse(cfg)
             if i % 10 == 9:
                 cache.clear()
 
-    with ThreadPoolExecutor(max_workers=8) as executor:
-        list(executor.map(churn, range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            list(executor.map(churn, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
     stats = cache.stats()
     assert stats.evictions > 0
     gauge = registry.gauge("repro_cache_entries", help="")
     assert gauge.value == stats.entries
+    assert stats.lookups == 8 * 25
+    assert stats.parses == stats.misses  # no disk tier: every miss parses
+    for name in ("hits", "misses", "evictions"):
+        counter = registry.counter(f"repro_cache_{name}_total", help="")
+        assert counter.value == getattr(stats, name)

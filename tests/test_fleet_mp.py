@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import repro
 from repro.artifacts import get_bzimage
 from repro.core import RandomizeMode
-from repro.core.policy import RandomizationPolicy
+from repro.core.prepared import prepare_image
 from repro.errors import MonitorError, WorkerPoolBroken
 from repro.faults import FaultPlan
 from repro.host import HostStorage
@@ -44,6 +44,7 @@ from repro.monitor import (
     BootArtifactCache,
     BootFormat,
     CacheScope,
+    CacheStats,
     DiskCacheTier,
     Firecracker,
     FleetManager,
@@ -508,9 +509,7 @@ def test_shared_blob_attach_from_unrelated_process_leaves_segment():
 
 
 def _parse_into(cache: BootArtifactCache, kernel, scope=None):
-    return cache.get_or_parse(
-        kernel.elf, RandomizeMode.FGKASLR, RandomizationPolicy(), scope=scope
-    )
+    return cache.get_or_parse(_cfg(kernel), scope)
 
 
 def test_disk_tier_round_trips_across_cache_instances(tiny_fgkaslr, tmp_path):
@@ -594,7 +593,7 @@ def test_disk_tier_format_1_entry_loads_as_a_miss(tiny_fgkaslr, tmp_path):
     payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
     tier.file_for(key).write_bytes(pickle.dumps({
         "format": 1,
-        "key": (key.image_digest, key.policy, key.seed_class),
+        "key": (key.image_digest, key.policy),
         "sha256": hashlib.sha256(payload).hexdigest(),
         "payload": payload,
     }))
@@ -605,6 +604,47 @@ def test_disk_tier_format_1_entry_loads_as_a_miss(tiny_fgkaslr, tmp_path):
     tier.store(key, prepared)
     assert tier.load(key).fingerprint() == prepared.fingerprint()
     assert [row["valid"] for row in tier.entries()] == [True]
+
+
+def test_disk_tier_format_3_entry_loads_as_a_miss(tiny_fgkaslr, tmp_path):
+    """An entry from before the trailer (format 3: a seed class in the
+    key, the payload digest in the header) is a miss, listed as invalid,
+    even under the name a format-4 entry of its key takes."""
+    prepared, _ = _parse_into(BootArtifactCache(), tiny_fgkaslr)
+    key = cache_key_for(_cfg(tiny_fgkaslr))
+    tier = DiskCacheTier(tmp_path)
+    payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
+    header = {
+        "format": 3,
+        "key": (key.image_digest, key.policy, "per-vm"),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    tier.file_for(key).write_bytes(
+        pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + payload
+    )
+    assert tier.load(key) is None
+    assert [row["valid"] for row in tier.entries()] == [False]
+    tier.store(key, prepared)
+    assert tier.load(key).fingerprint() == prepared.fingerprint()
+    assert [row["valid"] for row in tier.entries()] == [True]
+
+
+@settings(deadline=None, max_examples=25)
+@given(length=st.integers(min_value=0))
+def test_disk_tier_truncated_entry_is_a_miss(
+    tiny_fgkaslr, tmp_path_factory, length
+):
+    """An entry cut short at any length (a crash mid-copy, a full disk)
+    loads as a miss and is listed as invalid."""
+    tmp_path = tmp_path_factory.mktemp("tier")
+    cache = BootArtifactCache(disk_path=tmp_path)
+    _parse_into(cache, tiny_fgkaslr)
+    file = tmp_path / cache.disk.entries()[0]["file"]
+    data = file.read_bytes()
+    file.write_bytes(data[: length % len(data)])
+    tier = DiskCacheTier(tmp_path)
+    assert tier.load(cache_key_for(_cfg(tiny_fgkaslr))) is None
+    assert [row["valid"] for row in tier.entries()] == [False]
 
 
 def test_disk_tier_threads_storing_one_key_each_write_their_own_file(
@@ -628,6 +668,45 @@ def test_disk_tier_threads_storing_one_key_each_write_their_own_file(
         for _round in range(25):
             list(pool.map(store, range(threads)))
     assert tier.load(key).fingerprint() == prepared.fingerprint()
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl"]
+
+
+def _store_in_rounds(path, key, prepared, barrier, rounds: int) -> None:
+    tier = DiskCacheTier(path)
+    for _ in range(rounds):
+        barrier.wait(timeout=60)
+        tier.store(key, prepared)
+        # the other process may have replaced the file: a whole entry
+        # either way, never a torn one
+        assert tier.load(key) is not None
+
+
+def test_disk_tier_processes_storing_one_key_at_once(tiny_fgkaslr, tmp_path):
+    """Two processes store one key at the same time, round after round:
+    both finish, the entry left fingerprints like a cold parse, and no
+    temp file is left behind."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    mp = multiprocessing.get_context("fork")
+    prepared, _ = _parse_into(BootArtifactCache(), tiny_fgkaslr)
+    key = cache_key_for(_cfg(tiny_fgkaslr))
+    barrier = mp.Barrier(2)
+    procs = [
+        mp.Process(
+            target=_store_in_rounds, args=(tmp_path, key, prepared, barrier, 8)
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        if proc.is_alive():  # pragma: no cover - a hung store
+            proc.kill()
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    cold = prepare_image(tiny_fgkaslr.elf, RandomizeMode.FGKASLR)
+    loaded = DiskCacheTier(tmp_path).load(key)
+    assert loaded.fingerprint() == cold.fingerprint()
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl"]
 
 
@@ -675,13 +754,76 @@ def test_interleaved_fleets_report_only_their_own_traffic(tiny_fgkaslr):
     assert report_b.cache.misses == 0
 
 
+def _tally_launch(kernel, executor: str, *, registry: bool, warm: bool):
+    """A 4-VM launch on 2 workers; the cache publishes to the telemetry's
+    registry only with ``registry`` set (perfbench's fleet-process cache
+    publishes nowhere)."""
+    telemetry = Telemetry()
+    vmm = Firecracker(
+        HostStorage(),
+        CostModel(scale=1),
+        artifact_cache=BootArtifactCache(
+            registry=telemetry.registry if registry else None
+        ),
+        telemetry=telemetry,
+    )
+    report = FleetManager(vmm, workers=2, executor=executor).launch(
+        _cfg(kernel), 4, fleet_seed=1, warm=warm
+    )
+    lines = [
+        line
+        for line in to_prometheus(telemetry.snapshot()).splitlines()
+        if "repro_cache_" in line
+    ]
+    return report, vmm.artifact_cache.stats(), lines
+
+
+@pytest.mark.parametrize("registry", [True, False], ids=["registry", "no-registry"])
+def test_warm_launch_cache_tally_is_the_same_on_both_executors(
+    tiny_fgkaslr, registry
+):
+    """The parent's cache counts a worker's boots as its own: stats()
+    and the repro_cache_* Prometheus lines read the same after a warm
+    launch on either executor."""
+    _, t_stats, t_lines = _tally_launch(
+        tiny_fgkaslr, "thread", registry=registry, warm=True
+    )
+    _, p_stats, p_lines = _tally_launch(
+        tiny_fgkaslr, "process", registry=registry, warm=True
+    )
+    # the warm-up missed and parsed; every boot hit
+    assert t_stats == CacheStats(hits=4, misses=1, evictions=0, entries=1, parses=1)
+    assert p_stats == t_stats
+    assert p_lines == t_lines
+    assert bool(t_lines) == registry
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_cold_launch_cache_tally_counts_every_worker_parse(tiny_fgkaslr, backend):
+    """Cold, a process worker misses and parses in its own memory tier;
+    the parent's stats() counts each of those misses and parses, as the
+    launch report does."""
+    report, stats, _ = _tally_launch(
+        tiny_fgkaslr, backend, registry=True, warm=False
+    )
+    assert report.cache.misses == report.cache.parses >= 1
+    assert report.cache.lookups == 4
+    assert stats == report.cache
+
+
 def test_scope_absorb_matches_note():
+    """A worker's counts absorbed by a cache land in the caller's scope
+    as if noted there, and in the cache's own tally."""
+    cache = BootArtifactCache()
     scope = CacheScope()
     scope.note(hits=2, disk_hits=1)
-    scope.absorb({"hits": 1, "misses": 3, "parses": 2})
+    cache.absorb({"hits": 1, "misses": 3, "parses": 2}, scope)
     assert scope.counts() == {
         "hits": 3, "misses": 3, "evictions": 0, "disk_hits": 1, "parses": 2,
     }
     stats = scope.snapshot(entries=5)
     assert stats.entries == 5
     assert stats.lookups == 6
+    assert cache.stats() == CacheStats(
+        hits=1, misses=3, evictions=0, entries=0, parses=2
+    )

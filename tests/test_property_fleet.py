@@ -64,12 +64,12 @@ def test_fleet_wall_clock_bounds(tiny_fgkaslr, seeds, workers):
 def test_cache_hit_is_byte_identical_to_cold_parse(tiny_fgkaslr, mode, probes):
     cold = prepare_image(tiny_fgkaslr.elf, mode)
     cache = BootArtifactCache()
-    policy = VmConfig(kernel=tiny_fgkaslr).policy
-    first, hit = cache.get_or_parse(tiny_fgkaslr.elf, mode, policy)
+    cfg = VmConfig(kernel=tiny_fgkaslr, randomize=mode)
+    first, hit = cache.get_or_parse(cfg)
     assert not hit
     assert first.fingerprint() == cold.fingerprint()
     for _ in range(probes):
-        cached, hit = cache.get_or_parse(tiny_fgkaslr.elf, mode, policy)
+        cached, hit = cache.get_or_parse(cfg)
         assert hit
         assert cached is first  # the same immutable parse product
         assert cached.fingerprint() == cold.fingerprint()
@@ -134,9 +134,5 @@ def test_faulty_fleet_never_poisons_cache(tiny_fgkaslr, rate, spec_seed, workers
     cache = vmm.artifact_cache
     cached = cache.lookup(cache_key_for(cfg))
     if cached is not None:
-        cold = prepare_image(
-            tiny_fgkaslr.elf,
-            RandomizeMode.FGKASLR,
-            digest=tiny_fgkaslr.elf.digest,
-        )
+        cold = prepare_image(tiny_fgkaslr.elf, RandomizeMode.FGKASLR)
         assert cached.fingerprint() == cold.fingerprint()
