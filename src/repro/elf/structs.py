@@ -218,10 +218,6 @@ class Elf64Rela:
     def r_type(self) -> int:
         return self.r_info & 0xFFFFFFFF
 
-    @property
-    def r_sym(self) -> int:
-        return self.r_info >> 32
-
     @staticmethod
     def info(sym: int, r_type: int) -> int:
         return (sym << 32) | (r_type & 0xFFFFFFFF)

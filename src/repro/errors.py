@@ -86,10 +86,6 @@ class GuestPanic(ReproError):
     """
 
 
-class BenchmarkError(ReproError):
-    """A benchmark harness was misconfigured."""
-
-
 class FaultPlanError(ReproError):
     """A fault-injection plan or spec could not be parsed or validated."""
 

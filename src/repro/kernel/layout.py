@@ -50,11 +50,3 @@ def align_up(value: int, align: int) -> int:
     if align <= 1:
         return value
     return (value + align - 1) & ~(align - 1)
-
-
-def image_offset_to_vaddr(offset: int) -> int:
-    return LINK_VBASE + offset
-
-
-def vaddr_to_image_offset(vaddr: int) -> int:
-    return vaddr - LINK_VBASE

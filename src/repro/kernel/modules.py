@@ -203,7 +203,3 @@ class LoadedModule:
     load_paddr: int
     image_size: int
     resolved_imports: dict[str, int]
-
-    def function_vaddr(self, module: ModuleImage, func_name: str) -> int:
-        offset, _size = module.functions[func_name]
-        return self.load_vaddr + offset

@@ -97,27 +97,6 @@ class LeaseRegistry:
 
     # -- audits ----------------------------------------------------------------
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    @property
-    def known_count(self) -> int:
-        return len(self._known)
-
-    @property
-    def retired_count(self) -> int:
-        return len(self._retired)
-
-    def is_leased(self, instance_id: int) -> bool:
-        return instance_id in self._active
-
-    def outstanding(self) -> list[int]:
-        """Ids that are neither leased nor retired (live warm capacity)."""
-        return sorted(
-            self._known - self._retired - set(self._active)
-        )
-
     def audit_drained(self) -> None:
         """Post-run check: every instance retired, no lease left active."""
         if self._active:

@@ -10,9 +10,8 @@ One :class:`Telemetry` object bundles the two stores —
 * a :class:`~repro.telemetry.events.BootEventLog` of structured,
   monotonically sequenced per-stage records —
 
-and implements the :class:`~repro.telemetry.events.TelemetrySink`
-protocol that :func:`repro.monitor.vmm.record_boot` and the fleet
-manager feed.  Exporters (:mod:`repro.telemetry.export`) read both
+and takes the calls :func:`repro.monitor.vmm.record_boot` and the fleet
+manager make.  Exporters (:mod:`repro.telemetry.export`) read both
 through one frozen :class:`~repro.telemetry.export.TelemetrySnapshot`.
 
 Scoping: there is no process-wide default.  Whoever wants telemetry
@@ -32,7 +31,6 @@ from repro.telemetry.events import (
     KIND_STAGE,
     BootEvent,
     BootEventLog,
-    TelemetrySink,
 )
 from repro.telemetry.export import (
     TelemetrySnapshot,
@@ -75,9 +73,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Telemetry:
-    """Registry + event log behind one :class:`TelemetrySink` facade.
+    """Registry + event log behind one facade.
 
-    The sink methods translate stage and fleet callbacks into both
+    The recording methods translate stage and fleet callbacks into both
     stores: a structured event in the log, and the corresponding
     counters/histograms in the registry (metric names follow the
     ``repro_<subsystem>_<name>_<unit>`` convention).
@@ -93,7 +91,7 @@ class Telemetry:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.log = log if log is not None else BootEventLog()
-        #: optional flight recorder; sink methods feed it when installed
+        #: optional flight recorder; recording methods feed it when installed
         self.timeseries = timeseries
         #: optional request tracer; snapshots carry its span trees so the
         #: Chrome exporter can render per-request tracks
@@ -119,7 +117,7 @@ class Telemetry:
             profiler=self.profiler,
         )
 
-    # -- TelemetrySink ---------------------------------------------------------
+    # -- recording -------------------------------------------------------------
 
     def stage_span(self, boot_id: str, span: "StageSpan") -> None:
         """Record one completed pipeline stage (event + stage metrics)."""
@@ -247,7 +245,6 @@ __all__ = [
     "StageLatency",
     "TailAttribution",
     "Telemetry",
-    "TelemetrySink",
     "TelemetrySnapshot",
     "TimeSeriesRecorder",
     "TraceContext",

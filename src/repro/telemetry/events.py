@@ -1,4 +1,4 @@
-"""The structured boot-event log and the sink protocol that feeds it.
+"""The structured boot-event log.
 
 Section 5.1 instruments real boots with ``perf`` tracepoints fired by
 guest port-I/O writes; every figure is read out of those traces.  The
@@ -8,14 +8,13 @@ sequenced stream of :class:`BootEvent` records, one per pipeline stage
 and wall-clock window).  Records are JSONL-serializable so a fleet's
 history can be shipped to any external trace store.
 
-The :class:`TelemetrySink` protocol is what the instrumented layers
-call: :func:`~repro.monitor.vmm.record_boot` reports every completed
+:class:`repro.telemetry.Telemetry` writes it:
+:func:`~repro.monitor.vmm.record_boot` reports every completed
 :class:`~repro.simtime.trace.StageSpan` of a finished boot or restore
 timeline (the pipeline itself only writes the timeline), and
 :class:`~repro.monitor.fleet.FleetManager` reports each boot's scheduled
-wall window after admission.  The default implementation is
-:class:`repro.telemetry.Telemetry`, which also turns the same calls into
-registry metrics.
+wall window after admission; ``Telemetry`` also turns the same calls
+into registry metrics.
 
 Sequence numbers are assigned under a lock, so they are monotonic and
 dense; under concurrent fleet workers the *interleaving* of boots in the
@@ -30,10 +29,7 @@ import io
 import json
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simtime.trace import StageSpan
+from typing import Iterator
 
 #: event kinds: a pipeline stage window, a scheduled fleet boot, a serve
 #: control-plane lifecycle event, or an alert state transition
@@ -174,24 +170,3 @@ class BootEventLog:
         buf = io.StringIO()
         self.write_jsonl(buf)
         return buf.getvalue()[:-1] if buf.tell() else ""
-
-
-@runtime_checkable
-class TelemetrySink(Protocol):
-    """What instrumented layers call; implemented by ``Telemetry``."""
-
-    def stage_span(self, boot_id: str, span: "StageSpan") -> None:
-        """One pipeline stage completed (called by ``record_boot``)."""
-        ...
-
-    def boot_window(
-        self,
-        boot_id: str,
-        *,
-        worker: int,
-        start_ns: int,
-        duration_ns: int,
-        detail: str = "",
-    ) -> None:
-        """One boot was scheduled onto a fleet worker's wall clock."""
-        ...

@@ -277,10 +277,6 @@ class ScopedRegistry:
         self._labels = {k: str(v) for k, v in labels.items()}
         _check_labels(self._labels)  # fail at scope creation, not first use
 
-    @property
-    def scope_labels(self) -> dict[str, str]:
-        return dict(self._labels)
-
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._base.counter(name, help=help, **{**self._labels, **labels})
 

@@ -11,7 +11,7 @@ info.  The monitor code manipulates this state exactly as Firecracker's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CpuMode(enum.Enum):
@@ -89,12 +89,3 @@ class VcpuState:
         if self.interrupts_enabled:
             problems.append("interrupts must be disabled at entry")
         return problems
-
-
-@dataclass
-class VcpuExit:
-    """Why a simulated vCPU run returned to the monitor."""
-
-    reason: str
-    detail: str = ""
-    port_writes: list[tuple[int, int]] = field(default_factory=list)
