@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.context import RandoContext
-from repro.core.layout_result import LayoutResult
+from repro.core.layout_result import LayoutResult, Windows
 from repro.elf.reader import ElfImage
 from repro.errors import RandomizationError
 from repro.kernel import layout as kl
@@ -43,6 +44,11 @@ class SectionInventory:
     @property
     def n_sections(self) -> int:
         return len(self.ordered)
+
+    @cached_property
+    def windows(self) -> Windows:
+        """The window layout every shuffle of this inventory shares."""
+        return Windows.of([(vaddr, size, 0) for _, vaddr, size in self.ordered])
 
 
 @dataclass

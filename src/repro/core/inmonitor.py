@@ -131,12 +131,14 @@ class InMonitorRandomizer:
             )
             layout.phys_load = phys_load
 
-        plan = None
+        plan = windows = None
         if mode is RandomizeMode.FGKASLR:
-            assert prepared.fg_inventory is not None  # set by prepare_image
-            plan = self.engine.plan_from_inventory(prepared.fg_inventory, ctx)
+            inventory = prepared.fg_inventory
+            assert inventory is not None  # set by prepare_image
+            plan = self.engine.plan_from_inventory(inventory, ctx)
             layout.moved = list(plan.moved)
             layout.entropy_bits_fg = plan.permutation_entropy_bits(scale)
+            windows = inventory.windows
 
         # Load segments (the shuffled text goes straight to its new home).
         loaded = load_elf_segments(
@@ -160,7 +162,7 @@ class InMonitorRandomizer:
         layout.entropy_bits_base = self.policy.entropy_bits(
             loaded.mem_bytes, paper_scale_bytes=loaded.mem_bytes * scale
         )
-        layout.finalize()
+        layout.finalize(windows)
 
         assert relocs is not None  # checked above
         Relocator(memory, layout, elf).apply(relocs, ctx)

@@ -9,12 +9,48 @@ analyses (to measure entropy and leak value).
 from __future__ import annotations
 
 import bisect
+import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Sequence
 
 from repro.kernel import layout as kl
 
 #: a bound beyond every address
 _UNBOUNDED = 1 << 128
+
+
+@dataclass(frozen=True)
+class Windows:
+    """The window layout of a move map, and one content key for it.
+
+    Window ``j`` holds the link vaddrs ``v`` with ``bounds[j] <= v <
+    bounds[j + 1]``: one moved section, or the unmoved gap after one.
+    Every FGKASLR boot of an image has the same windows, so a
+    :class:`~repro.core.fgkaslr.SectionInventory` derives them once and
+    each layout planned from it reuses them.  The site-plan stores
+    (:mod:`repro.core.siteplan`) are keyed by ``key``, a digest of the
+    bounds, so a plan lookup hashes one short string.
+    """
+
+    bounds: tuple[int, ...]
+    key: str
+
+    @classmethod
+    def of(cls, moved: Sequence[tuple[int, int, int]]) -> "Windows":
+        """The windows of ``moved`` (``(start, size, delta)``, by start).
+
+        The bounds alternate each section's span with the unmoved gap
+        after it.  A section ends early where the next one starts, so an
+        address belongs to the last section starting at or before it.
+        """
+        nexts = [m[0] for m in moved[1:]] + [_UNBOUNDED]
+        bounds = [-_UNBOUNDED]
+        for (start, size, _delta), nxt in zip(moved, nexts):
+            bounds += (start, min(start + size, nxt))
+        bounds.append(_UNBOUNDED)
+        key = hashlib.sha256(repr(bounds).encode()).hexdigest()
+        return cls(tuple(bounds), key)
 
 
 @dataclass
@@ -43,26 +79,23 @@ class LayoutResult:
     #: number of relocation entries applied
     relocs_applied: int = 0
     #: bisect index over ``moved``: link vaddr ``v`` has displacement
-    #: ``_deltas[j]`` where ``_bounds[j] <= v < _bounds[j + 1]``
-    _bounds: tuple[int, ...] = field(default=(), repr=False)
+    #: ``_deltas[j]`` where ``bounds[j] <= v < bounds[j + 1]``
+    _windows: Windows | None = field(default=None, repr=False)
     _deltas: list[int] = field(default_factory=list, repr=False)
 
-    def finalize(self) -> "LayoutResult":
+    def finalize(self, windows: Windows | None = None) -> "LayoutResult":
         """Sort the move map and build the bisect index.
 
-        The index alternates each section's span with the unmoved gap
-        after it.  A section ends early where the next one starts, so an
-        address belongs to the last section starting at or before it.
+        ``windows`` are the move map's :class:`Windows` when the caller
+        already holds them (a layout planned from a section inventory);
+        otherwise they are derived from ``moved``.  Window ``2k + 1`` is
+        the ``k``-th section's, and moves by its delta; the gaps stay.
         """
-        self.moved.sort(key=lambda m: m[0])
-        nexts = [m[0] for m in self.moved[1:]] + [_UNBOUNDED]
-        bounds = [-_UNBOUNDED]
-        self._deltas = [0]
-        for (start, size, delta), nxt in zip(self.moved, nexts):
-            bounds += (start, min(start + size, nxt))
-            self._deltas += (delta, 0)
-        bounds.append(_UNBOUNDED)
-        self._bounds = tuple(bounds)
+        self.moved.sort(key=itemgetter(0))
+        self._windows = windows if windows is not None else Windows.of(self.moved)
+        deltas = [0] * (2 * len(self.moved) + 1)
+        deltas[1::2] = [delta for _, _, delta in self.moved]
+        self._deltas = deltas
         return self
 
     def clone(self) -> "LayoutResult":
@@ -78,7 +111,7 @@ class LayoutResult:
             entropy_bits_fg=self.entropy_bits_fg,
             kallsyms_fixed=self.kallsyms_fixed,
             relocs_applied=self.relocs_applied,
-        ).finalize()
+        ).finalize(self._windows)
 
     @property
     def randomized(self) -> bool:
@@ -92,9 +125,9 @@ class LayoutResult:
         """Intra-image displacement of a link-time address (FGKASLR moves)."""
         if not self.moved:
             return 0
-        if not self._bounds:
+        if self._windows is None:
             self.finalize()
-        return self._deltas[bisect.bisect_right(self._bounds, link_vaddr) - 1]
+        return self._deltas[bisect.bisect_right(self._windows.bounds, link_vaddr) - 1]
 
     def windows(self) -> tuple[tuple[int, ...], list[int]]:
         """``(bounds, deltas)``: the window layout and this boot's moves.
@@ -105,9 +138,16 @@ class LayoutResult:
         image has the same bounds; only the deltas differ.  A layout
         without moves has the one window of every address.
         """
-        if not self._bounds:
+        if self._windows is None:
             self.finalize()
-        return self._bounds, self._deltas
+        return self._windows.bounds, self._deltas
+
+    @property
+    def window_key(self) -> str:
+        """The content key of :meth:`windows`' bounds (see :class:`Windows`)."""
+        if self._windows is None:
+            self.finalize()
+        return self._windows.key
 
     def final_vaddr(self, link_vaddr: int) -> int:
         """Virtual address after all randomization."""

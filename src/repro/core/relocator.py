@@ -119,8 +119,8 @@ def relocation_plan(
     """Each class's :class:`ClassPlan` under ``layout``'s windows.
 
     Derived once per table content, image content and window layout
-    (see :mod:`repro.core.siteplan`).  Both contents are hashed once per
-    object, so a lookup hashes the window bounds and two digests.
+    (see :mod:`repro.core.siteplan`).  Each is hashed once per object, so
+    a lookup hashes three digests.
     """
     bounds, _ = layout.windows()
     vbase = layout.link_vbase
@@ -129,7 +129,7 @@ def relocation_plan(
         table.content_key,
         image.digest if image is not None else None,
         vbase,
-        bounds,
+        layout.window_key,
     )
     return siteplan.shared(
         key,

@@ -25,8 +25,10 @@ under equal window layouts (a fresh build of the same kernel, a fleet
 worker's own parse of the relocs sidecar) find the same plan, and the
 store holds none of the objects a plan was derived from.  A key names
 big inputs by a digest their object computes once (a table's
-``content_key``, an image's ``digest``), so a boot's lookup hashes the
-window bounds, not every site.
+``content_key``, an image's ``digest``, the window layout's
+:attr:`~repro.core.layout_result.Windows.key`, which a section inventory
+derives once for all its boots), so a boot's lookup hashes neither the
+sites nor the window bounds.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def oracle_plan(manifest: BuildManifest, layout: LayoutResult) -> OraclePlan:
     bounds, _ = layout.windows()
     vbase = layout.link_vbase
     return siteplan.shared(
-        ("oracle", rows.key, vbase, bounds),
+        ("oracle", rows.key, vbase, layout.window_key),
         lambda: _derive_plan(rows, bounds, vbase),
     )
 

@@ -391,13 +391,12 @@ def _derive_site_plans(cfg: VmConfig) -> None:
 
 def _fgkaslr_plans(kernel: KernelImage) -> tuple:
     """Derive (or find) the kernel's FGKASLR plans; the memo entry holds them."""
-    windows = LayoutResult()
     inventory = FgkaslrEngine.inventory(kernel.elf)
-    windows.moved = [(vaddr, size, 0) for _, vaddr, size in inventory.ordered]
+    windows = LayoutResult(
+        moved=[(vaddr, size, 0) for _, vaddr, size in inventory.ordered]
+    ).finalize(inventory.windows)
     plans = []
     if windows.moved and kernel.reloc_table is not None:
-        plans.append(
-            relocation_plan(kernel.reloc_table, windows.finalize(), kernel.elf)
-        )
-    plans.append(oracle_plan(kernel.manifest, windows.finalize()))
+        plans.append(relocation_plan(kernel.reloc_table, windows, kernel.elf))
+    plans.append(oracle_plan(kernel.manifest, windows))
     return tuple(plans)
