@@ -291,6 +291,9 @@ class FleetManager:
 
     The monitor gains a :class:`BootArtifactCache` if it does not already
     hold one — a fleet is exactly the workload the cache exists for.
+    The process executor keeps its worker pool between launches;
+    :meth:`close` (or leaving a ``with`` block) shuts it down, as do
+    collecting the manager and interpreter exit.
     """
 
     def __init__(
@@ -309,7 +312,7 @@ class FleetManager:
         self.workers = workers
         self.telemetry = telemetry
         #: boot backend: a name ("thread" | "process") or any object with
-        #: the executor ``launch`` context-manager interface
+        #: the executor interface (a ``launch`` context manager, ``close``)
         if isinstance(executor, str):
             executor = make_boot_executor(executor)
         self.executor = executor
@@ -317,6 +320,16 @@ class FleetManager:
         self.auditor = auditor
         if vmm.artifact_cache is None:
             vmm.artifact_cache = BootArtifactCache()
+
+    def close(self) -> None:
+        """Release what the executor keeps between launches."""
+        self.executor.close()
+
+    def __enter__(self) -> "FleetManager":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _telemetry(self) -> Telemetry | None:
         """Scoping: the fleet's own, else the monitor's, else none."""
@@ -347,7 +360,8 @@ class FleetManager:
         that exhaust the budget land in ``FleetReport.failures`` and the
         fleet completes with the survivors.  A process worker that dies
         takes its pool with it, and the launch raises
-        :class:`~repro.errors.WorkerPoolBroken`.
+        :class:`~repro.errors.WorkerPoolBroken`; the next launch starts a
+        fresh pool.
         """
         if count < 1:
             raise MonitorError(f"fleet needs at least one VM, got {count}")
@@ -466,7 +480,8 @@ class FleetManager:
         One executor launch brackets *all* waves: wave 0 submits every
         boot, each later wave resubmits the indices that failed — on the
         same worker pool, so retries reuse workers instead of paying
-        pool (or worker-process) churn per wave.  Fresh retry seeds are
+        pool (or worker-process) churn per wave; the process executor
+        hands that pool on to the next launch, too.  Fresh retry seeds are
         drawn in sorted-index order from a dedicated stream.  Outcomes
         are collected per future (never ``pool.map``), so one raising
         boot cannot abort the others, and all retry decisions happen
@@ -508,8 +523,10 @@ class FleetManager:
                     except WorkerPoolBroken:
                         raise  # the launch's failure: no pool left to retry on
                     except Exception as exc:  # contained, never fatal
+                        # kept as data: its traceback would hold this frame,
+                        # and with it the manager and its kept worker pool
                         wave_failures[index] = BootFailure.from_exception(
-                            exc,
+                            exc.with_traceback(None),
                             boot_id=boot_identity(
                                 cfg.kernel.name, boot_cfg.seed
                             ),

@@ -4,14 +4,17 @@ The process backend must be an *implementation detail*: byte-identical
 layouts, exactly-conserved profiler attribution, and identical fault
 decisions versus the thread backend, with only the engine model allowed
 to differ.  Its workers inherit the parent's warmed substrate under
-``fork`` and rebuild it under ``spawn``; a dead worker ends the launch in
-a typed error.  The disk tier must round-trip across cache instances and
+``fork`` and rebuild it under ``spawn``; a manager keeps its pool between
+launches and reports exactly what fresh pools report; a dead worker ends
+the launch in a typed error, and a killed parent takes its kept workers
+with it.  The disk tier must round-trip across cache instances and
 degrade any corruption to a miss, never a wrong parse.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -21,6 +24,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -283,7 +287,7 @@ _BUILT: dict = {}
 _BOOTED: dict = {}
 
 
-def _counting_worker_init(spec) -> None:
+def _counting_worker_init(spec, ticket) -> None:
     """The real worker init, counting ELF parses, disk-tier loads, site
     plans and relocation word maps; plans and word maps stay counted, in
     ``_BOOTED``, through the worker's boots."""
@@ -311,15 +315,18 @@ def _counting_worker_init(spec) -> None:
     for owner, name, key in counted:
         setattr(owner, name, counting(key))
     try:
-        _real_worker_init(spec)
+        _real_worker_init(spec, ticket)
     finally:
         for owner, name, key in counted[:2]:
             setattr(owner, name, real[key])
         counts[0] = _BOOTED
 
 
-def _worker_state() -> dict:
-    vmm, cfg = executor._WORKER["vmm"], executor._WORKER["cfg"]
+def _worker_state(ticket) -> dict:
+    """Run in a worker: build the launch's substrate with the counting
+    init (the first call of a launch does) and read what it holds."""
+    executor._worker_init = _counting_worker_init
+    cfg, vmm = executor._worker_substrate(ticket)
     return {
         **_BUILT,
         "booted": dict(_BOOTED),
@@ -349,7 +356,6 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
     fleet-process launches per second.
     """
     _start_method(monkeypatch, start)
-    monkeypatch.setattr(executor, "_worker_init", _counting_worker_init)
     vmm = Firecracker(
         HostStorage(),
         CostModel(scale=1),
@@ -358,13 +364,13 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
     )
     cfg = _cfg(tiny_fgkaslr)
     vmm.warm_caches(cfg)
-    with ProcessBootExecutor().launch(
+    with ProcessBootExecutor() as pools, pools.launch(
         vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
         telemetry=vmm.telemetry, warm=warm,
     ) as launch:
-        state = launch._pool.submit(_worker_state).result()
+        state = launch._pool.submit(_worker_state, launch._ticket).result()
         launch.submit(replace(cfg, seed=5), index=0, attempt=0).result()
-        booted = launch._pool.submit(_worker_state).result()["booted"]
+        booted = launch._pool.submit(_worker_state, launch._ticket).result()["booted"]
     rebuilt = start == "spawn" and warm
     assert state["elf_parses"] == int(rebuilt)
     assert state["disk_loads"] == int(rebuilt)
@@ -377,10 +383,10 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
     assert (booted["word_maps"] > 0) == derived_at_boot
 
 
-def _crash_index_1(index: int, seed: int, attempt: int) -> dict:
+def _crash_index_1(ticket, index: int, seed: int, attempt: int) -> dict:
     if index == 1 and attempt == 0:
         os._exit(3)
-    return _real_worker_boot(index, seed, attempt)
+    return _real_worker_boot(ticket, index, seed, attempt)
 
 
 def _src_path() -> str:
@@ -447,6 +453,343 @@ def test_spawn_launch_leaves_no_tracker_traceback_or_segment():
     assert proc.stdout.split() == ["4", "0"]
     assert "Traceback" not in proc.stderr, proc.stderr
     assert _shm_entries() <= before
+
+
+# -- the kept pool: forked once, reset once per launch --------------------------
+
+
+def _worker_pids() -> set[int]:
+    """Pids of this process's live worker processes (of any pool)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _report_json(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+#: (workers, launches in a row on one monitor as launch arguments);
+#: ``faults`` replaces the monitor's fault plan before its launch.  Every
+#: worker that boots in a cold launch misses and parses once, so how
+#: many do (which the scheduler decides) shows in its counts and boot
+#: times; the cold sequence runs on one worker to keep them fixed.
+SEQUENCES = {
+    "warm-warm": (2, ({}, {})),
+    "warm-cold": (1, ({}, {"warm": False})),
+    "new-fault-plan": (
+        2, ({}, {"faults": ("stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9",)}),
+    ),
+}
+
+
+def _run_sequence(kernel, workers, steps, *, kept: bool):
+    """Run ``steps`` on one monitor, all on one manager (``kept``) or each
+    on a fresh one.  Returns, per launch, its report JSON and the cache's
+    ``stats()`` after it; then the monitor's ``repro_cache_*`` lines and
+    event log; then the worker pids each launch left alive."""
+    vmm = _vmm()
+    cfg = _cfg(kernel)
+    outputs, pids = [], []
+    with FleetManager(vmm, workers=workers, executor="process") as one:
+        for fleet_seed, step in enumerate(steps):
+            step = dict(step)
+            if "faults" in step:
+                vmm.fault_plan = FaultPlan.parse(step.pop("faults"))
+            manager = (
+                one if kept else FleetManager(vmm, workers=workers, executor="process")
+            )
+            with contextlib.nullcontext() if kept else manager:
+                report = manager.launch(cfg, 4, fleet_seed=fleet_seed, **step)
+                pids.append(_worker_pids())
+            outputs.append((_report_json(report), vmm.artifact_cache.stats()))
+    snap = vmm.telemetry.snapshot()
+    lines = [line for line in to_prometheus(snap).splitlines() if "repro_cache_" in line]
+    events = [
+        (e.boot_id, e.kind, e.name, e.start_ns, e.duration_ns, e.worker,
+         e.cache_hit, e.detail)
+        for e in snap.events
+    ]
+    return outputs, lines, events, pids
+
+
+@pytest.mark.parametrize("sequence", sorted(SEQUENCES))
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_kept_pool_launches_match_fresh_pools(tiny_fgkaslr, monkeypatch, start, sequence):
+    """Launches on one manager give the same reports, cache tally,
+    Prometheus cache lines and event log as the same launches on fresh
+    managers.  Two warm launches run on the same workers; a launch whose
+    worker spec changed (cold, or a new fault plan) forks new ones."""
+    _start_method(monkeypatch, start)
+    workers, steps = SEQUENCES[sequence]
+    *kept, (first, second) = _run_sequence(tiny_fgkaslr, workers, steps, kept=True)
+    *fresh, _ = _run_sequence(tiny_fgkaslr, workers, steps, kept=False)
+    assert kept == fresh
+    assert len(first) == workers
+    if sequence == "warm-warm":
+        assert second == first
+    else:
+        assert not second & first
+    assert not _worker_pids()
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_concurrent_launches_never_share_a_pool(tiny_fgkaslr, monkeypatch, start):
+    """Two launches running at once on one manager each get their own
+    pool (one takes the kept pool, the other forks), each reports what it
+    reports alone, and the manager keeps one pool afterwards."""
+    _start_method(monkeypatch, start)
+    cfg = _cfg(tiny_fgkaslr)
+    alone = {}
+    for fleet_seed in (1, 2):
+        with FleetManager(_vmm(), workers=2, executor="process") as manager:
+            alone[fleet_seed] = _report_json(manager.launch(cfg, 4, fleet_seed=fleet_seed))
+    real_launch = ProcessBootExecutor.launch
+    inside = threading.Barrier(2, timeout=120)
+    pools = []
+
+    @contextlib.contextmanager
+    def launch_together(self, **kwargs):
+        with real_launch(self, **kwargs) as launch:
+            pools.append(launch._pool)
+            inside.wait()
+            yield launch
+
+    with FleetManager(_vmm(), workers=2, executor="process") as manager:
+        manager.launch(cfg, 4, fleet_seed=0)
+        monkeypatch.setattr(ProcessBootExecutor, "launch", launch_together)
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            futures = {
+                fleet_seed: threads.submit(manager.launch, cfg, 4, fleet_seed)
+                for fleet_seed in (1, 2)
+            }
+            together = {
+                seed: _report_json(f.result(timeout=300)) for seed, f in futures.items()
+            }
+        assert pools[0] is not pools[1]
+        assert len(_worker_pids()) == 2
+    assert together == alone
+    assert not _worker_pids()
+
+
+def _count_resets(ticket) -> tuple[int, int]:
+    """Run in a worker: count its substrate builds from the first call
+    on, build (or find) this launch's, and return (pid, builds)."""
+    if not hasattr(executor._worker_init, "builds"):
+        real = executor._worker_init
+
+        def counted(spec, ticket):
+            counted.builds += 1
+            real(spec, ticket)
+
+        counted.builds = 0
+        executor._worker_init = counted
+    executor._worker_substrate(ticket)
+    return os.getpid(), executor._worker_init.builds
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_kept_worker_resets_once_per_launch(tiny_fgkaslr, monkeypatch, start):
+    """Three launches on one executor run on one worker process, which
+    builds its substrate once per launch, on the launch's first task."""
+    _start_method(monkeypatch, start)
+    vmm = _vmm()
+    cfg = _cfg(tiny_fgkaslr)
+    vmm.warm_caches(cfg)
+    seen = []
+    with ProcessBootExecutor() as pools:
+        for fleet_seed in range(3):
+            with pools.launch(
+                vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
+                telemetry=vmm.telemetry, warm=True,
+            ) as launch:
+                probe = launch._pool.submit(_count_resets, launch._ticket)
+                seen.append(probe.result(timeout=120))
+                boot = launch.submit(replace(cfg, seed=fleet_seed), index=0, attempt=0)
+                boot.result()
+                probe = launch._pool.submit(_count_resets, launch._ticket)
+                assert probe.result(timeout=120) == seen[-1]
+    assert [builds for _, builds in seen] == [1, 2, 3]
+    assert len({pid for pid, _ in seen}) == 1
+    assert not _worker_pids()
+
+
+def test_spawn_worker_started_by_a_later_launch_reads_its_own_segments(
+    tiny_fgkaslr, monkeypatch
+):
+    """Under spawn a pool starts a worker at a submit that finds none
+    idle, so a kept pool of two that served a 1-VM launch starts its
+    second worker in the next launch, after the first launch unlinked
+    its segments; that worker re-hydrates from its own launch's."""
+    _start_method(monkeypatch, "spawn")
+    cfg = _cfg(tiny_fgkaslr)
+    with FleetManager(_vmm(), workers=2, executor="process") as fresh:
+        want = _report_json(fresh.launch(cfg, 4, fleet_seed=2))
+    with FleetManager(_vmm(), workers=2, executor="process") as manager:
+        manager.launch(cfg, 1, fleet_seed=1)
+        (first,) = _worker_pids()
+        got = _report_json(manager.launch(cfg, 4, fleet_seed=2))
+        assert first in _worker_pids() and len(_worker_pids()) == 2
+    assert got == want
+
+
+def test_launching_threads_on_one_manager_stress(tiny_fgkaslr, monkeypatch):
+    """More launching threads than cores on one manager, with a short
+    switch interval: every launch reports what it reports when run
+    alone, and the manager keeps at most one pool between launches."""
+    _start_method(monkeypatch, "fork")
+    cfg = _cfg(tiny_fgkaslr)
+    seeds = range(8)
+    with FleetManager(_vmm(), workers=1, executor="process") as serial:
+        alone = {s: _report_json(serial.launch(cfg, 2, fleet_seed=s)) for s in seeds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FleetManager(_vmm(), workers=1, executor="process") as manager:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                futures = {s: threads.submit(manager.launch, cfg, 2, s) for s in seeds}
+                together = {
+                    s: _report_json(f.result(timeout=300)) for s, f in futures.items()
+                }
+            assert len(_worker_pids()) <= 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+    assert not _worker_pids()
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_launch_after_a_dead_worker_starts_a_fresh_pool(tiny_fgkaslr, monkeypatch, start):
+    """A worker that dies in a launch on a kept pool still ends that launch
+    in a typed error; the broken pool is not kept, and the next launch
+    on the manager forks new workers and reports what a fresh one does."""
+    _start_method(monkeypatch, start)
+    cfg = _cfg(tiny_fgkaslr)
+    with FleetManager(_vmm(), workers=2, executor="process") as fresh:
+        want = _report_json(fresh.launch(cfg, 4, fleet_seed=3))
+    with FleetManager(_vmm(), workers=2, executor="process") as manager:
+        manager.launch(cfg, 4, fleet_seed=1)
+        first = _worker_pids()
+        monkeypatch.setattr(executor, "_worker_boot", _crash_index_1)
+        with pytest.raises(WorkerPoolBroken, match="died"):
+            manager.launch(cfg, 6, fleet_seed=7, retries=2)
+        assert not _worker_pids()
+        monkeypatch.setattr(executor, "_worker_boot", _real_worker_boot)
+        got = _report_json(manager.launch(cfg, 4, fleet_seed=3))
+        assert _worker_pids() and not _worker_pids() & first
+    assert got == want
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_interrupted_launch_keeps_no_pool_or_segment(tiny_fgkaslr, monkeypatch, start):
+    """A ``KeyboardInterrupt`` out of a replay ends the launch on the kept
+    pool: the pool is shut down, not kept, and no segment is left."""
+    _start_method(monkeypatch, start)
+    cfg = _cfg(tiny_fgkaslr)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    before = _shm_entries()
+    with FleetManager(_vmm(), workers=2, executor="process") as manager:
+        manager.launch(cfg, 4, fleet_seed=1)
+        monkeypatch.setattr(executor, "record_boot", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            manager.launch(cfg, 4, fleet_seed=2)
+        assert not _worker_pids()
+    gc.collect()  # a spawn pool's named semaphores go with its queues
+    assert _shm_entries() <= before
+
+
+_KEEP_POOL_AND_WAIT = """
+import multiprocessing, time
+from repro.artifacts import get_kernel
+from repro.core import RandomizeMode
+from repro.host import HostStorage
+from repro.kernel import TINY, KernelVariant
+from repro.monitor import Firecracker, FleetManager, VmConfig
+from repro.simtime import CostModel
+
+kernel = get_kernel(TINY, KernelVariant.FGKASLR, scale=1, seed=3)
+manager = FleetManager(
+    Firecracker(HostStorage(), CostModel(scale=1)), workers=2, executor="process"
+)
+manager.launch(VmConfig(kernel=kernel, randomize=RandomizeMode.FGKASLR), 4, fleet_seed=7)
+print(*sorted(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(600)
+"""
+
+
+_STOP_TRACKER_AFTER_LAUNCH = """
+from multiprocessing import resource_tracker
+from repro.artifacts import get_kernel
+from repro.core import RandomizeMode
+from repro.host import HostStorage
+from repro.kernel import TINY, KernelVariant
+from repro.monitor import Firecracker, FleetManager, VmConfig
+from repro.simtime import CostModel
+
+kernel = get_kernel(TINY, KernelVariant.FGKASLR, scale=1, seed=3)
+manager = FleetManager(
+    Firecracker(HostStorage(), CostModel(scale=1)), workers=1, executor="process"
+)
+manager.launch(VmConfig(kernel=kernel, randomize=RandomizeMode.FGKASLR), 4, fleet_seed=7)
+resource_tracker._resource_tracker._stop()
+print("stopped")
+"""
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_kept_pool_lets_the_resource_tracker_stop(start):
+    """A worker drops its copy of the parent's resource-tracker pipe once
+    it attaches no more shared memory, so a parent that stops its
+    tracker while a pool is kept (as perfbench does when a workload
+    ends) does not wait on the workers."""
+    if start not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start} start method on this platform")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STOP_TRACKER_AFTER_LAUNCH],
+        env={**os.environ, "PYTHONPATH": _src_path(), executor.MP_START_ENV: start},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout.split()) == (0, ["stopped"]), proc.stderr
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` is gone, or a zombie that no one has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def test_kept_pool_workers_exit_when_their_parent_is_killed():
+    """A kept pool outlives its launch; its workers watch their parent
+    and exit within seconds of a SIGKILL that left no time to shut
+    them down."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads process states from /proc")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KEEP_POOL_AND_WAIT],
+        env={**os.environ, "PYTHONPATH": _src_path()},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    watchdog = threading.Timer(300, proc.kill)
+    watchdog.start()
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        _, err = proc.communicate(timeout=60)
+    assert len(pids) == 2, err
+    deadline = time.monotonic() + 10
+    while not all(map(_exited, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(map(_exited, pids)), [p for p in pids if not _exited(p)]
 
 
 # -- shared-memory transport ---------------------------------------------------
