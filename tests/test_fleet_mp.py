@@ -21,6 +21,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -675,6 +676,27 @@ def test_launch_after_a_dead_worker_starts_a_fresh_pool(tiny_fgkaslr, monkeypatc
         monkeypatch.setattr(executor, "_worker_boot", _real_worker_boot)
         got = _report_json(manager.launch(cfg, 4, fleet_seed=3))
         assert _worker_pids() and not _worker_pids() & first
+    assert got == want
+
+
+def test_worker_killed_between_launches_is_not_handed_on(tiny_fgkaslr, monkeypatch):
+    """A kept pool whose worker was killed while it waited is broken; the
+    next launch forks fresh workers instead of failing on it."""
+    _start_method(monkeypatch, "fork")
+    cfg = _cfg(tiny_fgkaslr)
+    with FleetManager(_vmm(), workers=2, executor="process") as fresh:
+        want = _report_json(fresh.launch(cfg, 4, fleet_seed=2))
+    with FleetManager(_vmm(), workers=2, executor="process") as manager:
+        manager.launch(cfg, 4, fleet_seed=1)
+        victim = min(_worker_pids())
+        os.kill(victim, signal.SIGKILL)
+        kept = manager.executor._kept._pool.executor
+        deadline = time.monotonic() + 30
+        while not kept._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert kept._broken
+        got = _report_json(manager.launch(cfg, 4, fleet_seed=2))
+        assert len(_worker_pids()) == 2 and victim not in _worker_pids()
     assert got == want
 
 
