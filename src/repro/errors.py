@@ -109,7 +109,7 @@ class InjectedFault(ReproError):
 class BootFailure(MonitorError):
     """One boot's terminal failure, attributed for the fleet report.
 
-    The containment layer (``FleetManager.launch`` per-future capture, or
+    The containment layer (the fleet executors' boot record, or
     ``Firecracker.boot_vm`` for injected faults) wraps whatever a stage
     raised into this typed record: which boot (``boot_id``, fleet
     ``index``, ``seed``), where (``stage``), what (``kind``), and on which

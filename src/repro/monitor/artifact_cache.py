@@ -30,11 +30,10 @@ Counting: every operation is noted once, under the cache lock, in the
 cache's lifetime tally (:meth:`~BootArtifactCache.stats`), in the
 caller's :class:`CacheScope` and in the registry.  A scope accumulates
 only the activity of calls that carried it, so two fleets sharing one
-cache each see exactly their own traffic.  A process-fleet worker counts
-into its own cache; the parent replays each boot's counts into its cache
-with :meth:`~BootArtifactCache.absorb`, so after a warm launch the
-parent's tally and registry read the same whichever executor served the
-boots.
+cache each see exactly their own traffic.  A fleet boot counts into its
+substrate's own cache; the parent replays each boot's counts into its
+cache with :meth:`~BootArtifactCache.absorb`, so the parent's tally and
+registry read the same whichever executor served the boots.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ class CacheStats:
 class CacheScope:
     """Cache counts: a launch's attribution, or a cache's lifetime tally.
 
-    Thread-safe; fleet workers on many threads note into one scope.  The
-    process backend ships each worker boot's counts back as a plain dict
+    Thread-safe; the threads of a launch count into one cache's tally.
+    Every fleet boot ships its own scope's counts back as a plain dict
     (:meth:`counts`), which the parent's cache absorbs.
     """
 
@@ -386,14 +385,15 @@ class BootArtifactCache:
         return prepared, False
 
     def absorb(self, counts: Mapping[str, int], scope: CacheScope) -> None:
-        """Count a fleet worker's boot (its :meth:`CacheScope.counts`) here.
+        """Count a fleet boot (its :meth:`CacheScope.counts`) here.
 
-        The process executor's replay calls this for every boot a worker
-        served, so this cache's tally and registry read as if it had
-        served the boot itself.  Occupancy stays this cache's own.
+        The fleet's replay calls this for every boot, so this cache's tally
+        and registry read as if it had served it; a boot that probed no
+        cache (a bzImage boot) publishes nothing.  Occupancy stays its own.
         """
-        with self._lock:
-            self._count(scope, **counts)
+        if any(counts.values()):
+            with self._lock:
+                self._count(scope, **counts)
 
     def peek(self, key: CacheKey) -> PreparedImage | None:
         """The memory tier's entry for ``key``, without counting or reordering."""
@@ -403,8 +403,8 @@ class BootArtifactCache:
     def seed(self, key: CacheKey, prepared: PreparedImage) -> None:
         """Place an entry in the memory tier only: no disk write, no counts.
 
-        A forked fleet worker seeds its fresh cache with the entry its
-        parent's warm-up holds (see :meth:`peek`).
+        A fleet substrate's fresh cache is seeded with its parent's entry
+        (see :meth:`peek`); a cold launch seeds the parent's with its parse.
         """
         with self._lock:
             self._place(key, prepared)

@@ -5,51 +5,54 @@ models it faithfully: byte-heavy boot stages (ELF parse, segment load,
 relocation apply, decompression) hold the GIL, so a thread-backed fleet
 serializes exactly the work the paper parallelizes across cores.  This
 module gives :class:`~repro.monitor.fleet.FleetManager` two interchangeable
-backends behind one interface:
+backends over one boot path; as Firecracker runs a monitor process per VM,
+no fleet boot runs on the fleet's own monitor:
 
-* :class:`ThreadBootExecutor` — one ``ThreadPoolExecutor`` per launch
-  (hoisted above the retry waves, so retries reuse workers instead of
-  churning pools) running ``vmm.boot`` in-process;
-* :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
-  boot against their own monitor instance and return one record per
-  boot: its timeline (in the report, or next to the failure JSON) and
-  cache-scope counts.  The parent's cache absorbs the counts, and the
-  parent derives telemetry and the cost profile from the timeline with
-  the :func:`~repro.monitor.vmm.record_boot` the thread path calls.
+* :func:`_substrate` builds the telemetry-free monitor a launch's boots
+  run on: the fleet monitor's class over fresh host storage and a fresh
+  cache of the parent cache's size and disk path, seeded with its parse,
+  then warmed.  A :class:`ThreadBootExecutor` launch builds one for its
+  threads to share; a :class:`ProcessBootExecutor` worker builds its own.
+* Every boot runs :func:`_boot_record`, which never raises and returns
+  one record: the report, or the failure and its timeline, and the
+  boot's cache-scope counts (a substrate counts only in its own cache).
+* :meth:`_ReplayFuture.result` absorbs a record's counts into the
+  parent's cache and derives telemetry and the cost profile from its
+  timeline, on the fleet's thread in fleet-index order, so the event log
+  never depends on which boot finished first.
+* A cold launch boots its first VMs alone, on the caller's thread and a
+  cold substrate, until one parses (:func:`cold_boots`); the parse seeds
+  the parent's cache without a count, so every fan-out is warm.
+
+So both backends produce byte-identical layouts and telemetry for the
+same seeds, fault plans included: every boot is a pure function of
+(config, seed, cost model) on a substrate built by one function.
 
 A process worker is paid for once per kept pool and reset once per
 launch.  The executor keeps the pool of a launch that ended cleanly and
 hands it to the next launch whose worker spec is the same (same kernel
-object, config, monitor, cost model, fault plan, warm-up, cache and
-seeded parse; same start method and worker count), so a fleet manager
-forks, faults in and starts its workers once.  Every boot a launch
-submits carries the launch's generation number, and a worker's first
-task of a new generation rebuilds the per-launch objects that carry
-locks or counts (host storage, the seeded artifact cache, the monitor
-and its warm-up): each launch's reports, cache tally and telemetry read
-exactly as on a fresh pool.  Under ``fork`` a worker never pays for the
-read-only part: it inherits the parent's warmed kernel image (parsed
-ELF, decoded relocation table), the parse product the warm-up cached
-and the site plans, the relocator's word maps included
-(:mod:`repro.core.siteplan`).  Under ``spawn`` nothing is inherited: a
-worker rebuilds the kernel from zero-copy
+object, config, monitor class, cost model, fault plan, cache and seeded
+parse; same start method and worker count), so a fleet manager forks,
+faults in and starts its workers once.  Every boot a launch submits
+carries the launch's generation number, and a worker's first task of a
+new generation builds a new substrate: each launch's reports, cache
+tally and telemetry read exactly as on a fresh pool.  Under ``fork`` a
+worker never pays for the read-only part: it inherits the parent's
+warmed kernel image (parsed ELF, decoded relocation table), the parse
+product the parent's cache holds and the site plans, the relocator's
+word maps included (:mod:`repro.core.siteplan`).  Under ``spawn``
+nothing is inherited: a worker rebuilds the kernel from zero-copy
 :class:`~repro.monitor.sharedmem.SharedBlob` views of the launch it
 starts in, keeps it, and re-warms from the disk tier.  The start method
 (the platform's default, or ``REPRO_MP_START``) picks the path.
 
 A launch that raises shuts its pool down instead of keeping it; two
 launches running at once each get their own pool, and an executor keeps
-at most one.  The kept pool is shut down by :meth:`BootExecutor.close`
-(also on leaving a ``with`` block), when the executor is collected, at
-interpreter exit, and when the parent process dies: each worker watches
-its parent and exits with it.
-
-Both backends therefore produce byte-identical layouts and telemetry for
-the same seeds, fault plans included: every boot is a pure function of
-(config, seed, cost model), and a process worker holds exactly the state
-the thread path shares, inherited or rebuilt.  A worker that dies breaks
-its pool; the launch then ends in
-:class:`~repro.errors.WorkerPoolBroken`.
+at most one.  A worker that dies breaks its pool, and the launch ends in
+:class:`~repro.errors.WorkerPoolBroken`.  The kept pool is shut down by
+:meth:`BootExecutor.close` (also on leaving a ``with`` block), when the
+executor is collected, at interpreter exit, and when the parent process
+dies: each worker watches its parent and exits with it.
 
 Engine model: simulated boots charge a virtual clock, so wall-clock
 speedup cannot be *measured* here — it is modeled.  :func:`gil_bound_ns`
@@ -68,20 +71,17 @@ import multiprocessing.connection
 import os
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import resource_tracker
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import BootFailure, InjectedFault, MonitorError, WorkerPoolBroken
-from repro.monitor.artifact_cache import (
-    BootArtifactCache,
-    CacheKey,
-    CacheScope,
-    cache_key_for,
-)
+from repro.host.storage import HostStorage
+from repro.monitor.artifact_cache import BootArtifactCache, CacheScope, cache_key_for
 from repro.monitor.config import BootFormat, VmConfig
 from repro.monitor.report import BootReport
 from repro.monitor.sharedmem import SharedArtifactStore, SharedBlob
@@ -100,6 +100,7 @@ __all__ = [
     "GIL_BOUND_STEPS",
     "ProcessBootExecutor",
     "ThreadBootExecutor",
+    "cold_boots",
     "default_workers",
     "gil_bound_ns",
     "make_boot_executor",
@@ -154,11 +155,11 @@ class BootExecutor:
 
     ``launch`` is a context manager bracketing one fleet launch (all retry
     waves included); the yielded handle exposes ``submit(boot_cfg, index,
-    attempt)`` returning a future whose ``result()`` is the boot's
-    :class:`BootReport` — or raises the boot's failure — with all
-    telemetry/cache side effects already applied to the parent's
-    instruments.  ``close`` releases whatever the executor keeps between
-    launches; a ``with`` block closes the executor on exit.
+    attempt)`` returning a future whose ``result()`` replays the boot's
+    record into the parent's instruments and returns its
+    :class:`BootReport` — or raises its :class:`BootFailure`.  ``close``
+    releases whatever the executor keeps between launches; a ``with`` block
+    closes the executor on exit.
     """
 
     name = "abstract"
@@ -181,14 +182,13 @@ class BootExecutor:
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry | None,
-        warm: bool,
-    ) -> Iterator[object]:
+    ) -> Iterator["_Launch"]:
         raise NotImplementedError
         yield  # pragma: no cover - unreachable
 
 
 class ThreadBootExecutor(BootExecutor):
-    """In-process backend: shared monitor, one thread pool per launch."""
+    """In-process backend: one substrate per launch, shared by a thread pool."""
 
     name = "thread"
 
@@ -201,65 +201,238 @@ class ThreadBootExecutor(BootExecutor):
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry | None,
-        warm: bool,
-    ) -> Iterator["_ThreadLaunch"]:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            yield _ThreadLaunch(pool, vmm, scope)
-        finally:
-            pool.shutdown(wait=True)
+    ) -> Iterator["_Launch"]:
+        substrate = _substrate(_spec_for(vmm, cfg, inherit=True), cfg)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            boot = partial(_boot_record, cfg, substrate)
+            yield _Launch(pool, boot, vmm.artifact_cache, scope, telemetry)
 
 
-class _ThreadLaunch:
-    def __init__(self, pool: ThreadPoolExecutor, vmm, scope: CacheScope) -> None:
-        self._pool = pool
-        self._vmm = vmm
-        self._scope = scope
-
-    def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
-        return self._pool.submit(
-            self._vmm.boot,
-            boot_cfg,
-            boot_index=index,
-            attempt=attempt,
-            cache_scope=self._scope,
-        )
-
-
-# -- process backend -----------------------------------------------------------
+# -- one boot path: substrate, record, replay ----------------------------------
 
 
 @dataclass
 class _WorkerSpec:
-    """What a worker process builds its boot substrate from.
+    """What a launch's substrate is built from (see :func:`_substrate`).
 
-    ``cfg`` is the launch's config with its seed cleared.  Under ``fork``
-    (``inherit``), which never pickles a pool initializer's arguments, a
-    worker holds the parent's live config, whose
+    ``cfg`` is the launch's config with its seed cleared, ``monitor`` the
+    fleet monitor's class (pickled by reference).  With ``inherit`` (a
+    thread launch, or ``fork``, which never pickles a pool initializer's
+    arguments) a substrate holds the parent's live config, whose
     :class:`~repro.kernel.image.KernelImage` already holds its parsed ELF
-    and relocation table, and ``prepared`` is the parse the parent's
-    warm-up cached for the launch's key (``None`` without a warm-up).
-    Pickled for any other start method, the kernel loses its bytes: the
-    worker re-hydrates them from the :class:`SharedBlob` views its first
-    task carries (segment name + digest, never the payload).
+    and relocation table, and ``prepared`` is the parse the parent's cache
+    holds for the launch, if any.  Pickled for any other start method, the
+    kernel loses its bytes: the worker re-hydrates them from the
+    :class:`SharedBlob` views its first task carries (segment name +
+    digest, never the payload).
 
     A pool is handed on only to a launch whose spec is equal to its own
     and holds the same kernel object.
     """
 
     cfg: VmConfig
-    monitor: str
+    monitor: "type[Firecracker]"
     costs: "CostModel"
     fault_plan: "FaultPlan | None"
-    warm: bool
     cache_entries: int
     disk_path: str | None
     inherit: bool
-    prepared: "tuple[CacheKey, PreparedImage] | None"
+    prepared: "PreparedImage | None"
 
     def __getstate__(self) -> dict:
         kernel = replace(self.cfg.kernel, vmlinux=b"", relocs=None)
         return {**vars(self), "cfg": replace(self.cfg, kernel=kernel)}
+
+
+def _spec_for(vmm: "Firecracker", cfg: VmConfig, *, inherit: bool) -> _WorkerSpec:
+    """The spec of ``vmm``'s substrates for a launch of ``cfg``."""
+    # FleetManager installs a cache on every monitor it drives
+    cache = vmm.artifact_cache
+    return _WorkerSpec(
+        cfg=replace(cfg, seed=None),
+        monitor=type(vmm),
+        costs=vmm.costs,
+        fault_plan=vmm.fault_plan,
+        cache_entries=cache.max_entries,
+        disk_path=str(cache.disk.path) if cache.disk is not None else None,
+        inherit=inherit,
+        prepared=cache.peek(cache_key_for(cfg)) if inherit else None,
+    )
+
+
+def _substrate(
+    spec: _WorkerSpec, cfg: VmConfig, *, cold: bool = False
+) -> "Firecracker":
+    """The monitor a launch's boots run on, on threads and in worker
+    processes alike.  It records no telemetry (the parent derives it from
+    each boot's record), and unless ``cold`` its cache is seeded with the
+    spec's parse and it runs its warm-up: with an inherited substrate, a
+    seeded hit over site plans already derived."""
+    cache = BootArtifactCache(max_entries=spec.cache_entries, disk_path=spec.disk_path)
+    vmm = spec.monitor(
+        HostStorage(),
+        costs=spec.costs,
+        artifact_cache=cache,
+        fault_plan=spec.fault_plan,
+    )
+    if not cold:
+        if spec.prepared is not None:
+            cache.seed(cache_key_for(cfg), spec.prepared)
+        vmm.warm_caches(cfg)
+    return vmm
+
+
+def _boot_record(
+    cfg: VmConfig, vmm: "Firecracker", index: int, seed: int, attempt: int
+) -> dict:
+    """One boot of ``cfg`` at ``seed`` on a substrate; returns an
+    outcome-union record.
+
+    Never raises: failures come back as data (with the aborted attempt's
+    timeline) so the replay can record them and rethrow a reconstructed
+    :class:`~repro.errors.BootFailure` on the parent's side.
+    """
+    scope = CacheScope()
+    try:
+        report = vmm.boot(
+            replace(cfg, seed=seed),
+            boot_index=index,
+            attempt=attempt,
+            cache_scope=scope,
+        )
+    except Exception as exc:
+        failure = BootFailure.from_exception(
+            exc,
+            boot_id=boot_identity(cfg.kernel.name, seed),
+            attempt=attempt,
+            index=index,
+            seed=seed,
+        )
+        # boot_vm wraps an injected fault; the pipeline stamped the original
+        stamped = exc.__cause__ if isinstance(exc.__cause__, InjectedFault) else exc
+        return {
+            "ok": False,
+            "failure": failure.to_json(),
+            "timeline": getattr(stamped, "boot_timeline", None),
+            "scope": scope.counts(),
+        }
+    return {"ok": True, "report": report, "scope": scope.counts()}
+
+
+def cold_boots(
+    vmm: "Firecracker",
+    cfg: VmConfig,
+    seeds: list[int],
+    scope: CacheScope,
+    telemetry: Telemetry | None,
+) -> list["_ReplayFuture"]:
+    """Boot a cold launch's first VMs alone on this thread, in fleet-index
+    order on one cold substrate, until one succeeds or parses: as on one
+    worker, the first to read the kernel takes the uncached read and the
+    first to probe the cache the miss (or a disk hit).  The parse seeds
+    ``vmm``'s cache without a count, so the fan-out starts warm."""
+    substrate = _substrate(_spec_for(vmm, cfg, inherit=True), cfg, cold=True)
+    key, cache = cache_key_for(cfg), vmm.artifact_cache
+    futures = []
+    for index, seed in enumerate(seeds):
+        record = _boot_record(cfg, substrate, index, seed, 0)
+        future: Future = Future()
+        future.set_result(record)
+        futures.append(_ReplayFuture(future, seed, cache, scope, telemetry))
+        prepared = substrate.artifact_cache.peek(key)
+        if prepared is not None or record["ok"]:
+            break
+    if prepared is not None:
+        cache.seed(key, prepared)
+    return futures
+
+
+@dataclass
+class _ReplayFuture:
+    """Wraps the future of a boot's record; ``result()`` replays it.
+
+    The one replay of both backends, run on the fleet's thread: the boot's
+    cache counts first, absorbed by the parent's cache (its tally, the
+    launch scope and its registry), then :func:`~repro.monitor.vmm.record_boot`
+    over the boot's timeline — and, for a failed attempt, a reconstructed
+    :class:`BootFailure` raise.
+    """
+
+    future: Future
+    seed: int
+    cache: BootArtifactCache
+    scope: CacheScope
+    telemetry: Telemetry | None
+
+    def result(self) -> BootReport:
+        with _pool_boundary():
+            out = self.future.result()
+        self.cache.absorb(out["scope"], self.scope)
+        if not out["ok"]:
+            failure = out["failure"]
+            if out["timeline"] is not None:  # the pipeline ran and aborted
+                record_boot(
+                    self.telemetry,
+                    failure["boot_id"],
+                    out["timeline"],
+                    failure=(failure["stage"], failure["kind"]),
+                )
+            raise BootFailure(
+                failure["error"],
+                boot_id=failure["boot_id"],
+                stage=failure["stage"],
+                kind=failure["kind"],
+                attempt=failure["attempt"],
+                index=failure["index"],
+                seed=failure["seed"],
+            )
+        report: BootReport = out["report"]
+        record_boot(
+            self.telemetry,
+            boot_identity(report.kernel_name, self.seed),
+            report.timeline,
+            vmm=report.vmm_name,
+        )
+        return report
+
+
+@dataclass
+class _Launch:
+    """One launch's handle on either backend: ``submit`` runs ``boot(index,
+    seed, attempt)`` on the pool and returns the future replaying its record."""
+
+    pool: ThreadPoolExecutor | ProcessPoolExecutor
+    boot: Callable[[int, int, int], dict]
+    cache: BootArtifactCache
+    scope: CacheScope
+    telemetry: Telemetry | None
+
+    def submit(self, boot_cfg: VmConfig, index: int, attempt: int) -> _ReplayFuture:
+        assert boot_cfg.seed is not None  # fleet draws seeds up front
+        with _pool_boundary():
+            future = self.pool.submit(self.boot, index, boot_cfg.seed, attempt)
+        return _ReplayFuture(
+            future, boot_cfg.seed, self.cache, self.scope, self.telemetry
+        )
+
+
+@contextmanager
+def _pool_boundary() -> Iterator[None]:
+    """Raise a broken worker pool as :class:`WorkerPoolBroken`.
+
+    A worker that dies (or whose initializer raises) breaks the whole
+    pool: every pending future and every later submit fails.  That is the
+    launch's failure, not one boot's, so the fleet does not contain it.
+    """
+    try:
+        yield
+    except BrokenProcessPool as exc:
+        raise WorkerPoolBroken(
+            f"a boot worker process died and broke the pool: {exc}"
+        ) from exc
+
+
+# -- process backend -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -317,12 +490,9 @@ def _worker_init(spec: _WorkerSpec, ticket: _Ticket) -> None:
 
     The kernel is built once per worker (every launch a pool serves has
     the same one): inherited under ``fork``, otherwise re-hydrated from
-    the shared memory of the launch the worker starts in.  The rest is
-    built afresh for each launch, as a fresh pool's worker would build it.
+    the shared memory of the launch the worker starts in.  Its substrate
+    is built afresh for each launch, as a fresh pool's worker builds it.
     """
-    from repro.host.storage import HostStorage
-    from repro.monitor.vmm import Firecracker, Qemu
-
     cfg = _WORKER.get("cfg")
     if cfg is None:
         cfg = spec.cfg
@@ -335,27 +505,7 @@ def _worker_init(spec: _WorkerSpec, ticket: _Ticket) -> None:
             )
             cfg = replace(cfg, kernel=kernel)
             _leave_resource_tracker()
-    # the worker records no telemetry: the parent derives it from the
-    # shipped timeline, and its cache absorbs the cache-scope counts
-    cache = BootArtifactCache(
-        max_entries=spec.cache_entries, disk_path=spec.disk_path
-    )
-    if spec.prepared is not None:
-        cache.seed(*spec.prepared)
-    monitor_cls = Qemu if spec.monitor == "qemu" else Firecracker
-    vmm = monitor_cls(
-        HostStorage(),
-        costs=spec.costs,
-        artifact_cache=cache,
-        fault_plan=spec.fault_plan,
-    )
-    if spec.warm:
-        # mirror the parent's warm-up so worker boots see the same cached
-        # page-cache/artifact state the thread backend's boots do; with an
-        # inherited substrate the parse is a seeded hit and the plans are
-        # already derived
-        vmm.warm_caches(cfg)
-    _WORKER.update(cfg=cfg, vmm=vmm, generation=ticket.generation)
+    _WORKER.update(cfg=cfg, vmm=_substrate(spec, cfg), generation=ticket.generation)
 
 
 def _worker_substrate(ticket: _Ticket) -> tuple[VmConfig, "Firecracker"]:
@@ -367,97 +517,9 @@ def _worker_substrate(ticket: _Ticket) -> tuple[VmConfig, "Firecracker"]:
 
 
 def _worker_boot(ticket: _Ticket, index: int, seed: int, attempt: int) -> dict:
-    """One boot inside a worker; returns an outcome-union record.
-
-    Never raises: failures come back as data (with the aborted attempt's
-    timeline) so the parent can record them and rethrow a reconstructed
-    :class:`~repro.errors.BootFailure` on its own side of the boundary.
-    """
-    cfg, vmm = _worker_substrate(ticket)
-    scope = CacheScope()
-    boot_cfg = replace(cfg, seed=seed)
-    try:
-        report = vmm.boot(
-            boot_cfg,
-            boot_index=index,
-            attempt=attempt,
-            cache_scope=scope,
-        )
-    except Exception as exc:
-        failure = BootFailure.from_exception(
-            exc,
-            boot_id=boot_identity(cfg.kernel.name, seed),
-            attempt=attempt,
-            index=index,
-            seed=seed,
-        )
-        # boot_vm wraps an injected fault; the pipeline stamped the original
-        stamped = exc.__cause__ if isinstance(exc.__cause__, InjectedFault) else exc
-        return {
-            "ok": False,
-            "failure": failure.to_json(),
-            "timeline": getattr(stamped, "boot_timeline", None),
-            "scope": scope.counts(),
-        }
-    return {"ok": True, "report": report, "scope": scope.counts()}
-
-
-class _ReplayFuture:
-    """Wraps a worker future; ``result()`` replays the outcome record.
-
-    Replay order matches the thread path: the boot's cache counts first,
-    absorbed by the parent's cache (its tally, the launch scope and its
-    registry, where a thread boot's lookup counts them), then
-    :func:`~repro.monitor.vmm.record_boot` over the shipped timeline —
-    and, for a failed attempt, a reconstructed :class:`BootFailure`
-    raise.
-    """
-
-    def __init__(
-        self,
-        future,
-        *,
-        seed: int,
-        cache: BootArtifactCache,
-        scope: CacheScope,
-        telemetry: Telemetry | None,
-    ) -> None:
-        self._future = future
-        self._seed = seed
-        self._cache = cache
-        self._scope = scope
-        self._telemetry = telemetry
-
-    def result(self) -> BootReport:
-        with _pool_boundary():
-            out = self._future.result()
-        self._cache.absorb(out["scope"], self._scope)
-        if not out["ok"]:
-            failure = out["failure"]
-            if out["timeline"] is not None:  # the pipeline ran and aborted
-                record_boot(
-                    self._telemetry,
-                    failure["boot_id"],
-                    out["timeline"],
-                    failure=(failure["stage"], failure["kind"]),
-                )
-            raise BootFailure(
-                failure["error"],
-                boot_id=failure["boot_id"],
-                stage=failure["stage"],
-                kind=failure["kind"],
-                attempt=failure["attempt"],
-                index=failure["index"],
-                seed=failure["seed"],
-            )
-        report: BootReport = out["report"]
-        record_boot(
-            self._telemetry,
-            boot_identity(report.kernel_name, self._seed),
-            report.timeline,
-            vmm=report.vmm_name,
-        )
-        return report
+    """One boot inside a worker: :func:`_boot_record` on the worker's
+    substrate for ``ticket``'s launch."""
+    return _boot_record(*_worker_substrate(ticket), index, seed, attempt)
 
 
 class _Pool:
@@ -548,8 +610,7 @@ class ProcessBootExecutor(BootExecutor):
         workers: int,
         scope: CacheScope,
         telemetry: Telemetry | None,
-        warm: bool,
-    ) -> Iterator["_ProcessLaunch"]:
+    ) -> Iterator[_Launch]:
         if cfg.boot_format is not BootFormat.VMLINUX:
             raise MonitorError(
                 "the process boot executor only supports vmlinux direct "
@@ -559,25 +620,7 @@ class ProcessBootExecutor(BootExecutor):
         if start is None:
             methods = multiprocessing.get_all_start_methods()
             start = "fork" if "fork" in methods else "spawn"
-        inherit = start == "fork"
-        # FleetManager installs a cache on every monitor it drives
-        cache = vmm.artifact_cache
-        prepared = None
-        if inherit and warm:
-            key = cache_key_for(cfg)
-            entry = cache.peek(key)
-            prepared = (key, entry) if entry is not None else None
-        spec = _WorkerSpec(
-            cfg=replace(cfg, seed=None),
-            monitor=vmm.profile.name,
-            costs=vmm.costs,
-            fault_plan=vmm.fault_plan,
-            warm=warm,
-            cache_entries=cache.max_entries,
-            disk_path=str(cache.disk.path) if cache.disk is not None else None,
-            inherit=inherit,
-            prepared=prepared,
-        )
+        spec = _spec_for(vmm, cfg, inherit=start == "fork")
         with SharedArtifactStore() as store:
             ticket = _Ticket(
                 generation=next(self._generations),
@@ -590,57 +633,12 @@ class ProcessBootExecutor(BootExecutor):
             )
             pool = self._kept.take(spec, start, workers) or _Pool(spec, start, workers)
             try:
-                yield _ProcessLaunch(pool.executor, ticket, cache, scope, telemetry)
+                boot = partial(_worker_boot, ticket)
+                yield _Launch(pool.executor, boot, vmm.artifact_cache, scope, telemetry)
             except BaseException:
                 pool.shutdown()
                 raise
             self._kept.keep(pool)
-
-
-@contextmanager
-def _pool_boundary() -> Iterator[None]:
-    """Raise a broken worker pool as :class:`WorkerPoolBroken`.
-
-    A worker that dies (or whose initializer raises) breaks the whole
-    pool: every pending future and every later submit fails.  That is the
-    launch's failure, not one boot's, so the fleet does not contain it.
-    """
-    try:
-        yield
-    except BrokenProcessPool as exc:
-        raise WorkerPoolBroken(
-            f"a boot worker process died and broke the pool: {exc}"
-        ) from exc
-
-
-class _ProcessLaunch:
-    def __init__(
-        self,
-        pool: ProcessPoolExecutor,
-        ticket: _Ticket,
-        cache: BootArtifactCache,
-        scope: CacheScope,
-        telemetry: Telemetry | None,
-    ) -> None:
-        self._pool = pool
-        self._ticket = ticket
-        self._cache = cache
-        self._scope = scope
-        self._telemetry = telemetry
-
-    def submit(self, boot_cfg: VmConfig, index: int, attempt: int):
-        assert boot_cfg.seed is not None  # fleet draws seeds up front
-        with _pool_boundary():
-            future = self._pool.submit(
-                _worker_boot, self._ticket, index, boot_cfg.seed, attempt
-            )
-        return _ReplayFuture(
-            future,
-            seed=boot_cfg.seed,
-            cache=self._cache,
-            scope=self._scope,
-            telemetry=self._telemetry,
-        )
 
 
 _EXECUTORS = {

@@ -2,17 +2,17 @@
 
 Section 6's instantiation-rate experiment boots the same kernel image over
 and over, as fast as the host allows.  :class:`FleetManager` reproduces
-that workload: one :class:`~repro.monitor.vmm.Firecracker` instance serves
-``count`` concurrent ``boot`` calls through a ``concurrent.futures`` worker
-pool, with the seed-independent parse phase served from the shared
+that workload: ``count`` concurrent boots of one monitor's configuration
+run through a worker pool (:mod:`repro.monitor.executor`), with the
+seed-independent parse phase served from a seeded
 :class:`~repro.monitor.artifact_cache.BootArtifactCache` so only the
 per-instance shuffle + offset draw + relocation pass runs on the hot path.
 
 Determinism under concurrency: every per-boot seed is drawn up front from
 ``random.Random(fleet_seed)`` in launch order, each boot runs on a private
-clock and cost-model clone, and the aggregate wall clock admits boots in
-fleet-index order — so neither results nor timings depend on which Python
-thread finished first.
+clock and cost-model clone, and its record is replayed, like the wall
+clock's admissions, in fleet-index order on the caller's thread — so
+neither results nor timings depend on which Python thread finished first.
 
 Every launch also feeds the telemetry layer (:mod:`repro.telemetry`),
 when the fleet or its monitor holds one:
@@ -33,10 +33,15 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.errors import BootFailure, MonitorError, WorkerPoolBroken
+from repro.errors import BootFailure, MonitorError
 from repro.monitor.artifact_cache import BootArtifactCache, CacheScope, CacheStats
 from repro.monitor.config import VmConfig
-from repro.monitor.executor import default_workers, gil_bound_ns, make_boot_executor
+from repro.monitor.executor import (
+    cold_boots,
+    default_workers,
+    gil_bound_ns,
+    make_boot_executor,
+)
 from repro.monitor.report import BootReport
 from repro.monitor.vmm import Firecracker, boot_identity
 from repro.simtime.fleetclock import FleetWallClock
@@ -287,7 +292,7 @@ def _stage_latencies(reports: Sequence[BootReport]) -> dict[str, StageLatency]:
 
 
 class FleetManager:
-    """Boots fleets of microVMs through one shared monitor.
+    """Boots fleets of microVMs for one monitor.
 
     The monitor gains a :class:`BootArtifactCache` if it does not already
     hold one — a fleet is exactly the workload the cache exists for.
@@ -350,7 +355,9 @@ class FleetManager:
         up front from ``random.Random(fleet_seed)``.  ``warm`` models the
         paper's warm-up boots: the host page cache and the artifact cache
         are primed before measurement, so the counters in the returned
-        report cover only the fleet itself.
+        report cover only the fleet itself.  A cold launch boots its first
+        VMs alone until one parses; that parse seeds the monitor's cache,
+        so every later boot hits on any executor and worker count.
 
         Failure containment: one boot raising no longer aborts the fleet.
         Each failed boot is captured as a :class:`BootFailure` and retried
@@ -377,10 +384,10 @@ class FleetManager:
         cache = self.vmm.artifact_cache
         assert cache is not None  # installed in __init__
         if warm:
-            # warm_caches primes the host page cache *and* the artifact
-            # cache entry the pipeline's prepare stage will probe; the
-            # priming itself stays outside the launch scope, so the
-            # report's cache stats cover only the fleet's own boots
+            # warm_caches primes the artifact cache entry every boot
+            # substrate is seeded with (and the site plans forked workers
+            # inherit); the priming itself stays outside the launch scope,
+            # so the report's cache stats cover only the fleet's own boots
             self.vmm.warm_caches(cfg)
         # per-launch attribution scope: every boot notes its cache
         # activity here, so concurrent launches sharing one cache each
@@ -483,10 +490,10 @@ class FleetManager:
         pool (or worker-process) churn per wave; the process executor
         hands that pool on to the next launch, too.  Fresh retry seeds are
         drawn in sorted-index order from a dedicated stream.  Outcomes
-        are collected per future (never ``pool.map``), so one raising
-        boot cannot abort the others, and all retry decisions happen
-        between waves on the caller's thread — results are a pure
-        function of (cfg, seeds, retry stream).
+        are collected, and so replayed, per future in fleet-index order
+        (never ``pool.map``), so one raising boot cannot abort the others,
+        and all retry decisions happen between waves on the caller's
+        thread — results are a pure function of (cfg, seeds, retry stream).
         """
         count = len(seeds_used)
         # the retry stream is independent of the launch stream (so a
@@ -501,39 +508,32 @@ class FleetManager:
         last_failure: dict[int, BootFailure] = {}
         pending = [(index, replace(cfg, seed=seed)) for index, seed in enumerate(seeds_used)]
         total_retries = 0
+        # a cold launch boots its first VMs alone until one parses; the
+        # parse seeds the monitor's cache, so the fan-out starts warm
+        first = [] if warm else cold_boots(self.vmm, cfg, seeds_used, scope, telemetry)
         with self.executor.launch(
             vmm=self.vmm,
             cfg=cfg,
             workers=self.workers,
             scope=scope,
             telemetry=telemetry,
-            warm=warm,
         ) as pool:
             for attempt in range(retries + 1):
                 if not pending:
                     break
                 wave_failures: dict[int, BootFailure] = {}
-                futures = [
-                    (index, boot_cfg, pool.submit(boot_cfg, index, attempt))
-                    for index, boot_cfg in pending
+                futures = first + [
+                    pool.submit(boot_cfg, index, attempt)
+                    for index, boot_cfg in pending[len(first):]
                 ]
-                for index, boot_cfg, future in futures:
+                first = []
+                for (index, _), future in zip(pending, futures):
                     try:
                         reports[index] = future.result()
-                    except WorkerPoolBroken:
-                        raise  # the launch's failure: no pool left to retry on
-                    except Exception as exc:  # contained, never fatal
+                    except BootFailure as failure:  # contained, never fatal
                         # kept as data: its traceback would hold this frame,
                         # and with it the manager and its kept worker pool
-                        wave_failures[index] = BootFailure.from_exception(
-                            exc.with_traceback(None),
-                            boot_id=boot_identity(
-                                cfg.kernel.name, boot_cfg.seed
-                            ),
-                            attempt=attempt,
-                            index=index,
-                            seed=boot_cfg.seed,
-                        )
+                        wave_failures[index] = failure.with_traceback(None)
                 pending = []
                 for index in sorted(wave_failures):
                     last_failure[index] = wave_failures[index]

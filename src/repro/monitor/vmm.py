@@ -77,8 +77,8 @@ def record_boot(
 
     Stages and fired faults always; then the boot counters for a boot
     that reached init (``vmm``), or the failure counter for an aborted
-    one (``failure=(stage, kind)``).  Restores pass neither.  Thread
-    boots, the process executor's replay and restores all record here,
+    one (``failure=(stage, kind)``).  Restores pass neither.  Standalone
+    boots, the fleet executors' replay and restores all record here,
     and so all reach the telemetry's cost profile, when it has one.
     Without a telemetry nothing is recorded.
     """
@@ -140,11 +140,11 @@ QEMU_PROFILE = MonitorProfile(
 class Firecracker:
     """A Firecracker-like microVM monitor over the simulated substrate.
 
-    One instance may serve concurrent :meth:`boot_vm` calls (the fleet
-    path): every boot works on a per-boot cost-model clone and its own
-    clock/memory, and the only shared mutable pieces — host storage's page
-    cache, the entropy pool, and the optional boot-artifact cache — are
-    safe to share.
+    One instance may serve concurrent :meth:`boot_vm` calls (a thread
+    fleet's substrate): every boot works on a per-boot cost-model clone
+    and its own clock/memory, and the only shared mutable pieces — host
+    storage's page cache, the entropy pool, and the optional boot-artifact
+    cache — are safe to share.
     """
 
     profile: MonitorProfile = FIRECRACKER_PROFILE

@@ -17,10 +17,10 @@ wall window after admission; ``Telemetry`` also turns the same calls
 into registry metrics.
 
 Sequence numbers are assigned under a lock, so they are monotonic and
-dense; under concurrent fleet workers the *interleaving* of boots in the
-log follows thread scheduling (exporters canonicalize order by
-``(boot_id, start_ns, seq)`` instead, which is deterministic for seeded
-runs).
+dense.  A fleet records on its launching thread in fleet-index order,
+whichever executor ran its boots, so a seeded fleet logs the same events
+in the same order, sequence numbers included, on every run; exporters
+still canonicalize order by ``(boot_id, start_ns, seq)``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Mechanics — a fold over the boot's one record:
   carries the ``(kind, raw ns)`` records of the cost methods it paid for
   on its :class:`~repro.simtime.trace.TraceEvent`;
 * :func:`repro.monitor.vmm.record_boot` hands the profiler each boot's
-  ``(boot id, timeline)`` (thread boots, process replays and restores
+  ``(boot id, timeline)`` (standalone boots, fleet replays and restores
   alike), and the profile folds them when read: an event belongs to the
   pipeline stage whose span holds its position, and its **rounded**
   duration is apportioned across its records by largest remainder.

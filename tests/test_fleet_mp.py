@@ -1,9 +1,10 @@
 """Multiprocess boot engine: thread/process equivalence, disk cache tier.
 
 The process backend must be an *implementation detail*: byte-identical
-layouts, exactly-conserved profiler attribution, and identical fault
-decisions versus the thread backend, with only the engine model allowed
-to differ.  Its workers inherit the parent's warmed substrate under
+layouts, exactly-conserved profiler attribution, identical fault
+decisions and the same event log, as logged, versus the thread backend,
+with only the engine model allowed to differ; a cold launch reads the
+same on every backend and worker count.  Its workers inherit the parent's warmed substrate under
 ``fork`` and rebuild it under ``spawn``; a manager keeps its pool between
 launches and reports exactly what fresh pools report; a dead worker ends
 the launch in a typed error, and a killed parent takes its kept workers
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.artifacts import get_bzimage
+from repro.artifacts import bzimage_cfg, get_bzimage
 from repro.core import RandomizeMode
 from repro.core.prepared import prepare_image
 from repro.errors import MonitorError, WorkerPoolBroken
@@ -54,6 +55,7 @@ from repro.monitor import (
     Firecracker,
     FleetManager,
     ProcessBootExecutor,
+    Qemu,
     SharedArtifactStore,
     VmConfig,
     default_workers,
@@ -62,6 +64,7 @@ from repro.monitor import (
 from repro.simtime import CostModel
 from repro.telemetry import Telemetry, to_prometheus
 from repro.telemetry.profiler import CostProfiler
+from repro.unikernel import UnikernelMonitor
 
 
 def _vmm(*fault_specs: str, profiled: bool = False) -> Firecracker:
@@ -188,9 +191,11 @@ def test_process_backend_replays_telemetry(tiny_fgkaslr, case):
 
     Failed attempts included: their completed stages, fired faults and
     failure counters cross the process boundary inside the timeline.
+    Both executors replay every record in fleet-index order, so the
+    event logs are equal as logged, sequence numbers included.
     """
     specs, count, workers, retries = REPLAY_CASES[case]
-    texts, events = [], []
+    texts, events, logs = [], [], []
     for executor in ("thread", "process"):
         _, vmm = _launch(
             tiny_fgkaslr, executor, faults=specs, count=count,
@@ -203,9 +208,98 @@ def test_process_backend_replays_telemetry(tiny_fgkaslr, case):
              e.cache_hit, e.detail)
             for e in snap.events
         ))
+        logs.append([e.to_json() for e in vmm.telemetry.log.events()])
     assert texts[0] == texts[1]
     assert events[0] == events[1]
+    assert logs[0] == logs[1]
     assert ("repro_fault_injections_total" in texts[1]) == bool(specs)
+
+
+#: the fleet whose thread export once changed from run to run
+EXPORT_ARGV = [
+    "fleet", "--kernel", "tiny", "--scale", "1", "--mode", "fgkaslr",
+    "--count", "8", "--workers", "2", "--seed", "3", "--trace-export", "json",
+]
+
+
+def _export_digest(backend: str) -> str:
+    from repro.cli import main as cli_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(EXPORT_ARGV + ["--executor", backend]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_thread_trace_export_is_the_same_on_every_run():
+    """Thread boots record nothing themselves: the replay records each
+    boot on the launching thread in fleet-index order, so the exported
+    event log, sequence numbers included, is one digest over 20 runs at
+    a fine switch interval, and the process export's."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        digests = {_export_digest("thread") for _ in range(20)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == {_export_digest("process")}
+
+
+def test_fleet_telemetry_gets_all_of_its_launch(tiny_fgkaslr):
+    """With a fleet telemetry over a monitor that holds its own, the
+    fleet's gets every stage event and boot window of the launch (8
+    stages and a window for each of 4 VMs) on both executors, and the
+    monitor's gets none."""
+    logs = []
+    for backend in ("thread", "process"):
+        vmm = _vmm()
+        fleet = Telemetry()
+        with FleetManager(vmm, workers=2, telemetry=fleet, executor=backend) as manager:
+            manager.launch(_cfg(tiny_fgkaslr), 4, fleet_seed=7)
+        events = fleet.log.events()
+        assert len(events) == 36
+        assert [e.kind for e in events].count("boot") == 4
+        assert vmm.telemetry.log.events() == ()
+        logs.append([e.to_json() for e in events])
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_no_thread_fleet_boot_runs_on_the_fleet_monitor(tiny_fgkaslr, monkeypatch, warm):
+    """Thread boots run on a substrate of their launch, as process boots
+    do: the fleet's own monitor boots nothing, warm or cold."""
+    vmm = _vmm()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fleet boot ran on the fleet's own monitor")
+
+    monkeypatch.setattr(vmm, "boot_vm", refuse)
+    report = FleetManager(vmm, workers=2).launch(
+        _cfg(tiny_fgkaslr), 4, fleet_seed=7, warm=warm
+    )
+    assert len(report.boots) == 4 and not report.failures
+
+
+@pytest.mark.parametrize(
+    "monitor", [Firecracker, Qemu, UnikernelMonitor], ids=lambda cls: cls.__name__
+)
+def test_every_executor_boots_the_monitor_class_it_was_given(
+    tiny_fgkaslr, monkeypatch, monitor
+):
+    """A substrate is a monitor of the fleet monitor's own class, so a
+    fleet reads the same on threads, under fork and under spawn, and
+    every boot names that monitor."""
+    cfg = _cfg(tiny_fgkaslr)
+    docs = []
+    for backend, start in (("thread", None), ("process", "fork"), ("process", "spawn")):
+        if start is not None:
+            _start_method(monkeypatch, start)
+        vmm = monitor(HostStorage(), CostModel(scale=1))
+        with FleetManager(vmm, workers=2, executor=backend) as manager:
+            report = manager.launch(cfg, 4, fleet_seed=7)
+        assert {b.report.vmm_name for b in report.boots} == {monitor.profile.name}
+        docs.append(json.dumps(_strip_engine(report.to_json()), sort_keys=True))
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_process_backend_fault_decisions_identical(tiny_fgkaslr):
@@ -260,7 +354,7 @@ def test_process_executor_rejects_bzimage(tiny_fgkaslr):
     with pytest.raises(MonitorError, match="vmlinux"):
         with executor.launch(
             vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
-            telemetry=vmm.telemetry, warm=False,
+            telemetry=vmm.telemetry,
         ):
             pass  # pragma: no cover - never entered
 
@@ -349,12 +443,13 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
 ):
     """Counts, not host time, show which path a worker's init took.
 
-    The parent is warm either way; only the launch's ``warm`` decides
-    whether a worker starts with the kernel page-cached and the parse in
-    its memory tier.  A boot derives no site plan and no relocation word
-    map unless the worker has neither inherited nor warmed them: a
-    worker that derived them on its first boot ran ~20% fewer
-    fleet-process launches per second.
+    Before the launch the parent either ran its warm-up or, as a cold
+    launch does, booted its first VM alone on a cold substrate; either
+    way its cache holds the parse, and every worker starts with the
+    kernel page-cached and the parse in its memory tier.  A boot then
+    derives no site plan and no relocation word map: a worker that
+    derived them on its first boot ran ~20% fewer fleet-process launches
+    per second.
     """
     _start_method(monkeypatch, start)
     vmm = Firecracker(
@@ -364,24 +459,27 @@ def test_worker_inherits_under_fork_and_rebuilds_under_spawn(
         telemetry=Telemetry(),
     )
     cfg = _cfg(tiny_fgkaslr)
-    vmm.warm_caches(cfg)
+    if warm:
+        vmm.warm_caches(cfg)
+    else:
+        (first,) = executor.cold_boots(vmm, cfg, [4], CacheScope(), vmm.telemetry)
+        first.result()
     with ProcessBootExecutor() as pools, pools.launch(
-        vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
-        telemetry=vmm.telemetry, warm=warm,
+        vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(), telemetry=vmm.telemetry,
     ) as launch:
-        state = launch._pool.submit(_worker_state, launch._ticket).result()
+        (ticket,) = launch.boot.args
+        state = launch.pool.submit(_worker_state, ticket).result()
         launch.submit(replace(cfg, seed=5), index=0, attempt=0).result()
-        booted = launch._pool.submit(_worker_state, launch._ticket).result()["booted"]
-    rebuilt = start == "spawn" and warm
+        booted = launch.pool.submit(_worker_state, ticket).result()["booted"]
+    rebuilt = start == "spawn"
     assert state["elf_parses"] == int(rebuilt)
     assert state["disk_loads"] == int(rebuilt)
     assert (state["plan_derivations"] > 0) == rebuilt
     assert (state["word_maps"] > 0) == rebuilt
-    assert state["page_cached"] == warm
-    assert state["memory_entries"] == int(warm)
-    derived_at_boot = start == "spawn" and not warm
-    assert (booted["plan_derivations"] > 0) == derived_at_boot
-    assert (booted["word_maps"] > 0) == derived_at_boot
+    assert state["page_cached"]
+    assert state["memory_entries"] == 1
+    assert booted["plan_derivations"] == 0
+    assert booted["word_maps"] == 0
 
 
 def _crash_index_1(ticket, index: int, seed: int, attempt: int) -> dict:
@@ -469,13 +567,13 @@ def _report_json(report) -> str:
 
 
 #: (workers, launches in a row on one monitor as launch arguments);
-#: ``faults`` replaces the monitor's fault plan before its launch.  Every
-#: worker that boots in a cold launch misses and parses once, so how
-#: many do (which the scheduler decides) shows in its counts and boot
-#: times; the cold sequence runs on one worker to keep them fixed.
+#: ``faults`` replaces the monitor's fault plan before its launch.  A
+#: cold launch boots its first VM in the parent and seeds the parent's
+#: cache with its parse, so its workers start warm and its worker spec
+#: is the warm launch's.
 SEQUENCES = {
     "warm-warm": (2, ({}, {})),
-    "warm-cold": (1, ({}, {"warm": False})),
+    "warm-cold": (2, ({}, {"warm": False})),
     "new-fault-plan": (
         2, ({}, {"faults": ("stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9",)}),
     ),
@@ -517,15 +615,16 @@ def _run_sequence(kernel, workers, steps, *, kept: bool):
 def test_kept_pool_launches_match_fresh_pools(tiny_fgkaslr, monkeypatch, start, sequence):
     """Launches on one manager give the same reports, cache tally,
     Prometheus cache lines and event log as the same launches on fresh
-    managers.  Two warm launches run on the same workers; a launch whose
-    worker spec changed (cold, or a new fault plan) forks new ones."""
+    managers.  A warm or cold launch after a warm one runs on the same
+    workers; a launch whose worker spec changed (a new fault plan) forks
+    new ones."""
     _start_method(monkeypatch, start)
     workers, steps = SEQUENCES[sequence]
     *kept, (first, second) = _run_sequence(tiny_fgkaslr, workers, steps, kept=True)
     *fresh, _ = _run_sequence(tiny_fgkaslr, workers, steps, kept=False)
     assert kept == fresh
     assert len(first) == workers
-    if sequence == "warm-warm":
+    if sequence in ("warm-warm", "warm-cold"):
         assert second == first
     else:
         assert not second & first
@@ -550,7 +649,7 @@ def test_concurrent_launches_never_share_a_pool(tiny_fgkaslr, monkeypatch, start
     @contextlib.contextmanager
     def launch_together(self, **kwargs):
         with real_launch(self, **kwargs) as launch:
-            pools.append(launch._pool)
+            pools.append(launch.pool)
             inside.wait()
             yield launch
 
@@ -600,13 +699,14 @@ def test_kept_worker_resets_once_per_launch(tiny_fgkaslr, monkeypatch, start):
         for fleet_seed in range(3):
             with pools.launch(
                 vmm=vmm, cfg=cfg, workers=1, scope=CacheScope(),
-                telemetry=vmm.telemetry, warm=True,
+                telemetry=vmm.telemetry,
             ) as launch:
-                probe = launch._pool.submit(_count_resets, launch._ticket)
+                (ticket,) = launch.boot.args
+                probe = launch.pool.submit(_count_resets, ticket)
                 seen.append(probe.result(timeout=120))
                 boot = launch.submit(replace(cfg, seed=fleet_seed), index=0, attempt=0)
                 boot.result()
-                probe = launch._pool.submit(_count_resets, launch._ticket)
+                probe = launch.pool.submit(_count_resets, ticket)
                 assert probe.result(timeout=120) == seen[-1]
     assert [builds for _, builds in seen] == [1, 2, 3]
     assert len({pid for pid, _ in seen}) == 1
@@ -1120,9 +1220,9 @@ def test_interleaved_fleets_report_only_their_own_traffic(tiny_fgkaslr):
 
 
 def _tally_launch(kernel, executor: str, *, registry: bool, warm: bool):
-    """A 4-VM launch on 2 workers; the cache publishes to the telemetry's
-    registry only with ``registry`` set (perfbench's fleet-process cache
-    publishes nowhere)."""
+    """A 4-VM launch of ``kernel`` (or of a whole config) on 2 workers;
+    the cache publishes to the telemetry's registry only with
+    ``registry`` set (perfbench's fleet-process cache publishes nowhere)."""
     telemetry = Telemetry()
     vmm = Firecracker(
         HostStorage(),
@@ -1132,8 +1232,9 @@ def _tally_launch(kernel, executor: str, *, registry: bool, warm: bool):
         ),
         telemetry=telemetry,
     )
+    cfg = kernel if isinstance(kernel, VmConfig) else _cfg(kernel)
     report = FleetManager(vmm, workers=2, executor=executor).launch(
-        _cfg(kernel), 4, fleet_seed=1, warm=warm
+        cfg, 4, fleet_seed=1, warm=warm
     )
     lines = [
         line
@@ -1164,16 +1265,147 @@ def test_warm_launch_cache_tally_is_the_same_on_both_executors(
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_cold_launch_cache_tally_counts_every_worker_parse(tiny_fgkaslr, backend):
-    """Cold, a process worker misses and parses in its own memory tier;
-    the parent's stats() counts each of those misses and parses, as the
-    launch report does."""
+def test_cold_launch_cache_tally_counts_one_parse(tiny_fgkaslr, backend):
+    """Cold, the launch's first boot misses and parses, alone, and every
+    other boot hits; the parent's stats() counts that one miss and parse,
+    as the launch report does."""
     report, stats, _ = _tally_launch(
         tiny_fgkaslr, backend, registry=True, warm=False
     )
-    assert report.cache.misses == report.cache.parses >= 1
+    assert report.cache.misses == report.cache.parses == 1
     assert report.cache.lookups == 4
     assert stats == report.cache
+
+
+#: a cold launch's backends: (executor, start method)
+COLD_BACKENDS = {
+    "thread": ("thread", None),
+    "fork": ("process", "fork"),
+    "spawn": ("process", "spawn"),
+}
+COLD_WORKERS = (1, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def cold_launches(tiny_fgkaslr):
+    """A cold 4-VM launch (fleet seed 7, fresh cache) on each backend and
+    worker count: its report, the cache's stats() and the event log."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, (backend, start) in COLD_BACKENDS.items():
+            if start is not None:
+                _start_method(monkeypatch, start)
+            for workers in COLD_WORKERS:
+                vmm = _vmm()
+                with FleetManager(vmm, workers=workers, executor=backend) as manager:
+                    report = manager.launch(_cfg(tiny_fgkaslr), 4, fleet_seed=7, warm=False)
+                events = [e.to_json() for e in vmm.telemetry.log.events()]
+                runs[name, workers] = report, vmm.artifact_cache.stats(), events
+    return runs
+
+
+@pytest.mark.parametrize("workers", COLD_WORKERS)
+def test_cold_launch_is_the_same_on_every_backend(cold_launches, workers):
+    """At any worker count, threads, fork and spawn give byte-identical
+    report JSON (engine keys aside), stats() and event logs."""
+    docs, stats, logs = set(), set(), set()
+    for name in COLD_BACKENDS:
+        report, tally, events = cold_launches[name, workers]
+        docs.add(json.dumps(_strip_engine(report.to_json()), sort_keys=True))
+        stats.add(tally)
+        logs.add(json.dumps(events))
+    assert len(docs) == len(stats) == len(logs) == 1
+
+
+@pytest.mark.parametrize("backend", sorted(COLD_BACKENDS))
+def test_cold_launch_reads_the_same_at_every_worker_count(cold_launches, backend):
+    """Whatever the worker count, fleet index 0 alone takes the uncached
+    read and the miss, and every other boot hits: the per-boot seeds,
+    totals and voffsets and the cache block agree, the report reads one
+    miss and one parse, and stats() equals the report's cache."""
+    views = set()
+    for workers in COLD_WORKERS:
+        report, stats, events = cold_launches[backend, workers]
+        doc = report.to_json()
+        views.add(json.dumps(
+            ([(b["seed"], b["total_ms"], b["voffset"]) for b in doc["boots"]],
+             doc["cache"]),
+            sort_keys=True,
+        ))
+        assert stats == report.cache
+        assert (report.cache.misses, report.cache.parses, report.cache.hits) == (1, 1, 3)
+        assert [b.report.cached for b in report.boots] == [False, True, True, True]
+        hits = [e["cache_hit"] for e in events if e["name"] == "prepare_image"]
+        assert hits == [False, True, True, True]
+        assert report.boots[0].total_ms > max(b.total_ms for b in report.boots[1:])
+    assert len(views) == 1
+
+
+@pytest.mark.parametrize("backend", sorted(COLD_BACKENDS))
+def test_cold_launch_whose_first_boot_fails_early_pays_on_the_next(
+    tiny_fgkaslr, monkeypatch, backend
+):
+    """A first boot that fails before it reads the kernel leaves nothing
+    cached, so the next index boots alone on the same cold substrate and
+    takes the uncached read and the miss, as on one worker thread; the
+    rest hit, and the launch reads the same at 1, 2 and 4 workers."""
+    executor_name, start = COLD_BACKENDS[backend]
+    if start is not None:
+        _start_method(monkeypatch, start)
+    views = set()
+    for workers in COLD_WORKERS:
+        vmm = _vmm("stage=monitor_startup,kind=stage-timeout,boot=0")
+        with FleetManager(vmm, workers=workers, executor=executor_name) as manager:
+            report = manager.launch(_cfg(tiny_fgkaslr), 4, fleet_seed=7, warm=False)
+        assert [b.index for b in report.boots] == [1, 2, 3]
+        assert [f.index for f in report.failures] == [0]
+        assert [b.report.cached for b in report.boots] == [False, True, True]
+        assert (report.cache.misses, report.cache.parses, report.cache.hits) == (1, 1, 2)
+        assert vmm.artifact_cache.stats() == report.cache
+        doc = report.to_json()
+        views.add(json.dumps(
+            ([(b["seed"], b["total_ms"], b["voffset"]) for b in doc["boots"]],
+             doc["cache"], doc["failures"], doc["retries"]),
+            sort_keys=True,
+        ))
+    assert len(views) == 1
+
+
+@pytest.mark.parametrize("backend", sorted(COLD_BACKENDS))
+def test_cold_launch_over_a_warm_disk_tier_parses_nothing(
+    tiny_fgkaslr, tmp_path, monkeypatch, backend
+):
+    """A cold launch's first boot finds an empty memory tier over a warm
+    disk tier: it disk-hits, as a one-VM cold launch does, and the rest
+    hit memory; nothing misses or parses."""
+    executor_name, start = COLD_BACKENDS[backend]
+    if start is not None:
+        _start_method(monkeypatch, start)
+    BootArtifactCache(disk_path=tmp_path).get_or_parse(_cfg(tiny_fgkaslr))
+    caches = []
+    for count in (1, 4):
+        cache = BootArtifactCache(disk_path=tmp_path)
+        vmm = Firecracker(HostStorage(), CostModel(scale=1), artifact_cache=cache)
+        with FleetManager(vmm, workers=2, executor=executor_name) as manager:
+            report = manager.launch(_cfg(tiny_fgkaslr), count, fleet_seed=7, warm=False)
+        assert cache.stats() == report.cache
+        caches.append(report.cache)
+    assert caches == [
+        CacheStats(hits=1, misses=0, evictions=0, entries=1, disk_hits=1),
+        CacheStats(hits=4, misses=0, evictions=0, entries=1, disk_hits=1),
+    ]
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_bzimage_thread_fleet_leaves_the_cache_alone(warm):
+    """A bzImage boot parses in its guest loader and never probes the
+    artifact cache: a thread fleet of them, warm or cold, counts nothing
+    and publishes no cache series."""
+    cfg = bzimage_cfg(TINY, RandomizeMode.KASLR, "lz4", scale=1)
+    report, stats, lines = _tally_launch(cfg, "thread", registry=True, warm=warm)
+    assert len(report.boots) == 4
+    assert report.cache == stats == CacheStats(hits=0, misses=0, evictions=0, entries=0)
+    assert lines == []
 
 
 def test_scope_absorb_matches_note():
