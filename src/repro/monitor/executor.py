@@ -340,10 +340,10 @@ def cold_boots(
         future.set_result(record)
         futures.append(_ReplayFuture(future, seed, cache, scope, telemetry))
         prepared = substrate.artifact_cache.peek(key)
+        if prepared is not None:
+            cache.seed(key, prepared)
         if prepared is not None or record["ok"]:
             break
-    if prepared is not None:
-        cache.seed(key, prepared)
     return futures
 
 
