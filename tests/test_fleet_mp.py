@@ -1277,6 +1277,18 @@ def test_cold_launch_cache_tally_counts_one_parse(tiny_fgkaslr, backend):
     assert stats == report.cache
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_cold_launch_after_a_warm_one_misses_again(tiny_fgkaslr, backend):
+    """A cold launch's first boot runs on a cold substrate whatever the
+    monitor's cache already holds, so after a warm launch on the same
+    manager it still takes the miss, and the cache holds one entry."""
+    with FleetManager(_vmm(), workers=2, executor=backend) as manager:
+        manager.launch(_cfg(tiny_fgkaslr), 4, fleet_seed=1)
+        report = manager.launch(_cfg(tiny_fgkaslr), 4, fleet_seed=2, warm=False)
+    assert (report.cache.misses, report.cache.parses, report.cache.hits) == (1, 1, 3)
+    assert report.cache.entries == 1
+
+
 #: a cold launch's backends: (executor, start method)
 COLD_BACKENDS = {
     "thread": ("thread", None),
